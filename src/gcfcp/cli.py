@@ -8,7 +8,8 @@ Subcommands:
   bench       per-prediction speedup of the coreset path
 
 Exit codes: 0 success, 2 configuration error, 3 degenerate group,
-4 ingestion parse error.
+4 ingestion parse error, 5 threshold search failure (empty prediction set
+at the bracket's low end, or an unverified LP optimum).
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ import sys
 import numpy as np
 
 from . import datagen
-from .conformal import CALIBRATOR_KINDS, ConditionalCalibrator, CalibrationData, predict_regression
+from .conformal import (
+    CALIBRATOR_KINDS,
+    CalibrationData,
+    ConditionalCalibrator,
+    EmptySetError,
+    predict_regression,
+)
 from .datagen import IngestError, SynthConfig, substream
 from .federation import ClientDataset, ProtocolError, message_to_json, run_round
 from .groups import CoveringError, GroupFamily, family_from_json, membership_vector
@@ -34,11 +41,13 @@ from .harness import (
     run_experiment,
     write_report_csv,
 )
+from .pinball import SolverError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_INGEST = 4
+EXIT_SEARCH = 5
 
 
 class ConfigError(ValueError):
@@ -275,6 +284,9 @@ def main(argv=None) -> int:
     except IngestError as exc:
         print(f"error: ingestion: {exc}", file=sys.stderr)
         return EXIT_INGEST
+    except (EmptySetError, SolverError) as exc:
+        print(f"error: threshold search: {exc}", file=sys.stderr)
+        return EXIT_SEARCH
     except (ConfigError, ProtocolError, CoveringError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

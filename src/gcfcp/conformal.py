@@ -6,6 +6,11 @@ the test entry's dual stays strictly below its upper box bound. Since the
 dual is nondecreasing in the test score, S* is located by bisection; each
 step re-solves the regression warm-started from the previous basis.
 
+A calibrator serves many test patterns from one calibration set, so it
+solves the calibration-only regression (the test entry's box set to [0, 0])
+once, on its first fresh search, and starts every pattern's search from that
+optimal basis instead of from scratch.
+
 Baselines: a single global split-CP order statistic, the marginal reduction
 of the coreset path to one all-covering group, and raw-score variants of the
 same augmented regression (uniform weights, or per-client mixture weights).
@@ -22,7 +27,7 @@ import numpy as np
 
 from .federation import ClientDataset, Coreset, run_round, test_term_weight
 from .groups import SINGLE_GROUP, GroupFamily, MembershipVector, membership_matrix
-from .pinball import AugmentedQrSolver
+from .pinball import AugmentedQrSolver, SimplexBasis
 
 _ETA_GUARD = 1e-9
 
@@ -105,6 +110,28 @@ class CalibrationData:
         return float(self.scores.min()) - 1.0, float(self.scores.max()) + 1.0
 
 
+def _check_column_mass(data: CalibrationData) -> None:
+    column_mass = data.features.T @ data.weights
+    dead = tuple(int(g) for g in np.flatnonzero(column_mass <= 0.0))
+    if dead:
+        raise DegenerateGroupError(dead)
+
+
+def calibration_basis(data: CalibrationData, alpha: float) -> SimplexBasis:
+    """Optimal basis of the calibration-only regression, a start for any pattern.
+
+    A test weight of 0 gives the test entry the box [0, 0], which makes it
+    inert whatever its pattern and score.
+    """
+    _check_column_mass(data)
+    d = data.features.shape[1]
+    solver = AugmentedQrSolver(
+        data.features, data.scores, data.weights, alpha, (0,) * d, 0.0
+    )
+    solver.solve_at(0.0)
+    return solver.export_basis()
+
+
 def threshold_search(
     data: CalibrationData,
     test_feature: MembershipVector,
@@ -112,8 +139,14 @@ def threshold_search(
     search_lo: float | None = None,
     search_hi: float | None = None,
     tol: float = 1e-6,
+    *,
+    start_basis: SimplexBasis | None = None,
 ) -> float:
-    """Largest S in the bracket whose test dual stays below the box bound."""
+    """Largest S in the bracket whose test dual stays below the box bound.
+
+    ``start_basis`` (from ``calibration_basis`` on the same data and alpha)
+    replaces the cold first solve with a warm one; the result is the same.
+    """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     lo, hi = data.default_bracket()
@@ -123,10 +156,7 @@ def threshold_search(
         hi = search_hi
     if not lo < hi:
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
-    column_mass = data.features.T @ data.weights
-    dead = tuple(int(g) for g in np.flatnonzero(column_mass <= 0.0))
-    if dead:
-        raise DegenerateGroupError(dead)
+    _check_column_mass(data)
     solver = AugmentedQrSolver(
         data.features,
         data.scores,
@@ -134,6 +164,7 @@ def threshold_search(
         alpha,
         test_feature,
         data.test_weight,
+        start_basis=start_basis,
     )
     bound = data.test_weight * (1.0 - alpha) - _ETA_GUARD
 
@@ -200,8 +231,10 @@ class ConditionalCalibrator:
     """Per-pattern thresholds from the augmented quantile regression.
 
     S* depends on the test point only through its membership pattern, so
-    results are cached per pattern; ``search_times`` records the wall-clock
-    of each fresh search for the timing reports.
+    results are cached per pattern. Every pattern's search starts from one
+    shared ``calibration_basis``, solved on the first fresh search.
+    ``search_times`` records the wall-clock of each fresh search for the
+    timing reports; the first one includes the shared solve.
     """
 
     def __init__(
@@ -218,11 +251,14 @@ class ConditionalCalibrator:
         self.search_times: list[float] = []
         self.wire_bytes = 0
         self._cache: dict[MembershipVector, float] = {}
+        self._basis: SimplexBasis | None = None
 
     def threshold(self, test_feature: MembershipVector) -> float:
         key = tuple(test_feature)
         if key not in self._cache:
             t0 = time.perf_counter()
+            if self._basis is None:
+                self._basis = calibration_basis(self.data, self.alpha)
             s_star = threshold_search(
                 self.data,
                 key,
@@ -230,6 +266,7 @@ class ConditionalCalibrator:
                 search_lo=self.bracket[0],
                 search_hi=self.bracket[1],
                 tol=self.tol,
+                start_basis=self._basis,
             )
             self.search_times.append(time.perf_counter() - t0)
             self._cache[key] = s_star

@@ -16,6 +16,15 @@ basis are exactly the primal beta, and the eta at a vertex are exact KKT
 multipliers, which the threshold binary search requires. Re-solving after a
 change of the test score warm-starts from the previous basis, which makes
 bisection over the test score cheap.
+
+The first solve for a new test pattern need not start cold either. Setting
+the test entry's box to [0, 0] (test weight 0) gives the calibration-only
+problem; a zero-width column never enters the basis, so at its optimum both
+test columns are nonbasic at 0. ``export_basis`` hands that basis out with
+the test columns reset to their lower bound, and a solver built with
+``start_basis`` resumes from it: the calibration part of the basis does not
+depend on the test pattern, so it stays primal feasible and the simplex only
+has to price the test columns in.
 """
 
 from __future__ import annotations
@@ -33,6 +42,14 @@ _GAP_TOL = 1e-8
 
 class SolverError(RuntimeError):
     """The simplex failed to reach a verified optimum (internal error)."""
+
+
+@dataclass(frozen=True)
+class SimplexBasis:
+    """A warm start for AugmentedQrSolver, exported by ``export_basis``."""
+
+    basic: np.ndarray  # column index per basis row
+    status: np.ndarray  # per column: 0 lower, 1 upper, 2 basic
 
 
 @dataclass(frozen=True)
@@ -59,6 +76,7 @@ class QrSolution:
     eta_test: float
     status: str  # "optimal" | "degenerate_group"
     degenerate_groups: tuple[int, ...] = ()
+    iterations: int = 0  # simplex pivots and bound flips of this solve
 
 
 def pinball_loss(theta: float, s: float, alpha: float) -> float:
@@ -122,6 +140,7 @@ class _BoundedSimplex:
         self.status = np.zeros(self.N, np.int8)  # 0 lower, 1 upper, 2 basic
         self.status[self.basis] = 2
         self.xB = np.zeros(self.d)
+        self.iterations = 0
         self.y = np.zeros(self.d)
 
     def refresh(self) -> None:
@@ -144,6 +163,7 @@ class _BoundedSimplex:
             )
             if cand.size == 0:
                 self.y = y
+                self.iterations = it
                 self.refresh()
                 return
             if degen_run > 40:
@@ -194,7 +214,9 @@ class AugmentedQrSolver:
 
     ``solve_at`` re-solves after changing only the test score, warm-starting
     from the previous optimal basis (primal feasibility is unaffected by the
-    objective change, so the simplex resumes directly).
+    objective change, so the simplex resumes directly). The first solve starts
+    from ``start_basis`` when one is given, and from the all-artificial basis
+    otherwise.
     """
 
     def __init__(
@@ -205,6 +227,8 @@ class AugmentedQrSolver:
         alpha: float,
         test_feature: MembershipVector,
         test_weight: float,
+        *,
+        start_basis: SimplexBasis | None = None,
     ):
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha {alpha!r} outside (0, 1)")
@@ -234,6 +258,13 @@ class AugmentedQrSolver:
         self._phi = phi
         self._s = s
         self._simplex = _BoundedSimplex(A, c, up)
+        self._test_columns = [e - 1, 2 * e - 1]
+        if start_basis is not None:
+            status = start_basis.status
+            if status.shape != (A.shape[1],) or np.any(status[self._test_columns] != 0):
+                raise ValueError("start basis does not fit this problem")
+            self._simplex.basis = start_basis.basic.copy()
+            self._simplex.status = status.copy()
         self._solved = False
         self.solve_count = 0
 
@@ -263,7 +294,24 @@ class AugmentedQrSolver:
             eta=eta[:-1],
             eta_test=float(eta[-1]),
             status="optimal",
+            iterations=sp.iterations,
         )
+
+    def export_basis(self) -> SimplexBasis:
+        """The optimal basis with both test columns reset to their lower bound.
+
+        Only a solved calibration-only problem (test weight 0) exports: its
+        test columns are nonbasic at 0, so the reset leaves every basic value
+        unchanged and the basis is a feasible start for any test pattern.
+        """
+        if not self._solved or self.test_weight != 0.0:
+            raise ValueError("only a solved problem with test weight 0 exports its basis")
+        sp = self._simplex
+        if np.any(sp.status[self._test_columns] == 2):
+            raise SolverError("a zero-width test column entered the basis")
+        status = sp.status.copy()
+        status[self._test_columns] = 0
+        return SimplexBasis(sp.basis.copy(), status)
 
     def _verify(self, eta, beta, primal, dual) -> None:
         lo = -self._w * self.alpha

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from gcfcp import conformal
 from gcfcp.cli import main
+from gcfcp.conformal import EmptySetError
+from gcfcp.pinball import SolverError
 
 SMALL_GROUPS = json.dumps(
     {
@@ -89,6 +92,17 @@ def test_exit_code_degenerate_group(capsys):
     )
     assert code == 3
     assert "degenerate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [EmptySetError, SolverError])
+def test_exit_code_search_error(dataset_csv, monkeypatch, capsys, error):
+    def failing_search(*args, **kwargs):
+        raise error("search failed")
+
+    monkeypatch.setattr(conformal, "threshold_search", failing_search)
+    code = main(["predict", str(dataset_csv), "--x", "1.5", "--delta", "100"])
+    assert code == 5
+    assert "error: threshold search: search failed" in capsys.readouterr().err
 
 
 def test_exit_code_ingest_error(tmp_path, capsys):

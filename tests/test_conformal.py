@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from gcfcp import conformal
 from gcfcp.conformal import (
     CalibrationData,
     ConditionalCalibrator,
@@ -17,8 +19,31 @@ from gcfcp.conformal import (
 )
 from gcfcp.federation import ClientDataset
 from gcfcp.groups import SINGLE_GROUP, interval_family
+from gcfcp.pinball import AugmentedQrSolver
 
 FOUR_INTERVALS = interval_family([(0, 2), (1, 3), (2, 4), (3, 5)])
+FOUR_INTERVAL_PATTERNS = [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)]
+
+
+@pytest.fixture
+def lp_log(monkeypatch):
+    """Record every solver the conformal module builds and every solve, on a
+    fake clock that advances one second per solve."""
+    log = SimpleNamespace(solvers=[], solves=0, now=0.0)
+
+    class Recording(AugmentedQrSolver):
+        def __init__(self, *args, start_basis=None):
+            super().__init__(*args, start_basis=start_basis)
+            log.solvers.append((start_basis is None, args[5]))
+
+        def solve_at(self, test_score):
+            log.solves += 1
+            log.now += 1.0
+            return super().solve_at(test_score)
+
+    monkeypatch.setattr(conformal, "AugmentedQrSolver", Recording)
+    monkeypatch.setattr(conformal, "time", SimpleNamespace(perf_counter=lambda: log.now))
+    return log
 
 
 def single_group_data(scores, weights, test_weight):
@@ -229,6 +254,45 @@ class TestBaselines:
         assert t1 == t2
         assert len(cal.search_times) == 1
         assert cal.wire_bytes > 0
+
+    @pytest.mark.parametrize("kind", ["gcfcp_centralized", "gcfcp_coreset"])
+    def test_shared_basis_matches_fresh_search(self, kind):
+        for seed in (3, 6):
+            datasets = self.make_datasets(seed=seed)
+            cal = calibrate_baseline(
+                kind, datasets, 0.1, family=FOUR_INTERVALS, delta=100.0
+            )
+            for pattern in FOUR_INTERVAL_PATTERNS:
+                assert cal.threshold(pattern) == threshold_search(cal.data, pattern, 0.1)
+
+    def test_one_cold_solve_per_calibrator(self, lp_log):
+        datasets = self.make_datasets()
+        cal = calibrate_baseline("gcfcp_centralized", datasets, 0.1, family=FOUR_INTERVALS)
+        for pattern in FOUR_INTERVAL_PATTERNS * 2:
+            cal.threshold(pattern)
+        cold = [test_weight for is_cold, test_weight in lp_log.solvers if is_cold]
+        assert cold == [0.0]
+        assert len(lp_log.solvers) == 1 + len(FOUR_INTERVAL_PATTERNS)
+
+    def test_search_times_include_shared_solve(self, lp_log):
+        datasets = self.make_datasets()
+        cal = calibrate_baseline("gcfcp_centralized", datasets, 0.1, family=FOUR_INTERVALS)
+        cal.threshold(FOUR_INTERVAL_PATTERNS[0])
+        first = lp_log.solves
+        for pattern in FOUR_INTERVAL_PATTERNS:
+            cal.threshold(pattern)
+        assert len(cal.search_times) == len(FOUR_INTERVAL_PATTERNS)
+        assert cal.search_times[0] == first
+        assert sum(cal.search_times) == lp_log.solves
+
+    def test_degenerate_group_raised_before_any_solve(self, lp_log):
+        feats = np.array([[1.0, 0.0], [1.0, 0.0]])
+        data = CalibrationData(feats, np.array([1.0, 2.0]), np.array([0.5, 0.5]), 0.1)
+        cal = ConditionalCalibrator(data, 0.1)
+        with pytest.raises(DegenerateGroupError) as err:
+            cal.threshold((1, 1))
+        assert err.value.groups == (1,)
+        assert lp_log.solvers == [] and cal.search_times == []
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

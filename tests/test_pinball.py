@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gcfcp.federation import Coreset
@@ -300,3 +300,93 @@ def test_warm_start_matches_cold():
         )
         assert warm.dual_objective == pytest.approx(cold.dual_objective, abs=1e-9)
         assert warm.eta_test == pytest.approx(cold.eta_test, abs=1e-8)
+
+
+def _solver_inputs(problem):
+    cal = [e for e in problem.entries if not e.is_test]
+    test = next(e for e in problem.entries if e.is_test)
+    inputs = (
+        np.array([e.feature for e in cal], dtype=float),
+        np.array([e.score for e in cal]),
+        np.array([e.weight for e in cal]),
+        problem.alpha,
+    )
+    return inputs, test
+
+
+def _calibration_only(inputs, dimension):
+    solver = AugmentedQrSolver(*inputs, (0,) * dimension, 0.0)
+    solver.solve_at(0.0)
+    return solver
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_calibration_basis_start_matches_cold(seed):
+    rng = np.random.default_rng(seed)
+    p = random_problem(rng, max_entries=40)
+    inputs, test = _solver_inputs(p)
+    # beta is unique only when the calibration features have full column rank
+    assume(np.linalg.matrix_rank(inputs[0]) == p.dimension)
+    basis = _calibration_only(inputs, p.dimension).export_basis()
+    for pattern in itertools.product((0, 1), repeat=p.dimension):
+        if not any(pattern):
+            continue
+        for score in rng.normal(scale=2.0, size=3):
+            warm = AugmentedQrSolver(
+                *inputs, pattern, test.weight, start_basis=basis
+            ).solve_at(float(score))
+            cold = AugmentedQrSolver(*inputs, pattern, test.weight).solve_at(float(score))
+            assert warm.primal_objective == pytest.approx(cold.primal_objective, abs=1e-9)
+            assert warm.eta_test == pytest.approx(cold.eta_test, abs=1e-9)
+            np.testing.assert_allclose(warm.eta, cold.eta, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(warm.beta, cold.beta, rtol=0, atol=1e-9)
+
+
+def test_calibration_basis_leaves_test_columns_nonbasic():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        p = random_problem(rng)
+        inputs, test = _solver_inputs(p)
+        e = len(inputs[1]) + 1
+        test_columns = [e - 1, 2 * e - 1]
+        # the test weight 0 makes the pattern and score inert
+        inert = [((0,) * p.dimension, 0.0), (test.feature, 5.0), (test.feature, -5.0)]
+        for pattern, score in inert:
+            solver = AugmentedQrSolver(*inputs, pattern, 0.0)
+            solver.solve_at(score)
+            basis = solver.export_basis()
+            assert not set(test_columns) & set(basis.basic.tolist())
+            assert np.all(basis.status[test_columns] == 0)
+            assert np.count_nonzero(basis.status == 2) == p.dimension
+            resumed = AugmentedQrSolver(*inputs, test.feature, test.weight, start_basis=basis)
+            cold = AugmentedQrSolver(*inputs, test.feature, test.weight)
+            assert resumed.solve_at(test.score).eta_test == pytest.approx(
+                cold.solve_at(test.score).eta_test, abs=1e-9
+            )
+
+
+def test_calibration_basis_is_already_optimal():
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        p = random_problem(rng)
+        inputs, _ = _solver_inputs(p)
+        basis = _calibration_only(inputs, p.dimension).export_basis()
+        again = AugmentedQrSolver(*inputs, (0,) * p.dimension, 0.0, start_basis=basis)
+        assert again.solve_at(0.0).iterations == 0
+
+
+def test_start_basis_must_fit():
+    rng = np.random.default_rng(8)
+    p = random_problem(rng)
+    inputs, test = _solver_inputs(p)
+    basis = _calibration_only(inputs, p.dimension).export_basis()
+    fewer = (inputs[0][1:], inputs[1][1:], inputs[2][1:], inputs[3])
+    with pytest.raises(ValueError):
+        AugmentedQrSolver(*fewer, test.feature, test.weight, start_basis=basis)
+    solver = AugmentedQrSolver(*inputs, test.feature, test.weight)
+    with pytest.raises(ValueError):
+        solver.export_basis()  # not solved yet
+    solver.solve_at(test.score)
+    with pytest.raises(ValueError):
+        solver.export_basis()  # a positive test weight is not calibration-only
