@@ -1,11 +1,13 @@
 """Simulated one-shot client/server protocol.
 
 Clients stratify local scores by atom, build one digest per non-empty atom
-with uniform per-sample weight pi_k / (n_k + 1), and ship each digest as a
-JSON line. The server parses the wire bytes, merges digests per atom at the
-same compression level, and assembles the coreset used by the quantile
-regression. Serialization is exercised for real so the byte accounting is
-honest, even though everything runs in-process.
+with uniform per-sample weight pi_k / (n_k + 1), and ship each digest's sorted
+(means, weights) arrays as one JSON line. The server parses each line once
+into arrays, rejects inconsistent batches, merges digests per atom at the same
+compression level by concatenating their arrays, and flattens the merged
+arrays into the coreset used by the quantile regression. Serialization is
+exercised for real so the byte accounting is honest, even though everything
+runs in-process.
 """
 
 from __future__ import annotations
@@ -114,8 +116,7 @@ def message_to_json(message: DigestMessage) -> str:
         {
             "client_id": message.client_id,
             "atom": "".join(str(b) for b in message.atom),
-            "compression": message.digest.compression,
-            "clusters": [[c.mean, c.weight] for c in message.digest.clusters],
+            **tdigest.digest_fields(message.digest),
         }
     )
 
@@ -129,9 +130,7 @@ def message_from_json(payload: str) -> DigestMessage:
         raise ProtocolError(f"malformed digest message: {exc}") from exc
     if any(b not in (0, 1) for b in atom) or not any(atom):
         raise ProtocolError(f"invalid atom pattern {obj.get('atom')!r}")
-    digest = tdigest.digest_from_json(
-        json.dumps({"compression": obj.get("compression"), "clusters": obj.get("clusters")})
-    )
+    digest = tdigest.digest_from_fields(obj.get("compression"), obj.get("clusters"))
     return DigestMessage(client_id=client_id, atom=atom, digest=digest)
 
 
@@ -141,23 +140,36 @@ def comm_bytes(messages: Sequence[DigestMessage]) -> int:
 
 
 def server_assemble(messages: Sequence[DigestMessage], delta: float) -> Coreset:
-    """Merge per-atom digests across clients and flatten into coreset triples."""
+    """Merge per-atom digests across clients and flatten into coreset triples.
+
+    Rejects a batch whose atoms differ in length, whose digests were built at
+    another compression than delta, or that repeats a (client, atom) pair.
+    """
     if not messages:
         raise ProtocolError("server received no messages")
     dims = {len(m.atom) for m in messages}
     if len(dims) != 1:
         raise ProtocolError(f"inconsistent atom dimensions across messages: {dims}")
     by_atom: dict[AtomKey, list[Digest]] = {}
+    senders: set[tuple[int, AtomKey]] = set()
     for m in messages:
+        if m.digest.compression != delta:
+            raise ProtocolError(
+                f"client {m.client_id} sent compression {m.digest.compression!r}, "
+                f"round uses {delta!r}"
+            )
+        if (m.client_id, m.atom) in senders:
+            raise ProtocolError(f"duplicate message for client {m.client_id}, atom {m.atom}")
+        senders.add((m.client_id, m.atom))
         by_atom.setdefault(m.atom, []).append(m.digest)
     per_atom = {
         atom: tdigest.merge(digests, delta)
         for atom, digests in sorted(by_atom.items())
     }
     entries = tuple(
-        (atom, c.mean, c.weight)
+        (atom, mean, weight)
         for atom, digest in per_atom.items()
-        for c in digest.clusters
+        for mean, weight in zip(digest.means().tolist(), digest.weights().tolist())
     )
     return Coreset(entries=entries, per_atom_digests=per_atom)
 

@@ -2,8 +2,10 @@
 
 A family is either a list of scalar covariate intervals or a list of
 predicted-label sets. Membership of a point is a fixed-length binary vector
-(one bit per group, in family order). Atoms are the equivalence classes of
-observed membership patterns: the disjoint refinement of the family.
+(one bit per group, in family order), and a sample set is a 0/1 membership
+matrix with one row per point. Atoms are the equivalence classes of observed
+membership patterns, the disjoint refinement of the family: the unique rows of
+that matrix, each with the index array of the rows that carry it.
 """
 
 from __future__ import annotations
@@ -109,23 +111,23 @@ def membership_matrix(xs: Sequence, family: GroupFamily) -> np.ndarray:
 
 def enumerate_atoms(
     covariates: Sequence, family: GroupFamily
-) -> dict[AtomKey, list[int]]:
+) -> dict[AtomKey, np.ndarray]:
     """Group sample indices by identical membership pattern.
 
-    Only non-empty atoms appear; keys iterate in lexicographic bit order.
+    Only non-empty atoms appear; keys iterate in lexicographic bit order and
+    each maps to the ascending indices of its rows.
     """
     if len(covariates) == 0:
         raise ValueError("enumerate_atoms requires at least one covariate")
     mat = membership_matrix(covariates, family)
-    atoms: dict[AtomKey, list[int]] = {}
-    for i, row in enumerate(mat):
-        atoms.setdefault(tuple(int(b) for b in row), []).append(i)
-    return dict(sorted(atoms.items()))
-
-
-def atom_feature(atom: AtomKey) -> MembershipVector:
-    """The shared membership vector of every point in the atom."""
-    return atom
+    # Pack each row's bits, first group in the high bit, into one byte string:
+    # byte strings sort in the lexicographic bit order, for any family size.
+    packed = np.packbits(mat.astype(bool), axis=1)
+    keys, inverse = np.unique(packed.view(f"S{packed.shape[1]}").ravel(), return_inverse=True)
+    rows = np.argsort(inverse, kind="stable")
+    cuts = np.cumsum(np.bincount(inverse, minlength=keys.size))[:-1]
+    bits = np.unpackbits(keys.view(np.uint8).reshape(keys.size, -1), axis=1, count=len(family))
+    return dict(zip(map(tuple, bits.tolist()), np.split(rows, cuts)))
 
 
 def family_to_json(family: GroupFamily) -> str:

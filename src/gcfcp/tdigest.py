@@ -1,12 +1,14 @@
 """Weighted, mergeable quantile sketch with arcsine tail scaling.
 
-A digest summarizes a weighted empirical distribution as an ordered list of
-(mean, weight) clusters. The arcsine scale function keeps clusters small near
-the tails and allows them to grow near the median, which bounds both the
-maximal normalized cluster mass and the uniform CDF error by sin(pi/delta).
+A digest summarizes a weighted empirical distribution as two sorted arrays:
+cluster means (ascending) and cluster weights. The arcsine scale function
+keeps clusters small near the tails and allows them to grow near the median,
+which bounds both the maximal normalized cluster mass and the uniform CDF
+error by sin(pi/delta).
 
-Digests built from disjoint datasets can be merged by pooling their clusters
-as weighted samples and rebuilding at the same compression level.
+Digests built from disjoint datasets merge by concatenating their arrays as
+weighted samples and rebuilding at the same compression level (the merging
+digest of Dunning & Ertl, arXiv:1902.04023).
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+# A sample joins the current cluster iff its scale span stays within this.
+_SPAN = 1.0 + 1e-12
 
 
 class DigestError(ValueError):
@@ -29,28 +34,55 @@ class WeightedSample:
     weight: float
 
 
-@dataclass(frozen=True)
-class Cluster:
-    mean: float
-    weight: float
-
-
-@dataclass(frozen=True)
 class Digest:
-    """Ordered weighted cluster summary. Immutable after construction."""
+    """Sorted cluster arrays: ``means()`` ascending, ``weights()`` positive.
 
-    clusters: tuple[Cluster, ...]
-    compression: float
-    total_weight: float
+    Immutable after construction: the arrays are read-only float64 copies.
+    """
+
+    __slots__ = ("_means", "_weights", "compression", "total_weight")
+
+    def __init__(self, means, weights, compression: float, total_weight: float):
+        means = np.array(means, dtype=float)
+        weights = np.array(weights, dtype=float)
+        if means.ndim != 1 or means.shape != weights.shape:
+            raise DigestError("means and weights must be 1-d arrays of equal length")
+        means.flags.writeable = False
+        weights.flags.writeable = False
+        object.__setattr__(self, "_means", means)
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "compression", float(compression))
+        object.__setattr__(self, "total_weight", float(total_weight))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Digest is immutable")
 
     def __len__(self) -> int:
-        return len(self.clusters)
+        return self._means.size
 
     def means(self) -> np.ndarray:
-        return np.array([c.mean for c in self.clusters])
+        return self._means
 
     def weights(self) -> np.ndarray:
-        return np.array([c.weight for c in self.clusters])
+        return self._weights
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Digest):
+            return NotImplemented
+        return (
+            self.compression == other.compression
+            and self.total_weight == other.total_weight
+            and np.array_equal(self._means, other._means)
+            and np.array_equal(self._weights, other._weights)
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"Digest(clusters={len(self)}, compression={self.compression!r}, "
+            f"total_weight={self.total_weight!r})"
+        )
 
 
 def scale(q: float, delta: float) -> float:
@@ -64,6 +96,42 @@ def scale(q: float, delta: float) -> float:
     if delta <= 0.0:
         raise DigestError(f"compression {delta!r} must be positive")
     return (delta / (2.0 * math.pi)) * math.asin(2.0 * q - 1.0)
+
+
+def _cluster_starts(r: np.ndarray, delta: float) -> np.ndarray:
+    """First sample of every cluster of the greedy pass over scale positions.
+
+    A cluster starting at s has left edge r[s-1] (scale(0) for s = 0) and ends
+    at the first i > s with r[i] - left > _SPAN. One searchsorted proposes an
+    end for every possible start, and each end steps forward until it fails
+    that exact test. The followed clusters are then checked as a whole: an
+    index inside one that fails the test (searchsorted rounded past it, or
+    rounding in arcsin made r dip by an ulp) becomes the end of its cluster.
+    """
+    n = r.size
+    left = np.concatenate(([-delta / 4.0], r[:-1]))
+    idx = np.arange(n)
+    end = np.clip(np.searchsorted(r, left + _SPAN, side="right"), idx + 1, n)
+    while True:
+        fwd = np.flatnonzero(end < n)
+        fwd = fwd[r[end[fwd]] - left[fwd] <= _SPAN]
+        if not fwd.size:
+            break
+        end[fwd] += 1
+
+    ends = end.tolist()
+    while True:
+        starts = []
+        s = 0
+        while s < n:
+            starts.append(s)
+            s = ends[s]
+        starts = np.array(starts)
+        owner = np.repeat(starts, np.diff(np.append(starts, n)))
+        bad = np.flatnonzero((r - left[owner] > _SPAN) & (owner != idx))
+        if not bad.size:
+            return starts
+        ends[owner[bad[0]]] = int(bad[0])
 
 
 def _build_from_arrays(
@@ -94,27 +162,27 @@ def _build_from_arrays(
     # r[i] = scale at the right boundary after absorbing sample i
     r = (delta / (2.0 * math.pi)) * np.arcsin(2.0 * q - 1.0)
 
-    means: list[float] = []
-    cl_weights: list[float] = []
-    r_left = -delta / 4.0  # scale(0, delta)
-    cur_mean = v[0]
-    cur_w = w[0]
-    for i in range(1, v.size):
-        if r[i] - r_left <= 1.0 + 1e-12:
-            # incremental weighted mean bounds rounding drift over merge chains
-            cur_w += w[i]
-            cur_mean += (w[i] / cur_w) * (v[i] - cur_mean)
-        else:
-            means.append(cur_mean)
-            cl_weights.append(cur_w)
-            r_left = r[i - 1]
-            cur_mean = v[i]
-            cur_w = w[i]
-    means.append(cur_mean)
-    cl_weights.append(cur_w)
-
-    clusters = tuple(Cluster(m, cw) for m, cw in zip(means, cl_weights))
-    return Digest(clusters=clusters, compression=float(delta), total_weight=total)
+    starts = _cluster_starts(r, delta)
+    lengths = np.diff(np.append(starts, v.size))
+    # Incremental weighted mean (bounds rounding drift over merge chains),
+    # one step per position within a cluster across all clusters that long.
+    # Longest clusters first, so the clusters still absorbing form a prefix.
+    by_len = np.argsort(-lengths, kind="stable")
+    first = starts[by_len]
+    longer = np.searchsorted(-lengths[by_len], -np.arange(1, lengths.max()), side="left")
+    cur_mean = v[first]
+    cur_w = w[first]
+    for j, k in enumerate(longer.tolist(), start=1):
+        pos = first[:k] + j
+        wj = w[pos]
+        cw = cur_w[:k]
+        cw += wj
+        cur_mean[:k] += (wj / cw) * (v[pos] - cur_mean[:k])
+    means = np.empty_like(cur_mean)
+    cl_weights = np.empty_like(cur_w)
+    means[by_len] = cur_mean
+    cl_weights[by_len] = cur_w
+    return Digest(means, cl_weights, compression=delta, total_weight=total)
 
 
 def build_digest_arrays(
@@ -123,18 +191,18 @@ def build_digest_arrays(
     delta: float,
     total: float | None = None,
 ) -> Digest:
-    """Array-based construction; same greedy pass as build_digest."""
-    return _build_from_arrays(values, weights, delta, total=total)
-
-
-def build_digest(samples: Sequence[WeightedSample], delta: float) -> Digest:
-    """Greedy single-pass construction over value-sorted samples.
+    """Greedy single pass over value-sorted samples.
 
     Ties in value keep input order (stable sort). A sample joins the current
     cluster iff the cluster's scale span stays at most one unit; a sample
     that alone exceeds the span still forms a singleton cluster, in which
     case the mass bound degrades to max(sin(pi/delta), max_i w_i/W).
     """
+    return _build_from_arrays(values, weights, delta, total=total)
+
+
+def build_digest(samples: Sequence[WeightedSample], delta: float) -> Digest:
+    """``build_digest_arrays`` over a sequence of weighted samples."""
     if len(samples) == 0:
         raise DigestError("cannot build a digest from zero samples")
     values = np.array([s.value for s in samples], dtype=float)
@@ -156,12 +224,12 @@ def approx_quantile(digest: Digest, u: float) -> float:
     cum = np.cumsum(digest.weights())
     target = u * digest.total_weight
     idx = int(np.searchsorted(cum, target * (1.0 - 1e-12), side="left"))
-    idx = min(idx, len(digest.clusters) - 1)
-    return digest.clusters[idx].mean
+    idx = min(idx, len(digest) - 1)
+    return digest.means()[idx]
 
 
 def merge(digests: Sequence[Digest], delta: float) -> Digest:
-    """Pool all clusters as weighted samples and rebuild at compression delta.
+    """Concatenate all cluster arrays as weighted samples and rebuild at delta.
 
     Total weight is the exact sum of the input totals (fixed summation order:
     digest order, then cluster order).
@@ -181,39 +249,54 @@ def max_cluster_mass(digest: Digest) -> float:
     return float(np.max(digest.weights()) / digest.total_weight)
 
 
+def digest_fields(digest: Digest) -> dict:
+    """Wire fields: {"compression": d, "clusters": [[mean, weight], ...]}."""
+    return {
+        "compression": digest.compression,
+        "clusters": np.column_stack((digest.means(), digest.weights())).tolist(),
+    }
+
+
+def digest_from_fields(compression, clusters) -> Digest:
+    """Validate parsed wire fields and build the digest they describe.
+
+    The total weight is the sequential sum of the cluster weights.
+    """
+    try:
+        compression = float(compression)
+        pairs = np.array(clusters, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DigestError(f"malformed digest payload: {exc}") from exc
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        if pairs.size == 0:
+            raise DigestError("digest has no clusters")
+        raise DigestError(f"clusters must be [mean, weight] pairs, got shape {pairs.shape}")
+    if not (math.isfinite(compression) and np.isfinite(pairs).all()):
+        raise DigestError("compression, means and weights must be finite")
+    if compression <= 0.0:
+        raise DigestError("compression must be positive")
+    means, weights = pairs[:, 0], pairs[:, 1]
+    if not np.all(weights > 0.0):
+        raise DigestError("nonpositive cluster weight")
+    if np.any(means[1:] < means[:-1]):
+        raise DigestError("clusters not sorted by mean")
+    with np.errstate(over="ignore"):
+        total = np.cumsum(weights)[-1]
+    if not math.isfinite(total):
+        raise DigestError("cluster weights sum to infinity")
+    return Digest(means, weights, compression=compression, total_weight=total)
+
+
 def digest_to_json(digest: Digest) -> str:
-    """Wire format: {"compression": d, "clusters": [[mean, weight], ...]}."""
-    return json.dumps(
-        {
-            "compression": digest.compression,
-            "clusters": [[c.mean, c.weight] for c in digest.clusters],
-        }
-    )
+    """Wire format: the JSON text of ``digest_fields``."""
+    return json.dumps(digest_fields(digest))
 
 
 def digest_from_json(payload: str) -> Digest:
     try:
         obj = json.loads(payload)
-        compression = float(obj["compression"])
-        raw = obj["clusters"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        compression = obj["compression"]
+        clusters = obj["clusters"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DigestError(f"malformed digest payload: {exc}") from exc
-    if compression <= 0.0:
-        raise DigestError("compression must be positive")
-    clusters = []
-    prev = -math.inf
-    total = 0.0
-    for pair in raw:
-        if len(pair) != 2:
-            raise DigestError(f"malformed cluster entry {pair!r}")
-        mean, weight = float(pair[0]), float(pair[1])
-        if weight <= 0.0:
-            raise DigestError(f"nonpositive cluster weight {weight!r}")
-        if mean < prev:
-            raise DigestError("clusters not sorted by mean")
-        prev = mean
-        total += weight
-        clusters.append(Cluster(mean, weight))
-    if not clusters:
-        raise DigestError("digest has no clusters")
-    return Digest(clusters=tuple(clusters), compression=compression, total_weight=total)
+    return digest_from_fields(compression, clusters)

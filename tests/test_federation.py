@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcfcp import tdigest
+from gcfcp.conformal import CalibrationData, threshold_search
 from gcfcp.datagen import SynthConfig, sample_covariates
 from gcfcp.federation import (
     ClientDataset,
@@ -21,6 +24,8 @@ from gcfcp.federation import (
 )
 from gcfcp.federation import test_term_weight as term_weight
 from gcfcp.groups import SINGLE_GROUP, interval_family
+from gcfcp.tdigest import DigestError
+from reference import reference_round
 
 FOUR_INTERVALS = interval_family([(0, 2), (1, 3), (2, 4), (3, 5)])
 
@@ -90,7 +95,8 @@ class TestWire:
             back = message_from_json(line)
             assert back.client_id == msg.client_id
             assert back.atom == msg.atom
-            assert back.digest.clusters == msg.digest.clusters
+            assert np.array_equal(back.digest.means(), msg.digest.means())
+            assert np.array_equal(back.digest.weights(), msg.digest.weights())
             assert back.digest.compression == msg.digest.compression
             # the wire carries clusters only; the parsed total is their sum
             assert back.digest.total_weight == pytest.approx(
@@ -116,6 +122,52 @@ class TestWire:
             message_from_json('{"client_id": 1, "atom": "0000", "compression": 25, "clusters": [[1, 1]]}')
         with pytest.raises(ProtocolError):
             message_from_json('{"client_id": 1, "atom": "10x0", "compression": 25, "clusters": [[1, 1]]}')
+
+    @pytest.mark.parametrize(
+        "clusters",
+        [
+            "[[NaN, 1.0]]",
+            "[[1.0, Infinity]]",
+            "[[1.0, 1.0], [-Infinity, 1.0]]",
+            "[[1.0, NaN]]",
+            "[[1e400, 1.0]]",
+        ],
+    )
+    def test_rejects_non_finite_clusters(self, clusters):
+        line = '{"client_id": 1, "atom": "1000", "compression": 25, "clusters": %s}' % clusters
+        with pytest.raises(DigestError):
+            message_from_json(line)
+
+    @pytest.mark.parametrize("compression", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite_compression(self, compression):
+        line = '{"client_id": 1, "atom": "1000", "compression": %s, "clusters": [[1.0, 1.0]]}' % compression
+        with pytest.raises(DigestError):
+            message_from_json(line)
+
+    @given(
+        client_id=st.integers(0, 10**9),
+        atom=st.text("01", min_size=1, max_size=70).filter(lambda a: "1" in a),
+        compression=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        pairs=st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_codec_round_trip_is_byte_exact(self, client_id, atom, compression, pairs):
+        line = json.dumps(
+            {
+                "client_id": client_id,
+                "atom": atom,
+                "compression": compression,
+                "clusters": [list(p) for p in sorted(pairs, key=lambda p: p[0])],
+            }
+        )
+        assert message_to_json(message_from_json(line)) == line
 
     def test_comm_bytes(self):
         assert comm_bytes([]) == 0
@@ -147,9 +199,9 @@ class TestServer:
         messages = client_build_messages(ds, FOUR_INTERVALS, 50.0)
         coreset = server_assemble(messages, 50.0)
         digest = messages[0].digest
-        assert [(m, w) for _, m, w in coreset.entries] == [
-            (c.mean, c.weight) for c in digest.clusters
-        ]
+        assert [(m, w) for _, m, w in coreset.entries] == list(
+            zip(digest.means().tolist(), digest.weights().tolist())
+        )
 
     def test_disjoint_atoms_no_cross_merge(self):
         a = ClientDataset(1, np.full(20, 0.5), np.random.default_rng(6).random(20), 0.5)
@@ -186,6 +238,30 @@ class TestServer:
         with pytest.raises(ProtocolError):
             server_assemble(m1 + m2, 50.0)
 
+    def test_rejects_other_compression(self):
+        rng = np.random.default_rng(11)
+        ds = ClientDataset(1, rng.uniform(0, 5, 50), rng.random(50), 1.0)
+        with pytest.raises(ProtocolError, match="compression"):
+            server_assemble(client_build_messages(ds, FOUR_INTERVALS, 5.0), 250.0)
+        good = client_build_messages(ds, FOUR_INTERVALS, 250.0)
+        other = ClientDataset(2, rng.uniform(0, 5, 50), rng.random(50), 1.0)
+        with pytest.raises(ProtocolError, match="compression"):
+            server_assemble(good + client_build_messages(other, FOUR_INTERVALS, 5.0), 250.0)
+
+    def test_rejects_duplicate_client_atom(self):
+        rng = np.random.default_rng(12)
+        datasets = uniform_clients(rng, (200, 200))
+        messages = [
+            m for ds in datasets for m in client_build_messages(ds, FOUR_INTERVALS, 250.0)
+        ]
+        assert server_assemble(messages, 250.0).total_weight == pytest.approx(
+            sum(0.5 * 200 / 201 for _ in datasets), abs=1e-9
+        )
+        with pytest.raises(ProtocolError, match="duplicate"):
+            server_assemble(messages + messages, 250.0)
+        with pytest.raises(ProtocolError, match="duplicate"):
+            server_assemble(messages + messages[-1:], 250.0)
+
     def test_mixture_validation(self):
         rng = np.random.default_rng(10)
         bad = [
@@ -206,6 +282,70 @@ class TestServer:
         assert term_weight(datasets) == pytest.approx(
             0.25 * (1 / 1001 + 3 / 334), abs=1e-12
         )
+
+
+def skewed_clients(seed, sizes):
+    """Synthetic covariates (client k centred at its own mean), pi_k = n_k / N."""
+    config = SynthConfig(seed=seed, n_clients=len(sizes), n_per_client=sizes)
+    rng = np.random.default_rng(seed)
+    return [
+        ClientDataset(
+            k, sample_covariates(config, k, n), rng.exponential(size=n), n / sum(sizes)
+        )
+        for k, n in enumerate(sizes, start=1)
+    ]
+
+
+FEDERATIONS = {
+    "uniform-d50": (lambda: uniform_clients(np.random.default_rng(20), (900, 400, 150)), FOUR_INTERVALS, 50.0),
+    "skewed-d250": (lambda: skewed_clients(21, (4000, 4000, 300, 300, 300, 300)), FOUR_INTERVALS, 250.0),
+    "skewed-d25": (lambda: skewed_clients(22, (2500, 700, 700, 700)), FOUR_INTERVALS, 25.0),
+    "one-group-empty-client": (
+        lambda: [
+            ClientDataset(1, np.zeros(1500), np.random.default_rng(23).normal(size=1500), 0.5),
+            ClientDataset(2, np.array([]), np.array([]), 0.25),
+            ClientDataset(3, np.zeros(80), np.round(np.random.default_rng(24).normal(size=80), 1), 0.25),
+        ],
+        SINGLE_GROUP,
+        100.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FEDERATIONS))
+def test_round_is_bit_identical_to_loop_reference(name):
+    make, family, delta = FEDERATIONS[name]
+    datasets = make()
+    ref_lines, ref_entries, ref_per_atom = reference_round(datasets, family, delta)
+
+    lines = [
+        message_to_json(m)
+        for ds in datasets
+        for m in client_build_messages(ds, family, delta)
+    ]
+    assert lines == ref_lines
+    round_ = run_round(datasets, family, delta)
+    assert [message_to_json(m) for m in round_.messages] == ref_lines
+    assert round_.wire_bytes == sum(len(line.encode("utf-8")) for line in ref_lines)
+    assert round_.test_weight == sum(ds.pi / (ds.n + 1) for ds in datasets)
+
+    assert list(round_.coreset.entries) == ref_entries
+    assert list(round_.coreset.per_atom_digests) == list(ref_per_atom)
+    for atom, (means, weights, total) in ref_per_atom.items():
+        digest = round_.coreset.per_atom_digests[atom]
+        assert np.array_equal(digest.means(), means)
+        assert np.array_equal(digest.weights(), weights)
+        assert digest.total_weight == total
+
+    data = CalibrationData.from_coreset(round_.coreset, round_.test_weight)
+    ref_data = CalibrationData(
+        np.array([atom for atom, _, _ in ref_entries], dtype=float),
+        np.array([m for _, m, _ in ref_entries]),
+        np.array([w for _, _, w in ref_entries]),
+        sum(ds.pi / (ds.n + 1) for ds in datasets),
+    )
+    for pattern in list(ref_per_atom)[:2]:
+        assert threshold_search(data, pattern, 0.1) == threshold_search(ref_data, pattern, 0.1)
 
 
 class TestConfigFile:

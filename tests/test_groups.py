@@ -10,7 +10,6 @@ from gcfcp.groups import (
     GroupFamily,
     Interval,
     LabelSet,
-    atom_feature,
     enumerate_atoms,
     family_from_json,
     family_to_json,
@@ -18,8 +17,12 @@ from gcfcp.groups import (
     membership_matrix,
     membership_vector,
 )
+from reference import reference_atoms
 
 FOUR_INTERVALS = interval_family([(0, 2), (1, 3), (2, 4), (3, 5)])
+
+# 70 overlapping unit-width groups: more bits than fit in one machine word.
+WIDE_FAMILY = interval_family([(g / 2, g / 2 + 1) for g in range(70)])
 
 LABEL_FAMILY = GroupFamily(
     groups=(
@@ -79,15 +82,11 @@ class TestAtoms:
     def test_single_group(self):
         atoms = enumerate_atoms([0.0, 1.0, 100.0], SINGLE_GROUP)
         assert set(atoms) == {(1,)}
-        assert atoms[(1,)] == [0, 1, 2]
+        assert atoms[(1,)].tolist() == [0, 1, 2]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             enumerate_atoms([], FOUR_INTERVALS)
-
-    def test_atom_feature_identity(self):
-        for pattern in [(1, 1, 0, 0), (1,), (0, 1, 1, 1)]:
-            assert atom_feature(pattern) == pattern
 
     @given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=200))
     @settings(max_examples=50, deadline=None)
@@ -104,6 +103,39 @@ class TestAtoms:
             )
             assert from_atoms == list(np.flatnonzero(mat[:, g]))
         assert len(atoms) <= min(2 ** len(FOUR_INTERVALS) - 1, len(set(map(tuple, mat))))
+
+
+def assert_same_atoms(got, want):
+    assert list(got) == list(want)  # same keys, same lexicographic order
+    for key, idx in got.items():
+        assert all(type(b) is int for b in key)
+        assert isinstance(idx, np.ndarray) and idx.dtype.kind == "i"
+        assert idx.tolist() == want[key]
+
+
+class TestAtomsMatchReference:
+    @given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=300))
+    @settings(max_examples=60, deadline=None)
+    def test_four_intervals(self, xs):
+        assert_same_atoms(enumerate_atoms(xs, FOUR_INTERVALS), reference_atoms(xs, FOUR_INTERVALS))
+
+    @given(st.lists(st.integers(0, 9), min_size=1, max_size=300))
+    @settings(max_examples=30, deadline=None)
+    def test_label_sets(self, labels):
+        assert_same_atoms(enumerate_atoms(labels, LABEL_FAMILY), reference_atoms(labels, LABEL_FAMILY))
+
+    @given(st.lists(st.floats(0.0, 35.5), min_size=1, max_size=300))
+    @settings(max_examples=40, deadline=None)
+    def test_more_than_64_groups(self, xs):
+        atoms = enumerate_atoms(xs, WIDE_FAMILY)
+        assert all(len(key) == 70 for key in atoms)
+        assert_same_atoms(atoms, reference_atoms(xs, WIDE_FAMILY))
+
+    def test_vector_covariates_and_many_rows(self):
+        rng = np.random.default_rng(0)
+        xs = np.column_stack([rng.normal(size=20_000), rng.uniform(0, 35.5, 20_000)])
+        fam = GroupFamily(groups=WIDE_FAMILY.groups, feature=1)
+        assert_same_atoms(enumerate_atoms(xs, fam), reference_atoms(xs, fam))
 
 
 class TestConfig:

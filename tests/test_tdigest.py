@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcfcp import tdigest
+from reference import reference_build, reference_merge
 from gcfcp.tdigest import (
     Digest,
-    Cluster,
     DigestError,
     WeightedSample,
     approx_cdf,
@@ -61,20 +61,20 @@ class TestBuild:
     def test_single_sample(self):
         d = build_digest([WeightedSample(2.0, 1.0)], 25.0)
         assert len(d) == 1
-        assert d.clusters[0] == Cluster(2.0, 1.0)
+        assert (d.means()[0], d.weights()[0]) == (2.0, 1.0)
         assert d.total_weight == 1.0
 
     def test_five_samples_delta_4(self):
         # greedy pass by hand at delta=4: q after samples 1..5 are .2,.4,.6,.8,1;
         # r jumps allow {1,2} and {3,4} to merge, 5 stands alone
         d = build_digest(unit_samples([1, 2, 3, 4, 5]), 4.0)
-        assert [(c.mean, c.weight) for c in d.clusters] == [
+        assert list(zip(d.means().tolist(), d.weights().tolist())) == [
             (1.5, 2.0),
             (3.5, 2.0),
             (5.0, 1.0),
         ]
         assert 2 <= len(d) <= 5
-        assert sum(c.weight for c in d.clusters) == pytest.approx(5.0)
+        assert sum(d.weights().tolist()) == pytest.approx(5.0)
 
     def test_mass_bound_uniform(self):
         rng = np.random.default_rng(0)
@@ -102,7 +102,7 @@ class TestBuild:
         means = d.means()
         assert np.all(np.diff(means) >= 0)
         assert d.total_weight == pytest.approx(len(values), rel=1e-9)
-        assert sum(c.weight for c in d.clusters) == pytest.approx(
+        assert sum(d.weights().tolist()) == pytest.approx(
             d.total_weight, rel=1e-9
         )
         # determinism: same input, same digest
@@ -124,7 +124,8 @@ class TestQueries:
 
     def test_cdf_two_clusters(self):
         d = Digest(
-            clusters=(Cluster(1.0, 0.5), Cluster(3.0, 0.5)),
+            means=[1.0, 3.0],
+            weights=[0.5, 0.5],
             compression=25.0,
             total_weight=1.0,
         )
@@ -134,7 +135,8 @@ class TestQueries:
         single = build_digest([WeightedSample(2.0, 1.0)], 25.0)
         assert approx_quantile(single, 0.7) == 2.0
         two = Digest(
-            clusters=(Cluster(1.0, 0.5), Cluster(3.0, 0.5)),
+            means=[1.0, 3.0],
+            weights=[0.5, 0.5],
             compression=25.0,
             total_weight=1.0,
         )
@@ -224,7 +226,8 @@ class TestMaxClusterMass:
 
     def test_two_equal(self):
         d = Digest(
-            clusters=(Cluster(0.0, 1.0), Cluster(1.0, 1.0)),
+            means=[0.0, 1.0],
+            weights=[1.0, 1.0],
             compression=25.0,
             total_weight=2.0,
         )
@@ -248,7 +251,8 @@ class TestSerialization:
         rng = np.random.default_rng(6)
         d = build_digest(unit_samples(rng.normal(size=500)), 50.0)
         back = digest_from_json(digest_to_json(d))
-        assert back.clusters == d.clusters
+        assert np.array_equal(back.means(), d.means())
+        assert np.array_equal(back.weights(), d.weights())
         assert back.compression == d.compression
         assert digest_to_json(back) == digest_to_json(d)
 
@@ -271,6 +275,74 @@ class TestSerialization:
         with pytest.raises(DigestError):
             digest_from_json('{"clusters": []}')
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"compression": 25, "clusters": []}',
+            '{"compression": 25, "clusters": [[1, 1, 1]]}',
+            '{"compression": 25, "clusters": [[1, 1], [2]]}',
+            '{"compression": 25, "clusters": [1, 2]}',
+            '{"compression": 25, "clusters": "ab"}',
+            '{"compression": 25, "clusters": [[null, 1]]}',
+            '{"compression": -1, "clusters": [[1, 1]]}',
+        ],
+    )
+    def test_reject_malformed_clusters(self, payload):
+        with pytest.raises(DigestError):
+            digest_from_json(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"compression": NaN, "clusters": [[1.0, 1.0]]}',
+            '{"compression": Infinity, "clusters": [[1.0, 1.0]]}',
+            '{"compression": 25, "clusters": [[NaN, 1.0]]}',
+            '{"compression": 25, "clusters": [[1.0, 1.0], [-Infinity, 1.0]]}',
+            '{"compression": 25, "clusters": [[1.0, Infinity]]}',
+            '{"compression": 25, "clusters": [[1.0, NaN]]}',
+            '{"compression": 25, "clusters": [[1e400, 1.0]]}',
+            '{"compression": NaN, "clusters": [[NaN, 1.0], [1.0, Infinity]]}',
+            '{"compression": 25, "clusters": [[1.0, 1e308], [2.0, 1e308]]}',
+        ],
+    )
+    def test_reject_non_finite(self, payload):
+        with pytest.raises(DigestError):
+            digest_from_json(payload)
+
+    def test_parsed_total_is_sequential_sum(self):
+        weights = [0.1, 0.2, 0.3, 1e-17, 0.7]
+        d = digest_from_json(json.dumps({"compression": 25.0, "clusters": [[float(i), w] for i, w in enumerate(weights)]}))
+        total = 0.0
+        for w in weights:
+            total += w
+        assert d.total_weight == total
+
+
+class TestDigestArrays:
+    def test_arrays_are_read_only_copies(self):
+        means = np.array([1.0, 2.0])
+        d = Digest(means=means, weights=[1.0, 1.0], compression=25.0, total_weight=2.0)
+        means[0] = 9.0
+        assert d.means().tolist() == [1.0, 2.0]
+        assert d.means().dtype == np.float64 and d.weights().dtype == np.float64
+        with pytest.raises(ValueError):
+            d.means()[0] = 0.0
+        with pytest.raises(ValueError):
+            d.weights()[0] = 0.0
+        with pytest.raises(AttributeError):
+            d.total_weight = 3.0
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DigestError):
+            Digest(means=[1.0, 2.0], weights=[1.0], compression=25.0, total_weight=1.0)
+
+    def test_equality_is_exact(self):
+        a = Digest(means=[1.0, 2.0], weights=[1.0, 1.0], compression=25.0, total_weight=2.0)
+        assert a == Digest(means=[1.0, 2.0], weights=[1.0, 1.0], compression=25.0, total_weight=2.0)
+        assert a != Digest(means=[1.0, np.nextafter(2.0, 3.0)], weights=[1.0, 1.0], compression=25.0, total_weight=2.0)
+        assert a != Digest(means=[1.0, 2.0], weights=[1.0, 1.0], compression=50.0, total_weight=2.0)
+        assert a != Digest(means=[1.0], weights=[2.0], compression=25.0, total_weight=2.0)
+
 
 def test_public_array_builder_matches_sample_builder():
     values = np.array([3.0, 1.0, 2.0])
@@ -278,3 +350,86 @@ def test_public_array_builder_matches_sample_builder():
     a = tdigest.build_digest_arrays(values, weights, 25.0)
     b = build_digest([WeightedSample(v, w) for v, w in zip(values, weights)], 25.0)
     assert a == b
+
+
+def assert_matches(digest, ref):
+    means, weights, total = ref
+    assert np.array_equal(digest.means(), means)
+    assert np.array_equal(digest.weights(), weights)
+    assert digest.total_weight == total
+
+
+def random_samples(seed, n, ties, weight_kind):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n)
+    if ties:
+        values = np.round(values, 1)  # many exact ties; stable order decides
+    if weight_kind == "unit":
+        weights = np.ones(n)
+    elif weight_kind == "uniform":
+        weights = rng.random(n) + 1e-3
+    else:  # ten orders of magnitude
+        weights = 10.0 ** rng.uniform(-5.0, 5.0, n)
+    return values, weights
+
+
+SAMPLE_PARAMS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.booleans(),
+    weight_kind=st.sampled_from(["unit", "uniform", "spread"]),
+    delta=st.sampled_from([2.0, 5.0, 25.0, 250.0]),
+)
+
+
+class TestMatchesReferenceLoop:
+    @given(n=st.integers(1, 3000), **SAMPLE_PARAMS)
+    @settings(max_examples=120, deadline=None)
+    def test_build(self, n, seed, ties, weight_kind, delta):
+        values, weights = random_samples(seed, n, ties, weight_kind)
+        digest = tdigest.build_digest_arrays(values, weights, delta)
+        assert_matches(digest, reference_build(values, weights, delta))
+
+    @given(
+        sizes=st.lists(st.integers(1, 600), min_size=1, max_size=6),
+        **SAMPLE_PARAMS,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_merge_chain(self, sizes, seed, ties, weight_kind, delta):
+        digests, refs = [], []
+        for k, n in enumerate(sizes):
+            values, weights = random_samples(seed + k, n, ties, weight_kind)
+            digests.append(tdigest.build_digest_arrays(values, weights, delta))
+            refs.append(reference_build(values, weights, delta))
+            assert_matches(digests[-1], refs[-1])
+        # one multi-way merge, then a left-to-right chain of pairwise merges
+        assert_matches(merge(digests, delta), reference_merge(refs, delta))
+        chain, chain_ref = digests[0], refs[0]
+        for d, ref in zip(digests[1:], refs[1:]):
+            chain = merge([chain, d], delta)
+            chain_ref = reference_merge([chain_ref, ref], delta)
+            assert_matches(chain, chain_ref)
+
+    def test_tiny_weight_increments(self):
+        # weights far below one ulp of the running total leave q (and r)
+        # flat or moving by single ulps, where arcsin need not be monotone
+        rng = np.random.default_rng(7)
+        for delta in (2.0, 5.0, 25.0, 250.0):
+            values = np.round(rng.random(2000), 2)
+            weights = 10.0 ** rng.uniform(-18.0, 0.0, 2000)
+            digest = tdigest.build_digest_arrays(values, weights, delta)
+            assert_matches(digest, reference_build(values, weights, delta))
+
+    @given(
+        st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=200),
+        st.sampled_from([2.0, 5.0, 25.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cluster_starts_on_any_scale_sequence(self, r, delta):
+        # the boundary search must match the loop even where r is not sorted
+        r = np.array(r)
+        starts, left = [0], -delta / 4.0
+        for i in range(1, r.size):
+            if not r[i] - left <= 1.0 + 1e-12:
+                starts.append(i)
+                left = r[i - 1]
+        assert tdigest._cluster_starts(r, delta).tolist() == starts
