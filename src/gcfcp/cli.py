@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 
 import numpy as np
@@ -238,8 +239,21 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--serial", action="store_true", help="disable trial parallelism")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a value such as ``-2.5e-05`` as a negative number, not as an option.
+
+    The stock argparse pattern for negative numbers (as of Python 3.11)
+    matches only forms like ``-2`` and ``-2.5``, so ``--prediction -2.5e-05``,
+    the ``repr`` of a small negative float, failed as a missing argument.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gcfcp",
         description="Group-conditional federated conformal prediction toolkit",
     )

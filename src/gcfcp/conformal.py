@@ -2,9 +2,12 @@
 
 The group-conditional threshold for a test point is the largest score S*
 still admitted by the KKT condition of the augmented quantile regression:
-the test entry's dual stays strictly below its upper box bound. Since the
-dual is nondecreasing in the test score, S* is located by bisection; each
-step re-solves the regression warm-started from the previous basis.
+the test entry's dual stays strictly below its upper box bound. The dual is
+a nondecreasing step function of the test score, so S* is the breakpoint at
+which it reaches the bound: after one solve at the bracket's low end the
+optimum is followed up through the breakpoints of the test score, a few
+pivots each (``AugmentedQrSolver.raise_test_score``), and S* is solved once
+more as the verified optimum.
 
 A calibrator serves many test patterns from one calibration set, so it
 solves the calibration-only regression (the test entry's box set to [0, 0])
@@ -138,17 +141,16 @@ def threshold_search(
     alpha: float,
     search_lo: float | None = None,
     search_hi: float | None = None,
-    tol: float = 1e-6,
     *,
     start_basis: SimplexBasis | None = None,
 ) -> float:
     """Largest S in the bracket whose test dual stays below the box bound.
 
-    ``start_basis`` (from ``calibration_basis`` on the same data and alpha)
-    replaces the cold first solve with a warm one; the result is the same.
+    Solved at the bracket's low end, walked up to S* and solved there once
+    more. ``start_basis`` (from ``calibration_basis`` on the same data and
+    alpha) replaces the cold first solve with a warm one; the result is the
+    same.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
     lo, hi = data.default_bracket()
     if search_lo is not None:
         lo = search_lo
@@ -170,15 +172,9 @@ def threshold_search(
 
     if solver.solve_at(lo).eta_test >= bound:
         raise EmptySetError(f"test dual already at its bound at search_lo={lo}")
-    if solver.solve_at(hi).eta_test < bound:
-        return hi  # the whole candidate range is included
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if solver.solve_at(mid).eta_test < bound:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    s_star = solver.raise_test_score(hi, bound)
+    solver.solve_at(s_star)
+    return s_star
 
 
 def predict_regression(model_prediction: float, s_star: float) -> PredictionSet:
@@ -242,12 +238,10 @@ class ConditionalCalibrator:
         data: CalibrationData,
         alpha: float,
         bracket: tuple[float, float] | None = None,
-        tol: float = 1e-6,
     ):
         self.data = data
         self.alpha = alpha
         self.bracket = bracket if bracket is not None else data.default_bracket()
-        self.tol = tol
         self.search_times: list[float] = []
         self.wire_bytes = 0
         self._cache: dict[MembershipVector, float] = {}
@@ -265,7 +259,6 @@ class ConditionalCalibrator:
                 self.alpha,
                 search_lo=self.bracket[0],
                 search_hi=self.bracket[1],
-                tol=self.tol,
                 start_basis=self._basis,
             )
             self.search_times.append(time.perf_counter() - t0)
@@ -281,7 +274,6 @@ def calibrate_baseline(
     family: GroupFamily | None = None,
     delta: float | None = None,
     bracket: tuple[float, float] | None = None,
-    tol: float = 1e-6,
 ):
     """Build the calibrator for one benchmark kind.
 
@@ -304,12 +296,12 @@ def calibrate_baseline(
             np.full(n, w),
             test_weight=w,
         )
-        return ConditionalCalibrator(cal, alpha, bracket=bracket, tol=tol)
+        return ConditionalCalibrator(cal, alpha, bracket=bracket)
     if kind == "gcfcp_centralized":
         if family is None:
             raise ValueError("gcfcp_centralized requires the group family")
         return ConditionalCalibrator(
-            CalibrationData.from_datasets(data, family), alpha, bracket=bracket, tol=tol
+            CalibrationData.from_datasets(data, family), alpha, bracket=bracket
         )
     if delta is None:
         raise ValueError(f"{kind} requires the compression parameter delta")
@@ -318,6 +310,6 @@ def calibrate_baseline(
         raise ValueError("gcfcp_coreset requires the group family")
     round_ = run_round(data, fam, delta)
     cal = CalibrationData.from_coreset(round_.coreset, round_.test_weight)
-    calibrator = ConditionalCalibrator(cal, alpha, bracket=bracket, tol=tol)
+    calibrator = ConditionalCalibrator(cal, alpha, bracket=bracket)
     calibrator.wire_bytes = round_.wire_bytes
     return calibrator

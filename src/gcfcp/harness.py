@@ -43,7 +43,6 @@ class ExperimentConfig:
     family: GroupFamily = DEFAULT_FAMILY
     synth: SynthConfig = field(default_factory=SynthConfig)
     ingest_path: str | None = None
-    tol: float = 1e-6
     serial: bool = True
 
     def __post_init__(self):
@@ -147,7 +146,6 @@ def _build_calibrator(kind: str, config: ExperimentConfig, datasets, bracket=Non
         family=config.family,
         delta=config.delta,
         bracket=bracket,
-        tol=config.tol,
     )
 
 
@@ -373,14 +371,14 @@ def bench_speedup(config: ExperimentConfig, n_test: int = 20, warmup: int = 3) -
 
     features = [tuple(m) for m in memberships[: max(n_test, 20)]]
     for feature in features[:warmup]:
-        threshold_search(central, feature, config.alpha, tol=config.tol)
-        threshold_search(coreset, feature, config.alpha, tol=config.tol)
+        threshold_search(central, feature, config.alpha)
+        threshold_search(coreset, feature, config.alpha)
 
     def timed(data):
         out = np.empty(len(features))
         for i, feature in enumerate(features):
             t0 = time.perf_counter()
-            threshold_search(data, feature, config.alpha, tol=config.tol)
+            threshold_search(data, feature, config.alpha)
             out[i] = time.perf_counter() - t0
         return out
 

@@ -13,9 +13,21 @@ particular shape: one box-constrained variable eta_e per entry and only
 We solve that dual directly with a dense bounded-variable revised simplex
 whose basis is only |groups| wide. The simplex multipliers of the final
 basis are exactly the primal beta, and the eta at a vertex are exact KKT
-multipliers, which the threshold binary search requires. Re-solving after a
-change of the test score warm-starts from the previous basis, which makes
-bisection over the test score cheap.
+multipliers, which the threshold search requires.
+
+A cold solve does not start from x = 0. All rows of an atom (one membership
+pattern) share one column of the coupling, so starting each atom at its own
+weighted (1 - alpha)-quantile split keeps the coupling at 0 and lands within
+a few dozen entries of the optimum; a crossover moves the one interior entry
+per atom to a bound or into the basis, and the simplex finishes from there.
+
+Only the test entry's cost depends on the test score t, so every reduced
+cost is affine in t and an optimal basis stays optimal between breakpoints.
+``raise_test_score`` walks those breakpoints with one pivot each and finds
+the exact score at which the test dual reaches its bound, in place of a
+bisection with a re-solve per step. Koenker & d'Orey (AS 229) trace
+regression quantiles through the breakpoints of the quantile level the same
+way.
 
 The first solve for a new test pattern need not start cold either. Setting
 the test entry's box to [0, 0] (test weight 0) gives the calibration-only
@@ -29,6 +41,7 @@ has to price the test columns in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +51,10 @@ from .groups import MembershipVector
 _BOX_TOL = 1e-9
 _COUPLING_TOL = 1e-8
 _GAP_TOL = 1e-8
+# A reduced-cost slope below this is treated as 0 in the parametric walk.
+_SLOPE_TOL = 1e-9
+# Breakpoints closer than this, relative to 1 + |t|, are one breakpoint.
+_BREAKPOINT_RTOL = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -76,7 +93,9 @@ class QrSolution:
     eta_test: float
     status: str  # "optimal" | "degenerate_group"
     degenerate_groups: tuple[int, ...] = ()
-    iterations: int = 0  # simplex pivots and bound flips of this solve
+    iterations: int = 0  # crossover steps, simplex pivots and bound flips of this solve
+    duality_gap: float = math.nan  # |primal - dual| as verified
+    coupling_residual: float = math.nan  # max |sum_e eta_e phi_e| as verified
 
 
 def pinball_loss(theta: float, s: float, alpha: float) -> float:
@@ -127,8 +146,9 @@ class _BoundedSimplex:
 
     The last ``d`` columns are artificial (bounds [0, 0]) and provide the
     initial basis; all other columns start nonbasic at their lower bound,
-    which is feasible because the right-hand side is zero. Dantzig pricing
-    with a Bland fallback after a run of degenerate steps.
+    which is feasible because the right-hand side is zero, unless ``crash``
+    starts them elsewhere. Dantzig pricing with a Bland fallback after a run
+    of degenerate steps.
     """
 
     def __init__(self, A: np.ndarray, c: np.ndarray, up: np.ndarray):
@@ -142,63 +162,96 @@ class _BoundedSimplex:
         self.xB = np.zeros(self.d)
         self.iterations = 0
         self.y = np.zeros(self.d)
+        self._interior: tuple[np.ndarray, np.ndarray] | None = None
+
+    def crash(self, upper: np.ndarray, interior: np.ndarray, values: np.ndarray) -> None:
+        """Start from another feasible point of A x = 0: the columns ``upper``
+        at their upper bound and the columns ``interior`` strictly inside
+        their box at ``values``. The next ``optimize`` first moves each
+        interior column to a bound or into the basis (a crossover)."""
+        self.status[upper] = 1
+        self._interior = (interior, values)
 
     def refresh(self) -> None:
         upmask = self.status == 1
         rhs = -self.A[:, upmask] @ self.up[upmask]
         self.xB = np.linalg.solve(self.A[:, self.basis], rhs)
 
+    def prices(self, costs: np.ndarray) -> np.ndarray:
+        """Reduced costs of every column for each row of ``costs`` under the current basis."""
+        y = np.linalg.solve(self.A[:, self.basis].T, costs[..., self.basis].T)
+        return costs - y.T @ self.A
+
+    def step(self, j: int, sgn: float, value: float) -> float:
+        """Move nonbasic column j from ``value`` in direction ``sgn`` until it
+        reaches a bound (a bound flip) or a basic variable does (a pivot);
+        returns the length of the move."""
+        up = self.up
+        dxB = -sgn * np.linalg.solve(self.A[:, self.basis], self.A[:, j])
+        upB = up[self.basis]
+        tmax = up[j] - value if sgn > 0 else value
+        leave = -1
+        neg = np.flatnonzero(dxB < -1e-11)
+        if neg.size:
+            ratios = np.maximum(self.xB[neg], 0.0) / -dxB[neg]
+            k = int(np.argmin(ratios))
+            if ratios[k] < tmax - 1e-13:
+                tmax, leave = float(ratios[k]), int(neg[k])
+        pos = np.flatnonzero(dxB > 1e-11)
+        if pos.size:
+            ratios = np.maximum(upB[pos] - self.xB[pos], 0.0) / dxB[pos]
+            k = int(np.argmin(ratios))
+            if ratios[k] < tmax - 1e-13:
+                tmax, leave = float(ratios[k]), int(pos[k])
+
+        self.xB += dxB * tmax
+        if leave < 0:
+            self.status[j] = 1 if sgn > 0 else 0
+        else:
+            self.status[self.basis[leave]] = 0 if dxB[leave] < 0 else 1
+            self.basis[leave] = j
+            self.status[j] = 2
+            self.xB[leave] = value + sgn * tmax
+        return tmax
+
+    def _crossover(self) -> int:
+        """Move each crash column off its interior value, one ratio test each."""
+        interior, values = self._interior
+        self._interior = None
+        x = np.where(self.status == 1, self.up, 0.0)
+        x[interior] = values
+        self.xB = np.linalg.solve(self.A[:, self.basis], -self.A @ x)
+        for j, value in zip(interior.tolist(), values.tolist()):
+            y = np.linalg.solve(self.A[:, self.basis].T, self.c[self.basis])
+            r = self.c[j] - y @ self.A[:, j]
+            self.step(j, 1.0 if r > 0.0 else -1.0, value)
+        return len(interior)
+
     def optimize(self, max_iter: int = 500_000) -> None:
-        A, c, up = self.A, self.c, self.up
+        c, up = self.c, self.up
         price_tol = 1e-9 * (1.0 + float(np.max(np.abs(c))))
         degen_run = 0
+        crossed = self._crossover() if self._interior is not None else 0
         self.refresh()
         for it in range(max_iter):
-            B = A[:, self.basis]
-            y = np.linalg.solve(B.T, c[self.basis])
-            r = c - y @ A
+            y = np.linalg.solve(self.A[:, self.basis].T, c[self.basis])
+            r = c - y @ self.A
             cand = np.flatnonzero(
                 ((self.status == 0) & (r > price_tol))
                 | ((self.status == 1) & (r < -price_tol))
             )
             if cand.size == 0:
                 self.y = y
-                self.iterations = it
+                self.iterations = crossed + it
                 self.refresh()
                 return
             if degen_run > 40:
                 j = int(cand[0])  # Bland's rule: smallest index
             else:
                 j = int(cand[np.argmax(np.abs(r[cand]))])
-            entering_up = self.status[j] == 0
-            sgn = 1.0 if entering_up else -1.0
-            dxB = -sgn * np.linalg.solve(B, A[:, j])
-
-            upB = up[self.basis]
-            tmax = up[j]  # bound-flip distance for the entering column
-            leave = -1
-            neg = np.flatnonzero(dxB < -1e-11)
-            if neg.size:
-                ratios = np.maximum(self.xB[neg], 0.0) / -dxB[neg]
-                k = int(np.argmin(ratios))
-                if ratios[k] < tmax - 1e-13:
-                    tmax, leave = float(ratios[k]), int(neg[k])
-            pos = np.flatnonzero(dxB > 1e-11)
-            if pos.size:
-                ratios = np.maximum(upB[pos] - self.xB[pos], 0.0) / dxB[pos]
-                k = int(np.argmin(ratios))
-                if ratios[k] < tmax - 1e-13:
-                    tmax, leave = float(ratios[k]), int(pos[k])
-
-            degen_run = degen_run + 1 if tmax < 1e-13 else 0
-            self.xB += dxB * tmax
-            if leave < 0:
-                self.status[j] = 1 - self.status[j]
-            else:
-                self.status[self.basis[leave]] = 0 if dxB[leave] < 0 else 1
-                self.basis[leave] = j
-                self.status[j] = 2
-                self.xB[leave] = tmax if entering_up else up[j] - tmax
+            at_lower = self.status[j] == 0
+            moved = self.step(j, 1.0 if at_lower else -1.0, 0.0 if at_lower else up[j])
+            degen_run = degen_run + 1 if moved < 1e-13 else 0
             if it % 512 == 511:
                 self.refresh()
         raise SolverError("simplex iteration limit exceeded")
@@ -215,8 +268,9 @@ class AugmentedQrSolver:
     ``solve_at`` re-solves after changing only the test score, warm-starting
     from the previous optimal basis (primal feasibility is unaffected by the
     objective change, so the simplex resumes directly). The first solve starts
-    from ``start_basis`` when one is given, and from the all-artificial basis
-    otherwise.
+    from ``start_basis`` when one is given, and from the per-atom quantile
+    crash otherwise. ``raise_test_score`` follows the optimum as the test
+    score rises, one breakpoint at a time.
     """
 
     def __init__(
@@ -265,15 +319,51 @@ class AugmentedQrSolver:
                 raise ValueError("start basis does not fit this problem")
             self._simplex.basis = start_basis.basic.copy()
             self._simplex.status = status.copy()
+        else:
+            self._crash(features, scores, weights)
         self._solved = False
         self.solve_count = 0
 
-    def solve_at(self, test_score: float) -> QrSolution:
-        sp = self._simplex
+    def _crash(self, features: np.ndarray, scores: np.ndarray, weights: np.ndarray) -> None:
+        """Start every atom (the rows sharing one pattern) at its weighted
+        (1 - alpha)-quantile split.
+
+        Ranked by score, the top alpha of an atom's weight sits at
+        eta = w (1 - alpha), the rest at -w alpha, and the one entry that
+        straddles the split takes the interior value that makes the atom's
+        eta sum to 0. Every atom sums to 0, so sum_e eta_e phi_e = 0 holds and
+        the artificial basis stays feasible; the test entry starts at 0.
+        """
+        alpha, e = self.alpha, self._e
+        order = np.lexsort((-scores,) + tuple(features.T[::-1]))
+        f, w = features[order], weights[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = np.any(f[1:] != f[:-1], axis=1)
+        starts = np.flatnonzero(first)
+        atom = np.cumsum(first) - 1
+        cum = np.cumsum(w)
+        through = cum - (cum - w)[starts][atom]  # atom weight ranked at or above each entry
+        target = alpha * through[np.append(starts[1:], len(order)) - 1][atom]
+        top = through <= target
+        bottom = through - w >= target
+        split = ~(top | bottom)
+        eta = target[split] - (through - w)[split] - alpha * w[split]
+        rows, moved = order[split], eta != 0.0
+        self._simplex.crash(
+            np.concatenate([order[top], e + order[bottom]]),
+            np.where(eta > 0.0, rows, e + rows)[moved],
+            np.abs(eta[moved]),
+        )
+
+    def _set_test_score(self, test_score: float) -> None:
         t = self._e - 1
         self._s[t] = test_score
-        sp.c[t] = test_score
-        sp.c[self._e + t] = -test_score
+        self._simplex.c[t] = test_score
+        self._simplex.c[self._e + t] = -test_score
+
+    def solve_at(self, test_score: float) -> QrSolution:
+        sp = self._simplex
+        self._set_test_score(test_score)
         sp.optimize()
         self.solve_count += 1
         self._solved = True
@@ -286,7 +376,7 @@ class AugmentedQrSolver:
         pin = np.where(resid >= 0.0, (1.0 - self.alpha) * resid, -self.alpha * resid)
         primal = float(self._w @ pin)
         dual = float(eta @ self._s)
-        self._verify(eta, beta, primal, dual)
+        gap, coupling = self._verify(eta, beta, primal, dual)
         return QrSolution(
             beta=beta,
             primal_objective=primal,
@@ -295,7 +385,56 @@ class AugmentedQrSolver:
             eta_test=float(eta[-1]),
             status="optimal",
             iterations=sp.iterations,
+            duality_gap=gap,
+            coupling_residual=coupling,
         )
+
+    def raise_test_score(self, hi: float, eta_bound: float) -> float:
+        """The lowest test score in [last solved score, hi] at which eta_test
+        reaches ``eta_bound``; ``hi`` if none does.
+
+        Only the two test columns' costs move with the test score t, so every
+        reduced cost is r0 + t * r1 and the optimal basis of the last solve
+        stays optimal until the first breakpoint, the t at which a nonbasic
+        reduced cost changes sign. There the crossing columns are pivoted in
+        directly, one at a time: the optimum after them has the largest
+        eta_test among the optima at t (r1 is the rate of eta_test along each
+        move), and eta_test is tested only then. Breakpoints are matched with
+        a relative tolerance, and one found slightly below t counts as at t.
+        """
+        if not self._solved:
+            raise ValueError("raise_test_score needs a preceding solve_at")
+        sp = self._simplex
+        u, v = self._test_columns
+        slope = np.zeros(sp.N)
+        slope[u], slope[v] = 1.0, -1.0
+        t = float(self._s[-1])
+        degen_run = 0
+        for _ in range(500_000):
+            r0, r1 = sp.prices(np.vstack([sp.c, slope]))
+            lower = sp.status == 0
+            upper = sp.status == 1
+            losing = np.flatnonzero((lower & (r1 > _SLOPE_TOL)) | (upper & (r1 < -_SLOPE_TOL)))
+            gaps = np.maximum(-r0[losing] / r1[losing], 0.0)
+            crossing = losing[gaps <= _BREAKPOINT_RTOL * (1.0 + abs(t))]
+            if crossing.size:
+                if degen_run > 40:
+                    j = int(crossing[0])  # Bland's rule: smallest index
+                else:
+                    j = int(crossing[np.argmax(np.abs(r1[crossing]))])
+                moved = sp.step(j, 1.0 if lower[j] else -1.0, 0.0 if lower[j] else sp.up[j])
+                degen_run = degen_run + 1 if moved < 1e-13 else 0
+                continue
+            x = sp.primal_values()
+            if x[u] - x[v] >= eta_bound:
+                return t
+            if not losing.size:
+                return hi
+            t += float(gaps.min())
+            if t >= hi:
+                return hi
+            self._set_test_score(t)
+        raise SolverError("parametric iteration limit exceeded")
 
     def export_basis(self) -> SimplexBasis:
         """The optimal basis with both test columns reset to their lower bound.
@@ -313,7 +452,8 @@ class AugmentedQrSolver:
         status[self._test_columns] = 0
         return SimplexBasis(sp.basis.copy(), status)
 
-    def _verify(self, eta, beta, primal, dual) -> None:
+    def _verify(self, eta, beta, primal, dual) -> tuple[float, float]:
+        """Check the box, the coupling and the duality gap; returns the gap and the residual."""
         lo = -self._w * self.alpha
         hi = self._w * (1.0 - self.alpha)
         if np.any(eta < lo - _BOX_TOL) or np.any(eta > hi + _BOX_TOL):
@@ -321,8 +461,10 @@ class AugmentedQrSolver:
         coupling = float(np.max(np.abs(self._phi.T @ eta)))
         if coupling > _COUPLING_TOL:
             raise SolverError(f"coupling residual {coupling:.2e} exceeds tolerance")
-        if abs(primal - dual) > _GAP_TOL * (1.0 + abs(primal)):
-            raise SolverError(f"duality gap {abs(primal - dual):.2e} exceeds tolerance")
+        gap = abs(primal - dual)
+        if gap > _GAP_TOL * (1.0 + abs(primal)):
+            raise SolverError(f"duality gap {gap:.2e} exceeds tolerance")
+        return gap, coupling
 
 
 def degenerate_groups(problem: QrProblem) -> tuple[int, ...]:

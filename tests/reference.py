@@ -1,8 +1,13 @@
-"""Loop references the array-native federation path must reproduce exactly.
+"""References the library's faster paths must reproduce.
 
-These are the per-row and per-sample formulations of atom stratification,
-digest construction, the wire codec and server assembly. The library runs
-vectorized versions; the tests compare the two bit for bit.
+The per-row and per-sample formulations of atom stratification, digest
+construction, the wire codec and server assembly: the library runs
+vectorized versions, and the tests compare the two bit for bit.
+
+The solver's first start with every column at its lower bound (the artificial
+basis) and the bisection on the test score: the library starts from a per-atom
+quantile crash and walks the breakpoints of the test score instead, and the
+tests compare the two within stated tolerances.
 """
 
 import json
@@ -10,7 +15,9 @@ import math
 
 import numpy as np
 
+from gcfcp.conformal import DegenerateGroupError, EmptySetError
 from gcfcp.groups import membership_matrix
+from gcfcp.pinball import AugmentedQrSolver, SimplexBasis
 
 
 def reference_atoms(covariates, family):
@@ -107,3 +114,48 @@ def reference_round(datasets, family, delta):
         for m, w in zip(means, weights)
     ]
     return lines, entries, per_atom
+
+
+def all_artificial_basis(n_cal, d):
+    """The start with the d artificial columns basic and every other column at 0."""
+    columns = 2 * (n_cal + 1) + d
+    status = np.zeros(columns, np.int8)
+    status[columns - d :] = 2
+    return SimplexBasis(np.arange(columns - d, columns), status)
+
+
+def reference_threshold_search(data, test_feature, alpha, search_lo=None, search_hi=None, tol=1e-6):
+    """Bisection on the test score to ``tol`` from the all-artificial start."""
+    lo, hi = data.default_bracket()
+    if search_lo is not None:
+        lo = search_lo
+    if search_hi is not None:
+        hi = search_hi
+    if not lo < hi:
+        raise ValueError(f"invalid bracket [{lo}, {hi}]")
+    column_mass = data.features.T @ data.weights
+    dead = tuple(int(g) for g in np.flatnonzero(column_mass <= 0.0))
+    if dead:
+        raise DegenerateGroupError(dead)
+    n_cal, d = data.features.shape
+    solver = AugmentedQrSolver(
+        data.features,
+        data.scores,
+        data.weights,
+        alpha,
+        test_feature,
+        data.test_weight,
+        start_basis=all_artificial_basis(n_cal, d),
+    )
+    bound = data.test_weight * (1.0 - alpha) - 1e-9
+    if solver.solve_at(lo).eta_test >= bound:
+        raise EmptySetError(f"test dual already at its bound at search_lo={lo}")
+    if solver.solve_at(hi).eta_test < bound:
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if solver.solve_at(mid).eta_test < bound:
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -201,7 +201,7 @@ def test_criterion_05_single_group_reduction():
         # delta = 4n >= n keeps every pooled cluster a singleton (lossless)
         round_ = run_round(datasets, interval_family([(0, 5)]), 4.0 * n_total)
         data = CalibrationData.from_coreset(round_.coreset, round_.test_weight)
-        got = threshold_search(data, (1,), alpha, tol=1e-7)
+        got = threshold_search(data, (1,), alpha)
         # oracle: exact augmented weighted quantile with the test mass at +inf
         scores = np.concatenate([d.scores for d in datasets])
         weights = np.concatenate([np.full(d.n, d.sample_weight) for d in datasets])

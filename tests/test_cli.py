@@ -63,6 +63,18 @@ def test_predict_prints_interval(dataset_csv, capsys):
     assert "pattern=1100" in out and "interval=[" in out
 
 
+@pytest.mark.parametrize("value", ["-2.2970343551254047e-05", "-3E+2", "-.5", "-1."])
+def test_predict_takes_negative_numbers(dataset_csv, capsys, value):
+    code = main(
+        ["predict", str(dataset_csv), "--x", "1.5", "--prediction", value,
+         "--delta", "100", "--groups", SMALL_GROUPS]
+    )
+    assert code == 0
+    interval = capsys.readouterr().out.split("interval=[")[1].rstrip().rstrip("]")
+    lo, hi = (float(v) for v in interval.split(", "))
+    assert (lo + hi) / 2.0 == pytest.approx(float(value), abs=1e-6)
+
+
 def test_experiment_small(tmp_path, capsys):
     out = tmp_path / "report.csv"
     code = main(

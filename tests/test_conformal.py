@@ -3,6 +3,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import atom_features
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import reference_threshold_search
 
 from gcfcp import conformal
 from gcfcp.conformal import (
@@ -29,7 +33,7 @@ FOUR_INTERVAL_PATTERNS = [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)
 def lp_log(monkeypatch):
     """Record every solver the conformal module builds and every solve, on a
     fake clock that advances one second per solve."""
-    log = SimpleNamespace(solvers=[], solves=0, now=0.0)
+    log = SimpleNamespace(solvers=[], solves=0, scores=[], now=0.0)
 
     class Recording(AugmentedQrSolver):
         def __init__(self, *args, start_basis=None):
@@ -38,6 +42,7 @@ def lp_log(monkeypatch):
 
         def solve_at(self, test_score):
             log.solves += 1
+            log.scores.append(test_score)
             log.now += 1.0
             return super().solve_at(test_score)
 
@@ -91,14 +96,14 @@ class TestThresholdSearch:
             wt = float(rng.uniform(0.2, 1.5)) / (n + 1)
             alpha = float(rng.uniform(0.05, 0.3))
             data = single_group_data(scores, weights, wt)
-            got = threshold_search(data, (1,), alpha, tol=1e-7)
+            got = threshold_search(data, (1,), alpha)
             hi = data.default_bracket()[1]
             want = augmented_quantile(scores, weights, wt, alpha, hi)
             assert got == pytest.approx(want, abs=1e-5)
 
     def test_constant_scores(self):
         data = single_group_data([2.0] * 10, [0.1] * 10, 0.1)
-        got = threshold_search(data, (1,), 0.2, tol=1e-7)
+        got = threshold_search(data, (1,), 0.2)
         assert got == pytest.approx(2.0, abs=1e-5)
 
     def test_tiny_alpha_returns_hi(self):
@@ -119,12 +124,10 @@ class TestThresholdSearch:
             threshold_search(data, (1, 1), 0.1)
         assert err.value.groups == (1,)
 
-    def test_bad_bracket_and_tol(self):
+    def test_bad_bracket(self):
         data = single_group_data([1.0], [1.0], 0.1)
         with pytest.raises(ValueError):
             threshold_search(data, (1,), 0.1, search_lo=2.0, search_hi=1.0)
-        with pytest.raises(ValueError):
-            threshold_search(data, (1,), 0.1, tol=0.0)
 
     def test_monotone_in_alpha(self):
         rng = np.random.default_rng(1)
@@ -134,6 +137,46 @@ class TestThresholdSearch:
             threshold_search(data, (1,), a) for a in (0.05, 0.1, 0.2, 0.3)
         ]
         assert all(b <= a + 1e-9 for a, b in zip(thresholds, thresholds[1:]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    ties=st.booleans(),
+    label_sets=st.booleans(),
+    tiny_alpha=st.booleans(),
+    raised_lo=st.booleans(),
+    dead_group=st.booleans(),
+    zero_test_weight=st.booleans(),
+)
+def test_parametric_threshold_matches_bisection(
+    seed, d, ties, label_sets, tiny_alpha, raised_lo, dead_group, zero_test_weight
+):
+    """S* from the breakpoint walk lies within [-1e-7, 1e-6 + 1e-7] of the
+    bisection to 1e-6 (which stops below the breakpoint), and both raise the
+    same errors: EmptySetError for a bracket starting above S* or a test
+    weight of 0, DegenerateGroupError for a group column without mass."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 80))
+    feats = atom_features(rng, d, n, label_sets)
+    scores = np.round(rng.random(n) * 10.0) / 2.0 if ties else rng.random(n) * 5.0
+    weights = rng.uniform(0.5, 2.0, n) / (n + 1)
+    if dead_group:
+        feats[:, int(rng.integers(d))] = 0.0
+    test_weight = 0.0 if zero_test_weight else float(rng.uniform(0.2, 1.5)) / (n + 1)
+    data = CalibrationData(feats, scores, weights, test_weight)
+    alpha = 0.001 if tiny_alpha else float(rng.uniform(0.05, 0.4))
+    pattern = tuple(int(b) for b in feats[int(rng.integers(n))])
+    lo = float(rng.uniform(0.0, 5.0)) if raised_lo else None
+    try:
+        want = reference_threshold_search(data, pattern, alpha, search_lo=lo)
+    except (EmptySetError, DegenerateGroupError) as exc:
+        with pytest.raises(type(exc)):
+            threshold_search(data, pattern, alpha, search_lo=lo)
+        return
+    got = threshold_search(data, pattern, alpha, search_lo=lo)
+    assert -1e-7 <= got - want <= 1e-6 + 1e-7
 
 
 class TestPredictionSets:
@@ -284,6 +327,16 @@ class TestBaselines:
         assert len(cal.search_times) == len(FOUR_INTERVAL_PATTERNS)
         assert cal.search_times[0] == first
         assert sum(cal.search_times) == lp_log.solves
+
+    def test_search_solves_at_lo_and_at_the_threshold(self, lp_log):
+        """Every search is verified twice: at the bracket's low end and at S*."""
+        datasets = self.make_datasets()
+        data = CalibrationData.from_datasets(datasets, FOUR_INTERVALS)
+        lo = data.default_bracket()[0]
+        for pattern in FOUR_INTERVAL_PATTERNS:
+            lp_log.scores.clear()
+            s_star = threshold_search(data, pattern, 0.1)
+            assert lp_log.scores == [lo, s_star]
 
     def test_degenerate_group_raised_before_any_solve(self, lp_log):
         feats = np.array([[1.0, 0.0], [1.0, 0.0]])

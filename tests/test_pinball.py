@@ -1,12 +1,20 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import atom_features
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference import all_artificial_basis
 
-from gcfcp.federation import Coreset
+from gcfcp import harness
+from gcfcp.conformal import CalibrationData
+from gcfcp.datagen import SynthConfig
+from gcfcp.federation import Coreset, run_round
 from gcfcp.pinball import (
+    _COUPLING_TOL,
+    _GAP_TOL,
     AugmentedQrSolver,
     QrEntry,
     QrProblem,
@@ -390,3 +398,105 @@ def test_start_basis_must_fit():
     solver.solve_at(test.score)
     with pytest.raises(ValueError):
         solver.export_basis()  # a positive test weight is not calibration-only
+
+
+def _assert_verified(sol):
+    assert 0.0 <= sol.duality_gap <= _GAP_TOL * (1.0 + abs(sol.primal_objective))
+    assert 0.0 <= sol.coupling_residual <= _COUPLING_TOL
+
+
+def test_solutions_record_gap_and_coupling():
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        p = random_problem(rng)
+        inputs, test = _solver_inputs(p)
+        crashed = _calibration_only(inputs, p.dimension)
+        _assert_verified(crashed.solve_at(0.0))
+        warm = AugmentedQrSolver(
+            *inputs, test.feature, test.weight, start_basis=crashed.export_basis()
+        )
+        _assert_verified(warm.solve_at(-4.0))
+        _assert_verified(warm.solve_at(test.score))
+        bound = test.weight * (1.0 - p.alpha) - 1e-9
+        _assert_verified(warm.solve_at(warm.raise_test_score(10.0, bound)))
+    assert np.isnan(solve(QrProblem((QrEntry((1, 0), 1.0, 1.0), QrEntry((1, 1), 0.0, 0.1, True)), 0.1, 2)).duality_gap)
+
+
+def test_raise_test_score_needs_a_solve():
+    inputs, test = _solver_inputs(random_problem(np.random.default_rng(11)))
+    with pytest.raises(ValueError):
+        AugmentedQrSolver(*inputs, test.feature, test.weight).raise_test_score(1.0, 0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    ties=st.booleans(),
+    singletons=st.integers(0, 3),
+    zero_test_weight=st.booleans(),
+    unseen_test_pattern=st.booleans(),
+    label_sets=st.booleans(),
+)
+def test_crash_start_matches_all_artificial_start(
+    seed, d, ties, singletons, zero_test_weight, unseen_test_pattern, label_sets
+):
+    """The per-atom quantile crash reaches the optimum of the old start.
+
+    With scores on a grid, the fitted values of several atoms can land on
+    tied scores at once, and the eta of entries with zero residual is then
+    not unique; there eta is compared only where the residual fixes it at a
+    bound, and the rest is covered by the verified gap and coupling.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(d + 1, 60))
+    feats = atom_features(rng, d, n, label_sets)
+    if singletons:
+        # rows with a pattern of their own: single-entry atoms
+        extra = rng.random((singletons, d)) < 0.5
+        extra[:, 0] = True
+        feats = np.vstack([feats, extra.astype(float)])
+    # beta is unique only when the calibration features have full column rank
+    assume(np.linalg.matrix_rank(feats) == d)
+    n = len(feats)
+    scores = np.round(rng.normal(size=n) * 2.0) / 2.0 if ties else rng.normal(size=n)
+    weights = rng.uniform(0.1, 2.0, n)
+    alpha = float(rng.uniform(0.05, 0.4))
+    seen = {tuple(r) for r in feats.astype(int).tolist()}
+    unseen = [p for p in itertools.product((0, 1), repeat=d) if any(p) and p not in seen]
+    if unseen_test_pattern and unseen:
+        pattern = unseen[int(rng.integers(len(unseen)))]
+    else:
+        pattern = tuple(int(b) for b in feats[int(rng.integers(n))])
+    test_weight = 0.0 if zero_test_weight else float(rng.uniform(0.01, 0.3))
+    inputs = (feats, scores, weights, alpha, pattern, test_weight)
+    crash = AugmentedQrSolver(*inputs)
+    old = AugmentedQrSolver(*inputs, start_basis=all_artificial_basis(n, d))
+    for score in rng.normal(scale=2.0, size=3):
+        new_sol, old_sol = crash.solve_at(float(score)), old.solve_at(float(score))
+        _assert_verified(new_sol)
+        assert new_sol.primal_objective == pytest.approx(old_sol.primal_objective, abs=1e-9)
+        assert new_sol.eta_test == pytest.approx(old_sol.eta_test, abs=1e-9)
+        np.testing.assert_allclose(new_sol.beta, old_sol.beta, rtol=0, atol=1e-9)
+        fixed = np.abs(scores - feats @ old_sol.beta) > 1e-7 if ties else slice(None)
+        np.testing.assert_allclose(new_sol.eta[fixed], old_sol.eta[fixed], rtol=0, atol=1e-9)
+
+
+def test_cold_solve_iterations_on_criterion_09_data():
+    """The calibration-only cold solve on 4 x 1 250 rows takes a few pivots,
+    not one per row (the all-artificial start took 5 056 and 758)."""
+    config = harness.ExperimentConfig(
+        calibrators=("gcfcp_centralized", "gcfcp_coreset"),
+        delta=250.0,
+        synth=SynthConfig(seed=4, n_per_client=(1250, 1250, 1250, 1250)),
+    )
+    datasets, _, _, _ = harness._synth_trial_data(replace(config, test_points=20), trial=0)
+    central = CalibrationData.from_datasets(datasets, config.family)
+    round_ = run_round(datasets, config.family, config.delta)
+    coreset = CalibrationData.from_coreset(round_.coreset, round_.test_weight)
+    for data, limit in ((central, 500), (coreset, 100)):
+        d = data.features.shape[1]
+        solver = AugmentedQrSolver(data.features, data.scores, data.weights, 0.1, (0,) * d, 0.0)
+        sol = solver.solve_at(0.0)
+        _assert_verified(sol)
+        assert sol.iterations <= limit
