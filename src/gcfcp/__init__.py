@@ -29,7 +29,7 @@ from .harness import (
     coverage_estimate,
     run_experiment,
 )
-from .tdigest import Digest, build_digest, merge
+from .tdigest import Digest, build_digest_arrays, merge
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,7 @@ __all__ = [
     "LabelSet",
     "PredictionSet",
     "bench_speedup",
-    "build_digest",
+    "build_digest_arrays",
     "calibrate_baseline",
     "coverage_estimate",
     "interval_family",

@@ -201,6 +201,8 @@ def predict_classification(
 
 def split_cp_threshold(scores: Sequence[float], alpha: float) -> float:
     """The ceil((1-alpha)(n+1))-th order statistic; +inf past sample support."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha {alpha!r} outside (0, 1)")
     scores = np.asarray(scores, dtype=float)
     n = scores.size
     if n == 0:

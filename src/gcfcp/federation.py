@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tdigest
 from .groups import AtomKey, GroupFamily, enumerate_atoms
-from .tdigest import Digest, DigestError
+from .tdigest import Digest
 
 _WEIGHT_TOL = 1e-9
 
@@ -132,11 +132,6 @@ def message_from_json(payload: str) -> DigestMessage:
         raise ProtocolError(f"invalid atom pattern {obj.get('atom')!r}")
     digest = tdigest.digest_from_fields(obj.get("compression"), obj.get("clusters"))
     return DigestMessage(client_id=client_id, atom=atom, digest=digest)
-
-
-def comm_bytes(messages: Sequence[DigestMessage]) -> int:
-    """Total serialized size of all messages under the wire format."""
-    return sum(len(message_to_json(m).encode("utf-8")) for m in messages)
 
 
 def server_assemble(messages: Sequence[DigestMessage], delta: float) -> Coreset:

@@ -6,6 +6,8 @@ predicted-label sets. Membership of a point is a fixed-length binary vector
 matrix with one row per point. Atoms are the equivalence classes of observed
 membership patterns, the disjoint refinement of the family: the unique rows of
 that matrix, each with the index array of the rows that carry it.
+``membership_matrix`` is the one membership routine; ``membership_vector``
+is its single-point case.
 """
 
 from __future__ import annotations
@@ -35,18 +37,10 @@ class Interval:
     lo_closed: bool = True
     hi_closed: bool = True
 
-    def contains(self, x: float) -> bool:
-        above = x >= self.lo if self.lo_closed else x > self.lo
-        below = x <= self.hi if self.hi_closed else x < self.hi
-        return above and below
-
 
 @dataclass(frozen=True)
 class LabelSet:
     labels: frozenset[int]
-
-    def contains(self, y: int) -> bool:
-        return int(y) in self.labels
 
 
 @dataclass(frozen=True)
@@ -69,25 +63,18 @@ class GroupFamily:
         return len(self.groups)
 
 
-def _select_feature(x, family: GroupFamily):
-    if np.ndim(x) == 0:
-        return x
-    return x[family.feature]
-
-
 def membership_vector(x, family: GroupFamily) -> MembershipVector:
-    """Bit g is set iff x belongs to group g under its closure convention."""
-    value = _select_feature(x, family)
-    bits = tuple(int(g.contains(value)) for g in family.groups)
-    if not any(bits):
-        raise CoveringError(
-            f"covariate value {value!r} is outside every group of the family"
-        )
-    return bits
+    """The membership of one point: its ``membership_matrix`` row as a tuple."""
+    return tuple(membership_matrix([x], family)[0].tolist())
 
 
 def membership_matrix(xs: Sequence, family: GroupFamily) -> np.ndarray:
-    """Vectorized membership for interval families; (n, |groups|) int array."""
+    """Bit (i, g) is set iff point i belongs to group g under its closure
+    convention; an (n, |groups|) int array.
+
+    Rows may be scalars or vectors, of which ``family.feature`` selects the
+    covariate. Raises CoveringError on the first point outside every group.
+    """
     xs = np.asarray(xs)
     if xs.ndim > 1:
         xs = xs[:, family.feature]
@@ -104,7 +91,7 @@ def membership_matrix(xs: Sequence, family: GroupFamily) -> np.ndarray:
     if uncovered.size:
         i = int(uncovered[0])
         raise CoveringError(
-            f"covariate value {xs[i]!r} (index {i}) is outside every group"
+            f"covariate value {xs[i].item()!r} (index {i}) is outside every group"
         )
     return mat
 

@@ -48,6 +48,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.test_points < 1:
+            raise ValueError("test_points must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha {self.alpha!r} outside (0, 1)")
         for kind in self.calibrators:
@@ -251,16 +253,16 @@ def _aggregate(config: ExperimentConfig, per_trial) -> CoverageReport:
         sizes = np.concatenate([t[kind].set_sizes for t in per_trial])
         times = [s for t in per_trial for s in t[kind].search_times]
         n = covered.size
-        marginal = float(covered.mean()) if n else math.nan
+        marginal = float(covered.mean())
         group_cov = {}
         for g, (cov, ng) in _group_coverage(covered, memberships).items():
             group_cov[g] = (cov, math.sqrt(cov * (1.0 - cov) / ng), ng)
         summaries[kind] = CalibratorSummary(
             kind=kind,
             marginal_coverage=marginal,
-            marginal_se=math.sqrt(marginal * (1 - marginal) / n) if n else math.nan,
+            marginal_se=math.sqrt(marginal * (1 - marginal) / n),
             group_coverage=group_cov,
-            mean_set_size=float(sizes.mean()) if n else math.nan,
+            mean_set_size=float(sizes.mean()),
             mean_search_time=float(np.mean(times)) if times else 0.0,
             wire_bytes=float(np.mean([t[kind].wire_bytes for t in per_trial])),
             n_points=n,

@@ -13,7 +13,9 @@ particular shape: one box-constrained variable eta_e per entry and only
 We solve that dual directly with a dense bounded-variable revised simplex
 whose basis is only |groups| wide. The simplex multipliers of the final
 basis are exactly the primal beta, and the eta at a vertex are exact KKT
-multipliers, which the threshold search requires.
+multipliers, which the threshold search requires. ``AugmentedQrSolver``, built
+for one calibration set and one test pattern, is the only entry point; the
+caller (``conformal``) rejects a group column without calibration mass first.
 
 A cold solve does not start from x = 0. All rows of an atom (one membership
 pattern) share one column of the coupling, so starting each atom at its own
@@ -41,7 +43,6 @@ has to price the test columns in.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,32 +71,15 @@ class SimplexBasis:
 
 
 @dataclass(frozen=True)
-class QrEntry:
-    feature: MembershipVector
-    score: float
-    weight: float
-    is_test: bool = False
-
-
-@dataclass(frozen=True)
-class QrProblem:
-    entries: tuple[QrEntry, ...]
-    alpha: float
-    dimension: int
-
-
-@dataclass(frozen=True)
 class QrSolution:
     beta: np.ndarray
     primal_objective: float
     dual_objective: float
     eta: np.ndarray  # one per calibration entry, problem order
     eta_test: float
-    status: str  # "optimal" | "degenerate_group"
-    degenerate_groups: tuple[int, ...] = ()
-    iterations: int = 0  # crossover steps, simplex pivots and bound flips of this solve
-    duality_gap: float = math.nan  # |primal - dual| as verified
-    coupling_residual: float = math.nan  # max |sum_e eta_e phi_e| as verified
+    iterations: int  # crossover steps, simplex pivots and bound flips of this solve
+    duality_gap: float  # |primal - dual| as verified
+    coupling_residual: float  # max |sum_e eta_e phi_e| as verified
 
 
 def pinball_loss(theta: float, s: float, alpha: float) -> float:
@@ -105,40 +89,6 @@ def pinball_loss(theta: float, s: float, alpha: float) -> float:
     if s >= theta:
         return (1.0 - alpha) * (s - theta)
     return alpha * (theta - s)
-
-
-def assemble_problem(
-    coreset,
-    test_feature: MembershipVector,
-    test_score: float,
-    test_weight: float,
-    alpha: float,
-) -> QrProblem:
-    """One entry per coreset (atom, mean, weight) triple plus the test entry."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha {alpha!r} outside (0, 1)")
-    if test_weight <= 0.0:
-        raise ValueError("test weight must be positive")
-    entries = list(coreset.entries)
-    if not entries:
-        raise ValueError("coreset is empty")
-    dim = len(test_feature)
-    qr_entries = []
-    for atom, mean, weight in entries:
-        if len(atom) != dim:
-            raise ValueError(
-                f"feature dimension mismatch: atom {atom} vs test {test_feature}"
-            )
-        qr_entries.append(QrEntry(feature=tuple(atom), score=mean, weight=weight))
-    qr_entries.append(
-        QrEntry(
-            feature=tuple(test_feature),
-            score=test_score,
-            weight=test_weight,
-            is_test=True,
-        )
-    )
-    return QrProblem(entries=tuple(qr_entries), alpha=alpha, dimension=dim)
 
 
 class _BoundedSimplex:
@@ -383,7 +333,6 @@ class AugmentedQrSolver:
             dual_objective=dual,
             eta=eta[:-1],
             eta_test=float(eta[-1]),
-            status="optimal",
             iterations=sp.iterations,
             duality_gap=gap,
             coupling_residual=coupling,
@@ -466,47 +415,3 @@ class AugmentedQrSolver:
             raise SolverError(f"duality gap {gap:.2e} exceeds tolerance")
         return gap, coupling
 
-
-def degenerate_groups(problem: QrProblem) -> tuple[int, ...]:
-    """Group indices with zero total calibration weight on their column."""
-    mass = np.zeros(problem.dimension)
-    for entry in problem.entries:
-        if not entry.is_test:
-            mass += entry.weight * np.asarray(entry.feature, dtype=float)
-    return tuple(int(g) for g in np.flatnonzero(mass <= 0.0))
-
-
-def solve(problem: QrProblem, tolerate_degenerate: bool = False) -> QrSolution:
-    """One-shot solve; see AugmentedQrSolver for the warm-started variant."""
-    tests = [e for e in problem.entries if e.is_test]
-    if len(tests) != 1:
-        raise ValueError(f"problem must contain exactly one test entry, got {len(tests)}")
-    bad = degenerate_groups(problem)
-    if bad and not tolerate_degenerate:
-        return QrSolution(
-            beta=np.full(problem.dimension, np.nan),
-            primal_objective=np.nan,
-            dual_objective=np.nan,
-            eta=np.array([]),
-            eta_test=np.nan,
-            status="degenerate_group",
-            degenerate_groups=bad,
-        )
-    cal = [e for e in problem.entries if not e.is_test]
-    test = tests[0]
-    solver = AugmentedQrSolver(
-        features=np.array([e.feature for e in cal], dtype=float),
-        scores=np.array([e.score for e in cal]),
-        weights=np.array([e.weight for e in cal]),
-        alpha=problem.alpha,
-        test_feature=test.feature,
-        test_weight=test.weight,
-    )
-    return solver.solve_at(test.score)
-
-
-def eta_test(solution: QrSolution) -> float:
-    """Aggregated dual value of the test entry."""
-    if solution.status != "optimal":
-        raise ValueError(f"solution status is {solution.status!r}, not optimal")
-    return solution.eta_test

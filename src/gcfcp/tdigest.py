@@ -9,13 +9,17 @@ error by sin(pi/delta).
 Digests built from disjoint datasets merge by concatenating their arrays as
 weighted samples and rebuilding at the same compression level (the merging
 digest of Dunning & Ertl, arXiv:1902.04023).
+
+``build_digest_arrays`` is the one builder; ``merge`` rebuilds through the
+same private ``_build_from_arrays``, so a wrapper around the public builder
+(the benchmark's tracer) counts client builds only. ``digest_fields`` and
+``digest_from_fields`` are the one wire codec: the digest part of a
+federation message line.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,12 +30,6 @@ _SPAN = 1.0 + 1e-12
 
 class DigestError(ValueError):
     """Invalid input to digest construction or deserialization."""
-
-
-@dataclass(frozen=True)
-class WeightedSample:
-    value: float
-    weight: float
 
 
 class Digest:
@@ -201,15 +199,6 @@ def build_digest_arrays(
     return _build_from_arrays(values, weights, delta, total=total)
 
 
-def build_digest(samples: Sequence[WeightedSample], delta: float) -> Digest:
-    """``build_digest_arrays`` over a sequence of weighted samples."""
-    if len(samples) == 0:
-        raise DigestError("cannot build a digest from zero samples")
-    values = np.array([s.value for s in samples], dtype=float)
-    weights = np.array([s.weight for s in samples], dtype=float)
-    return _build_from_arrays(values, weights, delta)
-
-
 def approx_cdf(digest: Digest, t: float) -> float:
     """Step-CDF estimate: normalized mass of clusters with mean <= t."""
     means = digest.means()
@@ -286,17 +275,3 @@ def digest_from_fields(compression, clusters) -> Digest:
         raise DigestError("cluster weights sum to infinity")
     return Digest(means, weights, compression=compression, total_weight=total)
 
-
-def digest_to_json(digest: Digest) -> str:
-    """Wire format: the JSON text of ``digest_fields``."""
-    return json.dumps(digest_fields(digest))
-
-
-def digest_from_json(payload: str) -> Digest:
-    try:
-        obj = json.loads(payload)
-        compression = obj["compression"]
-        clusters = obj["clusters"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise DigestError(f"malformed digest payload: {exc}") from exc
-    return digest_from_fields(compression, clusters)

@@ -1,8 +1,9 @@
 """References the library's faster paths must reproduce.
 
-The per-row and per-sample formulations of atom stratification, digest
-construction, the wire codec and server assembly: the library runs
-vectorized versions, and the tests compare the two bit for bit.
+The per-group membership test of one point, and the per-row and per-sample
+formulations of atom stratification, digest construction, the wire codec and
+server assembly: the library runs vectorized versions, and the tests compare
+the two bit for bit.
 
 The solver's first start with every column at its lower bound (the artificial
 basis) and the bisection on the test score: the library starts from a per-atom
@@ -16,8 +17,24 @@ import math
 import numpy as np
 
 from gcfcp.conformal import DegenerateGroupError, EmptySetError
-from gcfcp.groups import membership_matrix
+from gcfcp.groups import CoveringError, Interval, membership_matrix
 from gcfcp.pinball import AugmentedQrSolver, SimplexBasis
+
+
+def reference_membership(x, family):
+    """Bit g is set iff the point lies in group g, tested one group at a time."""
+    value = x if np.ndim(x) == 0 else x[family.feature]
+    bits = []
+    for g in family.groups:
+        if isinstance(g, Interval):
+            above = value >= g.lo if g.lo_closed else value > g.lo
+            below = value <= g.hi if g.hi_closed else value < g.hi
+            bits.append(int(above and below))
+        else:
+            bits.append(int(int(value) in g.labels))
+    if not any(bits):
+        raise CoveringError(f"covariate value {value!r} is outside every group of the family")
+    return tuple(bits)
 
 
 def reference_atoms(covariates, family):

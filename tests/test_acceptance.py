@@ -5,22 +5,21 @@ The coverage-study criteria share a single Monte Carlo run (100 trials of
 session fixtures; the compression trade-off adds a second run at delta=25.
 """
 
-import itertools
 import math
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import ACCEPTANCE_RESULTS
+from conftest import ACCEPTANCE_RESULTS, breakpoint_minimum, random_lp, small_lp
 
 from gcfcp.conformal import CalibrationData, threshold_search
 from gcfcp.datagen import SynthConfig
-from gcfcp.federation import ClientDataset, comm_bytes, client_build_messages, message_from_json, message_to_json, run_round
+from gcfcp.federation import ClientDataset, message_from_json, message_to_json, run_round
 from gcfcp.groups import interval_family
 from gcfcp.harness import ExperimentConfig, bench_speedup, run_experiment
-from gcfcp.pinball import QrEntry, QrProblem, pinball_loss, solve
-from gcfcp.tdigest import WeightedSample, build_digest, max_cluster_mass
+from gcfcp.pinball import AugmentedQrSolver
+from gcfcp.tdigest import build_digest_arrays, max_cluster_mass
 
 FOUR_INTERVALS = interval_family([(0, 2), (1, 3), (2, 4), (3, 5)])
 
@@ -61,7 +60,7 @@ def test_criterion_01_sketch_mass_bound():
     worst = 0.0
     ok = True
     for delta, values, weights in sketch_corpus():
-        d = build_digest([WeightedSample(float(v), float(w)) for v, w in zip(values, weights)], delta)
+        d = build_digest_arrays(values, weights, delta)
         margin = max_cluster_mass(d) - math.sin(math.pi / delta)
         worst = max(worst, margin)
         ok = ok and margin <= 1e-12
@@ -75,7 +74,7 @@ def test_criterion_02_sketch_cdf_bound():
     worst = 0.0
     ok = True
     for delta, values, weights in sketch_corpus():
-        d = build_digest([WeightedSample(float(v), float(w)) for v, w in zip(values, weights)], delta)
+        d = build_digest_arrays(values, weights, delta)
         means = d.means()
         cl_w = d.weights()
         probes = np.unique(np.concatenate([values, means]))
@@ -93,78 +92,24 @@ def test_criterion_02_sketch_cdf_bound():
           f"worst excess {worst:.2e}, {elapsed:.1f}s")
 
 
-def _random_problem(rng, max_entries=50, max_dim=4):
-    d = int(rng.integers(1, max_dim + 1))
-    n = int(rng.integers(d + 1, max_entries + 1))
-    feats = (rng.random((n, d)) < 0.5).astype(int)
-    feats[feats.sum(axis=1) == 0, 0] = 1
-    for g in range(d):
-        if feats[:, g].sum() == 0:
-            feats[int(rng.integers(n)), g] = 1
-    entries = [
-        QrEntry(tuple(int(b) for b in feats[i]), float(rng.normal()),
-                float(rng.uniform(0.1, 2)))
-        for i in range(n)
-    ]
-    entries.append(QrEntry(tuple(int(b) for b in feats[int(rng.integers(n))]),
-                           float(rng.normal()), float(rng.uniform(0.01, 0.2)),
-                           is_test=True))
-    return QrProblem(tuple(entries), alpha=float(rng.uniform(0.05, 0.4)), dimension=d)
-
-
 def test_criterion_03_strong_duality():
     t0 = time.perf_counter()
     rng = np.random.default_rng(1)
     worst_gap = worst_coupling = 0.0
     ok = True
     for _ in range(100):
-        p = _random_problem(rng)
-        sol = solve(p)
+        p = random_lp(rng)
+        sol = p.solve()
         gap = abs(sol.primal_objective - sol.dual_objective) / (1 + abs(sol.primal_objective))
-        feats = np.array([e.feature for e in p.entries], dtype=float)
+        feats, _, _ = p.rows()
         eta = np.concatenate([sol.eta, [sol.eta_test]])
         coupling = float(np.max(np.abs(feats.T @ eta)))
         worst_gap = max(worst_gap, gap)
         worst_coupling = max(worst_coupling, coupling)
-        ok = ok and sol.status == "optimal" and gap <= 1e-8 and coupling <= 1e-8
+        ok = ok and gap <= 1e-8 and coupling <= 1e-8
     elapsed = time.perf_counter() - t0
     check(3, "strong duality on random instances", ok and elapsed < 30,
           f"max gap {worst_gap:.1e}, max coupling {worst_coupling:.1e}, {elapsed:.1f}s")
-
-
-def _small_problem(rng):
-    d = int(rng.integers(1, 3))
-    rows = [(1, 0), (0, 1)] if d == 2 else [(1,)]
-    n = int(rng.integers(len(rows) + 1, 13))
-    while len(rows) < n:
-        pat = tuple(int(b) for b in (rng.random(d) < 0.6))
-        if any(pat):
-            rows.append(pat)
-    entries = [QrEntry(r, float(rng.normal()), float(rng.uniform(0.1, 2))) for r in rows]
-    entries.append(QrEntry(rows[int(rng.integers(len(rows)))], float(rng.normal()),
-                           0.05, is_test=True))
-    return QrProblem(tuple(entries), alpha=float(rng.uniform(0.05, 0.4)), dimension=d)
-
-
-def _breakpoint_minimum(problem):
-    entries = problem.entries
-    if problem.dimension == 1:
-        candidates = [np.array([e.score]) for e in entries]
-    else:
-        candidates = []
-        for a, b in itertools.combinations(range(len(entries)), 2):
-            M = np.array([entries[a].feature, entries[b].feature], dtype=float)
-            if abs(np.linalg.det(M)) < 1e-12:
-                continue
-            candidates.append(np.linalg.solve(M, [entries[a].score, entries[b].score]))
-    best = math.inf
-    for beta in candidates:
-        total = sum(
-            e.weight * pinball_loss(float(np.dot(e.feature, beta)), e.score, problem.alpha)
-            for e in entries
-        )
-        best = min(best, total)
-    return best
 
 
 def test_criterion_04_breakpoint_oracle():
@@ -173,9 +118,9 @@ def test_criterion_04_breakpoint_oracle():
     worst = 0.0
     ok = True
     for _ in range(100):
-        p = _small_problem(rng)
-        sol = solve(p)
-        diff = abs(sol.primal_objective - _breakpoint_minimum(p))
+        p = small_lp(rng)
+        sol = p.solve()
+        diff = abs(sol.primal_objective - breakpoint_minimum(p))
         worst = max(worst, diff)
         ok = ok and diff <= 1e-7
     elapsed = time.perf_counter() - t0
@@ -331,8 +276,8 @@ def test_criterion_10_protocol_conservation():
             ok = ok and message_to_json(message_from_json(message_to_json(m))) == message_to_json(m)
     # comm scaling when delta doubles
     ds = ClientDataset(1, rng.uniform(0, 5, 3000), rng.random(3000), 1.0)
-    small = comm_bytes(client_build_messages(ds, FOUR_INTERVALS, 125.0))
-    big = comm_bytes(client_build_messages(ds, FOUR_INTERVALS, 250.0))
+    small = run_round([ds], FOUR_INTERVALS, 125.0).wire_bytes
+    big = run_round([ds], FOUR_INTERVALS, 250.0).wire_bytes
     ratio = big / small
     ok = ok and 1.5 <= ratio <= 2.5
     elapsed = time.perf_counter() - t0
@@ -361,18 +306,9 @@ def test_criterion_11_monotonicity_suite():
         sizes = [int(np.sum(candidates <= t)) for t in thresholds]
         ok = ok and all(b <= a for a, b in zip(sizes, sizes[1:]))
     # eta_test nondecreasing in the test score
-    from gcfcp.pinball import AugmentedQrSolver
-
     for _ in range(5):
-        p = _random_problem(rng, max_entries=30)
-        cal = [e for e in p.entries if not e.is_test]
-        test = next(e for e in p.entries if e.is_test)
-        solver = AugmentedQrSolver(
-            np.array([e.feature for e in cal], dtype=float),
-            np.array([e.score for e in cal]),
-            np.array([e.weight for e in cal]),
-            p.alpha, test.feature, test.weight,
-        )
+        p = random_lp(rng, max_entries=30)
+        solver = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight)
         grid = np.linspace(-3, 3, 40)
         values = [solver.solve_at(float(s)).eta_test for s in grid]
         ok = ok and all(b >= a - 1e-9 for a, b in zip(values, values[1:]))

@@ -93,6 +93,17 @@ def test_exit_code_config_error(capsys):
     capsys.readouterr()
 
 
+def test_exit_code_zero_test_points(capsys):
+    code = main(
+        ["experiment", "--trials", "1", "--test-points", "0", "--serial",
+         "--calibrators", "centralized_cp"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "test_points must be >= 1" in captured.err
+    assert "nan" not in captured.out
+
+
 def test_exit_code_degenerate_group(capsys):
     groups = json.dumps(
         {"kind": "intervals", "feature": 0,

@@ -85,6 +85,11 @@ class TestSplitCp:
         with pytest.raises(ValueError):
             split_cp_threshold([], 0.1)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.2])
+    def test_alpha_domain(self, alpha):
+        with pytest.raises(ValueError, match="outside"):
+            split_cp_threshold(np.arange(1.0, 11.0), alpha)
+
 
 class TestThresholdSearch:
     def test_matches_augmented_quantile_oracle(self):

@@ -14,7 +14,6 @@ from gcfcp.federation import (
     ProtocolError,
     client_build_messages,
     client_stratify,
-    comm_bytes,
     federation_config_from_json,
     message_from_json,
     message_to_json,
@@ -117,6 +116,8 @@ class TestWire:
 
     def test_rejects_malformed(self):
         with pytest.raises(ProtocolError):
+            message_from_json("not json")
+        with pytest.raises(ProtocolError):
             message_from_json("{}")
         with pytest.raises(ProtocolError):
             message_from_json('{"client_id": 1, "atom": "0000", "compression": 25, "clusters": [[1, 1]]}')
@@ -169,24 +170,19 @@ class TestWire:
         )
         assert message_to_json(message_from_json(line)) == line
 
-    def test_comm_bytes(self):
-        assert comm_bytes([]) == 0
+    def test_wire_bytes(self):
         rng = np.random.default_rng(3)
         ds = ClientDataset(1, rng.uniform(0, 5, 3000), rng.random(3000), 1.0)
-        small = comm_bytes(client_build_messages(ds, FOUR_INTERVALS, 125.0))
-        big = comm_bytes(client_build_messages(ds, FOUR_INTERVALS, 250.0))
+        small = run_round([ds], FOUR_INTERVALS, 125.0).wire_bytes
+        big = run_round([ds], FOUR_INTERVALS, 250.0).wire_bytes
         assert 1.5 <= big / small <= 2.5
 
     def test_identical_clients_scale_linearly(self):
         rng = np.random.default_rng(4)
         x, s = rng.uniform(0, 5, 500), rng.random(500)
-        one = comm_bytes(
-            client_build_messages(ClientDataset(1, x, s, 1.0), FOUR_INTERVALS, 100.0)
-        )
+        one = run_round([ClientDataset(1, x, s, 1.0)], FOUR_INTERVALS, 100.0).wire_bytes
         many = sum(
-            comm_bytes(
-                client_build_messages(ClientDataset(k, x, s, 1.0), FOUR_INTERVALS, 100.0)
-            )
+            run_round([ClientDataset(k, x, s, 1.0)], FOUR_INTERVALS, 100.0).wire_bytes
             for k in range(1, 6)
         )
         assert many == pytest.approx(5 * one, rel=0.05)

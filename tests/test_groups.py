@@ -17,7 +17,7 @@ from gcfcp.groups import (
     membership_matrix,
     membership_vector,
 )
-from reference import reference_atoms
+from reference import reference_atoms, reference_membership
 
 FOUR_INTERVALS = interval_family([(0, 2), (1, 3), (2, 4), (3, 5)])
 
@@ -62,6 +62,72 @@ class TestMembership:
     def test_matrix_covering_violation_reports_index(self):
         with pytest.raises(CoveringError, match="index 1"):
             membership_matrix([1.0, 9.0], FOUR_INTERVALS)
+
+
+GRID = (-1.0, 0.0, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def interval_families(draw, feature=0):
+    """Intervals with endpoints on GRID, each end open or closed."""
+    groups = []
+    for _ in range(draw(st.integers(1, 5))):
+        lo, hi = sorted(draw(st.tuples(st.sampled_from(GRID), st.sampled_from(GRID))))
+        groups.append(Interval(lo, hi, draw(st.booleans()), draw(st.booleans())))
+    return GroupFamily(groups=tuple(groups), feature=feature)
+
+
+@st.composite
+def label_families(draw):
+    sets = draw(st.lists(st.frozensets(st.integers(0, 6), min_size=1), min_size=1, max_size=5))
+    return GroupFamily(groups=tuple(LabelSet(s) for s in sets), feature="predicted_label")
+
+
+# exact endpoints, points between and beyond them, and NaN
+POINTS = st.one_of(st.sampled_from(GRID), st.floats(-1.5, 2.5), st.just(float("nan")))
+
+
+def assert_matches_reference(xs, family):
+    """Rows of membership_matrix and each membership_vector equal the
+    per-group loop, and CoveringError names the first uncovered point."""
+    want = []
+    for i, x in enumerate(xs):
+        try:
+            want.append(reference_membership(x, family))
+        except CoveringError:
+            with pytest.raises(CoveringError, match=rf"\(index {i}\)"):
+                membership_matrix(xs, family)
+            with pytest.raises(CoveringError):
+                membership_vector(x, family)
+            return
+        got = membership_vector(x, family)
+        assert got == want[-1] and all(type(b) is int for b in got)
+    assert membership_matrix(xs, family).tolist() == [list(row) for row in want]
+
+
+class TestMembershipMatchesReference:
+    @given(interval_families(), st.lists(POINTS, min_size=1, max_size=20))
+    @settings(max_examples=150, deadline=None)
+    def test_intervals(self, family, xs):
+        assert_matches_reference(xs, family)
+
+    @given(label_families(), st.lists(st.integers(0, 8), min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_label_sets(self, family, labels):
+        assert_matches_reference(labels, family)
+
+    @given(
+        st.integers(0, 2).flatmap(
+            lambda k: st.tuples(
+                interval_families(feature=k),
+                st.lists(st.lists(POINTS, min_size=3, max_size=3), min_size=1, max_size=20),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_vector_covariates(self, case):
+        family, rows = case
+        assert_matches_reference(np.array(rows), family)
 
 
 class TestAtoms:

@@ -84,11 +84,9 @@ class TestConfig:
 
 class TestRunExperiment:
     def test_zero_test_points(self):
-        config = dataclasses.replace(SMALL, trials=1, test_points=0)
-        report = run_experiment(config)
-        s = report.summaries["centralized_cp"]
-        assert s.n_points == 0
-        assert np.isnan(s.marginal_coverage)
+        for test_points in (0, -1):
+            with pytest.raises(ValueError, match="test_points"):
+                dataclasses.replace(SMALL, trials=1, test_points=test_points)
 
     def test_smoke_and_report_shape(self):
         report = run_experiment(SMALL)
@@ -174,7 +172,7 @@ class TestIngestExperiment:
         config = ExperimentConfig(
             calibrators=("centralized_cp", "gcfcp_coreset"),
             trials=2,
-            test_points=0,  # ignored on the ingestion path
+            test_points=1,  # ignored on the ingestion path, but must be valid
             delta=50.0,
             family=family,
             ingest_path=str(path),

@@ -11,20 +11,31 @@ from reference import reference_build, reference_merge
 from gcfcp.tdigest import (
     Digest,
     DigestError,
-    WeightedSample,
     approx_cdf,
     approx_quantile,
-    build_digest,
-    digest_from_json,
-    digest_to_json,
+    build_digest_arrays,
+    digest_fields,
+    digest_from_fields,
     max_cluster_mass,
     merge,
     scale,
 )
 
 
-def unit_samples(values):
-    return [WeightedSample(float(v), 1.0) for v in values]
+def build(values, delta, weights=None):
+    """``build_digest_arrays`` with unit weights unless given."""
+    values = np.asarray(values, dtype=float)
+    return build_digest_arrays(values, np.ones(values.size) if weights is None else weights, delta)
+
+
+def to_wire(digest):
+    return json.dumps(digest_fields(digest))
+
+
+def from_wire(payload):
+    """Decode the digest fields of a wire line as ``message_from_json`` does."""
+    obj = json.loads(payload)
+    return digest_from_fields(obj.get("compression"), obj.get("clusters"))
 
 
 def exact_cdf(values, weights, t):
@@ -59,7 +70,7 @@ class TestScale:
 
 class TestBuild:
     def test_single_sample(self):
-        d = build_digest([WeightedSample(2.0, 1.0)], 25.0)
+        d = build([2.0], 25.0)
         assert len(d) == 1
         assert (d.means()[0], d.weights()[0]) == (2.0, 1.0)
         assert d.total_weight == 1.0
@@ -67,7 +78,7 @@ class TestBuild:
     def test_five_samples_delta_4(self):
         # greedy pass by hand at delta=4: q after samples 1..5 are .2,.4,.6,.8,1;
         # r jumps allow {1,2} and {3,4} to merge, 5 stands alone
-        d = build_digest(unit_samples([1, 2, 3, 4, 5]), 4.0)
+        d = build([1, 2, 3, 4, 5], 4.0)
         assert list(zip(d.means().tolist(), d.weights().tolist())) == [
             (1.5, 2.0),
             (3.5, 2.0),
@@ -78,19 +89,19 @@ class TestBuild:
 
     def test_mass_bound_uniform(self):
         rng = np.random.default_rng(0)
-        d = build_digest(unit_samples(rng.random(1000)), 100.0)
+        d = build(rng.random(1000), 100.0)
         bound = math.sin(math.pi / 100.0)
         assert max_cluster_mass(d) <= bound + 1e-12
 
     def test_errors(self):
         with pytest.raises(DigestError):
-            build_digest([], 25.0)
+            build([], 25.0)
         with pytest.raises(DigestError):
-            build_digest([WeightedSample(1.0, 0.0)], 25.0)
+            build([1.0], 25.0, weights=[0.0])
         with pytest.raises(DigestError):
-            build_digest([WeightedSample(math.nan, 1.0)], 25.0)
+            build([math.nan], 25.0)
         with pytest.raises(DigestError):
-            build_digest([WeightedSample(1.0, 1.0)], 1.5)
+            build([1.0], 1.5)
 
     @given(
         st.lists(st.floats(-100, 100), min_size=1, max_size=300),
@@ -98,7 +109,7 @@ class TestBuild:
     )
     @settings(max_examples=60, deadline=None)
     def test_invariants_random(self, values, delta):
-        d = build_digest(unit_samples(values), delta)
+        d = build(values, delta)
         means = d.means()
         assert np.all(np.diff(means) >= 0)
         assert d.total_weight == pytest.approx(len(values), rel=1e-9)
@@ -106,19 +117,19 @@ class TestBuild:
             d.total_weight, rel=1e-9
         )
         # determinism: same input, same digest
-        assert build_digest(unit_samples(values), delta) == d
+        assert build(values, delta) == d
 
     def test_cluster_count_range_unit_weights(self):
         rng = np.random.default_rng(1)
         for delta in (10.0, 50.0, 101.0):
             ell = 5000
-            d = build_digest(unit_samples(rng.random(ell)), delta)
+            d = build(rng.random(ell), delta)
             assert math.ceil(delta / 2) <= len(d) <= min(ell, math.ceil(delta) + 2)
 
 
 class TestQueries:
     def test_cdf_single_cluster(self):
-        d = build_digest([WeightedSample(2.0, 1.0)], 25.0)
+        d = build([2.0], 25.0)
         assert approx_cdf(d, 1.9) == 0.0
         assert approx_cdf(d, 2.0) == 1.0
 
@@ -132,7 +143,7 @@ class TestQueries:
         assert approx_cdf(d, 2.0) == 0.5
 
     def test_quantile_examples(self):
-        single = build_digest([WeightedSample(2.0, 1.0)], 25.0)
+        single = build([2.0], 25.0)
         assert approx_quantile(single, 0.7) == 2.0
         two = Digest(
             means=[1.0, 3.0],
@@ -144,7 +155,7 @@ class TestQueries:
         assert approx_quantile(two, 0.75) == 3.0
 
     def test_quantile_domain(self):
-        d = build_digest([WeightedSample(2.0, 1.0)], 25.0)
+        d = build([2.0], 25.0)
         with pytest.raises(DigestError):
             approx_quantile(d, 0.0)
         with pytest.raises(DigestError):
@@ -156,7 +167,7 @@ class TestQueries:
         for delta in (25.0, 100.0):
             values = rng.normal(size=2000)
             weights = np.ones(2000)
-            d = build_digest(unit_samples(values), delta)
+            d = build(values, delta)
             bound = math.sin(math.pi / delta)
             probe = np.concatenate([values, d.means()])
             for t in probe[:: 7]:
@@ -167,7 +178,7 @@ class TestQueries:
         values = rng.random(3000)
         weights = np.ones(3000)
         for delta in (25.0, 250.0):
-            d = build_digest(unit_samples(values), delta)
+            d = build(values, delta)
             for u in np.arange(0.01, 1.0, 0.01):
                 t = approx_quantile(d, float(u))
                 assert abs(exact_cdf(values, weights, t) - u) <= math.pi / delta + 1e-12
@@ -175,14 +186,14 @@ class TestQueries:
 
 class TestMerge:
     def test_self_merge_doubles_weight(self):
-        d = build_digest(unit_samples([1, 2, 3, 4]), 25.0)
+        d = build([1, 2, 3, 4], 25.0)
         m = merge([d, d], 25.0)
         assert m.total_weight == pytest.approx(2 * d.total_weight, rel=1e-12)
         assert d.means().min() <= m.means().min()
         assert m.means().max() <= d.means().max()
 
     def test_recompress_never_splits(self):
-        d = build_digest(unit_samples(np.linspace(0, 1, 50)), 10.0)
+        d = build(np.linspace(0, 1, 50), 10.0)
         m = merge([d], 10.0)
         assert m.total_weight == d.total_weight
         assert len(m) <= len(d)
@@ -190,7 +201,7 @@ class TestMerge:
     def test_disjoint_clients_median(self):
         rng = np.random.default_rng(4)
         digests = [
-            build_digest(unit_samples(rng.random(200) + 2 * k), 50.0)
+            build(rng.random(200) + 2 * k, 50.0)
             for k in range(5)
         ]
         merged = merge(digests, 50.0)
@@ -211,7 +222,7 @@ class TestMerge:
     )
     @settings(max_examples=40, deadline=None)
     def test_merge_weight_conservation(self, groups):
-        digests = [build_digest(unit_samples(g), 30.0) for g in groups]
+        digests = [build(g, 30.0) for g in groups]
         m = merge(digests, 30.0)
         total = 0.0
         for d in digests:
@@ -221,7 +232,7 @@ class TestMerge:
 
 class TestMaxClusterMass:
     def test_single(self):
-        d = build_digest([WeightedSample(1.0, 2.0)], 25.0)
+        d = build([1.0], 25.0, weights=[2.0])
         assert max_cluster_mass(d) == 1.0
 
     def test_two_equal(self):
@@ -235,13 +246,12 @@ class TestMaxClusterMass:
 
     def test_large_corpus_delta_25(self):
         rng = np.random.default_rng(5)
-        d = build_digest(unit_samples(rng.random(10_000)), 25.0)
+        d = build(rng.random(10_000), 25.0)
         assert max_cluster_mass(d) <= math.sin(math.pi / 25.0)
 
     def test_singleton_overflow_weakened_bound(self):
         # one heavy sample dominates: bound degrades to its own mass fraction
-        samples = [WeightedSample(0.0, 10.0)] + unit_samples(range(1, 30))
-        d = build_digest(samples, 25.0)
+        d = build(range(30), 25.0, weights=[10.0] + [1.0] * 29)
         heaviest = 10.0 / d.total_weight
         assert max_cluster_mass(d) <= max(math.sin(math.pi / 25.0), heaviest) + 1e-12
 
@@ -249,31 +259,29 @@ class TestMaxClusterMass:
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(6)
-        d = build_digest(unit_samples(rng.normal(size=500)), 50.0)
-        back = digest_from_json(digest_to_json(d))
+        d = build(rng.normal(size=500), 50.0)
+        back = from_wire(to_wire(d))
         assert np.array_equal(back.means(), d.means())
         assert np.array_equal(back.weights(), d.weights())
         assert back.compression == d.compression
-        assert digest_to_json(back) == digest_to_json(d)
+        assert to_wire(back) == to_wire(d)
 
     def test_wire_shape(self):
-        d = build_digest([WeightedSample(1.0, 2.0)], 25.0)
-        obj = json.loads(digest_to_json(d))
+        d = build([1.0], 25.0, weights=[2.0])
+        obj = json.loads(to_wire(d))
         assert obj == {"compression": 25.0, "clusters": [[1.0, 2.0]]}
 
     def test_reject_unsorted(self):
         with pytest.raises(DigestError):
-            digest_from_json('{"compression": 25, "clusters": [[2, 1], [1, 1]]}')
+            from_wire('{"compression": 25, "clusters": [[2, 1], [1, 1]]}')
 
     def test_reject_nonpositive_weight(self):
         with pytest.raises(DigestError):
-            digest_from_json('{"compression": 25, "clusters": [[1, 0]]}')
+            from_wire('{"compression": 25, "clusters": [[1, 0]]}')
 
     def test_reject_garbage(self):
         with pytest.raises(DigestError):
-            digest_from_json("not json")
-        with pytest.raises(DigestError):
-            digest_from_json('{"clusters": []}')
+            from_wire('{"clusters": []}')
 
     @pytest.mark.parametrize(
         "payload",
@@ -289,7 +297,7 @@ class TestSerialization:
     )
     def test_reject_malformed_clusters(self, payload):
         with pytest.raises(DigestError):
-            digest_from_json(payload)
+            from_wire(payload)
 
     @pytest.mark.parametrize(
         "payload",
@@ -307,11 +315,11 @@ class TestSerialization:
     )
     def test_reject_non_finite(self, payload):
         with pytest.raises(DigestError):
-            digest_from_json(payload)
+            from_wire(payload)
 
     def test_parsed_total_is_sequential_sum(self):
         weights = [0.1, 0.2, 0.3, 1e-17, 0.7]
-        d = digest_from_json(json.dumps({"compression": 25.0, "clusters": [[float(i), w] for i, w in enumerate(weights)]}))
+        d = from_wire(json.dumps({"compression": 25.0, "clusters": [[float(i), w] for i, w in enumerate(weights)]}))
         total = 0.0
         for w in weights:
             total += w
@@ -342,14 +350,6 @@ class TestDigestArrays:
         assert a != Digest(means=[1.0, np.nextafter(2.0, 3.0)], weights=[1.0, 1.0], compression=25.0, total_weight=2.0)
         assert a != Digest(means=[1.0, 2.0], weights=[1.0, 1.0], compression=50.0, total_weight=2.0)
         assert a != Digest(means=[1.0], weights=[2.0], compression=25.0, total_weight=2.0)
-
-
-def test_public_array_builder_matches_sample_builder():
-    values = np.array([3.0, 1.0, 2.0])
-    weights = np.array([1.0, 1.0, 2.0])
-    a = tdigest.build_digest_arrays(values, weights, 25.0)
-    b = build_digest([WeightedSample(v, w) for v, w in zip(values, weights)], 25.0)
-    assert a == b
 
 
 def assert_matches(digest, ref):
