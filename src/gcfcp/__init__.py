@@ -14,7 +14,6 @@ from .conformal import (
     GlobalCalibrator,
     PredictionSet,
     calibrate_baseline,
-    predict_classification,
     predict_regression,
     split_cp_threshold,
     threshold_search,
@@ -26,7 +25,6 @@ from .harness import (
     DegenerateGroupError,
     ExperimentConfig,
     bench_speedup,
-    coverage_estimate,
     run_experiment,
 )
 from .tdigest import Digest, build_digest_arrays, merge
@@ -54,11 +52,9 @@ __all__ = [
     "bench_speedup",
     "build_digest_arrays",
     "calibrate_baseline",
-    "coverage_estimate",
     "interval_family",
     "membership_vector",
     "merge",
-    "predict_classification",
     "predict_regression",
     "run_experiment",
     "run_round",

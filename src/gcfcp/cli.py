@@ -7,9 +7,13 @@ Subcommands:
   experiment  Monte Carlo coverage study, report written as CSV
   bench       per-prediction speedup of the coreset path
 
-Exit codes: 0 success, 2 configuration error, 3 degenerate group,
-4 ingestion parse error, 5 threshold search failure (empty prediction set
-at the bracket's low end, or an unverified LP optimum).
+exit codes:
+  0  success
+  2  configuration error
+  3  degenerate group (a group with zero calibration mass)
+  4  ingestion error (a malformed file, or too few rows to split)
+  5  threshold search failure (empty prediction set at the bracket's low
+     end, or an unverified LP optimum)
 """
 
 from __future__ import annotations
@@ -25,9 +29,8 @@ import numpy as np
 from . import datagen
 from .conformal import (
     CALIBRATOR_KINDS,
-    CalibrationData,
-    ConditionalCalibrator,
     EmptySetError,
+    calibrate_baseline,
     predict_regression,
 )
 from .datagen import IngestError, SynthConfig, substream
@@ -49,6 +52,16 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_INGEST = 4
 EXIT_SEARCH = 5
+
+EXIT_CODES_HELP = """\
+exit codes:
+  0  success
+  2  configuration error
+  3  degenerate group (a group with zero calibration mass)
+  4  ingestion error (a malformed file, or too few rows to split)
+  5  threshold search failure (empty prediction set at the bracket's low
+     end, or an unverified LP optimum)
+"""
 
 
 class ConfigError(ValueError):
@@ -166,9 +179,9 @@ def cmd_calibrate(args) -> int:
 def cmd_predict(args) -> int:
     datasets = _read_dataset_csv(args.dataset, args.mixture)
     family = _parse_family(args.groups)
-    round_ = run_round(datasets, family, args.delta)
-    data = CalibrationData.from_coreset(round_.coreset, round_.test_weight)
-    calibrator = ConditionalCalibrator(data, args.alpha)
+    calibrator = calibrate_baseline(
+        "gcfcp_coreset", datasets, args.alpha, family=family, delta=args.delta, bracket=None
+    )
     feature = membership_vector(args.x, family)
     s_star = calibrator.threshold(feature)
     center = args.prediction if args.prediction is not None else 0.0
@@ -256,6 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gcfcp",
         description="Group-conditional federated conformal prediction toolkit",
+        epilog=EXIT_CODES_HELP,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,17 +14,20 @@ solves the calibration-only regression (the test entry's box set to [0, 0])
 once, on its first fresh search, and starts every pattern's search from that
 optimal basis instead of from scratch.
 
-Baselines: a single global split-CP order statistic, the marginal reduction
-of the coreset path to one all-covering group, and raw-score variants of the
-same augmented regression (uniform weights, or per-client mixture weights).
+``calibrate_baseline`` builds every calibrator kind from the same client
+datasets. Besides the coreset path: a single global split-CP order statistic,
+the marginal reduction of the coreset path to one all-covering group, and
+raw-score variants of the same augmented regression (uniform weights, or
+per-client mixture weights). ``CalibrationData.from_coreset`` reads the
+coreset's structured array field by field.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -56,25 +59,18 @@ class DegenerateGroupError(RuntimeError):
         where = f" in trial {trial}" if trial is not None else ""
         super().__init__(f"groups {list(groups)} have zero calibration mass{where}")
 
+    def __reduce__(self):
+        # rebuilt from its fields when a worker process sends it back
+        return type(self), (self.groups, self.trial)
+
 
 @dataclass(frozen=True)
 class PredictionSet:
-    kind: str  # "interval" | "label_set"
+    """The interval center +- radius for the absolute-residual score."""
+
     threshold: float
-    center: float = 0.0
-    radius: float = 0.0
-    labels: frozenset[int] = frozenset()
-
-    def contains(self, y) -> bool:
-        if self.kind == "interval":
-            return abs(float(y) - self.center) <= self.radius
-        return int(y) in self.labels
-
-    @property
-    def size(self) -> float:
-        if self.kind == "interval":
-            return 2.0 * self.radius
-        return float(len(self.labels))
+    center: float
+    radius: float
 
 
 @dataclass(frozen=True)
@@ -88,10 +84,9 @@ class CalibrationData:
 
     @classmethod
     def from_coreset(cls, coreset: Coreset, test_weight: float) -> "CalibrationData":
-        features = np.array([atom for atom, _, _ in coreset.entries], dtype=float)
-        scores = np.array([s for _, s, _ in coreset.entries])
-        weights = np.array([w for _, _, w in coreset.entries])
-        return cls(features, scores, weights, test_weight)
+        """The coreset's fields: its atoms as float features, means as scores."""
+        entries = coreset.entries
+        return cls(entries["atom"].astype(float), entries["mean"], entries["weight"], test_weight)
 
     @classmethod
     def from_datasets(
@@ -182,21 +177,8 @@ def predict_regression(model_prediction: float, s_star: float) -> PredictionSet:
     if s_star < 0.0:
         raise ValueError(f"negative threshold {s_star!r} (bracket failure upstream)")
     return PredictionSet(
-        kind="interval",
-        threshold=s_star,
-        center=float(model_prediction),
-        radius=float(s_star),
+        threshold=s_star, center=float(model_prediction), radius=float(s_star)
     )
-
-
-def predict_classification(
-    candidate_scores: Mapping[int, float], s_star: float
-) -> PredictionSet:
-    """All labels whose conformity score is at most the threshold."""
-    if not candidate_scores:
-        raise ValueError("no candidate labels")
-    labels = frozenset(y for y, sc in candidate_scores.items() if sc <= s_star)
-    return PredictionSet(kind="label_set", threshold=float(s_star), labels=labels)
 
 
 def split_cp_threshold(scores: Sequence[float], alpha: float) -> float:
@@ -270,47 +252,37 @@ class ConditionalCalibrator:
 
 def calibrate_baseline(
     kind: str,
-    data,
+    datasets: Sequence[ClientDataset],
     alpha: float,
     *,
-    family: GroupFamily | None = None,
-    delta: float | None = None,
-    bracket: tuple[float, float] | None = None,
+    family: GroupFamily,
+    delta: float,
+    bracket: tuple[float, float] | None,
 ):
-    """Build the calibrator for one benchmark kind.
+    """Build the calibrator of one benchmark kind from the clients' datasets.
 
-    ``data`` is pooled raw scores for centralized_cp, (features, scores) for
-    condcp_centralized, and a sequence of ClientDataset otherwise.
+    centralized_cp pools the raw scores into one split-CP threshold.
+    condcp_centralized pools features and scores at the uniform weight
+    1 / (n + 1); gcfcp_centralized keeps each client's mixture weight.
+    fcp_marginal and gcfcp_coreset run a federation round at ``delta``,
+    fcp_marginal over the one all-covering group. ``bracket`` None searches
+    the data's default bracket.
     """
     if kind not in CALIBRATOR_KINDS:
         raise ValueError(f"unknown calibrator kind {kind!r}")
     if kind == "centralized_cp":
-        return GlobalCalibrator(split_cp_threshold(data, alpha))
-    if kind == "condcp_centralized":
-        features, scores = data
-        n = len(scores)
-        if n == 0:
-            raise ValueError("no calibration scores")
-        w = 1.0 / (n + 1)
-        cal = CalibrationData(
-            np.asarray(features, dtype=float),
-            np.asarray(scores, dtype=float),
-            np.full(n, w),
-            test_weight=w,
-        )
-        return ConditionalCalibrator(cal, alpha, bracket=bracket)
-    if kind == "gcfcp_centralized":
-        if family is None:
-            raise ValueError("gcfcp_centralized requires the group family")
-        return ConditionalCalibrator(
-            CalibrationData.from_datasets(data, family), alpha, bracket=bracket
-        )
-    if delta is None:
-        raise ValueError(f"{kind} requires the compression parameter delta")
-    fam = SINGLE_GROUP if kind == "fcp_marginal" else family
-    if fam is None:
-        raise ValueError("gcfcp_coreset requires the group family")
-    round_ = run_round(data, fam, delta)
+        scores = np.concatenate([d.scores for d in datasets])
+        return GlobalCalibrator(split_cp_threshold(scores, alpha))
+    if kind in ("condcp_centralized", "gcfcp_centralized"):
+        data = CalibrationData.from_datasets(datasets, family)
+        if kind == "condcp_centralized":
+            n = data.scores.size
+            if n == 0:
+                raise ValueError("no calibration scores")
+            w = 1.0 / (n + 1)
+            data = replace(data, weights=np.full(n, w), test_weight=w)
+        return ConditionalCalibrator(data, alpha, bracket=bracket)
+    round_ = run_round(datasets, SINGLE_GROUP if kind == "fcp_marginal" else family, delta)
     cal = CalibrationData.from_coreset(round_.coreset, round_.test_weight)
     calibrator = ConditionalCalibrator(cal, alpha, bracket=bracket)
     calibrator.wire_bytes = round_.wire_bytes

@@ -124,27 +124,33 @@ def score_absolute(model: LinearModel, x, y):
     return np.abs(np.asarray(y, dtype=float) - model.predict(x))
 
 
-def sample_mixture_clients(
-    config: SynthConfig, count: int, trial: int, purpose: str = "mixture"
-) -> np.ndarray:
+def sample_mixture_clients(config: SynthConfig, count: int, trial: int) -> np.ndarray:
     """1-based client index per point, drawn from the mixture weights."""
-    rng = substream(config.seed, purpose, trial)
+    rng = substream(config.seed, "mixture", trial)
     return rng.choice(config.n_clients, size=count, p=np.asarray(config.pi)) + 1
 
 
-def make_training_set(config: SynthConfig, trial: int = 0) -> np.ndarray:
-    """(x, y) pairs from the uniform client mixture; a disjoint substream."""
-    rng = substream(config.seed, "train", trial)
-    clients = rng.integers(1, config.n_clients + 1, size=config.train_size)
-    xs = np.empty(config.train_size)
-    ys = np.empty(config.train_size)
+def draw_points(
+    config: SynthConfig, clients: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Covariates and responses of points with the given 1-based client
+    indices, drawn from ``rng`` one client at a time in index order."""
+    xs = np.empty(clients.size)
+    ys = np.empty(clients.size)
     for k in range(1, config.n_clients + 1):
         mask = clients == k
         xs[mask] = _truncated_normal(
             rng, config.mu[k - 1], config.sigma[k - 1], int(mask.sum())
         )
         ys[mask] = generate_response(xs[mask], k, rng)
-    return np.column_stack([xs, ys])
+    return xs, ys
+
+
+def make_training_set(config: SynthConfig, trial: int = 0) -> np.ndarray:
+    """(x, y) pairs from the uniform client mixture; a disjoint substream."""
+    rng = substream(config.seed, "train", trial)
+    clients = rng.integers(1, config.n_clients + 1, size=config.train_size)
+    return np.column_stack(draw_points(config, clients, rng))
 
 
 @dataclass(frozen=True)
@@ -197,21 +203,3 @@ def ingest_scores(path) -> list[ScoreRecord]:
             records.append(ScoreRecord(client_id, predicted, true_label, scores))
     return records
 
-
-def export_scores(records: Sequence[ScoreRecord], path) -> None:
-    n_labels = len(records[0].label_scores)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["client_id", "predicted_label", "true_label"]
-            + [f"score_{i}" for i in range(n_labels)]
-        )
-        for r in records:
-            writer.writerow(
-                [
-                    r.client_id,
-                    r.predicted_label,
-                    r.true_label,
-                    *(repr(float(s)) for s in r.label_scores),
-                ]
-            )

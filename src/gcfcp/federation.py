@@ -4,17 +4,17 @@ Clients stratify local scores by atom, build one digest per non-empty atom
 with uniform per-sample weight pi_k / (n_k + 1), and ship each digest's sorted
 (means, weights) arrays as one JSON line. The server parses each line once
 into arrays, rejects inconsistent batches, merges digests per atom at the same
-compression level by concatenating their arrays, and flattens the merged
-arrays into the coreset used by the quantile regression. Serialization is
-exercised for real so the byte accounting is honest, even though everything
-runs in-process.
+compression level by concatenating their arrays, and concatenates the merged
+arrays into the coreset used by the quantile regression: one structured array
+with one row per merged cluster. Serialization is exercised for real so the
+byte accounting is honest, even though everything runs in-process.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,14 +60,20 @@ class DigestMessage:
 
 @dataclass(frozen=True)
 class Coreset:
-    """Server-side union of per-atom merged digests: (atom, mean, weight) triples."""
+    """Server-side union of per-atom merged digests.
 
-    entries: tuple[tuple[AtomKey, float, float], ...]
+    ``entries`` is a read-only structured array with one row per merged
+    cluster and fields ``atom`` (int8, shape (d,): the membership bits),
+    ``mean`` and ``weight``; atoms follow in lexicographic bit order.
+    """
+
+    entries: np.ndarray
     per_atom_digests: dict[AtomKey, Digest]
 
     @property
     def total_weight(self) -> float:
-        return float(sum(w for _, _, w in self.entries))
+        """Sequential sum of the row weights, in row order."""
+        return float(np.cumsum(self.entries["weight"])[-1])
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -135,7 +141,7 @@ def message_from_json(payload: str) -> DigestMessage:
 
 
 def server_assemble(messages: Sequence[DigestMessage], delta: float) -> Coreset:
-    """Merge per-atom digests across clients and flatten into coreset triples.
+    """Merge per-atom digests across clients and concatenate them into the coreset.
 
     Rejects a batch whose atoms differ in length, whose digests were built at
     another compression than delta, or that repeats a (client, atom) pair.
@@ -161,11 +167,13 @@ def server_assemble(messages: Sequence[DigestMessage], delta: float) -> Coreset:
         atom: tdigest.merge(digests, delta)
         for atom, digests in sorted(by_atom.items())
     }
-    entries = tuple(
-        (atom, mean, weight)
-        for atom, digest in per_atom.items()
-        for mean, weight in zip(digest.means().tolist(), digest.weights().tolist())
-    )
+    sizes = [len(digest) for digest in per_atom.values()]
+    dtype = np.dtype([("atom", np.int8, (dims.pop(),)), ("mean", float), ("weight", float)])
+    entries = np.empty(sum(sizes), dtype=dtype)
+    entries["atom"] = np.repeat(np.array(list(per_atom), dtype=np.int8), sizes, axis=0)
+    entries["mean"] = np.concatenate([digest.means() for digest in per_atom.values()])
+    entries["weight"] = np.concatenate([digest.weights() for digest in per_atom.values()])
+    entries.flags.writeable = False
     return Coreset(entries=entries, per_atom_digests=per_atom)
 
 
@@ -195,29 +203,3 @@ def run_round(
         test_weight=test_term_weight(datasets),
     )
 
-
-def federation_config_from_json(payload: str | Mapping) -> dict:
-    """Parse the federation configuration file (clients, family, alpha, delta, seed)."""
-    from .groups import family_from_json
-
-    try:
-        obj = json.loads(payload) if isinstance(payload, str) else dict(payload)
-        clients = [
-            {"id": int(c["id"]), "n": int(c["n"]), "pi": float(c["pi"])}
-            for c in obj["clients"]
-        ]
-        family = family_from_json(obj["groups"])
-        alpha = float(obj["alpha"])
-        delta = float(obj["delta"])
-        seed = int(obj.get("seed", 0))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed federation configuration: {exc}") from exc
-    if abs(sum(c["pi"] for c in clients) - 1.0) > _WEIGHT_TOL:
-        raise ProtocolError("client mixture weights must sum to 1")
-    return {
-        "clients": clients,
-        "family": family,
-        "alpha": alpha,
-        "delta": delta,
-        "seed": seed,
-    }

@@ -23,7 +23,8 @@ AtomKey = tuple[int, ...]
 
 
 class CoveringError(ValueError):
-    """A covariate fell outside every group of the family."""
+    """A covariate fell outside every group of the family, or a label-set
+    family was given a label that is not a finite integer."""
 
 
 class FamilyConfigError(ValueError):
@@ -73,11 +74,20 @@ def membership_matrix(xs: Sequence, family: GroupFamily) -> np.ndarray:
     convention; an (n, |groups|) int array.
 
     Rows may be scalars or vectors, of which ``family.feature`` selects the
-    covariate. Raises CoveringError on the first point outside every group.
+    covariate. Raises CoveringError on the first point outside every group,
+    and, for a family with label sets, first on a label that is not a finite
+    integer.
     """
     xs = np.asarray(xs)
     if xs.ndim > 1:
         xs = xs[:, family.feature]
+    if any(isinstance(g, LabelSet) for g in family.groups):
+        with np.errstate(invalid="ignore"):
+            # inf and NaN leave a NaN remainder, which is != 0 as well
+            fractional = np.flatnonzero(np.mod(xs, 1) != 0)
+        if fractional.size:
+            i = int(fractional[0])
+            raise CoveringError(f"label {xs[i].item()!r} (index {i}) is not a finite integer")
     cols = []
     for g in family.groups:
         if isinstance(g, Interval):
@@ -85,7 +95,7 @@ def membership_matrix(xs: Sequence, family: GroupFamily) -> np.ndarray:
             below = xs <= g.hi if g.hi_closed else xs < g.hi
             cols.append(above & below)
         else:
-            cols.append(np.isin(xs.astype(int), sorted(g.labels)))
+            cols.append(np.isin(xs, sorted(g.labels)))
     mat = np.column_stack(cols).astype(int)
     uncovered = np.flatnonzero(mat.sum(axis=1) == 0)
     if uncovered.size:
@@ -115,32 +125,6 @@ def enumerate_atoms(
     cuts = np.cumsum(np.bincount(inverse, minlength=keys.size))[:-1]
     bits = np.unpackbits(keys.view(np.uint8).reshape(keys.size, -1), axis=1, count=len(family))
     return dict(zip(map(tuple, bits.tolist()), np.split(rows, cuts)))
-
-
-def family_to_json(family: GroupFamily) -> str:
-    if isinstance(family.groups[0], Interval):
-        return json.dumps(
-            {
-                "kind": "intervals",
-                "feature": family.feature,
-                "groups": [
-                    {
-                        "lo": g.lo,
-                        "hi": g.hi,
-                        "lo_closed": g.lo_closed,
-                        "hi_closed": g.hi_closed,
-                    }
-                    for g in family.groups
-                ],
-            }
-        )
-    return json.dumps(
-        {
-            "kind": "label_sets",
-            "feature": family.feature,
-            "groups": [sorted(g.labels) for g in family.groups],
-        }
-    )
 
 
 def family_from_json(payload: str | Mapping) -> GroupFamily:

@@ -1,10 +1,12 @@
 """Experiment orchestration: Monte Carlo runs, coverage metrics, timing.
 
-Each trial regenerates calibration and test data from trial-indexed
-substreams, runs every requested calibrator through the full pipeline, and
-records per-point coverage, set size, threshold-search wall-clock, and wire
-bytes. Trials are independent, so serial and parallel execution produce
-identical reports.
+Each trial draws its calibration datasets and test points from
+trial-indexed substreams: synthetic regression data, or a per-trial split of
+ingested classification scores. ``run_trial`` is the one trial loop for both
+sources: it builds every requested calibrator through ``calibrate_baseline``,
+counts a test point covered iff its score is at most its threshold, and
+records set size, threshold-search wall-clock, and wire bytes. Trials are
+independent, so serial and parallel execution produce identical reports.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from .conformal import (
     calibrate_baseline,
     threshold_search,
 )
-from .datagen import ScoreRecord, SynthConfig, substream
+from .datagen import IngestError, ScoreRecord, SynthConfig, substream
 from .federation import ClientDataset, run_round
 from .groups import GroupFamily, interval_family, membership_matrix
 
@@ -87,15 +91,9 @@ class CoverageReport:
     delta: float
 
 
-def coverage_estimate(sets, y_true, memberships) -> dict[int, tuple[float, int]]:
-    """Per-group fraction of covered test points; empty groups are absent."""
-    covered = np.array(
-        [ps.contains(y) for ps, y in zip(sets, y_true)], dtype=bool
-    )
-    return _group_coverage(covered, np.asarray(memberships))
-
-
-def _group_coverage(covered: np.ndarray, memberships: np.ndarray):
+def group_coverage(covered: np.ndarray, memberships: np.ndarray) -> dict[int, tuple[float, int]]:
+    """Per-group fraction of covered test points and point count; empty
+    groups are absent."""
     out: dict[int, tuple[float, int]] = {}
     for g in range(memberships.shape[1]):
         mask = memberships[:, g] == 1
@@ -105,7 +103,19 @@ def _group_coverage(covered: np.ndarray, memberships: np.ndarray):
     return out
 
 
-def _synth_trial_data(config: ExperimentConfig, trial: int):
+@dataclass
+class _TrialData:
+    """One trial's calibration datasets and test points; ``set_sizes`` maps
+    the test points' thresholds to the sizes of their prediction sets."""
+
+    datasets: list[ClientDataset]
+    test_scores: np.ndarray
+    memberships: np.ndarray  # (n_test, |groups|)
+    bracket: tuple[float, float] | None
+    set_sizes: Callable[[np.ndarray], np.ndarray]
+
+
+def _synth_trial_data(config: ExperimentConfig, trial: int) -> _TrialData:
     cfg = config.synth
     model = datagen.fit_linear(datagen.make_training_set(cfg, trial))
     datasets = []
@@ -118,130 +128,88 @@ def _synth_trial_data(config: ExperimentConfig, trial: int):
         )
     rng = substream(cfg.seed, "test", trial)
     clients = datagen.sample_mixture_clients(cfg, config.test_points, trial)
-    xs = np.empty(config.test_points)
-    ys = np.empty(config.test_points)
-    for k in range(1, cfg.n_clients + 1):
-        mask = clients == k
-        xs[mask] = datagen._truncated_normal(
-            rng, cfg.mu[k - 1], cfg.sigma[k - 1], int(mask.sum())
-        )
-        ys[mask] = datagen.generate_response(xs[mask], k, rng)
-    test_scores = datagen.score_absolute(model, xs, ys)
-    memberships = membership_matrix(xs, config.family)
-    return datasets, model, test_scores, memberships
-
-
-def _build_calibrator(kind: str, config: ExperimentConfig, datasets, bracket=None):
-    if kind == "centralized_cp":
-        data = np.concatenate([d.scores for d in datasets])
-    elif kind == "condcp_centralized":
-        feats = np.vstack(
-            [membership_matrix(d.covariates, config.family) for d in datasets]
-        )
-        data = (feats, np.concatenate([d.scores for d in datasets]))
-    else:
-        data = datasets
-    return calibrate_baseline(
-        kind,
-        data,
-        config.alpha,
-        family=config.family,
-        delta=config.delta,
-        bracket=bracket,
+    xs, ys = datagen.draw_points(cfg, clients, rng)
+    return _TrialData(
+        datasets,
+        datagen.score_absolute(model, xs, ys),
+        membership_matrix(xs, config.family),
+        None,
+        lambda thresholds: 2.0 * thresholds,
     )
 
 
-def run_synth_trial(config: ExperimentConfig, trial: int) -> dict[str, TrialOutcome]:
-    datasets, _, test_scores, memberships = _synth_trial_data(config, trial)
+def _ingest_trial_data(
+    config: ExperimentConfig, records: list[ScoreRecord], trial: int
+) -> _TrialData:
+    """The first half of the records, shuffled per trial, calibrate; the rest
+    are tested. A label set holds the labels whose score is at most the
+    threshold, so it covers a point iff the point's true-label score is."""
+    order = substream(config.synth.seed, "mixture", trial).permutation(len(records))
+    half = len(records) // 2
+    if half == 0:
+        raise IngestError(
+            f"{len(records)} score rows cannot fill both a calibration and a test half"
+        )
+    shuffled = [records[i] for i in order]
+    client = np.array([r.client_id for r in shuffled[:half]])
+    labels = np.array([r.predicted_label for r in shuffled])
+    scores = np.array([r.true_score for r in shuffled])
+    ids = np.unique(client).tolist()
+    datasets = []
+    for cid in ids:
+        rows = np.flatnonzero(client == cid)
+        datasets.append(ClientDataset(cid, labels[rows], scores[rows], 1.0 / len(ids)))
+    label_scores = np.array([r.label_scores for r in shuffled[half:]])
+    return _TrialData(
+        datasets,
+        scores[half:],
+        membership_matrix(labels[half:], config.family),
+        CLASSIFICATION_BRACKET,
+        lambda thresholds: np.sum(label_scores <= thresholds[:, None], axis=1, dtype=float),
+    )
+
+
+def run_trial(
+    config: ExperimentConfig, trial: int, records: list[ScoreRecord] | None = None
+) -> dict[str, TrialOutcome]:
+    """Every calibrator on one trial: synthetic data, or ingested ``records``."""
+    if records is None:
+        data = _synth_trial_data(config, trial)
+    else:
+        data = _ingest_trial_data(config, records, trial)
     outcomes = {}
     for kind in config.calibrators:
-        calibrator = _build_calibrator(kind, config, datasets)
-        thresholds = np.empty(config.test_points)
+        calibrator = calibrate_baseline(
+            kind, data.datasets, config.alpha,
+            family=config.family, delta=config.delta, bracket=data.bracket,
+        )
+        thresholds = np.empty(len(data.test_scores))
         try:
-            for i in range(config.test_points):
-                feature = (1,) if kind == "fcp_marginal" else tuple(memberships[i])
+            for i, row in enumerate(data.memberships):
+                feature = (1,) if kind == "fcp_marginal" else tuple(row)
                 thresholds[i] = calibrator.threshold(feature)
         except DegenerateGroupError as exc:
             raise DegenerateGroupError(exc.groups, trial) from exc
         outcomes[kind] = TrialOutcome(
-            covered=test_scores <= thresholds,
-            set_sizes=2.0 * thresholds,
-            memberships=memberships,
+            covered=data.test_scores <= thresholds,
+            set_sizes=data.set_sizes(thresholds),
+            memberships=data.memberships,
             search_times=list(calibrator.search_times),
             wire_bytes=calibrator.wire_bytes,
         )
     return outcomes
-
-
-def _ingest_trial_data(config: ExperimentConfig, records: list[ScoreRecord], trial: int):
-    rng = substream(config.synth.seed, "mixture", trial)
-    order = rng.permutation(len(records))
-    half = len(records) // 2
-    cal = [records[i] for i in order[:half]]
-    test = [records[i] for i in order[half:]]
-    client_ids = sorted({r.client_id for r in cal})
-    pi = 1.0 / len(client_ids)
-    datasets = []
-    for cid in client_ids:
-        rows = [r for r in cal if r.client_id == cid]
-        datasets.append(
-            ClientDataset(
-                cid,
-                np.array([r.predicted_label for r in rows]),
-                np.array([r.true_score for r in rows]),
-                pi,
-            )
-        )
-    return datasets, test
-
-
-def run_ingest_trial(
-    config: ExperimentConfig, records: list[ScoreRecord], trial: int
-) -> dict[str, TrialOutcome]:
-    datasets, test = _ingest_trial_data(config, records, trial)
-    memberships = membership_matrix(
-        np.array([r.predicted_label for r in test]), config.family
-    )
-    outcomes = {}
-    for kind in config.calibrators:
-        calibrator = _build_calibrator(
-            kind, config, datasets, bracket=CLASSIFICATION_BRACKET
-        )
-        covered = np.zeros(len(test), dtype=bool)
-        sizes = np.zeros(len(test))
-        for i, record in enumerate(test):
-            feature = (1,) if kind == "fcp_marginal" else tuple(memberships[i])
-            s_star = calibrator.threshold(feature)
-            in_set = np.asarray(record.label_scores) <= s_star
-            covered[i] = bool(in_set[record.true_label])
-            sizes[i] = float(in_set.sum())
-        outcomes[kind] = TrialOutcome(
-            covered=covered,
-            set_sizes=sizes,
-            memberships=memberships,
-            search_times=list(calibrator.search_times),
-            wire_bytes=calibrator.wire_bytes,
-        )
-    return outcomes
-
-
-def _run_trial(args) -> dict[str, TrialOutcome]:
-    config, records, trial = args
-    if records is None:
-        return run_synth_trial(config, trial)
-    return run_ingest_trial(config, records, trial)
 
 
 def run_experiment(config: ExperimentConfig) -> CoverageReport:
     records = (
         datagen.ingest_scores(config.ingest_path) if config.ingest_path else None
     )
-    jobs = [(config, records, t) for t in range(config.trials)]
+    trials = range(config.trials)
     if config.serial or config.trials == 1:
-        per_trial = [_run_trial(job) for job in jobs]
+        per_trial = [run_trial(config, t, records) for t in trials]
     else:
         with ProcessPoolExecutor() as pool:
-            per_trial = list(pool.map(_run_trial, jobs))
+            per_trial = list(pool.map(run_trial, repeat(config), trials, repeat(records)))
     return _aggregate(config, per_trial)
 
 
@@ -255,7 +223,7 @@ def _aggregate(config: ExperimentConfig, per_trial) -> CoverageReport:
         n = covered.size
         marginal = float(covered.mean())
         group_cov = {}
-        for g, (cov, ng) in _group_coverage(covered, memberships).items():
+        for g, (cov, ng) in group_coverage(covered, memberships).items():
             group_cov[g] = (cov, math.sqrt(cov * (1.0 - cov) / ng), ng)
         summaries[kind] = CalibratorSummary(
             kind=kind,
@@ -364,14 +332,12 @@ def bench_speedup(config: ExperimentConfig, n_test: int = 20, warmup: int = 3) -
     Thresholds are recomputed from scratch per test point (no pattern cache)
     so the measurement reflects one honest set construction each.
     """
-    datasets, _, _, memberships = _synth_trial_data(
-        replace(config, test_points=max(n_test, 20)), trial=0
-    )
-    central = CalibrationData.from_datasets(datasets, config.family)
-    round_ = run_round(datasets, config.family, config.delta)
+    data = _synth_trial_data(replace(config, test_points=max(n_test, 20)), trial=0)
+    central = CalibrationData.from_datasets(data.datasets, config.family)
+    round_ = run_round(data.datasets, config.family, config.delta)
     coreset = CalibrationData.from_coreset(round_.coreset, round_.test_weight)
 
-    features = [tuple(m) for m in memberships[: max(n_test, 20)]]
+    features = [tuple(m) for m in data.memberships]
     for feature in features[:warmup]:
         threshold_search(central, feature, config.alpha)
         threshold_search(coreset, feature, config.alpha)

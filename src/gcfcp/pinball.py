@@ -1,7 +1,7 @@
 """Augmented weighted pinball quantile regression over binary group features.
 
 The primal problem minimizes, over beta, the weighted pinball loss of the
-residuals score_e - beta.feature_e (one calibration entry per coreset triple
+residuals score_e - beta.feature_e (one calibration entry per coreset row
 or raw score, plus a single aggregated test entry). Its LP dual has a very
 particular shape: one box-constrained variable eta_e per entry and only
 |groups| equality constraints coupling them,
@@ -80,15 +80,6 @@ class QrSolution:
     iterations: int  # crossover steps, simplex pivots and bound flips of this solve
     duality_gap: float  # |primal - dual| as verified
     coupling_residual: float  # max |sum_e eta_e phi_e| as verified
-
-
-def pinball_loss(theta: float, s: float, alpha: float) -> float:
-    """Asymmetric absolute loss; minimized over constants at the (1-alpha)-quantile."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha {alpha!r} outside (0, 1)")
-    if s >= theta:
-        return (1.0 - alpha) * (s - theta)
-    return alpha * (theta - s)
 
 
 class _BoundedSimplex:
@@ -272,7 +263,6 @@ class AugmentedQrSolver:
         else:
             self._crash(features, scores, weights)
         self._solved = False
-        self.solve_count = 0
 
     def _crash(self, features: np.ndarray, scores: np.ndarray, weights: np.ndarray) -> None:
         """Start every atom (the rows sharing one pattern) at its weighted
@@ -315,7 +305,6 @@ class AugmentedQrSolver:
         sp = self._simplex
         self._set_test_score(test_score)
         sp.optimize()
-        self.solve_count += 1
         self._solved = True
 
         x = sp.primal_values()

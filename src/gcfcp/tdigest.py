@@ -83,24 +83,12 @@ class Digest:
         )
 
 
-def scale(q: float, delta: float) -> float:
-    """Arcsine scale function mapping a quantile to cluster-size units.
-
-    Strictly increasing on [0, 1]; the full range spans delta/2 units, so a
-    unit span corresponds to the maximal admissible cluster.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise DigestError(f"quantile {q!r} outside [0, 1]")
-    if delta <= 0.0:
-        raise DigestError(f"compression {delta!r} must be positive")
-    return (delta / (2.0 * math.pi)) * math.asin(2.0 * q - 1.0)
-
-
 def _cluster_starts(r: np.ndarray, delta: float) -> np.ndarray:
     """First sample of every cluster of the greedy pass over scale positions.
 
-    A cluster starting at s has left edge r[s-1] (scale(0) for s = 0) and ends
-    at the first i > s with r[i] - left > _SPAN. One searchsorted proposes an
+    A cluster starting at s has left edge r[s-1] (-delta/4, the scale of
+    quantile 0, for s = 0) and ends at the first i > s with
+    r[i] - left > _SPAN. One searchsorted proposes an
     end for every possible start, and each end steps forward until it fails
     that exact test. The followed clusters are then checked as a whole: an
     index inside one that fails the test (searchsorted rounded past it, or
@@ -197,24 +185,6 @@ def build_digest_arrays(
     case the mass bound degrades to max(sin(pi/delta), max_i w_i/W).
     """
     return _build_from_arrays(values, weights, delta, total=total)
-
-
-def approx_cdf(digest: Digest, t: float) -> float:
-    """Step-CDF estimate: normalized mass of clusters with mean <= t."""
-    means = digest.means()
-    weights = digest.weights()
-    return float(np.sum(weights[means <= t]) / digest.total_weight)
-
-
-def approx_quantile(digest: Digest, u: float) -> float:
-    """Smallest cluster mean whose cumulative normalized mass reaches u."""
-    if not 0.0 < u <= 1.0:
-        raise DigestError(f"quantile level {u!r} outside (0, 1]")
-    cum = np.cumsum(digest.weights())
-    target = u * digest.total_weight
-    idx = int(np.searchsorted(cum, target * (1.0 - 1e-12), side="left"))
-    idx = min(idx, len(digest) - 1)
-    return digest.means()[idx]
 
 
 def merge(digests: Sequence[Digest], delta: float) -> Digest:

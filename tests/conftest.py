@@ -5,13 +5,15 @@ the terminal-summary hook prints them after the run so every pass/fail
 verdict is visible even when the tests succeed.
 """
 
+import csv
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from reference import pinball_loss
 
 from gcfcp.groups import GroupFamily, LabelSet, membership_matrix
-from gcfcp.pinball import AugmentedQrSolver, pinball_loss
+from gcfcp.pinball import AugmentedQrSolver
 
 ACCEPTANCE_RESULTS: list[str] = []
 
@@ -127,3 +129,23 @@ def breakpoint_minimum(lp: LpInstance) -> float:
         sum(w * pinball_loss(float(np.dot(f, beta)), s, lp.alpha) for f, s, w in zip(features, scores, weights))
         for beta in candidates
     )
+
+
+def export_scores(records, path):
+    """Write ScoreRecords as the CSV that ``datagen.ingest_scores`` reads."""
+    n_labels = len(records[0].label_scores)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["client_id", "predicted_label", "true_label"]
+            + [f"score_{i}" for i in range(n_labels)]
+        )
+        for r in records:
+            writer.writerow(
+                [
+                    r.client_id,
+                    r.predicted_label,
+                    r.true_label,
+                    *(repr(float(s)) for s in r.label_scores),
+                ]
+            )

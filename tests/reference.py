@@ -9,6 +9,9 @@ The solver's first start with every column at its lower bound (the artificial
 basis) and the bisection on the test score: the library starts from a per-atom
 quantile crash and walks the breakpoints of the test score instead, and the
 tests compare the two within stated tolerances.
+
+Oracles the tests measure the library against: the arcsine scale function,
+a digest's step CDF and quantile, and the pinball loss.
 """
 
 import json
@@ -19,6 +22,47 @@ import numpy as np
 from gcfcp.conformal import DegenerateGroupError, EmptySetError
 from gcfcp.groups import CoveringError, Interval, membership_matrix
 from gcfcp.pinball import AugmentedQrSolver, SimplexBasis
+from gcfcp.tdigest import DigestError
+
+
+def scale(q, delta):
+    """Arcsine scale function mapping a quantile to cluster-size units.
+
+    Strictly increasing on [0, 1]; the full range spans delta/2 units, so a
+    unit span corresponds to the maximal admissible cluster.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise DigestError(f"quantile {q!r} outside [0, 1]")
+    if delta <= 0.0:
+        raise DigestError(f"compression {delta!r} must be positive")
+    return (delta / (2.0 * math.pi)) * math.asin(2.0 * q - 1.0)
+
+
+def approx_cdf(digest, t):
+    """Step-CDF estimate: normalized mass of clusters with mean <= t."""
+    means = digest.means()
+    weights = digest.weights()
+    return float(np.sum(weights[means <= t]) / digest.total_weight)
+
+
+def approx_quantile(digest, u):
+    """Smallest cluster mean whose cumulative normalized mass reaches u."""
+    if not 0.0 < u <= 1.0:
+        raise DigestError(f"quantile level {u!r} outside (0, 1]")
+    cum = np.cumsum(digest.weights())
+    target = u * digest.total_weight
+    idx = int(np.searchsorted(cum, target * (1.0 - 1e-12), side="left"))
+    idx = min(idx, len(digest) - 1)
+    return digest.means()[idx]
+
+
+def pinball_loss(theta, s, alpha):
+    """Asymmetric absolute loss; minimized over constants at the (1-alpha)-quantile."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha {alpha!r} outside (0, 1)")
+    if s >= theta:
+        return (1.0 - alpha) * (s - theta)
+    return alpha * (theta - s)
 
 
 def reference_membership(x, family):

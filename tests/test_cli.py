@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gcfcp import conformal
+from gcfcp import cli, conformal
 from gcfcp.cli import main
 from gcfcp.conformal import EmptySetError
 from gcfcp.pinball import SolverError
@@ -137,6 +137,29 @@ def test_exit_code_ingest_error(tmp_path, capsys):
     )
     assert code == 4
     assert "ingestion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [[], ["1,0,0,0.2,0.7"]], ids=["header-only", "one-row"])
+def test_exit_code_ingest_without_both_halves(tmp_path, capsys, rows):
+    path = tmp_path / "scores.csv"
+    path.write_text("\n".join(["client_id,predicted_label,true_label,score_0,score_1", *rows]) + "\n")
+    code = main(
+        ["experiment", "--trials", "1", "--ingest", str(path),
+         "--calibrators", "centralized_cp", "--serial"]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "error: ingestion:" in err and "Traceback" not in err
+
+
+def test_help_lists_exit_codes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for code in (0, 2, 3, 4, 5):
+        assert f"\n  {code}  " in out
+    assert cli.EXIT_CODES_HELP in cli.__doc__
 
 
 def test_bench_runs(capsys):

@@ -16,7 +16,6 @@ from gcfcp.conformal import (
     EmptySetError,
     GlobalCalibrator,
     calibrate_baseline,
-    predict_classification,
     predict_regression,
     split_cp_threshold,
     threshold_search,
@@ -188,12 +187,11 @@ class TestPredictionSets:
     def test_regression_interval(self):
         ps = predict_regression(3.0, 0.5)
         assert (ps.center - ps.radius, ps.center + ps.radius) == (2.5, 3.5)
-        assert ps.contains(2.5) and ps.contains(3.5) and not ps.contains(3.6)
-        assert ps.size == 1.0
+        assert ps.threshold == 0.5
 
     def test_regression_degenerate_point(self):
         ps = predict_regression(0.0, 0.0)
-        assert ps.contains(0.0) and not ps.contains(0.001)
+        assert (ps.center, ps.radius) == (0.0, 0.0)
 
     def test_regression_negative_center(self):
         ps = predict_regression(-1.2, 2.0)
@@ -204,19 +202,7 @@ class TestPredictionSets:
         with pytest.raises(ValueError):
             predict_regression(0.0, -0.1)
 
-    def test_classification_filter(self):
-        ps = predict_classification({0: 0.1, 1: 0.5, 2: 0.9}, 0.5)
-        assert ps.labels == {0, 1}
-        assert ps.size == 2.0
-
-    def test_classification_extremes(self):
-        scores = {0: 0.2, 1: 0.4}
-        assert predict_classification(scores, 1.0).labels == {0, 1}
-        assert predict_classification(scores, 0.1).labels == frozenset()
-        with pytest.raises(ValueError):
-            predict_classification({}, 0.5)
-
-    def test_classification_nested_in_alpha(self):
+    def test_label_sets_nested_in_alpha(self):
         rng = np.random.default_rng(2)
         datasets = [
             ClientDataset(k, rng.integers(0, 10, 50), rng.random(50), 0.5)
@@ -238,10 +224,11 @@ class TestPredictionSets:
                 "gcfcp_coreset", datasets, alpha, family=fam, delta=100.0,
                 bracket=(-0.01, 1.01),
             )
-            ps = predict_classification(candidates, cal.threshold((1, 0)))
+            s_star = cal.threshold((1, 0))
+            labels = {y for y, score in candidates.items() if score <= s_star}
             if prev is not None:
-                assert ps.labels <= prev
-            prev = ps.labels
+                assert labels <= prev
+            prev = labels
 
 
 class TestBaselines:
@@ -253,15 +240,23 @@ class TestBaselines:
         ]
 
     def test_centralized_cp_is_global(self):
-        cal = calibrate_baseline("centralized_cp", list(range(1, 10)), 0.1)
+        datasets = [
+            ClientDataset(1, np.zeros(4), np.arange(1.0, 5.0), 0.5),
+            ClientDataset(2, np.zeros(5), np.arange(5.0, 10.0), 0.5),
+        ]
+        cal = calibrate_baseline(
+            "centralized_cp", datasets, 0.1, family=FOUR_INTERVALS, delta=100.0, bracket=None
+        )
         assert isinstance(cal, GlobalCalibrator)
         assert cal.threshold((1, 0, 1)) == 9.0
 
     def test_fcp_marginal_equals_single_group_coreset(self):
         datasets = self.make_datasets()
-        a = calibrate_baseline("fcp_marginal", datasets, 0.1, delta=500.0)
+        a = calibrate_baseline(
+            "fcp_marginal", datasets, 0.1, family=FOUR_INTERVALS, delta=500.0, bracket=None
+        )
         b = calibrate_baseline(
-            "gcfcp_coreset", datasets, 0.1, family=SINGLE_GROUP, delta=500.0
+            "gcfcp_coreset", datasets, 0.1, family=SINGLE_GROUP, delta=500.0, bracket=None
         )
         assert a.threshold((1,)) == pytest.approx(b.threshold((1,)), abs=1e-6)
 
@@ -270,11 +265,10 @@ class TestBaselines:
         rng = np.random.default_rng(4)
         n = 100
         ds = ClientDataset(1, rng.uniform(0, 5, n), rng.random(n) * 3, 1.0)
-        from gcfcp.groups import membership_matrix
-
-        feats = membership_matrix(ds.covariates, FOUR_INTERVALS)
-        a = calibrate_baseline("gcfcp_centralized", [ds], 0.1, family=FOUR_INTERVALS)
-        b = calibrate_baseline("condcp_centralized", (feats, ds.scores), 0.1)
+        a, b = (
+            calibrate_baseline(kind, [ds], 0.1, family=FOUR_INTERVALS, delta=100.0, bracket=None)
+            for kind in ("gcfcp_centralized", "condcp_centralized")
+        )
         for pattern in [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0)]:
             assert a.threshold(pattern) == pytest.approx(b.threshold(pattern), abs=1e-6)
 
@@ -294,7 +288,7 @@ class TestBaselines:
     def test_conditional_calibrator_caches(self):
         datasets = self.make_datasets()
         cal = calibrate_baseline(
-            "gcfcp_coreset", datasets, 0.1, family=FOUR_INTERVALS, delta=100.0
+            "gcfcp_coreset", datasets, 0.1, family=FOUR_INTERVALS, delta=100.0, bracket=None
         )
         assert isinstance(cal, ConditionalCalibrator)
         t1 = cal.threshold((1, 1, 0, 0))
@@ -308,14 +302,16 @@ class TestBaselines:
         for seed in (3, 6):
             datasets = self.make_datasets(seed=seed)
             cal = calibrate_baseline(
-                kind, datasets, 0.1, family=FOUR_INTERVALS, delta=100.0
+                kind, datasets, 0.1, family=FOUR_INTERVALS, delta=100.0, bracket=None
             )
             for pattern in FOUR_INTERVAL_PATTERNS:
                 assert cal.threshold(pattern) == threshold_search(cal.data, pattern, 0.1)
 
     def test_one_cold_solve_per_calibrator(self, lp_log):
         datasets = self.make_datasets()
-        cal = calibrate_baseline("gcfcp_centralized", datasets, 0.1, family=FOUR_INTERVALS)
+        cal = calibrate_baseline(
+            "gcfcp_centralized", datasets, 0.1, family=FOUR_INTERVALS, delta=100.0, bracket=None
+        )
         for pattern in FOUR_INTERVAL_PATTERNS * 2:
             cal.threshold(pattern)
         cold = [test_weight for is_cold, test_weight in lp_log.solvers if is_cold]
@@ -324,7 +320,9 @@ class TestBaselines:
 
     def test_search_times_include_shared_solve(self, lp_log):
         datasets = self.make_datasets()
-        cal = calibrate_baseline("gcfcp_centralized", datasets, 0.1, family=FOUR_INTERVALS)
+        cal = calibrate_baseline(
+            "gcfcp_centralized", datasets, 0.1, family=FOUR_INTERVALS, delta=100.0, bracket=None
+        )
         cal.threshold(FOUR_INTERVAL_PATTERNS[0])
         first = lp_log.solves
         for pattern in FOUR_INTERVAL_PATTERNS:
@@ -354,11 +352,6 @@ class TestBaselines:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            calibrate_baseline("bogus", [1.0], 0.1)
-
-    def test_missing_parameters(self):
-        datasets = self.make_datasets()
-        with pytest.raises(ValueError):
-            calibrate_baseline("gcfcp_coreset", datasets, 0.1, family=FOUR_INTERVALS)
-        with pytest.raises(ValueError):
-            calibrate_baseline("gcfcp_centralized", datasets, 0.1)
+            calibrate_baseline(
+                "bogus", self.make_datasets(), 0.1, family=FOUR_INTERVALS, delta=100.0, bracket=None
+            )

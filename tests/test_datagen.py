@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import export_scores
 
 from gcfcp.datagen import (
     IngestError,
     LinearModel,
     ScoreRecord,
     SynthConfig,
-    export_scores,
     fit_linear,
     generate_response,
     ingest_scores,

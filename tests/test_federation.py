@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcfcp import tdigest
 from gcfcp.conformal import CalibrationData, threshold_search
 from gcfcp.datagen import SynthConfig, sample_covariates
 from gcfcp.federation import (
@@ -14,7 +13,6 @@ from gcfcp.federation import (
     ProtocolError,
     client_build_messages,
     client_stratify,
-    federation_config_from_json,
     message_from_json,
     message_to_json,
     run_round,
@@ -24,7 +22,7 @@ from gcfcp.federation import (
 from gcfcp.federation import test_term_weight as term_weight
 from gcfcp.groups import SINGLE_GROUP, interval_family
 from gcfcp.tdigest import DigestError
-from reference import reference_round
+from reference import approx_quantile, reference_round
 
 FOUR_INTERVALS = interval_family([(0, 2), (1, 3), (2, 4), (3, 5)])
 
@@ -82,7 +80,7 @@ class TestClientSide:
         s = np.sort(scores)
         for u in (0.1, 0.5, 0.9):
             exact = s[min(int(math.ceil(u * 40)) - 1, 39)]
-            assert tdigest.approx_quantile(msg.digest, u) == pytest.approx(exact)
+            assert approx_quantile(msg.digest, u) == pytest.approx(exact)
 
 
 class TestWire:
@@ -195,9 +193,23 @@ class TestServer:
         messages = client_build_messages(ds, FOUR_INTERVALS, 50.0)
         coreset = server_assemble(messages, 50.0)
         digest = messages[0].digest
-        assert [(m, w) for _, m, w in coreset.entries] == list(
+        assert list(zip(coreset.entries["mean"].tolist(), coreset.entries["weight"].tolist())) == list(
             zip(digest.means().tolist(), digest.weights().tolist())
         )
+
+    def test_entries_layout(self):
+        rng = np.random.default_rng(4)
+        round_ = run_round(uniform_clients(rng, (300, 200)), FOUR_INTERVALS, 50.0)
+        entries = round_.coreset.entries
+        assert entries.dtype.names == ("atom", "mean", "weight")
+        assert entries["atom"].dtype == np.int8 and entries["atom"].shape == (len(entries), 4)
+        assert not entries.flags.writeable
+        atoms = [tuple(a) for a in entries["atom"].tolist()]
+        assert atoms == sorted(atoms)  # atom blocks in lexicographic order
+        total = 0.0
+        for w in entries["weight"].tolist():
+            total += w
+        assert round_.coreset.total_weight == total
 
     def test_disjoint_atoms_no_cross_merge(self):
         a = ClientDataset(1, np.full(20, 0.5), np.random.default_rng(6).random(20), 0.5)
@@ -214,7 +226,7 @@ class TestServer:
         round_ = run_round(datasets, FOUR_INTERVALS, 250.0)
         expected = sum(0.2 * n / (n + 1) for n in sizes)
         assert round_.coreset.total_weight == pytest.approx(expected, abs=1e-9)
-        n_atoms = len({atom for atom, _, _ in round_.coreset.entries})
+        n_atoms = len(np.unique(round_.coreset.entries["atom"], axis=0))
         assert len(round_.coreset) <= n_atoms * (250 + 2)
 
     def test_errors(self):
@@ -325,7 +337,10 @@ def test_round_is_bit_identical_to_loop_reference(name):
     assert round_.wire_bytes == sum(len(line.encode("utf-8")) for line in ref_lines)
     assert round_.test_weight == sum(ds.pi / (ds.n + 1) for ds in datasets)
 
-    assert list(round_.coreset.entries) == ref_entries
+    entries = round_.coreset.entries
+    assert list(
+        zip(map(tuple, entries["atom"].tolist()), entries["mean"].tolist(), entries["weight"].tolist())
+    ) == ref_entries
     assert list(round_.coreset.per_atom_digests) == list(ref_per_atom)
     for atom, (means, weights, total) in ref_per_atom.items():
         digest = round_.coreset.per_atom_digests[atom]
@@ -343,48 +358,3 @@ def test_round_is_bit_identical_to_loop_reference(name):
     for pattern in list(ref_per_atom)[:2]:
         assert threshold_search(data, pattern, 0.1) == threshold_search(ref_data, pattern, 0.1)
 
-
-class TestConfigFile:
-    GOOD = json.dumps(
-        {
-            "clients": [
-                {"id": 1, "n": 1000, "pi": 0.25},
-                {"id": 2, "n": 333, "pi": 0.25},
-                {"id": 3, "n": 333, "pi": 0.25},
-                {"id": 4, "n": 333, "pi": 0.25},
-            ],
-            "groups": {
-                "kind": "intervals",
-                "feature": 0,
-                "groups": [
-                    {"lo": 0, "hi": 2},
-                    {"lo": 1, "hi": 3},
-                    {"lo": 2, "hi": 4},
-                    {"lo": 3, "hi": 5},
-                ],
-            },
-            "alpha": 0.1,
-            "delta": 250,
-            "seed": 42,
-        }
-    )
-
-    def test_parse(self):
-        cfg = federation_config_from_json(self.GOOD)
-        assert cfg["alpha"] == 0.1
-        assert cfg["delta"] == 250.0
-        assert cfg["seed"] == 42
-        assert len(cfg["family"]) == 4
-        assert [c["n"] for c in cfg["clients"]] == [1000, 333, 333, 333]
-
-    def test_rejects_bad_mixture(self):
-        obj = json.loads(self.GOOD)
-        obj["clients"][0]["pi"] = 0.5
-        with pytest.raises(ProtocolError):
-            federation_config_from_json(json.dumps(obj))
-
-    def test_rejects_missing_fields(self):
-        with pytest.raises(ProtocolError):
-            federation_config_from_json("{}")
-        with pytest.raises(ProtocolError):
-            federation_config_from_json("not json")

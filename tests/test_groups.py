@@ -12,7 +12,6 @@ from gcfcp.groups import (
     LabelSet,
     enumerate_atoms,
     family_from_json,
-    family_to_json,
     interval_family,
     membership_matrix,
     membership_vector,
@@ -48,6 +47,18 @@ class TestMembership:
     def test_covering_violation(self):
         with pytest.raises(CoveringError):
             membership_vector(7.0, FOUR_INTERVALS)
+
+    @pytest.mark.parametrize("bad", [1.7, -0.5, float("nan"), float("inf")])
+    def test_label_must_be_a_finite_integer(self, bad):
+        fam = GroupFamily(
+            groups=(LabelSet(frozenset({0, 1})), LabelSet(frozenset({1, 2}))),
+            feature="predicted_label",
+        )
+        assert membership_vector(1.0, fam) == (1, 1)
+        with pytest.raises(CoveringError, match="not a finite integer"):
+            membership_vector(bad, fam)
+        with pytest.raises(CoveringError, match="index 1"):
+            membership_matrix([1.0, bad], fam)
 
     def test_open_boundary(self):
         fam = GroupFamily(groups=(Interval(0, 1, hi_closed=False), Interval(1, 2)))
@@ -205,13 +216,16 @@ class TestAtomsMatchReference:
 
 
 class TestConfig:
-    def test_interval_round_trip(self):
-        fam = family_from_json(family_to_json(FOUR_INTERVALS))
-        assert fam == FOUR_INTERVALS
-
-    def test_label_round_trip(self):
-        fam = family_from_json(family_to_json(LABEL_FAMILY))
-        assert fam == LABEL_FAMILY
+    def test_parse_families(self):
+        intervals = family_from_json(
+            '{"kind": "intervals", "groups": [{"lo": 0, "hi": 2}, {"lo": 1, "hi": 3},'
+            ' {"lo": 2, "hi": 4}, {"lo": 3, "hi": 5}]}'
+        )
+        assert intervals == FOUR_INTERVALS
+        labels = family_from_json(
+            '{"kind": "label_sets", "groups": [[0, 1, 2, 3], [2, 3, 4, 5], [4, 5, 6, 7], [6, 7, 8, 9]]}'
+        )
+        assert labels == LABEL_FAMILY
 
     def test_explicit_schema(self):
         fam = family_from_json(

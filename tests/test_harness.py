@@ -2,20 +2,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import export_scores
 
-from gcfcp.conformal import PredictionSet
-from gcfcp.datagen import ScoreRecord, SynthConfig, export_scores
+from gcfcp.datagen import ScoreRecord, SynthConfig
+from gcfcp.groups import GroupFamily, LabelSet, interval_family
 from gcfcp.harness import (
     DegenerateGroupError,
     ExperimentConfig,
     bench_speedup,
-    coverage_estimate,
     format_report_table,
+    group_coverage,
     run_experiment,
-    run_synth_trial,
+    run_trial,
     write_report_csv,
 )
-from gcfcp.groups import interval_family
 
 SMALL_SYNTH = SynthConfig(seed=0, n_per_client=(60, 40, 40, 40))
 
@@ -28,33 +28,25 @@ SMALL = ExperimentConfig(
 )
 
 
-def interval(center, radius):
-    return PredictionSet(kind="interval", threshold=radius, center=center, radius=radius)
-
-
-class TestCoverageEstimate:
+class TestGroupCoverage:
     def test_all_covered(self):
-        sets = [interval(0.0, 1.0)] * 3
         memberships = np.array([[1, 0], [1, 1], [0, 1]])
-        cov = coverage_estimate(sets, [0.0, 0.5, -0.5], memberships)
+        cov = group_coverage(np.array([True, True, True]), memberships)
         assert cov == {0: (1.0, 2), 1: (1.0, 2)}
 
     def test_none_covered(self):
-        sets = [interval(0.0, 1.0)] * 2
-        cov = coverage_estimate(sets, [5.0, -5.0], np.array([[1, 0], [1, 1]]))
+        cov = group_coverage(np.array([False, False]), np.array([[1, 0], [1, 1]]))
         assert cov[0] == (0.0, 2)
 
     def test_hand_built_four_points(self):
         memberships = np.array([[1, 0], [1, 1], [0, 1], [0, 1]])
-        covered = [True, False, True, True]
-        sets = [interval(0.0, 1.0 if c else 0.0) for c in covered]
-        y = [0.5 if c else 99.0 for c in covered]
-        cov = coverage_estimate(sets, y, memberships)
+        covered = np.array([True, False, True, True])
+        cov = group_coverage(covered, memberships)
         assert cov[0] == (pytest.approx(0.5), 2)
         assert cov[1] == (pytest.approx(2 / 3), 3)
 
     def test_absent_group_omitted(self):
-        cov = coverage_estimate([interval(0.0, 1.0)], [0.0], np.array([[1, 0]]))
+        cov = group_coverage(np.array([True]), np.array([[1, 0]]))
         assert 1 not in cov
 
     def test_order_invariance(self):
@@ -62,13 +54,9 @@ class TestCoverageEstimate:
         memberships = (rng.random((30, 3)) < 0.6).astype(int)
         memberships[memberships.sum(axis=1) == 0, 0] = 1
         covered = rng.random(30) < 0.8
-        sets = [interval(0.0, 1.0 if c else 0.0) for c in covered]
-        y = [0.5 if c else 9.0 for c in covered]
-        base = coverage_estimate(sets, y, memberships)
+        base = group_coverage(covered, memberships)
         perm = rng.permutation(30)
-        shuffled = coverage_estimate(
-            [sets[i] for i in perm], [y[i] for i in perm], memberships[perm]
-        )
+        shuffled = group_coverage(covered[perm], memberships[perm])
         assert base == shuffled
 
 
@@ -130,10 +118,11 @@ class TestRunExperiment:
         assert rows_without_timing(p1) == rows_without_timing(p2)
         assert b"marginal" in p1.read_bytes()
 
-    def test_degenerate_group_names_trial(self):
+    @pytest.mark.parametrize("serial", [True, False])
+    def test_degenerate_group_names_trial(self, serial):
         family = interval_family([(0, 5), (90, 91)])
         config = dataclasses.replace(
-            SMALL, family=family, trials=1, calibrators=("gcfcp_coreset",)
+            SMALL, family=family, trials=2, calibrators=("gcfcp_coreset",), serial=serial
         )
         # test covariates never reach [90, 91] either; membership stays valid
         with pytest.raises(DegenerateGroupError) as err:
@@ -157,8 +146,6 @@ class TestIngestExperiment:
         return records
 
     def test_label_set_pipeline(self, tmp_path):
-        from gcfcp.groups import GroupFamily, LabelSet
-
         rng = np.random.default_rng(1)
         path = tmp_path / "scores.csv"
         export_scores(self.make_records(rng), path)
@@ -183,6 +170,27 @@ class TestIngestExperiment:
         assert 0.0 <= s.marginal_coverage <= 1.0
         assert 0.0 <= s.mean_set_size <= 6.0
 
+    def test_degenerate_group_names_trial(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        export_scores(self.make_records(np.random.default_rng(2)), path)
+        # no predicted label reaches the second group, so it has no mass
+        family = GroupFamily(
+            groups=(LabelSet(frozenset(range(6))), LabelSet(frozenset({7}))),
+            feature="predicted_label",
+        )
+        config = ExperimentConfig(
+            calibrators=("gcfcp_coreset",),
+            trials=1,
+            delta=50.0,
+            family=family,
+            ingest_path=str(path),
+        )
+        with pytest.raises(DegenerateGroupError) as err:
+            run_experiment(config)
+        assert err.value.groups == (1,)
+        assert err.value.trial == 0
+        assert "trial 0" in str(err.value)
+
 
 class TestBench:
     def test_lossless_ratio_near_one(self):
@@ -198,8 +206,8 @@ class TestBench:
 
 
 def test_trial_outcomes_reproducible():
-    a = run_synth_trial(SMALL, 1)
-    b = run_synth_trial(SMALL, 1)
+    a = run_trial(SMALL, 1)
+    b = run_trial(SMALL, 1)
     for kind in SMALL.calibrators:
         assert np.array_equal(a[kind].covered, b[kind].covered)
         assert np.array_equal(a[kind].set_sizes, b[kind].set_sizes)

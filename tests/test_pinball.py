@@ -6,18 +6,13 @@ import pytest
 from conftest import atom_features, breakpoint_minimum, random_lp, small_lp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import all_artificial_basis
+from reference import all_artificial_basis, pinball_loss
 
 from gcfcp import harness
 from gcfcp.conformal import CalibrationData, DegenerateGroupError, threshold_search
 from gcfcp.datagen import SynthConfig
 from gcfcp.federation import run_round
-from gcfcp.pinball import (
-    _COUPLING_TOL,
-    _GAP_TOL,
-    AugmentedQrSolver,
-    pinball_loss,
-)
+from gcfcp.pinball import _COUPLING_TOL, _GAP_TOL, AugmentedQrSolver
 
 TINY = 1e-12
 
@@ -333,7 +328,7 @@ def test_cold_solve_iterations_on_criterion_09_data():
         delta=250.0,
         synth=SynthConfig(seed=4, n_per_client=(1250, 1250, 1250, 1250)),
     )
-    datasets, _, _, _ = harness._synth_trial_data(replace(config, test_points=20), trial=0)
+    datasets = harness._synth_trial_data(replace(config, test_points=20), trial=0).datasets
     central = CalibrationData.from_datasets(datasets, config.family)
     round_ = run_round(datasets, config.family, config.delta)
     coreset = CalibrationData.from_coreset(round_.coreset, round_.test_weight)

@@ -7,18 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcfcp import tdigest
-from reference import reference_build, reference_merge
+from reference import approx_cdf, approx_quantile, reference_build, reference_merge, scale
 from gcfcp.tdigest import (
     Digest,
     DigestError,
-    approx_cdf,
-    approx_quantile,
     build_digest_arrays,
     digest_fields,
     digest_from_fields,
     max_cluster_mass,
     merge,
-    scale,
 )
 
 
