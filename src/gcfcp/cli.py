@@ -12,8 +12,8 @@ exit codes:
   2  configuration error
   3  degenerate group (a group with zero calibration mass)
   4  ingestion error (a malformed file, or too few rows to split)
-  5  threshold search failure (empty prediction set at the bracket's low
-     end, or an unverified LP optimum)
+  5  threshold search failure (an empty prediction set, or an LP optimum
+     that fails verification)
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ exit codes:
   2  configuration error
   3  degenerate group (a group with zero calibration mass)
   4  ingestion error (a malformed file, or too few rows to split)
-  5  threshold search failure (empty prediction set at the bracket's low
-     end, or an unverified LP optimum)
+  5  threshold search failure (an empty prediction set, or an LP optimum
+     that fails verification)
 """
 
 
@@ -179,9 +179,7 @@ def cmd_calibrate(args) -> int:
 def cmd_predict(args) -> int:
     datasets = _read_dataset_csv(args.dataset, args.mixture)
     family = _parse_family(args.groups)
-    calibrator = calibrate_baseline(
-        "gcfcp_coreset", datasets, args.alpha, family=family, delta=args.delta, bracket=None
-    )
+    calibrator = calibrate_baseline("gcfcp_coreset", datasets, args.alpha, family=family, delta=args.delta)
     feature = membership_vector(args.x, family)
     s_star = calibrator.threshold(feature)
     center = args.prediction if args.prediction is not None else 0.0
@@ -206,7 +204,7 @@ def _experiment_config(args) -> ExperimentConfig:
         test_points=args.test_points,
         family=_parse_family(args.groups),
         synth=_synth_config(args),
-        ingest_path=getattr(args, "ingest", None),
+        ingest_path=args.ingest,
         serial=args.serial,
     )
 
@@ -221,7 +219,13 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    result = bench_speedup(_experiment_config(args), n_test=max(args.test_points, 20))
+    config = ExperimentConfig(
+        alpha=args.alpha,
+        delta=args.delta,
+        family=_parse_family(args.groups),
+        synth=_synth_config(args),
+    )
+    result = bench_speedup(config, n_test=max(args.test_points, 20))
     print(
         f"speedup over {result.ratios.size} predictions: "
         f"min {result.min:.2f}x, median {result.median:.2f}x, max {result.max:.2f}x"
@@ -234,22 +238,27 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--delta", type=float, default=250.0)
-    p.add_argument("--clients", type=int, default=4)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--test-points", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--groups", help="group family JSON")
-    p.add_argument("--mixture", default="uniform", help='JSON weights or "uniform"')
-    p.add_argument(
-        "--calibrators",
+_OPTIONS = {
+    "alpha": dict(type=float, default=0.1),
+    "delta": dict(type=float, default=250.0),
+    "clients": dict(type=int, default=4),
+    "trials": dict(type=int, default=100),
+    "test-points": dict(type=int, default=200),
+    "seed": dict(type=int, default=0),
+    "groups": dict(help="group family JSON"),
+    "mixture": dict(default="uniform", help='JSON weights or "uniform"'),
+    "calibrators": dict(
         default="centralized_cp,fcp_marginal,gcfcp_coreset",
         help=f"comma-separated subset of {', '.join(CALIBRATOR_KINDS)}",
-    )
-    p.add_argument("--out", help="output path")
-    p.add_argument("--serial", action="store_true", help="disable trial parallelism")
+    ),
+    "out": dict(help="output path"),
+    "serial": dict(action="store_true", help="disable trial parallelism"),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -275,12 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="write a synthetic calibration dataset CSV")
-    _add_common(p)
+    _add_options(p, "clients", "seed", "mixture", "out")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("calibrate", help="emit digest messages for a dataset CSV")
     p.add_argument("dataset", help="dataset CSV from the synth subcommand")
-    _add_common(p)
+    _add_options(p, "delta", "groups", "mixture", "out")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("predict", help="prediction set for one test covariate")
@@ -289,16 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--prediction", type=float, help="model prediction at x (interval center)"
     )
-    _add_common(p)
+    _add_options(p, "alpha", "delta", "groups", "mixture")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("experiment", help="Monte Carlo coverage study")
-    _add_common(p)
+    _add_options(p, *_OPTIONS)
     p.add_argument("--ingest", help="classification score CSV instead of synth data")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("bench", help="coreset vs centralized speedup")
-    _add_common(p)
+    _add_options(p, "alpha", "delta", "clients", "test-points", "seed", "groups", "mixture")
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -4,10 +4,14 @@ The group-conditional threshold for a test point is the largest score S*
 still admitted by the KKT condition of the augmented quantile regression:
 the test entry's dual stays strictly below its upper box bound. The dual is
 a nondecreasing step function of the test score, so S* is the breakpoint at
-which it reaches the bound: after one solve at the bracket's low end the
-optimum is followed up through the breakpoints of the test score, a few
-pivots each (``AugmentedQrSolver.raise_test_score``), and S* is solved once
-more as the verified optimum.
+which it reaches the bound, or +inf when it never does (the prediction set is
+then the whole line). After one solve at the low end of the data's bracket,
+one below the lowest calibration score, the optimum is followed up through
+the breakpoints of the test score, a few pivots each
+(``AugmentedQrSolver.raise_test_score``), and the last breakpoint reached is
+solved once more as the verified optimum. A threshold is reported up to the
+bracket's high end, one above the highest calibration score: a larger S*,
++inf included, reads as that end.
 
 A calibrator serves many test patterns from one calibration set, so it
 solves the calibration-only regression (the test entry's box set to [0, 0])
@@ -47,7 +51,7 @@ CALIBRATOR_KINDS = (
 
 
 class EmptySetError(RuntimeError):
-    """The test dual is already at its upper bound at the bracket's low end."""
+    """The test dual is already at its upper bound one below the lowest score."""
 
 
 class DegenerateGroupError(RuntimeError):
@@ -134,25 +138,20 @@ def threshold_search(
     data: CalibrationData,
     test_feature: MembershipVector,
     alpha: float,
-    search_lo: float | None = None,
-    search_hi: float | None = None,
     *,
     start_basis: SimplexBasis | None = None,
 ) -> float:
-    """Largest S in the bracket whose test dual stays below the box bound.
+    """Largest S up to ``data.default_bracket()[1]`` whose test dual stays
+    below the box bound.
 
-    Solved at the bracket's low end, walked up to S* and solved there once
-    more. ``start_basis`` (from ``calibration_basis`` on the same data and
-    alpha) replaces the cold first solve with a warm one; the result is the
-    same.
+    Solved at the bracket's low end, walked up to S* (+inf if the dual never
+    reaches its bound) and solved once more, as the verified optimum, at the
+    returned threshold, or at the walk's last breakpoint if that is lower: the
+    optimum there holds for every larger score. ``start_basis`` (from
+    ``calibration_basis`` on the same data and alpha) replaces the cold first
+    solve with a warm one; the result is the same.
     """
     lo, hi = data.default_bracket()
-    if search_lo is not None:
-        lo = search_lo
-    if search_hi is not None:
-        hi = search_hi
-    if not lo < hi:
-        raise ValueError(f"invalid bracket [{lo}, {hi}]")
     _check_column_mass(data)
     solver = AugmentedQrSolver(
         data.features,
@@ -166,16 +165,16 @@ def threshold_search(
     bound = data.test_weight * (1.0 - alpha) - _ETA_GUARD
 
     if solver.solve_at(lo).eta_test >= bound:
-        raise EmptySetError(f"test dual already at its bound at search_lo={lo}")
-    s_star = solver.raise_test_score(hi, bound)
-    solver.solve_at(s_star)
+        raise EmptySetError(f"test dual already at its bound at score {lo}")
+    s_star = min(solver.raise_test_score(bound), hi)
+    solver.solve_at(min(solver.test_score, s_star))
     return s_star
 
 
 def predict_regression(model_prediction: float, s_star: float) -> PredictionSet:
     """Interval inversion of the absolute-residual score."""
     if s_star < 0.0:
-        raise ValueError(f"negative threshold {s_star!r} (bracket failure upstream)")
+        raise ValueError(f"negative threshold {s_star!r}")
     return PredictionSet(
         threshold=s_star, center=float(model_prediction), radius=float(s_star)
     )
@@ -217,15 +216,9 @@ class ConditionalCalibrator:
     timing reports; the first one includes the shared solve.
     """
 
-    def __init__(
-        self,
-        data: CalibrationData,
-        alpha: float,
-        bracket: tuple[float, float] | None = None,
-    ):
+    def __init__(self, data: CalibrationData, alpha: float):
         self.data = data
         self.alpha = alpha
-        self.bracket = bracket if bracket is not None else data.default_bracket()
         self.search_times: list[float] = []
         self.wire_bytes = 0
         self._cache: dict[MembershipVector, float] = {}
@@ -237,14 +230,7 @@ class ConditionalCalibrator:
             t0 = time.perf_counter()
             if self._basis is None:
                 self._basis = calibration_basis(self.data, self.alpha)
-            s_star = threshold_search(
-                self.data,
-                key,
-                self.alpha,
-                search_lo=self.bracket[0],
-                search_hi=self.bracket[1],
-                start_basis=self._basis,
-            )
+            s_star = threshold_search(self.data, key, self.alpha, start_basis=self._basis)
             self.search_times.append(time.perf_counter() - t0)
             self._cache[key] = s_star
         return self._cache[key]
@@ -257,7 +243,6 @@ def calibrate_baseline(
     *,
     family: GroupFamily,
     delta: float,
-    bracket: tuple[float, float] | None,
 ):
     """Build the calibrator of one benchmark kind from the clients' datasets.
 
@@ -265,8 +250,7 @@ def calibrate_baseline(
     condcp_centralized pools features and scores at the uniform weight
     1 / (n + 1); gcfcp_centralized keeps each client's mixture weight.
     fcp_marginal and gcfcp_coreset run a federation round at ``delta``,
-    fcp_marginal over the one all-covering group. ``bracket`` None searches
-    the data's default bracket.
+    fcp_marginal over the one all-covering group.
     """
     if kind not in CALIBRATOR_KINDS:
         raise ValueError(f"unknown calibrator kind {kind!r}")
@@ -281,9 +265,9 @@ def calibrate_baseline(
                 raise ValueError("no calibration scores")
             w = 1.0 / (n + 1)
             data = replace(data, weights=np.full(n, w), test_weight=w)
-        return ConditionalCalibrator(data, alpha, bracket=bracket)
+        return ConditionalCalibrator(data, alpha)
     round_ = run_round(datasets, SINGLE_GROUP if kind == "fcp_marginal" else family, delta)
     cal = CalibrationData.from_coreset(round_.coreset, round_.test_weight)
-    calibrator = ConditionalCalibrator(cal, alpha, bracket=bracket)
+    calibrator = ConditionalCalibrator(cal, alpha)
     calibrator.wire_bytes = round_.wire_bytes
     return calibrator

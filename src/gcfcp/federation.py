@@ -39,6 +39,8 @@ class ClientDataset:
     def __post_init__(self):
         if len(self.covariates) != len(self.scores):
             raise ProtocolError("covariates and scores must have equal length")
+        if not np.all(np.isfinite(np.asarray(self.scores, dtype=float))):
+            raise ProtocolError("scores must be finite")
         if not 0.0 <= self.pi <= 1.0:
             raise ProtocolError(f"mixture weight {self.pi!r} outside [0, 1]")
 

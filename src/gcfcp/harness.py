@@ -4,9 +4,10 @@ Each trial draws its calibration datasets and test points from
 trial-indexed substreams: synthetic regression data, or a per-trial split of
 ingested classification scores. ``run_trial`` is the one trial loop for both
 sources: it builds every requested calibrator through ``calibrate_baseline``,
-counts a test point covered iff its score is at most its threshold, and
-records set size, threshold-search wall-clock, and wire bytes. Trials are
-independent, so serial and parallel execution produce identical reports.
+counts a test point covered iff its score is at most its threshold (so an
+unbounded set, threshold +inf, covers), and records set size, threshold-search
+wall-clock, and wire bytes. Trials are independent, so serial and parallel
+execution produce identical reports.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .federation import ClientDataset, run_round
 from .groups import GroupFamily, interval_family, membership_matrix
 
 DEFAULT_FAMILY = interval_family([(0, 2), (1, 3), (2, 4), (3, 5)])
-CLASSIFICATION_BRACKET = (-0.01, 1.01)
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,6 @@ class _TrialData:
     datasets: list[ClientDataset]
     test_scores: np.ndarray
     memberships: np.ndarray  # (n_test, |groups|)
-    bracket: tuple[float, float] | None
     set_sizes: Callable[[np.ndarray], np.ndarray]
 
 
@@ -133,7 +132,6 @@ def _synth_trial_data(config: ExperimentConfig, trial: int) -> _TrialData:
         datasets,
         datagen.score_absolute(model, xs, ys),
         membership_matrix(xs, config.family),
-        None,
         lambda thresholds: 2.0 * thresholds,
     )
 
@@ -164,7 +162,6 @@ def _ingest_trial_data(
         datasets,
         scores[half:],
         membership_matrix(labels[half:], config.family),
-        CLASSIFICATION_BRACKET,
         lambda thresholds: np.sum(label_scores <= thresholds[:, None], axis=1, dtype=float),
     )
 
@@ -180,8 +177,7 @@ def run_trial(
     outcomes = {}
     for kind in config.calibrators:
         calibrator = calibrate_baseline(
-            kind, data.datasets, config.alpha,
-            family=config.family, delta=config.delta, bracket=data.bracket,
+            kind, data.datasets, config.alpha, family=config.family, delta=config.delta
         )
         thresholds = np.empty(len(data.test_scores))
         try:

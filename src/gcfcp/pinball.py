@@ -24,12 +24,14 @@ a few dozen entries of the optimum; a crossover moves the one interior entry
 per atom to a bound or into the basis, and the simplex finishes from there.
 
 Only the test entry's cost depends on the test score t, so every reduced
-cost is affine in t and an optimal basis stays optimal between breakpoints.
+cost is affine in t, r0 + t * r1 with r0 priced at t = 0, and an optimal
+basis stays optimal between breakpoints, the scores -r0 / r1.
 ``raise_test_score`` walks those breakpoints with one pivot each and finds
-the exact score at which the test dual reaches its bound, in place of a
-bisection with a re-solve per step. Koenker & d'Orey (AS 229) trace
-regression quantiles through the breakpoints of the quantile level the same
-way.
+the exact score at which the test dual reaches its bound. When no reduced
+cost can still change sign, the basis is optimal for every larger score, the
+dual never reaches its bound and the walk returns +inf. Koenker & d'Orey
+(AS 229) trace regression quantiles through the breakpoints of the quantile
+level the same way.
 
 The first solve for a new test pattern need not start cold either. Setting
 the test entry's box to [0, 0] (test weight 0) gives the calibration-only
@@ -43,6 +45,7 @@ has to price the test columns in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,136 +85,23 @@ class QrSolution:
     coupling_residual: float  # max |sum_e eta_e phi_e| as verified
 
 
-class _BoundedSimplex:
-    """Primal simplex for  max c.x  s.t.  A x = 0,  0 <= x <= up.
-
-    The last ``d`` columns are artificial (bounds [0, 0]) and provide the
-    initial basis; all other columns start nonbasic at their lower bound,
-    which is feasible because the right-hand side is zero, unless ``crash``
-    starts them elsewhere. Dantzig pricing with a Bland fallback after a run
-    of degenerate steps.
-    """
-
-    def __init__(self, A: np.ndarray, c: np.ndarray, up: np.ndarray):
-        self.A = A
-        self.c = c
-        self.up = up
-        self.d, self.N = A.shape
-        self.basis = np.arange(self.N - self.d, self.N)
-        self.status = np.zeros(self.N, np.int8)  # 0 lower, 1 upper, 2 basic
-        self.status[self.basis] = 2
-        self.xB = np.zeros(self.d)
-        self.iterations = 0
-        self.y = np.zeros(self.d)
-        self._interior: tuple[np.ndarray, np.ndarray] | None = None
-
-    def crash(self, upper: np.ndarray, interior: np.ndarray, values: np.ndarray) -> None:
-        """Start from another feasible point of A x = 0: the columns ``upper``
-        at their upper bound and the columns ``interior`` strictly inside
-        their box at ``values``. The next ``optimize`` first moves each
-        interior column to a bound or into the basis (a crossover)."""
-        self.status[upper] = 1
-        self._interior = (interior, values)
-
-    def refresh(self) -> None:
-        upmask = self.status == 1
-        rhs = -self.A[:, upmask] @ self.up[upmask]
-        self.xB = np.linalg.solve(self.A[:, self.basis], rhs)
-
-    def prices(self, costs: np.ndarray) -> np.ndarray:
-        """Reduced costs of every column for each row of ``costs`` under the current basis."""
-        y = np.linalg.solve(self.A[:, self.basis].T, costs[..., self.basis].T)
-        return costs - y.T @ self.A
-
-    def step(self, j: int, sgn: float, value: float) -> float:
-        """Move nonbasic column j from ``value`` in direction ``sgn`` until it
-        reaches a bound (a bound flip) or a basic variable does (a pivot);
-        returns the length of the move."""
-        up = self.up
-        dxB = -sgn * np.linalg.solve(self.A[:, self.basis], self.A[:, j])
-        upB = up[self.basis]
-        tmax = up[j] - value if sgn > 0 else value
-        leave = -1
-        neg = np.flatnonzero(dxB < -1e-11)
-        if neg.size:
-            ratios = np.maximum(self.xB[neg], 0.0) / -dxB[neg]
-            k = int(np.argmin(ratios))
-            if ratios[k] < tmax - 1e-13:
-                tmax, leave = float(ratios[k]), int(neg[k])
-        pos = np.flatnonzero(dxB > 1e-11)
-        if pos.size:
-            ratios = np.maximum(upB[pos] - self.xB[pos], 0.0) / dxB[pos]
-            k = int(np.argmin(ratios))
-            if ratios[k] < tmax - 1e-13:
-                tmax, leave = float(ratios[k]), int(pos[k])
-
-        self.xB += dxB * tmax
-        if leave < 0:
-            self.status[j] = 1 if sgn > 0 else 0
-        else:
-            self.status[self.basis[leave]] = 0 if dxB[leave] < 0 else 1
-            self.basis[leave] = j
-            self.status[j] = 2
-            self.xB[leave] = value + sgn * tmax
-        return tmax
-
-    def _crossover(self) -> int:
-        """Move each crash column off its interior value, one ratio test each."""
-        interior, values = self._interior
-        self._interior = None
-        x = np.where(self.status == 1, self.up, 0.0)
-        x[interior] = values
-        self.xB = np.linalg.solve(self.A[:, self.basis], -self.A @ x)
-        for j, value in zip(interior.tolist(), values.tolist()):
-            y = np.linalg.solve(self.A[:, self.basis].T, self.c[self.basis])
-            r = self.c[j] - y @ self.A[:, j]
-            self.step(j, 1.0 if r > 0.0 else -1.0, value)
-        return len(interior)
-
-    def optimize(self, max_iter: int = 500_000) -> None:
-        c, up = self.c, self.up
-        price_tol = 1e-9 * (1.0 + float(np.max(np.abs(c))))
-        degen_run = 0
-        crossed = self._crossover() if self._interior is not None else 0
-        self.refresh()
-        for it in range(max_iter):
-            y = np.linalg.solve(self.A[:, self.basis].T, c[self.basis])
-            r = c - y @ self.A
-            cand = np.flatnonzero(
-                ((self.status == 0) & (r > price_tol))
-                | ((self.status == 1) & (r < -price_tol))
-            )
-            if cand.size == 0:
-                self.y = y
-                self.iterations = crossed + it
-                self.refresh()
-                return
-            if degen_run > 40:
-                j = int(cand[0])  # Bland's rule: smallest index
-            else:
-                j = int(cand[np.argmax(np.abs(r[cand]))])
-            at_lower = self.status[j] == 0
-            moved = self.step(j, 1.0 if at_lower else -1.0, 0.0 if at_lower else up[j])
-            degen_run = degen_run + 1 if moved < 1e-13 else 0
-            if it % 512 == 511:
-                self.refresh()
-        raise SolverError("simplex iteration limit exceeded")
-
-    def primal_values(self) -> np.ndarray:
-        x = np.where(self.status == 1, self.up, 0.0)
-        x[self.basis] = self.xB
-        return x
-
-
 class AugmentedQrSolver:
     """Stateful solver for one calibration set and one test membership pattern.
+
+    The dual is solved as  max c.x  s.t.  A x = 0,  0 <= x <= up  by a
+    bounded-variable primal simplex: x holds the positive and the negative
+    part of every eta, and the last ``d`` columns are artificial (bounds
+    [0, 0]). Every column starts nonbasic at its lower bound, which is
+    feasible because the right-hand side is zero, unless the per-atom
+    quantile crash starts it elsewhere.
 
     ``solve_at`` re-solves after changing only the test score, warm-starting
     from the previous optimal basis (primal feasibility is unaffected by the
     objective change, so the simplex resumes directly). The first solve starts
-    from ``start_basis`` when one is given, and from the per-atom quantile
-    crash otherwise. ``raise_test_score`` follows the optimum as the test
-    score rises, one breakpoint at a time.
+    from ``start_basis`` when one is given, and from the crash otherwise.
+    ``raise_test_score`` follows the optimum as the test score rises, one
+    breakpoint at a time. Both enter columns the same way: Dantzig pricing,
+    with Bland's rule after a run of degenerate steps.
     """
 
     def __init__(
@@ -234,35 +124,40 @@ class AugmentedQrSolver:
         if len(test_feature) != d:
             raise ValueError("test feature dimension mismatch")
         self.alpha = alpha
-        self.n_cal = n_cal
-        self.d = d
         self.test_weight = float(test_weight)
 
         phi = np.vstack([features, np.asarray(test_feature, dtype=float)])
         w = np.concatenate([weights, [self.test_weight]])
         s = np.concatenate([scores, [0.0]])
         e = n_cal + 1
-        A = np.empty((d, 2 * e + d))
-        A[:, :e] = phi.T
-        A[:, e : 2 * e] = -phi.T
-        A[:, 2 * e :] = np.eye(d)
-        up = np.concatenate([w * (1.0 - alpha), w * alpha, np.zeros(d)])
-        c = np.concatenate([s, -s, np.zeros(d)])
+        N = 2 * e + d
+        self._A = np.empty((d, N))
+        self._A[:, :e] = phi.T
+        self._A[:, e : 2 * e] = -phi.T
+        self._A[:, 2 * e :] = np.eye(d)
+        self._up = np.concatenate([w * (1.0 - alpha), w * alpha, np.zeros(d)])
+        self._c = np.concatenate([s, -s, np.zeros(d)])
         self._e = e
         self._w = w
         self._phi = phi
         self._s = s
-        self._simplex = _BoundedSimplex(A, c, up)
         self._test_columns = [e - 1, 2 * e - 1]
+        # the costs at test score 0 and their rate of change with the score
+        self._parametric = np.array([self._c, np.zeros(N)])
+        self._parametric[1, self._test_columns] = 1.0, -1.0
+        self.test_score: float | None = None  # the score of the last solve or walk step
+        self._interior: tuple[np.ndarray, np.ndarray] | None = None
         if start_basis is not None:
             status = start_basis.status
-            if status.shape != (A.shape[1],) or np.any(status[self._test_columns] != 0):
+            if status.shape != (N,) or np.any(status[self._test_columns] != 0):
                 raise ValueError("start basis does not fit this problem")
-            self._simplex.basis = start_basis.basic.copy()
-            self._simplex.status = status.copy()
+            self._basis = start_basis.basic.copy()
+            self._status = status.copy()
         else:
+            self._basis = np.arange(N - d, N)
+            self._status = np.zeros(N, np.int8)  # 0 lower, 1 upper, 2 basic
+            self._status[self._basis] = 2
             self._crash(features, scores, weights)
-        self._solved = False
 
     def _crash(self, features: np.ndarray, scores: np.ndarray, weights: np.ndarray) -> None:
         """Start every atom (the rows sharing one pattern) at its weighted
@@ -272,7 +167,9 @@ class AugmentedQrSolver:
         eta = w (1 - alpha), the rest at -w alpha, and the one entry that
         straddles the split takes the interior value that makes the atom's
         eta sum to 0. Every atom sums to 0, so sum_e eta_e phi_e = 0 holds and
-        the artificial basis stays feasible; the test entry starts at 0.
+        the artificial basis stays feasible; the test entry starts at 0. The
+        next ``_optimize`` first moves each interior column to a bound or
+        into the basis (a crossover).
         """
         alpha, e = self.alpha, self._e
         order = np.lexsort((-scores,) + tuple(features.T[::-1]))
@@ -289,27 +186,111 @@ class AugmentedQrSolver:
         split = ~(top | bottom)
         eta = target[split] - (through - w)[split] - alpha * w[split]
         rows, moved = order[split], eta != 0.0
-        self._simplex.crash(
-            np.concatenate([order[top], e + order[bottom]]),
-            np.where(eta > 0.0, rows, e + rows)[moved],
-            np.abs(eta[moved]),
-        )
+        self._status[np.concatenate([order[top], e + order[bottom]])] = 1
+        self._interior = (np.where(eta > 0.0, rows, e + rows)[moved], np.abs(eta[moved]))
 
-    def _set_test_score(self, test_score: float) -> None:
-        t = self._e - 1
-        self._s[t] = test_score
-        self._simplex.c[t] = test_score
-        self._simplex.c[self._e + t] = -test_score
+    def _refresh(self) -> None:
+        upmask = self._status == 1
+        rhs = -self._A[:, upmask] @ self._up[upmask]
+        self._xB = np.linalg.solve(self._A[:, self._basis], rhs)
+
+    def _prices(self, costs: np.ndarray) -> np.ndarray:
+        """Reduced costs of every column for each row of ``costs`` under the current basis."""
+        y = np.linalg.solve(self._A[:, self._basis].T, costs[..., self._basis].T)
+        return costs - y.T @ self._A
+
+    def _step(self, j: int, sgn: float, value: float) -> float:
+        """Move nonbasic column j from ``value`` in direction ``sgn`` until it
+        reaches a bound (a bound flip) or a basic variable does (a pivot);
+        returns the length of the move."""
+        up = self._up
+        dxB = -sgn * np.linalg.solve(self._A[:, self._basis], self._A[:, j])
+        upB = up[self._basis]
+        tmax = up[j] - value if sgn > 0 else value
+        leave = -1
+        neg = np.flatnonzero(dxB < -1e-11)
+        if neg.size:
+            ratios = np.maximum(self._xB[neg], 0.0) / -dxB[neg]
+            k = int(np.argmin(ratios))
+            if ratios[k] < tmax - 1e-13:
+                tmax, leave = float(ratios[k]), int(neg[k])
+        pos = np.flatnonzero(dxB > 1e-11)
+        if pos.size:
+            ratios = np.maximum(upB[pos] - self._xB[pos], 0.0) / dxB[pos]
+            k = int(np.argmin(ratios))
+            if ratios[k] < tmax - 1e-13:
+                tmax, leave = float(ratios[k]), int(pos[k])
+
+        self._xB += dxB * tmax
+        if leave < 0:
+            self._status[j] = 1 if sgn > 0 else 0
+        else:
+            self._status[self._basis[leave]] = 0 if dxB[leave] < 0 else 1
+            self._basis[leave] = j
+            self._status[j] = 2
+            self._xB[leave] = value + sgn * tmax
+        return tmax
+
+    def _enter(self, candidates: np.ndarray, rank: np.ndarray) -> None:
+        """Move one nonbasic candidate off its bound: the one with the largest
+        |rank| (Dantzig), or the smallest index (Bland's rule) after more than
+        40 degenerate steps in a row."""
+        if self._degenerate > 40:
+            j = int(candidates[0])
+        else:
+            j = int(candidates[np.argmax(np.abs(rank[candidates]))])
+        at_lower = self._status[j] == 0
+        moved = self._step(j, 1.0 if at_lower else -1.0, 0.0 if at_lower else self._up[j])
+        self._degenerate = self._degenerate + 1 if moved < 1e-13 else 0
+
+    def _crossover(self) -> int:
+        """Move each crash column off its interior value, one ratio test each."""
+        interior, values = self._interior
+        self._interior = None
+        x = np.where(self._status == 1, self._up, 0.0)
+        x[interior] = values
+        self._xB = np.linalg.solve(self._A[:, self._basis], -self._A @ x)
+        for j, value in zip(interior.tolist(), values.tolist()):
+            y = np.linalg.solve(self._A[:, self._basis].T, self._c[self._basis])
+            r = self._c[j] - y @ self._A[:, j]
+            self._step(j, 1.0 if r > 0.0 else -1.0, value)
+        return len(interior)
+
+    def _optimize(self, max_iter: int = 500_000) -> tuple[np.ndarray, int]:
+        """The simplex multipliers of the optimal basis and the iteration count."""
+        c = self._c
+        price_tol = 1e-9 * (1.0 + float(np.max(np.abs(c))))
+        self._degenerate = 0
+        crossed = self._crossover() if self._interior is not None else 0
+        self._refresh()
+        for it in range(max_iter):
+            y = np.linalg.solve(self._A[:, self._basis].T, c[self._basis])
+            r = c - y @ self._A
+            cand = np.flatnonzero(
+                ((self._status == 0) & (r > price_tol))
+                | ((self._status == 1) & (r < -price_tol))
+            )
+            if cand.size == 0:
+                self._refresh()
+                return y, crossed + it
+            self._enter(cand, r)
+            if it % 512 == 511:
+                self._refresh()
+        raise SolverError("simplex iteration limit exceeded")
+
+    def _primal_values(self) -> np.ndarray:
+        x = np.where(self._status == 1, self._up, 0.0)
+        x[self._basis] = self._xB
+        return x
 
     def solve_at(self, test_score: float) -> QrSolution:
-        sp = self._simplex
-        self._set_test_score(test_score)
-        sp.optimize()
-        self._solved = True
+        u, v = self._test_columns
+        self.test_score = self._s[-1] = self._c[u] = float(test_score)
+        self._c[v] = -self.test_score
+        beta, iterations = self._optimize()
 
-        x = sp.primal_values()
+        x = self._primal_values()
         eta = x[: self._e] - x[self._e : 2 * self._e]
-        beta = sp.y.copy()
         theta = self._phi @ beta
         resid = self._s - theta
         pin = np.where(resid >= 0.0, (1.0 - self.alpha) * resid, -self.alpha * resid)
@@ -322,56 +303,48 @@ class AugmentedQrSolver:
             dual_objective=dual,
             eta=eta[:-1],
             eta_test=float(eta[-1]),
-            iterations=sp.iterations,
+            iterations=iterations,
             duality_gap=gap,
             coupling_residual=coupling,
         )
 
-    def raise_test_score(self, hi: float, eta_bound: float) -> float:
-        """The lowest test score in [last solved score, hi] at which eta_test
-        reaches ``eta_bound``; ``hi`` if none does.
+    def raise_test_score(self, eta_bound: float) -> float:
+        """The lowest test score from the last solved one up at which eta_test
+        reaches ``eta_bound``; +inf if none does.
 
         Only the two test columns' costs move with the test score t, so every
-        reduced cost is r0 + t * r1 and the optimal basis of the last solve
-        stays optimal until the first breakpoint, the t at which a nonbasic
-        reduced cost changes sign. There the crossing columns are pivoted in
-        directly, one at a time: the optimum after them has the largest
-        eta_test among the optima at t (r1 is the rate of eta_test along each
-        move), and eta_test is tested only then. Breakpoints are matched with
-        a relative tolerance, and one found slightly below t counts as at t.
+        reduced cost is r0 + t * r1, with r0 priced at t = 0, and the optimal
+        basis of the last solve stays optimal until the first breakpoint, the
+        score -r0 / r1 at which a nonbasic reduced cost changes sign. There
+        the crossing columns are pivoted in directly, one at a time: the
+        optimum after them has the largest eta_test among the optima at t (r1
+        is the rate of eta_test along each move), and eta_test is tested only
+        then. Breakpoints are matched with a relative tolerance, and one found
+        slightly below t counts as at t. Once no reduced cost can change sign
+        the basis is optimal for every larger score, and ``test_score`` is the
+        last breakpoint reached.
         """
-        if not self._solved:
+        if self.test_score is None:
             raise ValueError("raise_test_score needs a preceding solve_at")
-        sp = self._simplex
         u, v = self._test_columns
-        slope = np.zeros(sp.N)
-        slope[u], slope[v] = 1.0, -1.0
-        t = float(self._s[-1])
-        degen_run = 0
+        t = self.test_score
+        self._degenerate = 0
         for _ in range(500_000):
-            r0, r1 = sp.prices(np.vstack([sp.c, slope]))
-            lower = sp.status == 0
-            upper = sp.status == 1
+            r0, r1 = self._prices(self._parametric)
+            lower = self._status == 0
+            upper = self._status == 1
             losing = np.flatnonzero((lower & (r1 > _SLOPE_TOL)) | (upper & (r1 < -_SLOPE_TOL)))
-            gaps = np.maximum(-r0[losing] / r1[losing], 0.0)
-            crossing = losing[gaps <= _BREAKPOINT_RTOL * (1.0 + abs(t))]
+            breakpoints = -r0[losing] / r1[losing]
+            crossing = losing[breakpoints <= t + _BREAKPOINT_RTOL * (1.0 + abs(t))]
             if crossing.size:
-                if degen_run > 40:
-                    j = int(crossing[0])  # Bland's rule: smallest index
-                else:
-                    j = int(crossing[np.argmax(np.abs(r1[crossing]))])
-                moved = sp.step(j, 1.0 if lower[j] else -1.0, 0.0 if lower[j] else sp.up[j])
-                degen_run = degen_run + 1 if moved < 1e-13 else 0
+                self._enter(crossing, r1)
                 continue
-            x = sp.primal_values()
+            x = self._primal_values()
             if x[u] - x[v] >= eta_bound:
                 return t
             if not losing.size:
-                return hi
-            t += float(gaps.min())
-            if t >= hi:
-                return hi
-            self._set_test_score(t)
+                return math.inf
+            t = self.test_score = float(breakpoints.min())
         raise SolverError("parametric iteration limit exceeded")
 
     def export_basis(self) -> SimplexBasis:
@@ -381,26 +354,26 @@ class AugmentedQrSolver:
         test columns are nonbasic at 0, so the reset leaves every basic value
         unchanged and the basis is a feasible start for any test pattern.
         """
-        if not self._solved or self.test_weight != 0.0:
+        if self.test_score is None or self.test_weight != 0.0:
             raise ValueError("only a solved problem with test weight 0 exports its basis")
-        sp = self._simplex
-        if np.any(sp.status[self._test_columns] == 2):
+        if np.any(self._status[self._test_columns] == 2):
             raise SolverError("a zero-width test column entered the basis")
-        status = sp.status.copy()
+        status = self._status.copy()
         status[self._test_columns] = 0
-        return SimplexBasis(sp.basis.copy(), status)
+        return SimplexBasis(self._basis.copy(), status)
 
     def _verify(self, eta, beta, primal, dual) -> tuple[float, float]:
-        """Check the box, the coupling and the duality gap; returns the gap and the residual."""
+        """Check the box, the coupling and the duality gap; returns the gap and
+        the residual. The tests are written so that a NaN fails them."""
         lo = -self._w * self.alpha
         hi = self._w * (1.0 - self.alpha)
-        if np.any(eta < lo - _BOX_TOL) or np.any(eta > hi + _BOX_TOL):
+        if not np.all((eta >= lo - _BOX_TOL) & (eta <= hi + _BOX_TOL)):
             raise SolverError("dual box constraint violated")
         coupling = float(np.max(np.abs(self._phi.T @ eta)))
-        if coupling > _COUPLING_TOL:
-            raise SolverError(f"coupling residual {coupling:.2e} exceeds tolerance")
+        if not coupling <= _COUPLING_TOL:
+            raise SolverError(f"coupling residual {coupling:.2e} outside tolerance")
         gap = abs(primal - dual)
-        if gap > _GAP_TOL * (1.0 + abs(primal)):
-            raise SolverError(f"duality gap {gap:.2e} exceeds tolerance")
+        if not gap <= _GAP_TOL * (1.0 + abs(primal)):
+            raise SolverError(f"duality gap {gap:.2e} outside tolerance")
         return gap, coupling
 

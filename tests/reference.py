@@ -185,15 +185,11 @@ def all_artificial_basis(n_cal, d):
     return SimplexBasis(np.arange(columns - d, columns), status)
 
 
-def reference_threshold_search(data, test_feature, alpha, search_lo=None, search_hi=None, tol=1e-6):
-    """Bisection on the test score to ``tol`` from the all-artificial start."""
+def reference_threshold_search(data, test_feature, alpha, tol=1e-6):
+    """Bisection on the test score to ``tol`` over ``data.default_bracket()``
+    from the all-artificial start; the bracket's upper end if the test dual
+    stays below its bound there."""
     lo, hi = data.default_bracket()
-    if search_lo is not None:
-        lo = search_lo
-    if search_hi is not None:
-        hi = search_hi
-    if not lo < hi:
-        raise ValueError(f"invalid bracket [{lo}, {hi}]")
     column_mass = data.features.T @ data.weights
     dead = tuple(int(g) for g in np.flatnonzero(column_mass <= 0.0))
     if dead:
@@ -210,7 +206,7 @@ def reference_threshold_search(data, test_feature, alpha, search_lo=None, search
     )
     bound = data.test_weight * (1.0 - alpha) - 1e-9
     if solver.solve_at(lo).eta_test >= bound:
-        raise EmptySetError(f"test dual already at its bound at search_lo={lo}")
+        raise EmptySetError(f"test dual already at its bound at score {lo}")
     if solver.solve_at(hi).eta_test < bound:
         return hi
     while hi - lo > tol:

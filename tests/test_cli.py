@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from gcfcp import cli, conformal
 from gcfcp.cli import main
@@ -61,6 +65,22 @@ def test_predict_prints_interval(dataset_csv, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "pattern=1100" in out and "interval=[" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "data.csv", "--x", "1.5", "--trials", "0"],
+        ["synth", "--out", "data.csv", "--groups", "x"],
+        ["calibrate", "data.csv", "--alpha", "5"],
+        ["bench", "--calibrators", "gcfcp_coreset"],
+    ],
+)
+def test_subcommands_reject_options_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["-2.2970343551254047e-05", "-3E+2", "-.5", "-1."])
@@ -163,9 +183,76 @@ def test_help_lists_exit_codes(capsys):
 
 
 def test_bench_runs(capsys):
-    code = main(
-        ["bench", "--clients", "4", "--delta", "100", "--test-points", "20",
-         "--calibrators", "gcfcp_centralized,gcfcp_coreset"]
-    )
+    code = main(["bench", "--clients", "4", "--delta", "100", "--test-points", "20"])
     assert code == 0
     assert "speedup" in capsys.readouterr().out
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+FIELD = st.one_of(
+    ANY_FLOAT.map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "", "x", "1e999", "0", "2.5"]),
+)
+
+
+@st.composite
+def dataset_text(draw):
+    """A dataset CSV of two clients: well-formed half the time, otherwise with
+    one defect: no rows at all, a bad header, a junk or short row, or one
+    non-finite or out-of-range covariate or score."""
+    rows = [
+        f"{1 + i % 2},{draw(st.floats(0.0, 5.0))!r},0.0,{draw(st.floats(0.0, 3.0))!r}"
+        for i in range(draw(st.integers(2, 30)))
+    ]
+    defect = draw(st.sampled_from(["none"] * 5 + ["empty", "header", "junk", "value"]))
+    if defect == "empty":
+        return draw(st.sampled_from(["", "\n", "client_id,x,y,score\n"]))
+    header = draw(st.sampled_from(["client_id,x,y", "", "a,b,c,d"])) if defect == "header" else "client_id,x,y,score"
+    at = draw(st.integers(0, len(rows) - 1))
+    if defect == "junk":
+        rows[at] = ",".join(draw(st.lists(FIELD, max_size=5)))
+    if defect == "value":
+        fields = rows[at].split(",")
+        fields[draw(st.sampled_from([1, 3]))] = draw(st.sampled_from(["nan", "inf", "-inf", "-1.0", "9.0", "1e308"]))
+        rows[at] = ",".join(fields)
+    return "\n".join([header, *rows]) + "\n"
+
+
+OPTION_VALUES = {
+    "--alpha": st.one_of(st.floats(1e-6, 0.5), ANY_FLOAT).map(repr),
+    "--delta": st.one_of(st.floats(2.0, 500.0), ANY_FLOAT).map(repr),
+    "--groups": st.sampled_from(
+        [SMALL_GROUPS, "{bad json", "[]", '{"kind": "intervals", "groups": []}', "null",
+         '{"kind": "intervals", "feature": 0, "groups": [{"lo": 0, "hi": "x"}]}']
+    ),
+    "--mixture": st.sampled_from(["uniform", "[0.5, 0.5]", "[NaN, 1]", "[1]", "{", "[2, -1]"]),
+    "--x": st.one_of(st.floats(0.0, 5.0), ANY_FLOAT).map(repr),
+    "--prediction": ANY_FLOAT.map(repr),
+}
+OPTIONAL_FLAGS = {
+    "predict": ["--alpha", "--delta", "--groups", "--mixture", "--prediction"],
+    "calibrate": ["--delta", "--groups", "--mixture"],
+}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(OPTIONAL_FLAGS)), text=dataset_text(), data=st.data())
+def test_no_traceback_from_predict_or_calibrate(tmp_path, command, text, data):
+    """Every run exits with a documented code and prints no traceback."""
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    flags = data.draw(st.sets(st.sampled_from(OPTIONAL_FLAGS[command]), max_size=4), label="flags")
+    if command == "predict":
+        flags.add("--x")
+    argv = [command, str(path)]
+    for flag in sorted(flags):
+        argv += [flag, data.draw(OPTION_VALUES[flag], label=flag)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4, 5), err.getvalue()
+    assert "Traceback" not in err.getvalue()

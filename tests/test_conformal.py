@@ -22,7 +22,7 @@ from gcfcp.conformal import (
 )
 from gcfcp.federation import ClientDataset
 from gcfcp.groups import SINGLE_GROUP, interval_family
-from gcfcp.pinball import AugmentedQrSolver
+from gcfcp.pinball import AugmentedQrSolver, SolverError
 
 FOUR_INTERVALS = interval_family([(0, 2), (1, 3), (2, 4), (3, 5)])
 FOUR_INTERVAL_PATTERNS = [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)]
@@ -115,11 +115,21 @@ class TestThresholdSearch:
         hi = data.default_bracket()[1]
         assert threshold_search(data, (1,), 0.001) == hi
 
+    def test_threshold_is_a_calibration_score(self):
+        """One group: S* is exactly a calibration score, whatever the walk's start."""
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(20, 80))
+            scores = rng.random(n) * 5
+            data = single_group_data(scores, np.full(n, 1.0 / (n + 1)), 1.0 / (n + 1))
+            for alpha in (0.05, 0.1, 0.2):
+                assert threshold_search(data, (1,), alpha) in set(scores.tolist())
+
     def test_empty_set_error(self):
-        data = single_group_data([1, 2, 3], [1.0] * 3, 0.1)
+        """A test weight of 0 puts the test dual at its bound from the start."""
+        data = single_group_data([1, 2, 3], [1.0] * 3, 0.0)
         with pytest.raises(EmptySetError):
-            # a search_lo above the augmented quantile is already excluded
-            threshold_search(data, (1,), 0.5, search_lo=10.0, search_hi=20.0)
+            threshold_search(data, (1,), 0.5)
 
     def test_degenerate_group_detected(self):
         feats = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -128,10 +138,10 @@ class TestThresholdSearch:
             threshold_search(data, (1, 1), 0.1)
         assert err.value.groups == (1,)
 
-    def test_bad_bracket(self):
-        data = single_group_data([1.0], [1.0], 0.1)
-        with pytest.raises(ValueError):
-            threshold_search(data, (1,), 0.1, search_lo=2.0, search_hi=1.0)
+    def test_nan_score_fails_verification(self):
+        data = single_group_data([1.0, np.nan, 3.0], [1.0] * 3, 0.1)
+        with pytest.raises(SolverError):
+            threshold_search(data, (1,), 0.2)
 
     def test_monotone_in_alpha(self):
         rng = np.random.default_rng(1)
@@ -150,17 +160,16 @@ class TestThresholdSearch:
     ties=st.booleans(),
     label_sets=st.booleans(),
     tiny_alpha=st.booleans(),
-    raised_lo=st.booleans(),
     dead_group=st.booleans(),
     zero_test_weight=st.booleans(),
 )
 def test_parametric_threshold_matches_bisection(
-    seed, d, ties, label_sets, tiny_alpha, raised_lo, dead_group, zero_test_weight
+    seed, d, ties, label_sets, tiny_alpha, dead_group, zero_test_weight
 ):
     """S* from the breakpoint walk lies within [-1e-7, 1e-6 + 1e-7] of the
     bisection to 1e-6 (which stops below the breakpoint), and both raise the
-    same errors: EmptySetError for a bracket starting above S* or a test
-    weight of 0, DegenerateGroupError for a group column without mass."""
+    same errors: EmptySetError for a test weight of 0, DegenerateGroupError
+    for a group column without mass."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 80))
     feats = atom_features(rng, d, n, label_sets)
@@ -172,14 +181,13 @@ def test_parametric_threshold_matches_bisection(
     data = CalibrationData(feats, scores, weights, test_weight)
     alpha = 0.001 if tiny_alpha else float(rng.uniform(0.05, 0.4))
     pattern = tuple(int(b) for b in feats[int(rng.integers(n))])
-    lo = float(rng.uniform(0.0, 5.0)) if raised_lo else None
     try:
-        want = reference_threshold_search(data, pattern, alpha, search_lo=lo)
+        want = reference_threshold_search(data, pattern, alpha)
     except (EmptySetError, DegenerateGroupError) as exc:
         with pytest.raises(type(exc)):
-            threshold_search(data, pattern, alpha, search_lo=lo)
+            threshold_search(data, pattern, alpha)
         return
-    got = threshold_search(data, pattern, alpha, search_lo=lo)
+    got = threshold_search(data, pattern, alpha)
     assert -1e-7 <= got - want <= 1e-6 + 1e-7
 
 
@@ -220,10 +228,7 @@ class TestPredictionSets:
         candidates = {y: float(s) for y, s in enumerate(rng.random(10))}
         prev = None
         for alpha in (0.05, 0.1, 0.2, 0.3):
-            cal = calibrate_baseline(
-                "gcfcp_coreset", datasets, alpha, family=fam, delta=100.0,
-                bracket=(-0.01, 1.01),
-            )
+            cal = calibrate_baseline("gcfcp_coreset", datasets, alpha, family=fam, delta=100.0)
             s_star = cal.threshold((1, 0))
             labels = {y for y, score in candidates.items() if score <= s_star}
             if prev is not None:
@@ -245,7 +250,7 @@ class TestBaselines:
             ClientDataset(2, np.zeros(5), np.arange(5.0, 10.0), 0.5),
         ]
         cal = calibrate_baseline(
-            "centralized_cp", datasets, 0.1, family=FOUR_INTERVALS, delta=100.0, bracket=None
+            "centralized_cp", datasets, 0.1, family=FOUR_INTERVALS, delta=100.0
         )
         assert isinstance(cal, GlobalCalibrator)
         assert cal.threshold((1, 0, 1)) == 9.0
@@ -253,10 +258,10 @@ class TestBaselines:
     def test_fcp_marginal_equals_single_group_coreset(self):
         datasets = self.make_datasets()
         a = calibrate_baseline(
-            "fcp_marginal", datasets, 0.1, family=FOUR_INTERVALS, delta=500.0, bracket=None
+            "fcp_marginal", datasets, 0.1, family=FOUR_INTERVALS, delta=500.0
         )
         b = calibrate_baseline(
-            "gcfcp_coreset", datasets, 0.1, family=SINGLE_GROUP, delta=500.0, bracket=None
+            "gcfcp_coreset", datasets, 0.1, family=SINGLE_GROUP, delta=500.0
         )
         assert a.threshold((1,)) == pytest.approx(b.threshold((1,)), abs=1e-6)
 
@@ -266,7 +271,7 @@ class TestBaselines:
         n = 100
         ds = ClientDataset(1, rng.uniform(0, 5, n), rng.random(n) * 3, 1.0)
         a, b = (
-            calibrate_baseline(kind, [ds], 0.1, family=FOUR_INTERVALS, delta=100.0, bracket=None)
+            calibrate_baseline(kind, [ds], 0.1, family=FOUR_INTERVALS, delta=100.0)
             for kind in ("gcfcp_centralized", "condcp_centralized")
         )
         for pattern in [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0)]:
@@ -288,7 +293,7 @@ class TestBaselines:
     def test_conditional_calibrator_caches(self):
         datasets = self.make_datasets()
         cal = calibrate_baseline(
-            "gcfcp_coreset", datasets, 0.1, family=FOUR_INTERVALS, delta=100.0, bracket=None
+            "gcfcp_coreset", datasets, 0.1, family=FOUR_INTERVALS, delta=100.0
         )
         assert isinstance(cal, ConditionalCalibrator)
         t1 = cal.threshold((1, 1, 0, 0))
@@ -302,7 +307,7 @@ class TestBaselines:
         for seed in (3, 6):
             datasets = self.make_datasets(seed=seed)
             cal = calibrate_baseline(
-                kind, datasets, 0.1, family=FOUR_INTERVALS, delta=100.0, bracket=None
+                kind, datasets, 0.1, family=FOUR_INTERVALS, delta=100.0
             )
             for pattern in FOUR_INTERVAL_PATTERNS:
                 assert cal.threshold(pattern) == threshold_search(cal.data, pattern, 0.1)
@@ -310,7 +315,7 @@ class TestBaselines:
     def test_one_cold_solve_per_calibrator(self, lp_log):
         datasets = self.make_datasets()
         cal = calibrate_baseline(
-            "gcfcp_centralized", datasets, 0.1, family=FOUR_INTERVALS, delta=100.0, bracket=None
+            "gcfcp_centralized", datasets, 0.1, family=FOUR_INTERVALS, delta=100.0
         )
         for pattern in FOUR_INTERVAL_PATTERNS * 2:
             cal.threshold(pattern)
@@ -321,7 +326,7 @@ class TestBaselines:
     def test_search_times_include_shared_solve(self, lp_log):
         datasets = self.make_datasets()
         cal = calibrate_baseline(
-            "gcfcp_centralized", datasets, 0.1, family=FOUR_INTERVALS, delta=100.0, bracket=None
+            "gcfcp_centralized", datasets, 0.1, family=FOUR_INTERVALS, delta=100.0
         )
         cal.threshold(FOUR_INTERVAL_PATTERNS[0])
         first = lp_log.solves
@@ -332,7 +337,7 @@ class TestBaselines:
         assert sum(cal.search_times) == lp_log.solves
 
     def test_search_solves_at_lo_and_at_the_threshold(self, lp_log):
-        """Every search is verified twice: at the bracket's low end and at S*."""
+        """Every search is verified twice: one below the lowest score and at S*."""
         datasets = self.make_datasets()
         data = CalibrationData.from_datasets(datasets, FOUR_INTERVALS)
         lo = data.default_bracket()[0]
@@ -340,6 +345,14 @@ class TestBaselines:
             lp_log.scores.clear()
             s_star = threshold_search(data, pattern, 0.1)
             assert lp_log.scores == [lo, s_star]
+
+    def test_unbounded_search_solves_at_the_last_breakpoint(self, lp_log):
+        """The walk returns +inf past the last breakpoint, 5; the optimum
+        there holds for every larger score, so 5 is verified and the
+        threshold reads as the bracket's high end."""
+        data = single_group_data([1, 2, 3, 4, 5], [0.2] * 5, 0.2)
+        assert threshold_search(data, (1,), 0.001) == data.default_bracket()[1]
+        assert lp_log.scores == [0.0, 5.0]
 
     def test_degenerate_group_raised_before_any_solve(self, lp_log):
         feats = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -353,5 +366,5 @@ class TestBaselines:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             calibrate_baseline(
-                "bogus", self.make_datasets(), 0.1, family=FOUR_INTERVALS, delta=100.0, bracket=None
+                "bogus", self.make_datasets(), 0.1, family=FOUR_INTERVALS, delta=100.0
             )

@@ -281,6 +281,11 @@ class TestServer:
         with pytest.raises(ProtocolError):
             run_round(bad, FOUR_INTERVALS, 50.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_client_dataset_rejects_non_finite_scores(self, bad):
+        with pytest.raises(ProtocolError, match="finite"):
+            ClientDataset(1, np.zeros(3), np.array([0.5, bad, 1.0]), 1.0)
+
     def test_test_term_weight(self):
         sizes = (1000, 333, 333, 333)
         datasets = [

@@ -118,6 +118,14 @@ class TestRunExperiment:
         assert rows_without_timing(p1) == rows_without_timing(p2)
         assert b"marginal" in p1.read_bytes()
 
+    def test_infinite_threshold_covers(self):
+        """Split CP past its sample's support gives +inf: every point is
+        covered and every set is the whole line."""
+        config = dataclasses.replace(SMALL, alpha=0.005, calibrators=("centralized_cp",))
+        outcome = run_trial(config, 0)["centralized_cp"]
+        assert np.all(outcome.set_sizes == np.inf)
+        assert outcome.covered.all()
+
     @pytest.mark.parametrize("serial", [True, False])
     def test_degenerate_group_names_trial(self, serial):
         family = interval_family([(0, 5), (90, 91)])
@@ -169,6 +177,19 @@ class TestIngestExperiment:
         assert s.n_points == 160  # half of each shuffled split, two trials
         assert 0.0 <= s.marginal_coverage <= 1.0
         assert 0.0 <= s.mean_set_size <= 6.0
+
+    def test_tiny_alpha_label_set_holds_every_label(self):
+        family = GroupFamily(
+            groups=(LabelSet(frozenset(range(0, 4))), LabelSet(frozenset(range(2, 6)))),
+            feature="predicted_label",
+        )
+        config = ExperimentConfig(
+            calibrators=("centralized_cp", "gcfcp_coreset"), alpha=0.001, delta=50.0, family=family
+        )
+        records = self.make_records(np.random.default_rng(3))
+        for outcome in run_trial(config, 0, records).values():
+            assert np.all(outcome.set_sizes == 6.0)
+            assert outcome.covered.all()
 
     def test_degenerate_group_names_trial(self, tmp_path):
         path = tmp_path / "scores.csv"

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from gcfcp import harness
 from gcfcp.conformal import CalibrationData, DegenerateGroupError, threshold_search
 from gcfcp.datagen import SynthConfig
 from gcfcp.federation import run_round
-from gcfcp.pinball import _COUPLING_TOL, _GAP_TOL, AugmentedQrSolver
+from gcfcp.pinball import _COUPLING_TOL, _GAP_TOL, AugmentedQrSolver, SolverError
 
 TINY = 1e-12
 
@@ -257,13 +258,34 @@ def test_solutions_record_gap_and_coupling():
         _assert_verified(warm.solve_at(-4.0))
         _assert_verified(warm.solve_at(p.test_score))
         bound = p.test_weight * (1.0 - p.alpha) - 1e-9
-        _assert_verified(warm.solve_at(warm.raise_test_score(10.0, bound)))
+        warm.raise_test_score(bound)
+        _assert_verified(warm.solve_at(warm.test_score))
 
 
 def test_raise_test_score_needs_a_solve():
     p = random_lp(np.random.default_rng(11))
     with pytest.raises(ValueError):
-        AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight).raise_test_score(1.0, 0.0)
+        AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight).raise_test_score(0.0)
+
+
+def test_unreachable_bound_walks_to_inf():
+    """With alpha times the calibration mass (0.6) below the test entry's
+    upper bound (0.8), eta_test never reaches it: the walk returns +inf at
+    the last breakpoint, whose optimum holds for every larger score."""
+    solver = single_group_solver([1.0, 2.0, 3.0], [1.0] * 3, 0.2, 1.0)
+    solver.solve_at(0.0)
+    assert solver.raise_test_score(0.8 - 1e-9) == math.inf
+    assert solver.test_score == 3.0
+    assert solver.solve_at(solver.test_score).eta_test == pytest.approx(0.6, abs=1e-12)
+    for score in (4.0, 1e6):
+        fresh = single_group_solver([1.0, 2.0, 3.0], [1.0] * 3, 0.2, 1.0)
+        assert fresh.solve_at(score).eta_test == pytest.approx(0.6, abs=1e-12)
+
+
+@pytest.mark.parametrize("score", [math.inf, -math.inf, math.nan])
+def test_non_finite_test_score_fails_verification(score):
+    with pytest.raises(SolverError):
+        single_group_solver([1.0, 2.0, 3.0], [1.0] * 3, 0.2, 0.1).solve_at(score)
 
 
 @settings(max_examples=80, deadline=None)
