@@ -18,7 +18,7 @@ from .conformal import (
     split_cp_threshold,
     threshold_search,
 )
-from .federation import ClientDataset, Coreset, DigestMessage, FederationRound, run_round
+from .federation import ClientDataset, ClientMessage, Coreset, FederationRound, run_round
 from .groups import GroupFamily, Interval, LabelSet, interval_family, membership_vector
 from .harness import (
     CoverageReport,
@@ -35,12 +35,12 @@ __all__ = [
     "CALIBRATOR_KINDS",
     "CalibrationData",
     "ClientDataset",
+    "ClientMessage",
     "ConditionalCalibrator",
     "Coreset",
     "CoverageReport",
     "DegenerateGroupError",
     "Digest",
-    "DigestMessage",
     "EmptySetError",
     "ExperimentConfig",
     "FederationRound",

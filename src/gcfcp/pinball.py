@@ -284,6 +284,8 @@ class AugmentedQrSolver:
         return x
 
     def solve_at(self, test_score: float) -> QrSolution:
+        if not math.isfinite(test_score):
+            raise SolverError(f"test score {test_score!r} is not finite")
         u, v = self._test_columns
         self.test_score = self._s[-1] = self._c[u] = float(test_score)
         self._c[v] = -self.test_score

@@ -12,9 +12,7 @@ digest of Dunning & Ertl, arXiv:1902.04023).
 
 ``build_digest_arrays`` is the one builder; ``merge`` rebuilds through the
 same private ``_build_from_arrays``, so a wrapper around the public builder
-(the benchmark's tracer) counts client builds only. ``digest_fields`` and
-``digest_from_fields`` are the one wire codec: the digest part of a
-federation message line.
+(the benchmark's tracer) counts client builds only.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ _SPAN = 1.0 + 1e-12
 
 
 class DigestError(ValueError):
-    """Invalid input to digest construction or deserialization."""
+    """Invalid input to digest construction."""
 
 
 class Digest:
@@ -206,42 +204,4 @@ def merge(digests: Sequence[Digest], delta: float) -> Digest:
 def max_cluster_mass(digest: Digest) -> float:
     """Maximum normalized cluster mass; controls the uniform CDF error."""
     return float(np.max(digest.weights()) / digest.total_weight)
-
-
-def digest_fields(digest: Digest) -> dict:
-    """Wire fields: {"compression": d, "clusters": [[mean, weight], ...]}."""
-    return {
-        "compression": digest.compression,
-        "clusters": np.column_stack((digest.means(), digest.weights())).tolist(),
-    }
-
-
-def digest_from_fields(compression, clusters) -> Digest:
-    """Validate parsed wire fields and build the digest they describe.
-
-    The total weight is the sequential sum of the cluster weights.
-    """
-    try:
-        compression = float(compression)
-        pairs = np.array(clusters, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DigestError(f"malformed digest payload: {exc}") from exc
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        if pairs.size == 0:
-            raise DigestError("digest has no clusters")
-        raise DigestError(f"clusters must be [mean, weight] pairs, got shape {pairs.shape}")
-    if not (math.isfinite(compression) and np.isfinite(pairs).all()):
-        raise DigestError("compression, means and weights must be finite")
-    if compression <= 0.0:
-        raise DigestError("compression must be positive")
-    means, weights = pairs[:, 0], pairs[:, 1]
-    if not np.all(weights > 0.0):
-        raise DigestError("nonpositive cluster weight")
-    if np.any(means[1:] < means[:-1]):
-        raise DigestError("clusters not sorted by mean")
-    with np.errstate(over="ignore"):
-        total = np.cumsum(weights)[-1]
-    if not math.isfinite(total):
-        raise DigestError("cluster weights sum to infinity")
-    return Digest(means, weights, compression=compression, total_weight=total)
 

@@ -14,8 +14,12 @@ Oracles the tests measure the library against: the arcsine scale function,
 a digest's step CDF and quantile, and the pinball loss.
 """
 
+import base64
+import hashlib
 import json
 import math
+import struct
+import zlib
 
 import numpy as np
 
@@ -133,41 +137,67 @@ def reference_merge(parts, delta):
     )
 
 
+def reference_line(client_id, n, pi, delta, fingerprint, atoms, clusters):
+    """One client wire line, packed value by value.
+
+    ``atoms`` are code strings and ``clusters`` one list of (mean, weight)
+    pairs per atom; any floats, valid or not, are packed as given.
+    """
+    means = [m for pairs in clusters for m, _ in pairs]
+    weights = [w for pairs in clusters for _, w in pairs]
+    raw = b"".join(struct.pack("<d", v) for v in means + weights)
+    data = base64.b64encode(raw)
+    header = {
+        "client_id": client_id,
+        "n": n,
+        "pi": pi,
+        "delta": delta,
+        "family": fingerprint,
+        "atoms": list(atoms),
+        "counts": [len(pairs) for pairs in clusters],
+        "crc32": zlib.crc32(data),
+        "data": data.decode("ascii"),
+    }
+    return json.dumps(header, separators=(",", ":"))
+
+
 def reference_round(datasets, family, delta):
     """Client lines, then the server's per-atom merge, all with loops.
 
     Returns (wire lines, coreset entries, {atom: (means, weights, total)}).
     """
+    fingerprint = hashlib.sha256(repr(family).encode("utf-8")).hexdigest()[:16]
     lines = []
     for ds in datasets:
-        if ds.n == 0:
-            continue
         w = ds.pi / (ds.n + 1)
         scores = np.asarray(ds.scores, dtype=float)
-        for atom, idx in reference_atoms(ds.covariates, family).items():
+        atoms = reference_atoms(ds.covariates, family) if ds.n else {}
+        codes, clusters = [], []
+        for atom, idx in atoms.items():
             means, weights, _ = reference_build(
                 scores[idx], np.full(len(idx), w), delta, total=len(idx) * w
             )
-            lines.append(
-                json.dumps(
-                    {
-                        "client_id": ds.client_id,
-                        "atom": "".join(str(b) for b in atom),
-                        "compression": float(delta),
-                        "clusters": [[m, cw] for m, cw in zip(means, weights)],
-                    }
-                )
-            )
+            codes.append("".join(str(b) for b in atom))
+            clusters.append(list(zip(means.tolist(), weights.tolist())))
+        lines.append(
+            reference_line(ds.client_id, ds.n, float(ds.pi), float(delta), fingerprint, codes, clusters)
+        )
     by_atom = {}
     for line in lines:
         obj = json.loads(line)
-        means, weights, total = [], [], 0.0
-        for mean, weight in obj["clusters"]:
-            means.append(float(mean))
-            weights.append(float(weight))
-            total += float(weight)
-        atom = tuple(int(b) for b in obj["atom"])
-        by_atom.setdefault(atom, []).append((np.array(means), np.array(weights), total))
+        raw = base64.b64decode(obj["data"])
+        values = [struct.unpack_from("<d", raw, 8 * i)[0] for i in range(len(raw) // 8)]
+        size = len(values) // 2
+        start = 0
+        for code, count in zip(obj["atoms"], obj["counts"]):
+            means, weights, total = [], [], 0.0
+            for i in range(start, start + count):
+                means.append(values[i])
+                weights.append(values[size + i])
+                total += values[size + i]
+            start += count
+            atom = tuple(int(b) for b in code)
+            by_atom.setdefault(atom, []).append((np.array(means), np.array(weights), total))
     per_atom = {atom: reference_merge(parts, delta) for atom, parts in sorted(by_atom.items())}
     entries = [
         (atom, m, w)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gcfcp import cli, conformal
 from gcfcp.cli import main
 from gcfcp.conformal import EmptySetError
+from gcfcp.federation import message_from_json
 from gcfcp.pinball import SolverError
 
 SMALL_GROUPS = json.dumps(
@@ -52,9 +53,11 @@ def test_calibrate_emits_messages(dataset_csv, tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines
+    assert len(lines) == 4  # one line per client
     first = json.loads(lines[0])
-    assert set(first) == {"client_id", "atom", "compression", "clusters"}
+    assert list(first) == ["client_id", "n", "pi", "delta", "family", "atoms", "counts", "crc32", "data"]
+    assert [message_from_json(line).client_id for line in lines] == [1, 2, 3, 4]
+    assert capsys.readouterr().err.startswith("4 messages, ")
 
 
 def test_predict_prints_interval(dataset_csv, capsys):

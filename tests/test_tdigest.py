@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 
@@ -7,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcfcp import tdigest
-from reference import approx_cdf, approx_quantile, reference_build, reference_merge, scale
+from gcfcp.federation import ClientMessage, ProtocolError, message_from_json, message_to_json
+from reference import approx_cdf, approx_quantile, reference_build, reference_line, reference_merge, scale
 from gcfcp.tdigest import (
     Digest,
     DigestError,
     build_digest_arrays,
-    digest_fields,
-    digest_from_fields,
     max_cluster_mass,
     merge,
 )
@@ -26,13 +26,21 @@ def build(values, delta, weights=None):
 
 
 def to_wire(digest):
-    return json.dumps(digest_fields(digest))
+    """A federation wire line whose one atom carries the digest."""
+    message = ClientMessage(1, len(digest), 1.0, digest.compression, "", ((1,),), (digest,))
+    return message_to_json(message)
 
 
-def from_wire(payload):
-    """Decode the digest fields of a wire line as ``message_from_json`` does."""
-    obj = json.loads(payload)
-    return digest_from_fields(obj.get("compression"), obj.get("clusters"))
+def from_wire(line):
+    """The digest of a one-atom wire line, decoded as the server does."""
+    (digest,) = message_from_json(line).digests
+    return digest
+
+
+def wire(pairs, delta=25.0, count=None):
+    """A one-atom wire line packing the (mean, weight) pairs as given."""
+    line = reference_line(1, len(pairs), 1.0, delta, "", ["1"], [pairs])
+    return line if count is None else line.replace('"counts":[%d]' % len(pairs), f'"counts":{count}')
 
 
 def exact_cdf(values, weights, t):
@@ -266,57 +274,58 @@ class TestSerialization:
     def test_wire_shape(self):
         d = build([1.0], 25.0, weights=[2.0])
         obj = json.loads(to_wire(d))
-        assert obj == {"compression": 25.0, "clusters": [[1.0, 2.0]]}
+        assert (obj["delta"], obj["atoms"], obj["counts"]) == (25.0, ["1"], [1])
+        assert np.frombuffer(base64.b64decode(obj["data"]), "<f8").tolist() == [1.0, 2.0]
 
     def test_reject_unsorted(self):
-        with pytest.raises(DigestError):
-            from_wire('{"compression": 25, "clusters": [[2, 1], [1, 1]]}')
+        with pytest.raises(ProtocolError):
+            from_wire(wire([(2.0, 1.0), (1.0, 1.0)]))
 
     def test_reject_nonpositive_weight(self):
-        with pytest.raises(DigestError):
-            from_wire('{"compression": 25, "clusters": [[1, 0]]}')
+        with pytest.raises(ProtocolError):
+            from_wire(wire([(1.0, 0.0)]))
 
     def test_reject_garbage(self):
-        with pytest.raises(DigestError):
+        with pytest.raises(ProtocolError):
             from_wire('{"clusters": []}')
 
     @pytest.mark.parametrize(
         "payload",
         [
-            '{"compression": 25, "clusters": []}',
-            '{"compression": 25, "clusters": [[1, 1, 1]]}',
-            '{"compression": 25, "clusters": [[1, 1], [2]]}',
-            '{"compression": 25, "clusters": [1, 2]}',
-            '{"compression": 25, "clusters": "ab"}',
-            '{"compression": 25, "clusters": [[null, 1]]}',
-            '{"compression": -1, "clusters": [[1, 1]]}',
+            wire([]),
+            wire([(1.0, 1.0), (1.0, 0.5)], count=[3]),
+            wire([(1.0, 1.0), (2.0, 1.0)], count=[1]),
+            wire([(1.0, 1.0)], count='"ab"'),
+            wire([(1.0, 1.0)], count="[null]"),
+            wire([(1.0, 1.0)], count="[1.0]"),
+            wire([(1.0, 1.0)], delta=-1.0),
         ],
     )
     def test_reject_malformed_clusters(self, payload):
-        with pytest.raises(DigestError):
+        with pytest.raises(ProtocolError):
             from_wire(payload)
 
     @pytest.mark.parametrize(
         "payload",
         [
-            '{"compression": NaN, "clusters": [[1.0, 1.0]]}',
-            '{"compression": Infinity, "clusters": [[1.0, 1.0]]}',
-            '{"compression": 25, "clusters": [[NaN, 1.0]]}',
-            '{"compression": 25, "clusters": [[1.0, 1.0], [-Infinity, 1.0]]}',
-            '{"compression": 25, "clusters": [[1.0, Infinity]]}',
-            '{"compression": 25, "clusters": [[1.0, NaN]]}',
-            '{"compression": 25, "clusters": [[1e400, 1.0]]}',
-            '{"compression": NaN, "clusters": [[NaN, 1.0], [1.0, Infinity]]}',
-            '{"compression": 25, "clusters": [[1.0, 1e308], [2.0, 1e308]]}',
+            wire([(1.0, 1.0)]).replace('"delta":25.0', '"delta":NaN'),
+            wire([(1.0, 1.0)]).replace('"delta":25.0', '"delta":Infinity'),
+            wire([(1.0, 1.0)]).replace('"delta":25.0', '"delta":-Infinity'),
+            wire([(math.nan, 1.0)]),
+            wire([(1.0, 1.0), (-math.inf, 1.0)]),
+            wire([(1.0, math.inf)]),
+            wire([(1.0, math.nan)]),
+            wire([(math.nan, 1.0), (1.0, math.inf)]).replace('"delta":25.0', '"delta":NaN'),
+            wire([(1.0, 1e308), (2.0, 1e308)]),
         ],
     )
     def test_reject_non_finite(self, payload):
-        with pytest.raises(DigestError):
+        with pytest.raises(ProtocolError):
             from_wire(payload)
 
     def test_parsed_total_is_sequential_sum(self):
         weights = [0.1, 0.2, 0.3, 1e-17, 0.7]
-        d = from_wire(json.dumps({"compression": 25.0, "clusters": [[float(i), w] for i, w in enumerate(weights)]}))
+        d = from_wire(wire([(float(i), w) for i, w in enumerate(weights)]))
         total = 0.0
         for w in weights:
             total += w
