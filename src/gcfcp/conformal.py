@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .federation import ClientDataset, Coreset, run_round, test_term_weight
+from .federation import ClientDataset, Coreset, check_mixture, run_round, test_term_weight
 from .groups import SINGLE_GROUP, GroupFamily, MembershipVector, membership_matrix
 from .pinball import AugmentedQrSolver, SimplexBasis
 
@@ -250,10 +250,12 @@ def calibrate_baseline(
     condcp_centralized pools features and scores at the uniform weight
     1 / (n + 1); gcfcp_centralized keeps each client's mixture weight.
     fcp_marginal and gcfcp_coreset run a federation round at ``delta``,
-    fcp_marginal over the one all-covering group.
+    fcp_marginal over the one all-covering group. Every kind first checks
+    that the clients' mixture weights sum to 1, as the server does.
     """
     if kind not in CALIBRATOR_KINDS:
         raise ValueError(f"unknown calibrator kind {kind!r}")
+    check_mixture(d.pi for d in datasets)
     if kind == "centralized_cp":
         scores = np.concatenate([d.scores for d in datasets])
         return GlobalCalibrator(split_cp_threshold(scores, alpha))

@@ -42,7 +42,7 @@ import math
 import re
 import zlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -127,6 +127,13 @@ def _family_fingerprint(family: GroupFamily) -> str:
 def test_term_weight(datasets: Sequence[ClientDataset]) -> float:
     """Weight of the augmented test entry: sum_k pi_k / (n_k + 1)."""
     return float(sum(d.sample_weight for d in datasets))
+
+
+def check_mixture(pis: Iterable[float]) -> None:
+    """Raise ProtocolError unless the mixture weights pi_k sum to 1."""
+    mixture = sum(pis)
+    if abs(mixture - 1.0) > _WEIGHT_TOL:
+        raise ProtocolError(f"mixture weights sum to {mixture!r}, expected 1")
 
 
 def client_stratify(
@@ -302,9 +309,7 @@ def server_assemble(
             )
         for atom, digest in zip(m.atoms, m.digests):
             by_atom.setdefault(atom, []).append(digest)
-    mixture = sum(m.pi for m in messages)
-    if abs(mixture - 1.0) > _WEIGHT_TOL:
-        raise ProtocolError(f"mixture weights sum to {mixture!r}, expected 1")
+    check_mixture(m.pi for m in messages)
     if not by_atom:
         raise ProtocolError("no client sent any scores")
     per_atom = {

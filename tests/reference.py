@@ -5,10 +5,10 @@ formulations of atom stratification, digest construction, the wire codec and
 server assembly: the library runs vectorized versions, and the tests compare
 the two bit for bit.
 
-The solver's first start with every column at its lower bound (the artificial
-basis) and the bisection on the test score: the library starts from a per-atom
-quantile crash and walks the breakpoints of the test score instead, and the
-tests compare the two within stated tolerances.
+The solver's first start with every column at 0 and the artificial columns
+basic, and the bisection on the test score: the library starts from a
+per-atom quantile crash and walks the breakpoints of the test score instead,
+and the tests compare the two within stated tolerances.
 
 Oracles the tests measure the library against: the arcsine scale function,
 a digest's step CDF and quantile, and the pinball loss.
@@ -207,17 +207,15 @@ def reference_round(datasets, family, delta):
     return lines, entries, per_atom
 
 
-def all_artificial_basis(n_cal, d):
-    """The start with the d artificial columns basic and every other column at 0."""
-    columns = 2 * (n_cal + 1) + d
-    status = np.zeros(columns, np.int8)
-    status[columns - d :] = 2
-    return SimplexBasis(np.arange(columns - d, columns), status)
+def artificial_basis_at_zero(n_cal, d):
+    """The start with the d artificial columns basic and every column at 0."""
+    columns = n_cal + 1 + d
+    return SimplexBasis(np.arange(columns - d, columns), np.zeros(columns))
 
 
 def reference_threshold_search(data, test_feature, alpha, tol=1e-6):
     """Bisection on the test score to ``tol`` over ``data.default_bracket()``
-    from the all-artificial start; the bracket's upper end if the test dual
+    from the artificial basis at 0; the bracket's upper end if the test dual
     stays below its bound there."""
     lo, hi = data.default_bracket()
     column_mass = data.features.T @ data.weights
@@ -232,7 +230,7 @@ def reference_threshold_search(data, test_feature, alpha, tol=1e-6):
         alpha,
         test_feature,
         data.test_weight,
-        start_basis=all_artificial_basis(n_cal, d),
+        start_basis=artificial_basis_at_zero(n_cal, d),
     )
     bound = data.test_weight * (1.0 - alpha) - 1e-9
     if solver.solve_at(lo).eta_test >= bound:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from reference import reference_threshold_search
 
 from gcfcp import conformal
 from gcfcp.conformal import (
+    CALIBRATOR_KINDS,
     CalibrationData,
     ConditionalCalibrator,
     DegenerateGroupError,
@@ -20,7 +22,7 @@ from gcfcp.conformal import (
     split_cp_threshold,
     threshold_search,
 )
-from gcfcp.federation import ClientDataset
+from gcfcp.federation import ClientDataset, ProtocolError
 from gcfcp.groups import SINGLE_GROUP, interval_family
 from gcfcp.pinball import AugmentedQrSolver, SolverError
 
@@ -289,6 +291,12 @@ class TestBaselines:
         data = CalibrationData.from_datasets(datasets, FOUR_INTERVALS)
         assert np.allclose(data.weights, 0.5 / (n + 1))
         assert data.test_weight == pytest.approx(2 * 0.5 / (n + 1))
+
+    @pytest.mark.parametrize("kind", CALIBRATOR_KINDS)
+    def test_every_kind_checks_the_mixture(self, kind):
+        datasets = [replace(ds, pi=0.6) for ds in self.make_datasets()]
+        with pytest.raises(ProtocolError, match=r"mixture weights sum to 1\.2, expected 1"):
+            calibrate_baseline(kind, datasets, 0.1, family=FOUR_INTERVALS, delta=100.0)
 
     def test_conditional_calibrator_caches(self):
         datasets = self.make_datasets()

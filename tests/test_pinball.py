@@ -7,13 +7,13 @@ import pytest
 from conftest import atom_features, breakpoint_minimum, random_lp, small_lp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import all_artificial_basis, pinball_loss
+from reference import artificial_basis_at_zero, pinball_loss
 
 from gcfcp import harness
 from gcfcp.conformal import CalibrationData, DegenerateGroupError, threshold_search
 from gcfcp.datagen import SynthConfig
 from gcfcp.federation import run_round
-from gcfcp.pinball import _COUPLING_TOL, _GAP_TOL, AugmentedQrSolver, SolverError
+from gcfcp.pinball import _COUPLING_TOL, _GAP_TOL, AugmentedQrSolver, SimplexBasis, SolverError
 
 TINY = 1e-12
 
@@ -199,17 +199,15 @@ def test_calibration_basis_leaves_test_columns_nonbasic():
     rng = np.random.default_rng(7)
     for _ in range(20):
         p = random_lp(rng)
-        e = len(p.scores) + 1
-        test_columns = [e - 1, 2 * e - 1]
+        test_entry = len(p.scores)
         # the test weight 0 makes the pattern and score inert
         inert = [((0,) * p.dimension, 0.0), (p.test_feature, 5.0), (p.test_feature, -5.0)]
         for pattern, score in inert:
             solver = AugmentedQrSolver(*p.calibration, pattern, 0.0)
             solver.solve_at(score)
             basis = solver.export_basis()
-            assert not set(test_columns) & set(basis.basic.tolist())
-            assert np.all(basis.status[test_columns] == 0)
-            assert np.count_nonzero(basis.status == 2) == p.dimension
+            assert test_entry not in basis.basic.tolist()
+            assert basis.point[test_entry] == 0.0
             resumed = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight, start_basis=basis)
             cold = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight)
             assert resumed.solve_at(p.test_score).eta_test == pytest.approx(
@@ -224,6 +222,10 @@ def test_calibration_basis_is_already_optimal():
         basis = _calibration_only(p).export_basis()
         again = AugmentedQrSolver(*p.calibration, (0,) * p.dimension, 0.0, start_basis=basis)
         assert again.solve_at(0.0).iterations == 0
+        # the zero-width test entry is never priced, whatever its pattern and score
+        for score in (5.0, -5.0):
+            inert = AugmentedQrSolver(*p.calibration, p.test_feature, 0.0, start_basis=basis)
+            assert inert.solve_at(score).iterations == 0
 
 
 def test_start_basis_must_fit():
@@ -233,6 +235,20 @@ def test_start_basis_must_fit():
     fewer = (p.features[1:], p.scores[1:], p.weights[1:], p.alpha)
     with pytest.raises(ValueError):
         AugmentedQrSolver(*fewer, p.test_feature, p.test_weight, start_basis=basis)
+    test_entry = len(p.scores)
+    nonbasic = np.setdiff1d(np.arange(test_entry), basis.basic)[0]
+    outside = basis.point.copy()
+    outside[nonbasic] = 2.0 * p.weights[nonbasic]  # above w (1 - alpha)
+    basic_test = basis.basic.copy()
+    basic_test[0] = test_entry
+    misfits = [
+        SimplexBasis(basis.basic, basis.point[:-1]),  # a point of the wrong length
+        SimplexBasis(basis.basic, outside),  # a nonbasic value outside its box
+        SimplexBasis(basic_test, basis.point),  # a basic test column
+    ]
+    for misfit in misfits:
+        with pytest.raises(ValueError):
+            AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight, start_basis=misfit)
     solver = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight)
     with pytest.raises(ValueError):
         solver.export_basis()  # not solved yet
@@ -331,7 +347,7 @@ def test_crash_start_matches_all_artificial_start(
     test_weight = 0.0 if zero_test_weight else float(rng.uniform(0.01, 0.3))
     inputs = (feats, scores, weights, alpha, pattern, test_weight)
     crash = AugmentedQrSolver(*inputs)
-    old = AugmentedQrSolver(*inputs, start_basis=all_artificial_basis(n, d))
+    old = AugmentedQrSolver(*inputs, start_basis=artificial_basis_at_zero(n, d))
     for score in rng.normal(scale=2.0, size=3):
         new_sol, old_sol = crash.solve_at(float(score)), old.solve_at(float(score))
         _assert_verified(new_sol)
@@ -344,7 +360,7 @@ def test_crash_start_matches_all_artificial_start(
 
 def test_cold_solve_iterations_on_criterion_09_data():
     """The calibration-only cold solve on 4 x 1 250 rows takes a few pivots,
-    not one per row (the all-artificial start took 5 056 and 758)."""
+    not one per row (from the artificial basis at 0 it takes 5 342 and 945)."""
     config = harness.ExperimentConfig(
         calibrators=("gcfcp_centralized", "gcfcp_coreset"),
         delta=250.0,
