@@ -1,8 +1,8 @@
 """Simulated one-shot client/server protocol.
 
-Each client stratifies its local scores by atom, builds one digest per
-non-empty atom with uniform per-sample weight pi_k / (n_k + 1), and sends one
-wire line: a JSON object with the header fields
+Each client sketches its local scores in one pass, one segment per non-empty
+atom, with uniform per-sample weight pi_k / (n_k + 1), and sends one wire
+line: a JSON object with the header fields
 
     client_id  int     the client's id, unique within the round
     n          int     n_k, the number of the client's scores
@@ -19,19 +19,19 @@ within an atom) and then all its cluster weights, in the same order. A client
 without scores sends the header with no atoms and empty data. Floats survive
 the wire bit for bit.
 
-The server decodes each line with one ``json.loads``, one base64 decode and
-one ``np.frombuffer``, and raises ProtocolError on a malformed header, a
-checksum, base64 or length mismatch, a non-finite value, a nonpositive
-weight, means out of order within an atom, or an atom whose weights sum to
-infinity. Across a round it raises ProtocolError on a repeated client, a
-family fingerprint or delta other than the round's, mixture weights that do
-not sum to 1, and a client whose cluster weights do not sum to
-pi_k n_k / (n_k + 1). From the headers it takes the test weight
-sum_k pi_k / (n_k + 1). It merges the digests per atom at the same
-compression level by concatenating their arrays, and concatenates the merged
-arrays into the coreset used by the quantile regression: one structured
-array with one row per merged cluster. Serialization is exercised for real
-so the byte accounting is honest, even though everything runs in-process.
+The client's sketch raises DigestError on a compression that is not finite
+and at least 2. ``message_from_json`` checks each line on its own and raises
+ProtocolError on a malformed header, a checksum, base64 or length mismatch,
+a non-finite value, a nonpositive weight, means out of order within an atom,
+or weights that sum to infinity, in all or in one atom. ``server_assemble``
+checks the round: it raises ProtocolError on a repeated client, a family
+fingerprint, delta or atom length other than the round's, mixture weights
+that do not sum to 1, and a client whose cluster weights do not sum to
+pi_k n_k / (n_k + 1). It takes the test weight sum_k pi_k / (n_k + 1) from
+the headers, and merges every atom across clients in one more sketch pass,
+whose clusters are the rows of the coreset used by the quantile regression.
+Serialization is exercised for real so the byte accounting is honest, even
+though everything runs in-process.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import tdigest
 from .groups import AtomKey, GroupFamily, enumerate_atoms
-from .tdigest import Digest
+from .tdigest import Digest, _build_segments
 
 _WEIGHT_TOL = 1e-9
 _FIELDS = ("client_id", "n", "pi", "delta", "family", "atoms", "counts", "crc32", "data")
@@ -83,9 +82,9 @@ class ClientDataset:
         return self.pi / (self.n + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClientMessage:
-    """One client's wire message: its header and one digest per atom."""
+    """One client's wire line as fields; ``means`` and ``weights`` hold ``data``."""
 
     client_id: int
     n: int
@@ -93,7 +92,9 @@ class ClientMessage:
     delta: float
     family: str
     atoms: tuple[AtomKey, ...]
-    digests: tuple[Digest, ...]
+    counts: tuple[int, ...]
+    means: np.ndarray
+    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -136,41 +137,35 @@ def check_mixture(pis: Iterable[float]) -> None:
         raise ProtocolError(f"mixture weights sum to {mixture!r}, expected 1")
 
 
-def client_stratify(
-    dataset: ClientDataset, family: GroupFamily
-) -> dict[AtomKey, np.ndarray]:
-    """Partition local scores by the membership pattern of their covariate."""
-    atoms = enumerate_atoms(dataset.covariates, family)
-    scores = np.asarray(dataset.scores, dtype=float)
-    return {atom: scores[idx] for atom, idx in atoms.items()}
-
-
 def client_build_messages(
     dataset: ClientDataset, family: GroupFamily, delta: float
 ) -> ClientMessage:
-    """The client's one message: a digest of the pre-scaled weights per
-    non-empty atom, in atom order (none for a client without scores)."""
+    """The client's one message: one sketch pass with weight pi_k / (n_k + 1)
+    per score and one segment per non-empty atom (none without scores)."""
     w = dataset.sample_weight
-    strata = client_stratify(dataset, family) if dataset.n else {}
-    digests = [
-        tdigest.build_digest_arrays(scores, np.full(scores.size, w), delta, total=scores.size * w)
-        for scores in strata.values()
-    ]
+    atoms = enumerate_atoms(dataset.covariates, family) if dataset.n else {}
+    means = weights = counts = np.empty(0)
+    if atoms:
+        sizes = np.array([idx.size for idx in atoms.values()])
+        scores = np.asarray(dataset.scores, dtype=float)[np.concatenate(list(atoms.values()))]
+        segments = np.repeat(np.arange(sizes.size), sizes)
+        means, weights, counts = _build_segments(scores, np.full(scores.size, w), delta, segments, sizes * w)
     return ClientMessage(
         client_id=int(dataset.client_id),
         n=dataset.n,
         pi=float(dataset.pi),
         delta=float(delta),
         family=_family_fingerprint(family),
-        atoms=tuple(strata),
-        digests=tuple(digests),
+        atoms=tuple(atoms),
+        counts=tuple(counts.tolist()),
+        means=means,
+        weights=weights,
     )
 
 
 def message_to_json(message: ClientMessage) -> str:
     """The message's one wire line; see the module docstring."""
-    arrays = [d.means() for d in message.digests] + [d.weights() for d in message.digests]
-    payload = np.concatenate(arrays).astype("<f8", copy=False) if arrays else np.empty(0)
+    payload = np.concatenate((message.means, message.weights)).astype("<f8", copy=False)
     data = base64.b64encode(payload.tobytes())
     header = {
         "client_id": message.client_id,
@@ -179,7 +174,7 @@ def message_to_json(message: ClientMessage) -> str:
         "delta": message.delta,
         "family": message.family,
         "atoms": ["".join(map(str, atom)) for atom in message.atoms],
-        "counts": [len(d) for d in message.digests],
+        "counts": list(message.counts),
         "crc32": zlib.crc32(data),
         "data": data.decode("ascii"),
     }
@@ -206,10 +201,10 @@ def message_from_json(line: str) -> ClientMessage:
     codes, counts, data = obj["atoms"], obj["counts"], obj["data"]
     if not (_is_int(client_id) and _is_int(n) and n >= 0):
         raise ProtocolError(f"client id {client_id!r} and n {n!r} must be integers, n >= 0")
-    if not (_is_real(pi) and 0.0 <= pi <= 1.0 and _is_real(delta) and delta > 0.0):
-        raise ProtocolError(
-            f"client {client_id}: pi {pi!r} outside [0, 1], or delta {delta!r} not positive"
-        )
+    if not (_is_real(pi) and 0.0 <= pi <= 1.0):
+        raise ProtocolError(f"client {client_id}: pi {pi!r} outside [0, 1]")
+    if not (_is_real(delta) and delta > 0.0):
+        raise ProtocolError(f"client {client_id}: delta {delta!r} not finite and positive")
     if not isinstance(obj["family"], str):
         raise ProtocolError(f"client {client_id}: family fingerprint must be a string")
     if not (
@@ -254,14 +249,9 @@ def message_from_json(line: str) -> ClientMessage:
     down[ends[:-1] - 1] = False  # pairs that straddle two atoms
     if down.any():
         raise ProtocolError(f"client {client_id}: clusters not sorted by mean")
-    digests = []
-    with np.errstate(over="ignore"):
-        for start, end in zip([0, *ends[:-1].tolist()], ends.tolist()):
-            atom_weights = weights[start:end]
-            total = atom_weights.cumsum()[-1]
-            if not math.isfinite(total):
-                raise ProtocolError(f"client {client_id}: cluster weights sum to infinity")
-            digests.append(Digest(means[start:end], atom_weights, float(delta), total))
+    with np.errstate(over="ignore"):  # the client's sum is inf if any atom's is
+        if size and not math.isfinite(weights.cumsum()[-1]):
+            raise ProtocolError(f"client {client_id}: cluster weights sum to infinity")
     return ClientMessage(
         client_id=client_id,
         n=n,
@@ -269,7 +259,9 @@ def message_from_json(line: str) -> ClientMessage:
         delta=float(delta),
         family=obj["family"],
         atoms=tuple(tuple(map(int, code)) for code in codes),
-        digests=tuple(digests),
+        counts=tuple(counts),
+        means=means,
+        weights=weights,
     )
 
 
@@ -278,14 +270,15 @@ def server_assemble(
 ) -> tuple[Coreset, float]:
     """The coreset and the test weight of a round, from its messages alone.
 
-    Checks the round (see the module docstring), merges per-atom digests
-    across clients and concatenates them into the coreset. The test weight
-    is sum_k pi_k / (n_k + 1) over the headers, in message order.
+    Checks the round (see the module docstring) and merges it in one sketch
+    pass, one segment per atom whose total adds each client's sequential sum
+    of the atom's weights in message order. The test weight is
+    sum_k pi_k / (n_k + 1) over the headers, in message order.
     """
     if not messages:
         raise ProtocolError("server received no messages")
     fingerprint, d = _family_fingerprint(family), len(family)
-    by_atom: dict[AtomKey, list[Digest]] = {}
+    totals: dict[AtomKey, float] = {}
     senders: set[int] = set()
     for m in messages:
         if m.client_id in senders:
@@ -301,28 +294,35 @@ def server_assemble(
             )
         if any(len(atom) != d for atom in m.atoms):
             raise ProtocolError(f"client {m.client_id} sent atoms of another length than {d}")
-        mass = sum(digest.total_weight for digest in m.digests)
+        ends = np.cumsum(m.counts, dtype=np.int64).tolist()
+        sums = [float(m.weights[end - c : end].cumsum()[-1]) for c, end in zip(m.counts, ends)]
+        mass = sum(sums)
         expected = m.pi * m.n / (m.n + 1)
         if not abs(mass - expected) <= _WEIGHT_TOL * expected:
             raise ProtocolError(
                 f"client {m.client_id} sent weight {mass!r}, pi n / (n + 1) is {expected!r}"
             )
-        for atom, digest in zip(m.atoms, m.digests):
-            by_atom.setdefault(atom, []).append(digest)
+        for atom, atom_sum in zip(m.atoms, sums):
+            totals[atom] = totals.get(atom, 0.0) + atom_sum
     check_mixture(m.pi for m in messages)
-    if not by_atom:
+    if not totals:
         raise ProtocolError("no client sent any scores")
-    per_atom = {
-        atom: tdigest.merge(digests, delta)
-        for atom, digests in sorted(by_atom.items())
-    }
-    sizes = [len(digest) for digest in per_atom.values()]
-    dtype = np.dtype([("atom", np.int8, (d,)), ("mean", float), ("weight", float)])
-    entries = np.empty(sum(sizes), dtype=dtype)
-    entries["atom"] = np.repeat(np.array(list(per_atom), dtype=np.int8), sizes, axis=0)
-    entries["mean"] = np.concatenate([digest.means() for digest in per_atom.values()])
-    entries["weight"] = np.concatenate([digest.weights() for digest in per_atom.values()])
+    atoms = sorted(totals)
+    segment = {atom: i for i, atom in enumerate(atoms)}
+    means, weights, counts = _build_segments(
+        np.concatenate([m.means for m in messages]),
+        np.concatenate([m.weights for m in messages]),
+        delta,
+        np.repeat([segment[a] for m in messages for a in m.atoms], [c for m in messages for c in m.counts]),
+        [totals[atom] for atom in atoms],
+    )
+    entries = np.empty(means.size, dtype=[("atom", np.int8, (d,)), ("mean", float), ("weight", float)])
+    entries["atom"] = np.repeat(np.array(atoms, dtype=np.int8), counts, axis=0)
+    entries["mean"], entries["weight"] = means, weights
     entries.flags.writeable = False
+    ends = np.cumsum(counts)[:-1]
+    split = zip(atoms, np.split(means, ends), np.split(weights, ends))
+    per_atom = {atom: Digest(mu, wt, delta, totals[atom]) for atom, mu, wt in split}
     test_weight = float(sum(m.pi / (m.n + 1) for m in messages))
     return Coreset(entries=entries, per_atom_digests=per_atom), test_weight
 

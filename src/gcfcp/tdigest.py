@@ -10,9 +10,9 @@ Digests built from disjoint datasets merge by concatenating their arrays as
 weighted samples and rebuilding at the same compression level (the merging
 digest of Dunning & Ertl, arXiv:1902.04023).
 
-``build_digest_arrays`` is the one builder; ``merge`` rebuilds through the
-same private ``_build_from_arrays``, so a wrapper around the public builder
-(the benchmark's tracer) counts client builds only.
+``_build_segments`` builds the digests of disjoint segments in one pass: a
+federation client sketches all its atoms with one call, and the server merges
+a round with one more. ``build_digest_arrays`` and ``merge`` are one segment.
 """
 
 from __future__ import annotations
@@ -81,23 +81,27 @@ class Digest:
         )
 
 
-def _cluster_starts(r: np.ndarray, delta: float) -> np.ndarray:
+def _cluster_starts(r: np.ndarray, delta: float, bounds: np.ndarray) -> np.ndarray:
     """First sample of every cluster of the greedy pass over scale positions.
 
-    A cluster starting at s has left edge r[s-1] (-delta/4, the scale of
-    quantile 0, for s = 0) and ends at the first i > s with
-    r[i] - left > _SPAN. One searchsorted proposes an
-    end for every possible start, and each end steps forward until it fails
-    that exact test. The followed clusters are then checked as a whole: an
-    index inside one that fails the test (searchsorted rounded past it, or
-    rounding in arcsin made r dip by an ulp) becomes the end of its cluster.
+    ``bounds`` holds each segment's first sample, then r.size. A cluster at s
+    has left edge r[s-1] (-delta/4, quantile 0's scale, at a segment start)
+    and ends at its segment's end or the first i > s with r[i] - left > _SPAN.
+    One searchsorted per segment proposes an end for every start, and each
+    steps forward until it fails that exact test. The followed clusters are
+    then checked as a whole: an index inside one that fails the test
+    (searchsorted rounded past it, or arcsin rounding made r dip) ends it.
     """
     n = r.size
     left = np.concatenate(([-delta / 4.0], r[:-1]))
+    left[bounds[:-1]] = -delta / 4.0
+    stop = np.repeat(bounds[1:], np.diff(bounds))
     idx = np.arange(n)
-    end = np.clip(np.searchsorted(r, left + _SPAN, side="right"), idx + 1, n)
+    cuts = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    end = np.concatenate([a + np.searchsorted(r[a:b], left[a:b] + _SPAN, side="right") for a, b in cuts])
+    end = np.clip(end, idx + 1, stop)
     while True:
-        fwd = np.flatnonzero(end < n)
+        fwd = np.flatnonzero(end < stop)
         fwd = fwd[r[end[fwd]] - left[fwd] <= _SPAN]
         if not fwd.size:
             break
@@ -118,35 +122,35 @@ def _cluster_starts(r: np.ndarray, delta: float) -> np.ndarray:
         ends[owner[bad[0]]] = int(bad[0])
 
 
-def _build_from_arrays(
-    values: np.ndarray,
-    weights: np.ndarray,
-    delta: float,
-    total: float | None = None,
-) -> Digest:
+def _build_segments(values, weights, delta: float, segments=None, totals=None):
+    """Cluster means and weights by segment, then mean, and each segment's
+    count. ``segments`` index each sample's total in ``totals`` (default: one
+    segment, summed in input order); each equals a build on it alone."""
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if values.size == 0:
         raise DigestError("cannot build a digest from zero samples")
-    if delta < 2.0:
-        raise DigestError(f"compression {delta!r} must be >= 2")
+    if not 2.0 <= delta < math.inf:
+        raise DigestError(f"compression {delta!r} must be finite and >= 2")
     if not np.all(np.isfinite(values)):
         raise DigestError("sample values must be finite")
     if not (np.all(weights > 0.0) and np.all(np.isfinite(weights))):
         raise DigestError("sample weights must be positive and finite")
+    segments = np.zeros(values.size, int) if segments is None else np.asarray(segments)
+    totals = np.array([np.sum(weights)] if totals is None else totals, dtype=float)
 
-    if total is None:
-        # summed in input order so rebuilds are deterministic
-        total = float(np.sum(weights))
-
-    order = np.argsort(values, kind="stable")
+    order = np.lexsort((values, segments))
     v = values[order]
     w = weights[order]
-    q = np.minimum(np.cumsum(w) / total, 1.0)
+    seg = segments[order]
+    bounds = np.concatenate(([0], np.flatnonzero(seg[1:] != seg[:-1]) + 1, [v.size]))
     # r[i] = scale at the right boundary after absorbing sample i
-    r = (delta / (2.0 * math.pi)) * np.arcsin(2.0 * q - 1.0)
+    r = np.concatenate([
+        (delta / (2.0 * math.pi)) * np.arcsin(2.0 * np.minimum(np.cumsum(w[a:b]) / total, 1.0) - 1.0)
+        for a, b, total in zip(bounds[:-1].tolist(), bounds[1:].tolist(), totals[seg[bounds[:-1]]])
+    ])
 
-    starts = _cluster_starts(r, delta)
+    starts = _cluster_starts(r, delta, bounds)
     lengths = np.diff(np.append(starts, v.size))
     # Incremental weighted mean (bounds rounding drift over merge chains),
     # one step per position within a cluster across all clusters that long.
@@ -162,19 +166,11 @@ def _build_from_arrays(
         cw = cur_w[:k]
         cw += wj
         cur_mean[:k] += (wj / cw) * (v[pos] - cur_mean[:k])
-    means = np.empty_like(cur_mean)
-    cl_weights = np.empty_like(cur_w)
-    means[by_len] = cur_mean
-    cl_weights[by_len] = cur_w
-    return Digest(means, cl_weights, compression=delta, total_weight=total)
+    back = np.argsort(by_len)
+    return cur_mean[back], cur_w[back], np.bincount(seg[starts], minlength=totals.size)
 
 
-def build_digest_arrays(
-    values: np.ndarray,
-    weights: np.ndarray,
-    delta: float,
-    total: float | None = None,
-) -> Digest:
+def build_digest_arrays(values: np.ndarray, weights: np.ndarray, delta: float) -> Digest:
     """Greedy single pass over value-sorted samples.
 
     Ties in value keep input order (stable sort). A sample joins the current
@@ -182,7 +178,9 @@ def build_digest_arrays(
     that alone exceeds the span still forms a singleton cluster, in which
     case the mass bound degrades to max(sin(pi/delta), max_i w_i/W).
     """
-    return _build_from_arrays(values, weights, delta, total=total)
+    means, cl_weights, _ = _build_segments(values, weights, delta)
+    total = float(np.sum(np.asarray(weights, dtype=float)))
+    return Digest(means, cl_weights, compression=delta, total_weight=total)
 
 
 def merge(digests: Sequence[Digest], delta: float) -> Digest:
@@ -198,7 +196,8 @@ def merge(digests: Sequence[Digest], delta: float) -> Digest:
     total = 0.0
     for d in digests:
         total += d.total_weight
-    return _build_from_arrays(values, weights, delta, total=total)
+    means, cl_weights, _ = _build_segments(values, weights, delta, totals=[total])
+    return Digest(means, cl_weights, compression=delta, total_weight=total)
 
 
 def max_cluster_mass(digest: Digest) -> float:

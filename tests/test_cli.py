@@ -70,6 +70,15 @@ def test_predict_prints_interval(dataset_csv, capsys):
     assert "pattern=1100" in out and "interval=[" in out
 
 
+@pytest.mark.parametrize("delta", ["inf", "nan"])
+@pytest.mark.parametrize("command", [["predict", "--x", "2.5"], ["calibrate"]], ids=["predict", "calibrate"])
+def test_non_finite_delta_exits_2(dataset_csv, capsys, command, delta):
+    argv = [command[0], str(dataset_csv), *command[1:], "--delta", delta]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: compression {float(delta)!r} must be finite")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

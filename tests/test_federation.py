@@ -18,14 +18,14 @@ from gcfcp.federation import (
     ClientDataset,
     ProtocolError,
     client_build_messages,
-    client_stratify,
     message_from_json,
     message_to_json,
     run_round,
     server_assemble,
 )
 from gcfcp.federation import test_term_weight as term_weight
-from gcfcp.groups import SINGLE_GROUP, interval_family
+from gcfcp.groups import SINGLE_GROUP, enumerate_atoms, interval_family
+from gcfcp.tdigest import Digest
 from reference import approx_quantile, reference_line, reference_round
 
 FOUR_INTERVALS = interval_family([(0, 2), (1, 3), (2, 4), (3, 5)])
@@ -69,15 +69,15 @@ class TestClientSide:
 
     def test_stratify_single_atom(self):
         ds = ClientDataset(1, np.full(7, 0.5), np.arange(7.0), 1.0)
-        strata = client_stratify(ds, FOUR_INTERVALS)
-        assert set(strata) == {(1, 0, 0, 0)}
-        assert strata[(1, 0, 0, 0)].size == 7
+        msg = client_build_messages(ds, FOUR_INTERVALS, 4.0)
+        assert msg.atoms == ((1, 0, 0, 0),)
+        assert msg.counts == (len(msg.means),) and len(msg.means) <= 7
+        assert math.fsum(msg.weights) == pytest.approx(7 / 8, abs=1e-15)
 
     def test_client1_mass_concentrates_low_atoms(self):
         config = SynthConfig(seed=11)
         x = sample_covariates(config, 1, 1000)
-        ds = ClientDataset(1, x, np.zeros(1000), 0.25)
-        strata = client_stratify(ds, FOUR_INTERVALS)
+        strata = enumerate_atoms(x, FOUR_INTERVALS)
         low = sum(
             len(strata.get(a, ())) for a in [(1, 0, 0, 0), (1, 1, 0, 0)]
         )
@@ -89,16 +89,20 @@ class TestClientSide:
         msg = client_build_messages(ds, FOUR_INTERVALS, 100.0)
         assert (msg.client_id, msg.n, msg.pi, msg.delta) == (3, 10, 0.5, 100.0)
         assert msg.family == FINGERPRINT
-        assert list(msg.atoms) == sorted(client_stratify(ds, FOUR_INTERVALS))
-        total = sum(d.total_weight for d in msg.digests)
-        assert total == pytest.approx(10 * 0.5 / 11, abs=1e-12)
-        for d in msg.digests:
-            assert d.total_weight <= 0.5 * 10 / 11 + 1e-9
+        strata = enumerate_atoms(ds.covariates, FOUR_INTERVALS)
+        assert list(msg.atoms) == sorted(strata)
+        assert sum(msg.counts) == len(msg.means) == len(msg.weights)
+        assert math.fsum(msg.weights) == pytest.approx(10 * 0.5 / 11, abs=1e-12)
+        ends = np.cumsum(msg.counts)
+        for idx, count, end in zip(strata.values(), msg.counts, ends, strict=True):
+            # each atom carries its own samples' weight, 0.5 / 11 per score
+            assert math.fsum(msg.weights[end - count : end]) == pytest.approx(idx.size * 0.5 / 11, abs=1e-15)
+            assert np.all(np.diff(msg.means[end - count : end]) >= 0)
 
     def test_empty_client_sends_header_only(self):
         ds = ClientDataset(1, np.array([]), np.array([]), 1.0)
         msg = client_build_messages(ds, FOUR_INTERVALS, 100.0)
-        assert (msg.n, msg.atoms, msg.digests) == (0, (), ())
+        assert (msg.n, msg.atoms, msg.counts, msg.means.size, msg.weights.size) == (0, (), (), 0, 0)
         obj = json.loads(message_to_json(msg))
         assert (obj["atoms"], obj["counts"], obj["data"]) == ([], [], "")
 
@@ -106,8 +110,9 @@ class TestClientSide:
         rng = np.random.default_rng(1)
         scores = rng.random(40)
         ds = ClientDataset(1, np.full(40, 2.5), scores, 1.0)
-        (digest,) = client_build_messages(ds, FOUR_INTERVALS, 2500.0).digests
-        assert len(digest) == 40  # every sample its own cluster
+        msg = client_build_messages(ds, FOUR_INTERVALS, 2500.0)
+        digest = Digest(msg.means, msg.weights, msg.delta, math.fsum(msg.weights))
+        assert msg.counts == (40,)  # every sample its own cluster
         s = np.sort(scores)
         for u in (0.1, 0.5, 0.9):
             exact = s[min(int(math.ceil(u * 40)) - 1, 39)]
@@ -125,12 +130,9 @@ class TestWire:
             msg.client_id, msg.n, msg.pi, msg.delta, msg.family
         )
         assert back.atoms == msg.atoms and len(back.atoms) > 1
-        for got, sent in zip(back.digests, msg.digests, strict=True):
-            assert np.array_equal(got.means(), sent.means())
-            assert np.array_equal(got.weights(), sent.weights())
-            assert got.compression == sent.compression
-            # the wire carries clusters only; the parsed total is their sum
-            assert got.total_weight == pytest.approx(sent.total_weight, rel=1e-12)
+        assert back.counts == msg.counts
+        assert np.array_equal(back.means, msg.means)
+        assert np.array_equal(back.weights, msg.weights)
         assert message_to_json(back) == line
 
     def test_wire_schema(self):
@@ -198,6 +200,7 @@ class TestWire:
             [[(1.0, 1.0), (-math.inf, 1.0)]],
             [[(1.0, math.nan)]],
             [[(1.0, 1e308), (2.0, 1e308)]],
+            [[(1.0, 1e308)], [(1.0, 1e308)]],  # each atom finite, the client's sum not
             [[(1.0, 1.0)], [(math.inf, 1.0)]],
         ],
     )
@@ -301,9 +304,8 @@ class TestWireProperties:
         assert round_.wire_bytes == sum(len(line.encode("utf-8")) for line in lines)
         for line, m, got in zip(lines, sent, round_.messages, strict=True):
             assert message_to_json(message_from_json(line)) == line
-            assert got.atoms == m.atoms
-            for a, b in zip(got.digests, m.digests, strict=True):
-                assert np.array_equal(a.means(), b.means()) and np.array_equal(a.weights(), b.weights())
+            assert (got.atoms, got.counts) == (m.atoms, m.counts)
+            assert np.array_equal(got.means, m.means) and np.array_equal(got.weights, m.weights)
         assert round_.test_weight == sum(ds.pi / (ds.n + 1) for ds in datasets)
 
     @given(line=CLIENT_LINES, cut=st.floats(0.0, 1.0, exclude_max=True))
@@ -402,14 +404,31 @@ class TestWireProperties:
 
 
 class TestServer:
+    def test_atom_total_sums_each_client_in_turn(self):
+        # each client's weights are summed in order, then the clients in
+        # message order: 0.8 here, where one sum over all rows in message
+        # order reads 0.8000000000000003 and math.fsum 0.8000000000000002
+        lines = [
+            crafted([[(0.0, 0.1), (1.0, 0.2), (2.0, 0.1), (3.0, 1e-17), (4.0, 0.1)]], client_id=1, n=5, pi=0.6),
+            crafted([[(0.5, 6e-17), (1.5, 6e-17), (2.5, 0.3)]], client_id=2, n=3, pi=0.4),
+        ]
+        messages = [message_from_json(line) for line in lines]
+        coreset, _ = server_assemble(messages, FOUR_INTERVALS, 25.0)
+        total = 0.0
+        for m in messages:
+            client = 0.0
+            for w in m.weights.tolist():
+                client += w
+            total += client
+        assert coreset.per_atom_digests[(0, 0, 0, 1)].total_weight == total == 0.8
+
     def test_merge_of_one(self):
         rng = np.random.default_rng(5)
         ds = ClientDataset(1, np.full(30, 1.5), rng.random(30), 1.0)
         message = client_build_messages(ds, FOUR_INTERVALS, 50.0)
         coreset, test_weight = server_assemble([message], FOUR_INTERVALS, 50.0)
-        (digest,) = message.digests
         assert list(zip(coreset.entries["mean"].tolist(), coreset.entries["weight"].tolist())) == list(
-            zip(digest.means().tolist(), digest.weights().tolist())
+            zip(message.means.tolist(), message.weights.tolist())
         )
         assert test_weight == 1.0 / 31
 
@@ -433,7 +452,7 @@ class TestServer:
         ma = client_build_messages(a, FOUR_INTERVALS, 50.0)
         mb = client_build_messages(b, FOUR_INTERVALS, 50.0)
         coreset, _ = server_assemble([ma, mb], FOUR_INTERVALS, 50.0)
-        assert len(coreset) == len(ma.digests[0]) + len(mb.digests[0])
+        assert len(coreset) == sum(ma.counts) + sum(mb.counts)
 
     def test_weight_conservation_and_size_bound(self):
         rng = np.random.default_rng(8)
@@ -516,7 +535,7 @@ class TestServer:
             ClientDataset(2, np.array([]), np.array([]), 0.25),
         ]
         round_ = run_round(datasets, FOUR_INTERVALS, 50.0)
-        assert len(round_.messages) == 2 and round_.messages[1].digests == ()
+        assert len(round_.messages) == 2 and round_.messages[1].counts == ()
         assert round_.test_weight == 0.75 / 100 + 0.25
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

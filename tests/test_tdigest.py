@@ -27,14 +27,17 @@ def build(values, delta, weights=None):
 
 def to_wire(digest):
     """A federation wire line whose one atom carries the digest."""
-    message = ClientMessage(1, len(digest), 1.0, digest.compression, "", ((1,),), (digest,))
+    message = ClientMessage(
+        1, len(digest), 1.0, digest.compression, "", ((1,),), (len(digest),), digest.means(), digest.weights()
+    )
     return message_to_json(message)
 
 
 def from_wire(line):
-    """The digest of a one-atom wire line, decoded as the server does."""
-    (digest,) = message_from_json(line).digests
-    return digest
+    """The message of a one-atom wire line, decoded as the server does."""
+    message = message_from_json(line)
+    assert message.atoms == ((1,),)
+    return message
 
 
 def wire(pairs, delta=25.0, count=None):
@@ -107,6 +110,11 @@ class TestBuild:
             build([math.nan], 25.0)
         with pytest.raises(DigestError):
             build([1.0], 1.5)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_compression_rejected(self, delta):
+        with pytest.raises(DigestError, match="compression"):
+            build_digest_arrays(np.array([1.0, 2.0]), np.ones(2), delta)
 
     @given(
         st.lists(st.floats(-100, 100), min_size=1, max_size=300),
@@ -266,10 +274,10 @@ class TestSerialization:
         rng = np.random.default_rng(6)
         d = build(rng.normal(size=500), 50.0)
         back = from_wire(to_wire(d))
-        assert np.array_equal(back.means(), d.means())
-        assert np.array_equal(back.weights(), d.weights())
-        assert back.compression == d.compression
-        assert to_wire(back) == to_wire(d)
+        assert np.array_equal(back.means, d.means())
+        assert np.array_equal(back.weights, d.weights())
+        assert back.delta == d.compression
+        assert message_to_json(back) == to_wire(d)
 
     def test_wire_shape(self):
         d = build([1.0], 25.0, weights=[2.0])
@@ -322,14 +330,6 @@ class TestSerialization:
     def test_reject_non_finite(self, payload):
         with pytest.raises(ProtocolError):
             from_wire(payload)
-
-    def test_parsed_total_is_sequential_sum(self):
-        weights = [0.1, 0.2, 0.3, 1e-17, 0.7]
-        d = from_wire(wire([(float(i), w) for i, w in enumerate(weights)]))
-        total = 0.0
-        for w in weights:
-            total += w
-        assert d.total_weight == total
 
 
 class TestDigestArrays:
@@ -428,14 +428,42 @@ class TestMatchesReferenceLoop:
     @given(
         st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=200),
         st.sampled_from([2.0, 5.0, 25.0]),
+        st.sets(st.integers(1, 199), max_size=6),
     )
     @settings(max_examples=150, deadline=None)
-    def test_cluster_starts_on_any_scale_sequence(self, r, delta):
-        # the boundary search must match the loop even where r is not sorted
+    def test_cluster_starts_on_any_scale_sequence(self, r, delta, cuts):
+        # the boundary search must match the loop even where r is not sorted,
+        # and every segment starts a cluster at left edge -delta / 4
         r = np.array(r)
-        starts, left = [0], -delta / 4.0
-        for i in range(1, r.size):
-            if not r[i] - left <= 1.0 + 1e-12:
-                starts.append(i)
+        bounds = [0, *sorted(c for c in cuts if c < r.size), r.size]
+        starts = []
+        for i in range(r.size):
+            if i in bounds:
+                left = -delta / 4.0
+            elif r[i] - left <= 1.0 + 1e-12:
+                continue
+            else:
                 left = r[i - 1]
-        assert tdigest._cluster_starts(r, delta).tolist() == starts
+            starts.append(i)
+        assert tdigest._cluster_starts(r, delta, np.array(bounds)).tolist() == starts
+
+    @given(
+        n=st.integers(1, 2000),
+        segment_count=st.integers(1, 8),
+        **SAMPLE_PARAMS,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_segments_match_one_build_each(self, n, segment_count, seed, ties, weight_kind, delta):
+        values, weights = random_samples(seed, n, ties, weight_kind)
+        segments = np.random.default_rng(seed + 1).integers(0, segment_count, n)
+        totals = np.array([np.sum(weights[segments == k]) for k in range(segment_count)])
+        means, cl_weights, counts = tdigest._build_segments(values, weights, delta, segments, totals)
+        ends = np.cumsum(counts)
+        for k, (count, end) in enumerate(zip(counts.tolist(), ends.tolist())):
+            mine = segments == k
+            if not mine.any():
+                assert count == 0
+                continue
+            digest = build_digest_arrays(values[mine], weights[mine], delta)
+            assert np.array_equal(means[end - count : end], digest.means())
+            assert np.array_equal(cl_weights[end - count : end], digest.weights())
