@@ -20,13 +20,7 @@ from .conformal import (
 )
 from .federation import ClientDataset, ClientMessage, Coreset, FederationRound, run_round
 from .groups import GroupFamily, Interval, LabelSet, interval_family, membership_vector
-from .harness import (
-    CoverageReport,
-    DegenerateGroupError,
-    ExperimentConfig,
-    bench_speedup,
-    run_experiment,
-)
+from .harness import CoverageReport, DegenerateGroupError, ExperimentConfig, run_experiment
 from .tdigest import Digest, build_digest_arrays, merge
 
 __version__ = "0.1.0"
@@ -49,7 +43,6 @@ __all__ = [
     "Interval",
     "LabelSet",
     "PredictionSet",
-    "bench_speedup",
     "build_digest_arrays",
     "calibrate_baseline",
     "interval_family",

@@ -5,7 +5,6 @@ Subcommands:
   calibrate   build per-client digest messages from a dataset CSV
   predict     print the prediction set for a single test covariate
   experiment  Monte Carlo coverage study, report written as CSV
-  bench       per-prediction speedup of the coreset path
 
 exit codes:
   0  success
@@ -40,7 +39,6 @@ from .harness import (
     DEFAULT_FAMILY,
     DegenerateGroupError,
     ExperimentConfig,
-    bench_speedup,
     format_report_table,
     run_experiment,
     write_report_csv,
@@ -218,26 +216,6 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    config = ExperimentConfig(
-        alpha=args.alpha,
-        delta=args.delta,
-        family=_parse_family(args.groups),
-        synth=_synth_config(args),
-    )
-    result = bench_speedup(config, n_test=max(args.test_points, 20))
-    print(
-        f"speedup over {result.ratios.size} predictions: "
-        f"min {result.min:.2f}x, median {result.median:.2f}x, max {result.max:.2f}x"
-    )
-    print(
-        f"mean per-prediction time: centralized "
-        f"{1e3 * result.centralized_times.mean():.2f} ms, "
-        f"coreset {1e3 * result.coreset_times.mean():.2f} ms"
-    )
-    return EXIT_OK
-
-
 _OPTIONS = {
     "alpha": dict(type=float, default=0.1),
     "delta": dict(type=float, default=250.0),
@@ -305,10 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(p, *_OPTIONS)
     p.add_argument("--ingest", help="classification score CSV instead of synth data")
     p.set_defaults(func=cmd_experiment)
-
-    p = sub.add_parser("bench", help="coreset vs centralized speedup")
-    _add_options(p, "alpha", "delta", "clients", "test-points", "seed", "groups", "mixture")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -16,19 +16,21 @@ line: a JSON object with the header fields
 and one payload field, ``data``: the base64 of one little-endian float64
 array holding all the client's cluster means (atom after atom, ascending
 within an atom) and then all its cluster weights, in the same order. A client
-without scores sends the header with no atoms and empty data. Floats survive
-the wire bit for bit.
+without scores, or with pi_k = 0, sends the header with no atoms and empty
+data. Floats survive the wire bit for bit.
 
 The client's sketch raises DigestError on a compression that is not finite
 and at least 2. ``message_from_json`` checks each line on its own and raises
-ProtocolError on a malformed header, a checksum, base64 or length mismatch,
-a non-finite value, a nonpositive weight, means out of order within an atom,
-or weights that sum to infinity, in all or in one atom. ``server_assemble``
+ProtocolError on a malformed header (a delta that is not finite and at least
+2 among them), a checksum, base64 or length mismatch, a non-finite value, a
+nonpositive weight, means out of order within an atom, or weights that sum
+to infinity, in all or in one atom. ``server_assemble``
 checks the round: it raises ProtocolError on a repeated client, a family
-fingerprint, delta or atom length other than the round's, mixture weights
-that do not sum to 1, and a client whose cluster weights do not sum to
-pi_k n_k / (n_k + 1). It takes the test weight sum_k pi_k / (n_k + 1) from
-the headers, and merges every atom across clients in one more sketch pass,
+fingerprint or atom length other than the round's, a delta other than the
+first message's, mixture weights that do not sum to 1, and a client whose
+cluster weights do not sum to pi_k n_k / (n_k + 1). It takes delta from the
+first header and the test weight sum_k pi_k / (n_k + 1) from all of them,
+and merges every atom across clients in one more sketch pass at that delta,
 whose clusters are the rows of the coreset used by the quantile regression.
 Serialization is exercised for real so the byte accounting is honest, even
 though everything runs in-process.
@@ -141,9 +143,10 @@ def client_build_messages(
     dataset: ClientDataset, family: GroupFamily, delta: float
 ) -> ClientMessage:
     """The client's one message: one sketch pass with weight pi_k / (n_k + 1)
-    per score and one segment per non-empty atom (none without scores)."""
+    per score and one segment per non-empty atom (none without scores or
+    without mixture weight)."""
     w = dataset.sample_weight
-    atoms = enumerate_atoms(dataset.covariates, family) if dataset.n else {}
+    atoms = enumerate_atoms(dataset.covariates, family) if dataset.n and dataset.pi else {}
     means = weights = counts = np.empty(0)
     if atoms:
         sizes = np.array([idx.size for idx in atoms.values()])
@@ -203,8 +206,8 @@ def message_from_json(line: str) -> ClientMessage:
         raise ProtocolError(f"client id {client_id!r} and n {n!r} must be integers, n >= 0")
     if not (_is_real(pi) and 0.0 <= pi <= 1.0):
         raise ProtocolError(f"client {client_id}: pi {pi!r} outside [0, 1]")
-    if not (_is_real(delta) and delta > 0.0):
-        raise ProtocolError(f"client {client_id}: delta {delta!r} not finite and positive")
+    if not (_is_real(delta) and delta >= 2.0):
+        raise ProtocolError(f"client {client_id}: delta {delta!r} not finite and at least 2")
     if not isinstance(obj["family"], str):
         raise ProtocolError(f"client {client_id}: family fingerprint must be a string")
     if not (
@@ -265,19 +268,18 @@ def message_from_json(line: str) -> ClientMessage:
     )
 
 
-def server_assemble(
-    messages: Sequence[ClientMessage], family: GroupFamily, delta: float
-) -> tuple[Coreset, float]:
+def server_assemble(messages: Sequence[ClientMessage], family: GroupFamily) -> tuple[Coreset, float]:
     """The coreset and the test weight of a round, from its messages alone.
 
     Checks the round (see the module docstring) and merges it in one sketch
-    pass, one segment per atom whose total adds each client's sequential sum
-    of the atom's weights in message order. The test weight is
-    sum_k pi_k / (n_k + 1) over the headers, in message order.
+    pass at the first message's delta, one segment per atom whose total adds
+    each client's sequential sum of the atom's weights in message order. The
+    test weight is sum_k pi_k / (n_k + 1) over the headers, in message order.
     """
     if not messages:
         raise ProtocolError("server received no messages")
     fingerprint, d = _family_fingerprint(family), len(family)
+    first, delta = messages[0].client_id, messages[0].delta
     totals: dict[AtomKey, float] = {}
     senders: set[int] = set()
     for m in messages:
@@ -290,7 +292,7 @@ def server_assemble(
             )
         if m.delta != delta:
             raise ProtocolError(
-                f"client {m.client_id} sent delta {m.delta!r}, round uses {delta!r}"
+                f"client {m.client_id} sent delta {m.delta!r}, client {first} sent {delta!r}"
             )
         if any(len(atom) != d for atom in m.atoms):
             raise ProtocolError(f"client {m.client_id} sent atoms of another length than {d}")
@@ -341,7 +343,7 @@ def run_round(
     """Full protocol round with explicit serialization at the client boundary."""
     lines = [message_to_json(client_build_messages(ds, family, delta)) for ds in datasets]
     received = tuple(message_from_json(line) for line in lines)
-    coreset, test_weight = server_assemble(received, family, delta)
+    coreset, test_weight = server_assemble(received, family)
     return FederationRound(
         coreset=coreset,
         messages=received,

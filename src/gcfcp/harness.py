@@ -14,24 +14,17 @@ from __future__ import annotations
 
 import csv
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
 from . import datagen
-from .conformal import (
-    CALIBRATOR_KINDS,
-    CalibrationData,
-    DegenerateGroupError,
-    calibrate_baseline,
-    threshold_search,
-)
+from .conformal import CALIBRATOR_KINDS, DegenerateGroupError, calibrate_baseline
 from .datagen import IngestError, ScoreRecord, SynthConfig, substream
-from .federation import ClientDataset, run_round
+from .federation import ClientDataset, run_round  # run_round unused: perfbench/tracing.py patches harness.run_round
 from .groups import GroupFamily, interval_family, membership_matrix
 
 DEFAULT_FAMILY = interval_family([(0, 2), (1, 3), (2, 4), (3, 5)])
@@ -301,55 +294,3 @@ def format_report_table(report: CoverageReport) -> str:
     lines = ["  ".join(v.ljust(w) for v, w in zip(r, widths)) for r in rows]
     lines.insert(1, "-" * len(lines[0]))
     return "\n".join(lines)
-
-
-@dataclass
-class BenchResult:
-    ratios: np.ndarray
-    centralized_times: np.ndarray
-    coreset_times: np.ndarray
-
-    @property
-    def median(self) -> float:
-        return float(np.median(self.ratios))
-
-    @property
-    def min(self) -> float:
-        return float(np.min(self.ratios))
-
-    @property
-    def max(self) -> float:
-        return float(np.max(self.ratios))
-
-
-def bench_speedup(config: ExperimentConfig, n_test: int = 20, warmup: int = 3) -> BenchResult:
-    """Per-prediction wall-clock of the centralized QR over the coreset QR.
-
-    Thresholds are recomputed from scratch per test point (no pattern cache)
-    so the measurement reflects one honest set construction each.
-    """
-    data = _synth_trial_data(replace(config, test_points=max(n_test, 20)), trial=0)
-    central = CalibrationData.from_datasets(data.datasets, config.family)
-    round_ = run_round(data.datasets, config.family, config.delta)
-    coreset = CalibrationData.from_coreset(round_.coreset, round_.test_weight)
-
-    features = [tuple(m) for m in data.memberships]
-    for feature in features[:warmup]:
-        threshold_search(central, feature, config.alpha)
-        threshold_search(coreset, feature, config.alpha)
-
-    def timed(data):
-        out = np.empty(len(features))
-        for i, feature in enumerate(features):
-            t0 = time.perf_counter()
-            threshold_search(data, feature, config.alpha)
-            out[i] = time.perf_counter() - t0
-        return out
-
-    central_times = timed(central)
-    coreset_times = timed(coreset)
-    return BenchResult(
-        ratios=central_times / coreset_times,
-        centralized_times=central_times,
-        coreset_times=coreset_times,
-    )

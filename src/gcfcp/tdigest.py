@@ -198,9 +198,3 @@ def merge(digests: Sequence[Digest], delta: float) -> Digest:
         total += d.total_weight
     means, cl_weights, _ = _build_segments(values, weights, delta, totals=[total])
     return Digest(means, cl_weights, compression=delta, total_weight=total)
-
-
-def max_cluster_mass(digest: Digest) -> float:
-    """Maximum normalized cluster mass; controls the uniform CDF error."""
-    return float(np.max(digest.weights()) / digest.total_weight)
-

@@ -11,7 +11,7 @@ per-atom quantile crash and walks the breakpoints of the test score instead,
 and the tests compare the two within stated tolerances.
 
 Oracles the tests measure the library against: the arcsine scale function,
-a digest's step CDF and quantile, and the pinball loss.
+a digest's step CDF, quantile and maximum cluster mass, and the pinball loss.
 """
 
 import base64
@@ -58,6 +58,11 @@ def approx_quantile(digest, u):
     idx = int(np.searchsorted(cum, target * (1.0 - 1e-12), side="left"))
     idx = min(idx, len(digest) - 1)
     return digest.means()[idx]
+
+
+def max_cluster_mass(digest):
+    """Maximum normalized cluster mass; controls the uniform CDF error."""
+    return float(np.max(digest.weights()) / digest.total_weight)
 
 
 def pinball_loss(theta, s, alpha):

@@ -12,14 +12,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import ACCEPTANCE_RESULTS, breakpoint_minimum, random_lp, small_lp
+from reference import max_cluster_mass
 
 from gcfcp.conformal import CalibrationData, threshold_search
 from gcfcp.datagen import SynthConfig
 from gcfcp.federation import ClientDataset, message_from_json, message_to_json, run_round
 from gcfcp.groups import interval_family
-from gcfcp.harness import ExperimentConfig, bench_speedup, run_experiment
+from gcfcp.harness import ExperimentConfig, _synth_trial_data, run_experiment
 from gcfcp.pinball import AugmentedQrSolver
-from gcfcp.tdigest import build_digest_arrays, max_cluster_mass
+from gcfcp.tdigest import build_digest_arrays
 
 FOUR_INTERVALS = interval_family([(0, 2), (1, 3), (2, 4), (3, 5)])
 
@@ -237,6 +238,44 @@ def test_criterion_08_compression_tradeoff(table3_run, table3_run_delta25):
           f"floor {floor:.3f}, {elapsed:.0f}s")
 
 
+def coreset_speedup(config):
+    """Per-prediction wall-clock of the centralized regression over the coreset's.
+
+    Trial 0's 20 test points, after 3 warm-up pattern pairs; each threshold
+    is searched cold (no pattern cache, no start basis), so each time is one
+    whole set construction.
+    """
+    data = _synth_trial_data(replace(config, test_points=20), trial=0)
+    central = CalibrationData.from_datasets(data.datasets, config.family)
+    round_ = run_round(data.datasets, config.family, config.delta)
+    coreset = CalibrationData.from_coreset(round_.coreset, round_.test_weight)
+    features = [tuple(m) for m in data.memberships]
+    for feature in features[:3]:
+        threshold_search(central, feature, config.alpha)
+        threshold_search(coreset, feature, config.alpha)
+
+    def timed(calibration):
+        out = np.empty(len(features))
+        for i, feature in enumerate(features):
+            t0 = time.perf_counter()
+            threshold_search(calibration, feature, config.alpha)
+            out[i] = time.perf_counter() - t0
+        return out
+
+    return timed(central) / timed(coreset)
+
+
+def test_coreset_speedup_lossless_ratio_near_one():
+    config = ExperimentConfig(
+        calibrators=("gcfcp_centralized", "gcfcp_coreset"),
+        delta=4000.0,  # far above n: the sketch keeps every sample
+        synth=SynthConfig(seed=1, n_per_client=(80, 80, 80, 80)),
+    )
+    ratios = coreset_speedup(config)
+    assert ratios.size == 20
+    assert 0.5 <= np.median(ratios) <= 2.0
+
+
 def test_criterion_09_speedup():
     t0 = time.perf_counter()
     config = ExperimentConfig(
@@ -245,12 +284,12 @@ def test_criterion_09_speedup():
         synth=SynthConfig(seed=4, n_per_client=(1250, 1250, 1250, 1250)),
         family=FOUR_INTERVALS,
     )
-    r250 = bench_speedup(config, n_test=20, warmup=3)
-    r25 = bench_speedup(replace(config, delta=25.0), n_test=20, warmup=3)
+    m250 = float(np.median(coreset_speedup(config)))
+    m25 = float(np.median(coreset_speedup(replace(config, delta=25.0))))
     elapsed = time.perf_counter() - t0
-    ok = r250.median >= 3.0 and r25.median > r250.median and elapsed < 600
+    ok = m250 >= 3.0 and m25 > m250 and elapsed < 600
     check(9, "coreset speedup (median >= 3x, delta ordering)", ok,
-          f"median {r250.median:.1f}x at d250, {r25.median:.1f}x at d25, {elapsed:.0f}s")
+          f"median {m250:.1f}x at d250, {m25:.1f}x at d25, {elapsed:.0f}s")
 
 
 def test_criterion_10_protocol_conservation():

@@ -1,6 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -70,6 +73,17 @@ def test_predict_prints_interval(dataset_csv, capsys):
     assert "pattern=1100" in out and "interval=[" in out
 
 
+@pytest.mark.parametrize(
+    "mixture, code, err",
+    [("[0.5, 0.5, 0, 0]", 0, ""), ("[1, 0, 0, 0]", 3, "error: degenerate group: groups [3] ")],
+)
+def test_predict_with_zero_weight_clients(dataset_csv, capsys, mixture, code, err):
+    # a client with pi_k = 0 sends no atoms; with only client 1 left, the
+    # highest group holds none of its covariates
+    assert main(["predict", str(dataset_csv), "--x", "2.5", "--mixture", mixture]) == code
+    assert capsys.readouterr().err.startswith(err)
+
+
 @pytest.mark.parametrize("delta", ["inf", "nan"])
 @pytest.mark.parametrize("command", [["predict", "--x", "2.5"], ["calibrate"]], ids=["predict", "calibrate"])
 def test_non_finite_delta_exits_2(dataset_csv, capsys, command, delta):
@@ -85,7 +99,6 @@ def test_non_finite_delta_exits_2(dataset_csv, capsys, command, delta):
         ["predict", "data.csv", "--x", "1.5", "--trials", "0"],
         ["synth", "--out", "data.csv", "--groups", "x"],
         ["calibrate", "data.csv", "--alpha", "5"],
-        ["bench", "--calibrators", "gcfcp_coreset"],
     ],
 )
 def test_subcommands_reject_options_they_do_not_read(argv, capsys):
@@ -194,10 +207,30 @@ def test_help_lists_exit_codes(capsys):
     assert cli.EXIT_CODES_HELP in cli.__doc__
 
 
-def test_bench_runs(capsys):
-    code = main(["bench", "--clients", "4", "--delta", "100", "--test-points", "20"])
-    assert code == 0
-    assert "speedup" in capsys.readouterr().out
+def test_bench_is_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--delta", "250"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def test_docs_match_the_parser():
+    """README's options table and the module docstring's subcommand list
+    name exactly the subcommands and options that ``build_parser`` defines."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: [flag for action in p._actions for flag in action.option_strings if flag.startswith("--")]
+        for name, p in sub.choices.items()
+    }
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("Each subcommand accepts only the options it reads:\n\n")[1].split("\n\n")[0]
+    rows = [re.fullmatch(r"\| `(\w+)` \| `([^`]*)` \|", line) for line in table.splitlines()[2:]]
+    assert all(rows), table
+    assert {row[1]: sorted(row[2].split()) for row in rows} == {
+        name: sorted(set(flags) - {"--help"}) for name, flags in parsed.items()
+    }
+    listed = cli.__doc__.split("Subcommands:\n")[1].split("\n\n")[0]
+    assert [line.split()[0] for line in listed.splitlines()] == list(parsed)
 
 
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)

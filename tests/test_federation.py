@@ -214,6 +214,12 @@ class TestWire:
         with pytest.raises(ProtocolError, match="delta"):
             message_from_json(line)
 
+    @pytest.mark.parametrize("delta", ["1.0", "1.9999999999999998", "0.5"])
+    def test_rejects_delta_below_2(self, delta):
+        line = crafted([[(1.0, 1.0)]]).replace('"delta":25.0', f'"delta":{delta}')
+        with pytest.raises(ProtocolError, match="delta"):
+            message_from_json(line)
+
     def test_rejects_unsorted_means_and_nonpositive_weights(self):
         with pytest.raises(ProtocolError, match="sorted"):
             message_from_json(crafted([[(2.0, 1.0), (1.0, 1.0)]]))
@@ -227,7 +233,7 @@ class TestWire:
         client_id=st.integers(0, 10**9),
         d=st.integers(1, 70),
         pi=st.floats(0.0, 1.0),
-        delta=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        delta=st.floats(min_value=2.0, allow_infinity=False),
         spare=st.integers(0, 10),
     )
     @settings(max_examples=150, deadline=None)
@@ -389,13 +395,13 @@ class TestWireProperties:
         wrong = data.draw(st.text("0123456789abcdef", min_size=16, max_size=16).filter(lambda f: f != m.family))
         resent = message_from_json(message_to_json(replace(m, family=wrong)))
         with pytest.raises(ProtocolError, match="family"):
-            server_assemble(messages[:k] + [resent] + messages[k + 1 :], family, delta)
+            server_assemble(messages[:k] + [resent] + messages[k + 1 :], family)
         with pytest.raises(ProtocolError, match="duplicate"):
-            server_assemble(messages + [m], family, delta)
+            server_assemble(messages + [m], family)
         if len(messages) > 1:
             other = replace(messages[k - 1], client_id=m.client_id)
             with pytest.raises(ProtocolError, match="duplicate"):
-                server_assemble(messages[:k] + [other] + messages[k:], family, delta)
+                server_assemble(messages[:k] + [other] + messages[k:], family)
         scale = data.draw(st.floats(0.5, 0.99) | st.floats(1.01, 1.5))
         off = [replace(ds, pi=ds.pi * scale) for ds in datasets if ds.pi * scale <= 1.0]
         assume(len(off) == len(datasets))
@@ -413,7 +419,7 @@ class TestServer:
             crafted([[(0.5, 6e-17), (1.5, 6e-17), (2.5, 0.3)]], client_id=2, n=3, pi=0.4),
         ]
         messages = [message_from_json(line) for line in lines]
-        coreset, _ = server_assemble(messages, FOUR_INTERVALS, 25.0)
+        coreset, _ = server_assemble(messages, FOUR_INTERVALS)
         total = 0.0
         for m in messages:
             client = 0.0
@@ -426,7 +432,7 @@ class TestServer:
         rng = np.random.default_rng(5)
         ds = ClientDataset(1, np.full(30, 1.5), rng.random(30), 1.0)
         message = client_build_messages(ds, FOUR_INTERVALS, 50.0)
-        coreset, test_weight = server_assemble([message], FOUR_INTERVALS, 50.0)
+        coreset, test_weight = server_assemble([message], FOUR_INTERVALS)
         assert list(zip(coreset.entries["mean"].tolist(), coreset.entries["weight"].tolist())) == list(
             zip(message.means.tolist(), message.weights.tolist())
         )
@@ -451,7 +457,7 @@ class TestServer:
         b = ClientDataset(2, np.full(20, 4.5), np.random.default_rng(7).random(20), 0.5)
         ma = client_build_messages(a, FOUR_INTERVALS, 50.0)
         mb = client_build_messages(b, FOUR_INTERVALS, 50.0)
-        coreset, _ = server_assemble([ma, mb], FOUR_INTERVALS, 50.0)
+        coreset, _ = server_assemble([ma, mb], FOUR_INTERVALS)
         assert len(coreset) == sum(ma.counts) + sum(mb.counts)
 
     def test_weight_conservation_and_size_bound(self):
@@ -466,7 +472,7 @@ class TestServer:
 
     def test_errors(self):
         with pytest.raises(ProtocolError):
-            server_assemble([], FOUR_INTERVALS, 50.0)
+            server_assemble([], FOUR_INTERVALS)
         rng = np.random.default_rng(9)
         m1 = client_build_messages(
             ClientDataset(1, rng.uniform(0, 5, 10), rng.random(10), 0.5),
@@ -479,34 +485,34 @@ class TestServer:
             50.0,
         )
         with pytest.raises(ProtocolError, match="family"):
-            server_assemble([m1, m2], FOUR_INTERVALS, 50.0)
+            server_assemble([m1, m2], FOUR_INTERVALS)
         # a family's fingerprint with another family's atom length
         with pytest.raises(ProtocolError, match="length"):
-            server_assemble([m1, replace(m2, family=m1.family)], FOUR_INTERVALS, 50.0)
+            server_assemble([m1, replace(m2, family=m1.family)], FOUR_INTERVALS)
         empty = ClientDataset(1, np.array([]), np.array([]), 1.0)
         with pytest.raises(ProtocolError, match="no client sent any scores"):
             run_round([empty], FOUR_INTERVALS, 50.0)
 
     def test_rejects_other_delta(self):
         rng = np.random.default_rng(11)
-        ds = ClientDataset(1, rng.uniform(0, 5, 50), rng.random(50), 0.5)
-        with pytest.raises(ProtocolError, match="delta"):
-            server_assemble([client_build_messages(ds, FOUR_INTERVALS, 5.0)], FOUR_INTERVALS, 250.0)
-        good = client_build_messages(ds, FOUR_INTERVALS, 250.0)
-        other = ClientDataset(2, rng.uniform(0, 5, 50), rng.random(50), 0.5)
-        with pytest.raises(ProtocolError, match="delta"):
-            server_assemble([good, client_build_messages(other, FOUR_INTERVALS, 5.0)], FOUR_INTERVALS, 250.0)
+        datasets = uniform_clients(rng, (50, 50))
+        messages = [client_build_messages(ds, FOUR_INTERVALS, 5.0) for ds in datasets]
+        coreset, _ = server_assemble(messages, FOUR_INTERVALS)  # delta from the wire
+        assert coreset.entries.tobytes() == run_round(datasets, FOUR_INTERVALS, 5.0).coreset.entries.tobytes()
+        other = client_build_messages(datasets[1], FOUR_INTERVALS, 250.0)
+        with pytest.raises(ProtocolError, match=r"client 2 sent delta 250\.0, client 1 sent 5\.0"):
+            server_assemble([messages[0], other], FOUR_INTERVALS)
 
     def test_rejects_duplicate_client(self):
         rng = np.random.default_rng(12)
         datasets = uniform_clients(rng, (200, 200))
         messages = [client_build_messages(ds, FOUR_INTERVALS, 250.0) for ds in datasets]
-        coreset, _ = server_assemble(messages, FOUR_INTERVALS, 250.0)
+        coreset, _ = server_assemble(messages, FOUR_INTERVALS)
         assert coreset.total_weight == pytest.approx(sum(0.5 * 200 / 201 for _ in datasets), abs=1e-9)
         with pytest.raises(ProtocolError, match="duplicate"):
-            server_assemble(messages + messages, FOUR_INTERVALS, 250.0)
+            server_assemble(messages + messages, FOUR_INTERVALS)
         with pytest.raises(ProtocolError, match="duplicate"):
-            server_assemble(messages + messages[-1:], FOUR_INTERVALS, 250.0)
+            server_assemble(messages + messages[-1:], FOUR_INTERVALS)
 
     def test_rejects_unconserved_weight(self):
         rng = np.random.default_rng(13)
@@ -514,7 +520,7 @@ class TestServer:
         messages = [client_build_messages(ds, FOUR_INTERVALS, 250.0) for ds in datasets]
         for bad in (replace(messages[1], n=101), replace(messages[1], pi=0.5 * (1 + 1e-8))):
             with pytest.raises(ProtocolError, match="weight"):
-                server_assemble([messages[0], bad], FOUR_INTERVALS, 250.0)
+                server_assemble([messages[0], bad], FOUR_INTERVALS)
 
     def test_mixture_validation(self):
         rng = np.random.default_rng(10)
@@ -524,7 +530,7 @@ class TestServer:
         ]
         messages = [client_build_messages(ds, FOUR_INTERVALS, 50.0) for ds in bad]
         with pytest.raises(ProtocolError, match="mixture"):
-            server_assemble(messages, FOUR_INTERVALS, 50.0)
+            server_assemble(messages, FOUR_INTERVALS)
         with pytest.raises(ProtocolError, match="mixture"):
             run_round(bad, FOUR_INTERVALS, 50.0)
 
@@ -537,6 +543,18 @@ class TestServer:
         round_ = run_round(datasets, FOUR_INTERVALS, 50.0)
         assert len(round_.messages) == 2 and round_.messages[1].counts == ()
         assert round_.test_weight == 0.75 / 100 + 0.25
+
+    def test_zero_weight_client_sends_no_atoms(self):
+        rng = np.random.default_rng(15)
+        datasets = [
+            ClientDataset(1, rng.uniform(0, 5, 99), rng.random(99), 1.0),
+            ClientDataset(2, rng.uniform(0, 5, 40), rng.random(40), 0.0),
+        ]
+        round_ = run_round(datasets, FOUR_INTERVALS, 50.0)
+        assert round_.messages[1].n == 40 and round_.messages[1].counts == ()
+        alone = run_round(datasets[:1], FOUR_INTERVALS, 50.0)
+        assert round_.coreset.entries.tobytes() == alone.coreset.entries.tobytes()
+        assert round_.test_weight == 1.0 / 100
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_client_dataset_rejects_non_finite_scores(self, bad):
@@ -553,7 +571,7 @@ class TestServer:
             0.25 * (1 / 1001 + 3 / 334), abs=1e-12
         )
         messages = [client_build_messages(ds, FOUR_INTERVALS, 50.0) for ds in datasets]
-        _, test_weight = server_assemble(messages, FOUR_INTERVALS, 50.0)
+        _, test_weight = server_assemble(messages, FOUR_INTERVALS)
         assert test_weight == term_weight(datasets)
 
 

@@ -9,7 +9,6 @@ from gcfcp.groups import GroupFamily, LabelSet, interval_family
 from gcfcp.harness import (
     DegenerateGroupError,
     ExperimentConfig,
-    bench_speedup,
     format_report_table,
     group_coverage,
     run_experiment,
@@ -211,19 +210,6 @@ class TestIngestExperiment:
         assert err.value.groups == (1,)
         assert err.value.trial == 0
         assert "trial 0" in str(err.value)
-
-
-class TestBench:
-    def test_lossless_ratio_near_one(self):
-        config = ExperimentConfig(
-            calibrators=("gcfcp_centralized", "gcfcp_coreset"),
-            delta=4000.0,  # far above n: the sketch keeps every sample
-            synth=SynthConfig(seed=1, n_per_client=(80, 80, 80, 80)),
-        )
-        result = bench_speedup(config, n_test=20, warmup=3)
-        assert result.ratios.size >= 20
-        assert 0.5 <= result.median <= 2.0
-        assert result.min <= result.median <= result.max
 
 
 def test_trial_outcomes_reproducible():

@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 
 from gcfcp import tdigest
 from gcfcp.federation import ClientMessage, ProtocolError, message_from_json, message_to_json
-from reference import approx_cdf, approx_quantile, reference_build, reference_line, reference_merge, scale
-from gcfcp.tdigest import (
-    Digest,
-    DigestError,
-    build_digest_arrays,
+from reference import (
+    approx_cdf,
+    approx_quantile,
     max_cluster_mass,
-    merge,
+    reference_build,
+    reference_line,
+    reference_merge,
+    scale,
 )
+from gcfcp.tdigest import Digest, DigestError, build_digest_arrays, merge
 
 
 def build(values, delta, weights=None):
