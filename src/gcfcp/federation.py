@@ -2,7 +2,9 @@
 
 Each client sketches its local scores in one pass, one segment per non-empty
 atom, with uniform per-sample weight pi_k / (n_k + 1), and sends one wire
-line: a JSON object with the header fields
+line. It sketches its scores in ``enumerate_atoms`` order, tied scores in any
+order: every score weighs the same, so their order changes no bit of the
+sketch. The line is a JSON object with the header fields
 
     client_id  int     the client's id, unique within the round
     n          int     n_k, the number of the client's scores
@@ -32,6 +34,8 @@ cluster weights do not sum to pi_k n_k / (n_k + 1). It takes delta from the
 first header and the test weight sum_k pi_k / (n_k + 1) from all of them,
 and merges every atom across clients in one more sketch pass at that delta,
 whose clusters are the rows of the coreset used by the quantile regression.
+That pass sorts the received clusters stably by (atom, mean): tied means from
+different clients carry different weights, and keep message order.
 Serialization is exercised for real so the byte accounting is honest, even
 though everything runs in-process.
 """
@@ -145,22 +149,21 @@ def client_build_messages(
     """The client's one message: one sketch pass with weight pi_k / (n_k + 1)
     per score and one segment per non-empty atom (none without scores or
     without mixture weight)."""
-    w = dataset.sample_weight
-    atoms = enumerate_atoms(dataset.covariates, family) if dataset.n and dataset.pi else {}
-    means = weights = counts = np.empty(0)
-    if atoms:
-        sizes = np.array([idx.size for idx in atoms.values()])
-        scores = np.asarray(dataset.scores, dtype=float)[np.concatenate(list(atoms.values()))]
-        segments = np.repeat(np.arange(sizes.size), sizes)
-        means, weights, counts = _build_segments(scores, np.full(scores.size, w), delta, segments, sizes * w)
+    atoms, counts, means, weights = (), (), np.empty(0), np.empty(0)
+    if dataset.n and dataset.pi:
+        order, bits, sizes = enumerate_atoms(dataset.covariates, family, dataset.scores)
+        w = dataset.sample_weight
+        scores = np.asarray(dataset.scores, dtype=float)[order]
+        means, weights, counts = _build_segments(scores, np.full(scores.size, w), delta, sizes, sizes * w)
+        atoms, counts = tuple(map(tuple, bits.tolist())), tuple(counts.tolist())
     return ClientMessage(
         client_id=int(dataset.client_id),
         n=dataset.n,
         pi=float(dataset.pi),
         delta=float(delta),
         family=_family_fingerprint(family),
-        atoms=tuple(atoms),
-        counts=tuple(counts.tolist()),
+        atoms=atoms,
+        counts=counts,
         means=means,
         weights=weights,
     )
@@ -311,11 +314,14 @@ def server_assemble(messages: Sequence[ClientMessage], family: GroupFamily) -> t
         raise ProtocolError("no client sent any scores")
     atoms = sorted(totals)
     segment = {atom: i for i, atom in enumerate(atoms)}
+    segments = np.repeat([segment[a] for m in messages for a in m.atoms], [c for m in messages for c in m.counts])
+    values = np.concatenate([m.means for m in messages])
+    order = np.lexsort((values, segments))  # stable: see the module docstring
     means, weights, counts = _build_segments(
-        np.concatenate([m.means for m in messages]),
-        np.concatenate([m.weights for m in messages]),
+        values[order],
+        np.concatenate([m.weights for m in messages])[order],
         delta,
-        np.repeat([segment[a] for m in messages for a in m.atoms], [c for m in messages for c in m.counts]),
+        np.bincount(segments, minlength=len(atoms)),
         [totals[atom] for atom in atoms],
     )
     entries = np.empty(means.size, dtype=[("atom", np.int8, (d,)), ("mean", float), ("weight", float)])

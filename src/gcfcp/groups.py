@@ -5,9 +5,12 @@ predicted-label sets. Membership of a point is a fixed-length binary vector
 (one bit per group, in family order), and a sample set is a 0/1 membership
 matrix with one row per point. Atoms are the equivalence classes of observed
 membership patterns, the disjoint refinement of the family: the unique rows of
-that matrix, each with the index array of the rows that carry it.
-``membership_matrix`` is the one membership routine; ``membership_vector``
-is its single-point case.
+that matrix. ``membership_matrix`` is the one membership routine;
+``membership_vector`` is its single-point case.
+
+``enumerate_atoms`` orders rows by (atom, score) with one unstable argsort of
+the scores and one stable argsort per packed membership byte, last byte first:
+tied scores end in any order, as the client sketch weighs all its scores alike.
 """
 
 from __future__ import annotations
@@ -96,35 +99,35 @@ def membership_matrix(xs: Sequence, family: GroupFamily) -> np.ndarray:
             cols.append(above & below)
         else:
             cols.append(np.isin(xs, sorted(g.labels)))
-    mat = np.column_stack(cols).astype(int)
-    uncovered = np.flatnonzero(mat.sum(axis=1) == 0)
+    uncovered = np.flatnonzero(~np.logical_or.reduce(cols))
     if uncovered.size:
         i = int(uncovered[0])
         raise CoveringError(
             f"covariate value {xs[i].item()!r} (index {i}) is outside every group"
         )
-    return mat
+    return np.column_stack(cols).astype(int)
 
 
 def enumerate_atoms(
-    covariates: Sequence, family: GroupFamily
-) -> dict[AtomKey, np.ndarray]:
-    """Group sample indices by identical membership pattern.
-
-    Only non-empty atoms appear; keys iterate in lexicographic bit order and
-    each maps to the ascending indices of its rows.
+    covariates: Sequence, family: GroupFamily, scores: Sequence
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, atoms, sizes)``: ``order`` sorts the rows by membership
+    pattern in lexicographic bit order, then by score (ties in any order);
+    ``atoms`` holds the bits of each non-empty atom, one uint8 row each, in
+    that order, and ``sizes`` its number of rows.
     """
     if len(covariates) == 0:
         raise ValueError("enumerate_atoms requires at least one covariate")
-    mat = membership_matrix(covariates, family)
-    # Pack each row's bits, first group in the high bit, into one byte string:
-    # byte strings sort in the lexicographic bit order, for any family size.
-    packed = np.packbits(mat.astype(bool), axis=1)
-    keys, inverse = np.unique(packed.view(f"S{packed.shape[1]}").ravel(), return_inverse=True)
-    rows = np.argsort(inverse, kind="stable")
-    cuts = np.cumsum(np.bincount(inverse, minlength=keys.size))[:-1]
-    bits = np.unpackbits(keys.view(np.uint8).reshape(keys.size, -1), axis=1, count=len(family))
-    return dict(zip(map(tuple, bits.tolist()), np.split(rows, cuts)))
+    # Each row's bits packed into bytes, first group in the high bit: byte
+    # columns sort in the lexicographic bit order, for any family size.
+    packed = np.packbits(membership_matrix(covariates, family), axis=1)
+    order = np.argsort(np.asarray(scores, dtype=float))
+    for column in packed.T[::-1]:  # least significant byte first (LSD radix)
+        order = order[np.argsort(column[order], kind="stable")]
+    keys = packed[order]
+    starts = np.flatnonzero(np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1))))
+    atoms = np.unpackbits(keys[starts], axis=1, count=len(family))
+    return order, atoms, np.diff(np.append(starts, order.size))
 
 
 def family_from_json(payload: str | Mapping) -> GroupFamily:

@@ -13,6 +13,9 @@ digest of Dunning & Ertl, arXiv:1902.04023).
 ``_build_segments`` builds the digests of disjoint segments in one pass: a
 federation client sketches all its atoms with one call, and the server merges
 a round with one more. ``build_digest_arrays`` and ``merge`` are one segment.
+Its caller sorts the samples by (segment, value): the order among tied values
+moves cumulative weights and cluster edges unless the tied samples weigh the
+same, so ``build_digest_arrays`` and ``merge`` sort stably.
 """
 
 from __future__ import annotations
@@ -122,35 +125,27 @@ def _cluster_starts(r: np.ndarray, delta: float, bounds: np.ndarray) -> np.ndarr
         ends[owner[bad[0]]] = int(bad[0])
 
 
-def _build_segments(values, weights, delta: float, segments=None, totals=None):
-    """Cluster means and weights by segment, then mean, and each segment's
-    count. ``segments`` index each sample's total in ``totals`` (default: one
-    segment, summed in input order); each equals a build on it alone."""
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if values.size == 0:
+def _build_segments(v: np.ndarray, w: np.ndarray, delta: float, sizes, totals):
+    """Cluster means and weights of samples sorted by (segment, value), and
+    each segment's cluster count. ``sizes`` and ``totals`` hold each segment's
+    samples and weight; its clusters equal a build on it alone."""
+    if v.size == 0:
         raise DigestError("cannot build a digest from zero samples")
     if not 2.0 <= delta < math.inf:
         raise DigestError(f"compression {delta!r} must be finite and >= 2")
-    if not np.all(np.isfinite(values)):
+    if not np.all(np.isfinite(v)):
         raise DigestError("sample values must be finite")
-    if not (np.all(weights > 0.0) and np.all(np.isfinite(weights))):
+    if not (np.all(w > 0.0) and np.all(np.isfinite(w))):
         raise DigestError("sample weights must be positive and finite")
-    segments = np.zeros(values.size, int) if segments is None else np.asarray(segments)
-    totals = np.array([np.sum(weights)] if totals is None else totals, dtype=float)
-
-    order = np.lexsort((values, segments))
-    v = values[order]
-    w = weights[order]
-    seg = segments[order]
-    bounds = np.concatenate(([0], np.flatnonzero(seg[1:] != seg[:-1]) + 1, [v.size]))
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
     # r[i] = scale at the right boundary after absorbing sample i
     r = np.concatenate([
         (delta / (2.0 * math.pi)) * np.arcsin(2.0 * np.minimum(np.cumsum(w[a:b]) / total, 1.0) - 1.0)
-        for a, b, total in zip(bounds[:-1].tolist(), bounds[1:].tolist(), totals[seg[bounds[:-1]]])
+        for a, b, total in zip(bounds[:-1].tolist(), bounds[1:].tolist(), totals)
     ])
 
-    starts = _cluster_starts(r, delta, bounds)
+    # an empty segment starts no cluster
+    starts = _cluster_starts(r, delta, np.append(bounds[:-1][np.diff(bounds) > 0], v.size))
     lengths = np.diff(np.append(starts, v.size))
     # Incremental weighted mean (bounds rounding drift over merge chains),
     # one step per position within a cluster across all clusters that long.
@@ -167,7 +162,14 @@ def _build_segments(values, weights, delta: float, segments=None, totals=None):
         cw += wj
         cur_mean[:k] += (wj / cw) * (v[pos] - cur_mean[:k])
     back = np.argsort(by_len)
-    return cur_mean[back], cur_w[back], np.bincount(seg[starts], minlength=totals.size)
+    return cur_mean[back], cur_w[back], np.diff(np.searchsorted(starts, bounds))
+
+
+def _build_one(values: np.ndarray, weights: np.ndarray, delta: float, total: float) -> Digest:
+    """One segment: the samples in stable value order, then one build."""
+    order = np.argsort(values, kind="stable")
+    means, cl_weights, _ = _build_segments(values[order], weights[order], delta, [values.size], [total])
+    return Digest(means, cl_weights, compression=delta, total_weight=total)
 
 
 def build_digest_arrays(values: np.ndarray, weights: np.ndarray, delta: float) -> Digest:
@@ -178,9 +180,8 @@ def build_digest_arrays(values: np.ndarray, weights: np.ndarray, delta: float) -
     that alone exceeds the span still forms a singleton cluster, in which
     case the mass bound degrades to max(sin(pi/delta), max_i w_i/W).
     """
-    means, cl_weights, _ = _build_segments(values, weights, delta)
-    total = float(np.sum(np.asarray(weights, dtype=float)))
-    return Digest(means, cl_weights, compression=delta, total_weight=total)
+    weights = np.asarray(weights, dtype=float)
+    return _build_one(np.asarray(values, dtype=float), weights, delta, float(np.sum(weights)))
 
 
 def merge(digests: Sequence[Digest], delta: float) -> Digest:
@@ -196,5 +197,4 @@ def merge(digests: Sequence[Digest], delta: float) -> Digest:
     total = 0.0
     for d in digests:
         total += d.total_weight
-    means, cl_weights, _ = _build_segments(values, weights, delta, totals=[total])
-    return Digest(means, cl_weights, compression=delta, total_weight=total)
+    return _build_one(values, weights, delta, total)

@@ -243,7 +243,8 @@ def coreset_speedup(config):
 
     Trial 0's 20 test points, after 3 warm-up pattern pairs; each threshold
     is searched cold (no pattern cache, no start basis), so each time is one
-    whole set construction.
+    whole set construction, taken as the fastest of 3 repeats on either path
+    so that a busy host slows neither side's figure.
     """
     data = _synth_trial_data(replace(config, test_points=20), trial=0)
     central = CalibrationData.from_datasets(data.datasets, config.family)
@@ -257,9 +258,12 @@ def coreset_speedup(config):
     def timed(calibration):
         out = np.empty(len(features))
         for i, feature in enumerate(features):
-            t0 = time.perf_counter()
-            threshold_search(calibration, feature, config.alpha)
-            out[i] = time.perf_counter() - t0
+            runs = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                threshold_search(calibration, feature, config.alpha)
+                runs.append(time.perf_counter() - t0)
+            out[i] = min(runs)
         return out
 
     return timed(central) / timed(coreset)

@@ -77,9 +77,9 @@ class TestClientSide:
     def test_client1_mass_concentrates_low_atoms(self):
         config = SynthConfig(seed=11)
         x = sample_covariates(config, 1, 1000)
-        strata = enumerate_atoms(x, FOUR_INTERVALS)
+        _, atoms, sizes = enumerate_atoms(x, FOUR_INTERVALS, np.zeros(1000))
         low = sum(
-            len(strata.get(a, ())) for a in [(1, 0, 0, 0), (1, 1, 0, 0)]
+            size for atom, size in zip(atoms.tolist(), sizes.tolist()) if atom in ([1, 0, 0, 0], [1, 1, 0, 0])
         )
         assert low >= 0.95 * 1000
 
@@ -89,14 +89,14 @@ class TestClientSide:
         msg = client_build_messages(ds, FOUR_INTERVALS, 100.0)
         assert (msg.client_id, msg.n, msg.pi, msg.delta) == (3, 10, 0.5, 100.0)
         assert msg.family == FINGERPRINT
-        strata = enumerate_atoms(ds.covariates, FOUR_INTERVALS)
-        assert list(msg.atoms) == sorted(strata)
+        _, atoms, sizes = enumerate_atoms(ds.covariates, FOUR_INTERVALS, ds.scores)
+        assert list(msg.atoms) == sorted(map(tuple, atoms.tolist()))
         assert sum(msg.counts) == len(msg.means) == len(msg.weights)
         assert math.fsum(msg.weights) == pytest.approx(10 * 0.5 / 11, abs=1e-12)
         ends = np.cumsum(msg.counts)
-        for idx, count, end in zip(strata.values(), msg.counts, ends, strict=True):
+        for size, count, end in zip(sizes.tolist(), msg.counts, ends, strict=True):
             # each atom carries its own samples' weight, 0.5 / 11 per score
-            assert math.fsum(msg.weights[end - count : end]) == pytest.approx(idx.size * 0.5 / 11, abs=1e-15)
+            assert math.fsum(msg.weights[end - count : end]) == pytest.approx(size * 0.5 / 11, abs=1e-15)
             assert np.all(np.diff(msg.means[end - count : end]) >= 0)
 
     def test_empty_client_sends_header_only(self):
@@ -603,10 +603,7 @@ FEDERATIONS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FEDERATIONS))
-def test_round_is_bit_identical_to_loop_reference(name):
-    make, family, delta = FEDERATIONS[name]
-    datasets = make()
+def assert_round_is_bit_identical_to_loop_reference(datasets, family, delta):
     ref_lines, ref_entries, ref_per_atom = reference_round(datasets, family, delta)
 
     lines = [message_to_json(client_build_messages(ds, family, delta)) for ds in datasets]
@@ -636,4 +633,26 @@ def test_round_is_bit_identical_to_loop_reference(name):
     )
     for pattern in list(ref_per_atom)[:2]:
         assert threshold_search(data, pattern, 0.1) == threshold_search(ref_data, pattern, 0.1)
+    return round_
+
+
+@pytest.mark.parametrize("name", sorted(FEDERATIONS))
+def test_round_is_bit_identical_to_loop_reference(name):
+    make, family, delta = FEDERATIONS[name]
+    assert_round_is_bit_identical_to_loop_reference(make(), family, delta)
+
+
+def test_server_keeps_message_order_among_tied_means():
+    # integer scores: clusters of one repeated score, whose means tie across
+    # clients of different weights; the reference keeps message order among
+    # ties, and the order of a tie moves cluster edges
+    rng = np.random.default_rng(25)
+    datasets = [
+        ClientDataset(k, np.zeros(n), rng.integers(0, 4, n).astype(float), pi)
+        for k, (n, pi) in enumerate(((30, 0.5), (7, 0.3), (120, 0.2)), start=1)
+    ]
+    forward = assert_round_is_bit_identical_to_loop_reference(datasets, SINGLE_GROUP, 25.0)
+    backward = assert_round_is_bit_identical_to_loop_reference(datasets[::-1], SINGLE_GROUP, 25.0)
+    assert set(forward.messages[0].means) & set(forward.messages[1].means) & set(forward.messages[2].means)
+    assert not np.array_equal(forward.coreset.entries["weight"], backward.coreset.entries["weight"])
 

@@ -141,78 +141,93 @@ class TestMembershipMatchesReference:
         assert_matches_reference(np.array(rows), family)
 
 
+def assert_client_order(xs, family, scores):
+    """``enumerate_atoms`` against an ``np.lexsort`` oracle and the per-row
+    reference: a permutation of the rows in (atom, score) order whose runs are
+    the reference's atoms, in lexicographic order, with its rows."""
+    scores = np.asarray(scores, dtype=float)
+    order, atoms, sizes = enumerate_atoms(xs, family, scores)
+    mat = membership_matrix(xs, family)
+    oracle = np.lexsort((scores, *mat.T[::-1]))
+    # partition: every row exactly once
+    assert order.dtype.kind == "i" and sorted(order.tolist()) == list(range(len(scores)))
+    assert np.array_equal(mat[order], mat[oracle])
+    assert np.array_equal(scores[order], scores[oracle])
+    want = reference_atoms(xs, family)
+    assert [tuple(atom) for atom in atoms.tolist()] == list(want)
+    assert sizes.tolist() == [len(idx) for idx in want.values()]
+    runs = np.split(order, np.cumsum(sizes)[:-1])
+    assert [sorted(run.tolist()) for run in runs] == list(want.values())
+    # reconstruction: per group, the rows of its atoms are its member rows
+    for g in range(len(family)):
+        from_atoms = sorted(i for atom, run in zip(atoms, runs) if atom[g] for i in run.tolist())
+        assert from_atoms == np.flatnonzero(mat[:, g]).tolist()
+    return order, atoms, sizes
+
+
+# few distinct scores, so most of them tie
+TIED_SCORES = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.floats(-3.0, 3.0))
+
+
+def rows_and_scores(covariate, max_size=300):
+    return st.lists(st.tuples(covariate, TIED_SCORES), min_size=1, max_size=max_size).map(
+        lambda pairs: ([x for x, _ in pairs], [s for _, s in pairs])
+    )
+
+
 class TestAtoms:
     def test_seven_atoms_on_grid(self):
         xs = np.linspace(0, 5, 501)
-        atoms = enumerate_atoms(xs, FOUR_INTERVALS)
-        assert set(atoms) == {
+        _, atoms, _ = assert_client_order(xs, FOUR_INTERVALS, np.zeros(xs.size))
+        assert [tuple(atom) for atom in atoms.tolist()] == [
+            (0, 0, 0, 1),
+            (0, 0, 1, 1),
+            (0, 1, 1, 0),
+            (0, 1, 1, 1),
             (1, 0, 0, 0),
             (1, 1, 0, 0),
             (1, 1, 1, 0),
-            (0, 1, 1, 0),
-            (0, 1, 1, 1),
-            (0, 0, 1, 1),
-            (0, 0, 0, 1),
-        }
-        assert list(atoms) == sorted(atoms)  # lexicographic iteration
+        ]
 
     def test_single_group(self):
-        atoms = enumerate_atoms([0.0, 1.0, 100.0], SINGLE_GROUP)
-        assert set(atoms) == {(1,)}
-        assert atoms[(1,)].tolist() == [0, 1, 2]
+        order, atoms, sizes = enumerate_atoms([0.0, 1.0, 100.0], SINGLE_GROUP, [3.0, 1.0, 2.0])
+        assert (order.tolist(), atoms.tolist(), sizes.tolist()) == ([1, 2, 0], [[1]], [3])
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_atoms([], FOUR_INTERVALS)
+            enumerate_atoms([], FOUR_INTERVALS, [])
 
-    @given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=200))
+    @given(rows_and_scores(st.floats(0.0, 5.0), max_size=200))
     @settings(max_examples=50, deadline=None)
-    def test_partition_and_reconstruction(self, xs):
-        atoms = enumerate_atoms(xs, FOUR_INTERVALS)
-        # partition: every index in exactly one atom
-        all_idx = sorted(i for idx in atoms.values() for i in idx)
-        assert all_idx == list(range(len(xs)))
-        # reconstruction: per group, union of member atoms == member samples
+    def test_partition_and_reconstruction(self, case):
+        xs, scores = case
+        _, atoms, _ = assert_client_order(xs, FOUR_INTERVALS, scores)
         mat = membership_matrix(xs, FOUR_INTERVALS)
-        for g in range(len(FOUR_INTERVALS)):
-            from_atoms = sorted(
-                i for atom, idx in atoms.items() if atom[g] for i in idx
-            )
-            assert from_atoms == list(np.flatnonzero(mat[:, g]))
         assert len(atoms) <= min(2 ** len(FOUR_INTERVALS) - 1, len(set(map(tuple, mat))))
 
 
-def assert_same_atoms(got, want):
-    assert list(got) == list(want)  # same keys, same lexicographic order
-    for key, idx in got.items():
-        assert all(type(b) is int for b in key)
-        assert isinstance(idx, np.ndarray) and idx.dtype.kind == "i"
-        assert idx.tolist() == want[key]
-
-
 class TestAtomsMatchReference:
-    @given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=300))
+    @given(rows_and_scores(st.floats(0.0, 5.0)))
     @settings(max_examples=60, deadline=None)
-    def test_four_intervals(self, xs):
-        assert_same_atoms(enumerate_atoms(xs, FOUR_INTERVALS), reference_atoms(xs, FOUR_INTERVALS))
+    def test_four_intervals(self, case):
+        assert_client_order(case[0], FOUR_INTERVALS, case[1])
 
-    @given(st.lists(st.integers(0, 9), min_size=1, max_size=300))
+    @given(rows_and_scores(st.integers(0, 9)))
     @settings(max_examples=30, deadline=None)
-    def test_label_sets(self, labels):
-        assert_same_atoms(enumerate_atoms(labels, LABEL_FAMILY), reference_atoms(labels, LABEL_FAMILY))
+    def test_label_sets(self, case):
+        assert_client_order(case[0], LABEL_FAMILY, case[1])
 
-    @given(st.lists(st.floats(0.0, 35.5), min_size=1, max_size=300))
+    @given(rows_and_scores(st.floats(0.0, 35.5)))
     @settings(max_examples=40, deadline=None)
-    def test_more_than_64_groups(self, xs):
-        atoms = enumerate_atoms(xs, WIDE_FAMILY)
-        assert all(len(key) == 70 for key in atoms)
-        assert_same_atoms(atoms, reference_atoms(xs, WIDE_FAMILY))
+    def test_more_than_64_groups(self, case):
+        _, atoms, _ = assert_client_order(case[0], WIDE_FAMILY, case[1])
+        assert atoms.shape[1] == 70
 
     def test_vector_covariates_and_many_rows(self):
         rng = np.random.default_rng(0)
         xs = np.column_stack([rng.normal(size=20_000), rng.uniform(0, 35.5, 20_000)])
         fam = GroupFamily(groups=WIDE_FAMILY.groups, feature=1)
-        assert_same_atoms(enumerate_atoms(xs, fam), reference_atoms(xs, fam))
+        assert_client_order(xs, fam, np.round(rng.normal(size=20_000), 1))
 
 
 class TestConfig:

@@ -417,6 +417,22 @@ class TestMatchesReferenceLoop:
             chain_ref = reference_merge([chain_ref, ref], delta)
             assert_matches(chain, chain_ref)
 
+    def test_merge_chain_drift(self):
+        # 60 pairwise merges, left to right, each side merging its own
+        # results: tied values and weights over ten orders of magnitude move
+        # no cluster edge and no bit of the means and weights
+        rng = np.random.default_rng(8)
+        for delta in (5.0, 25.0, 250.0):
+            for ties, weight_kind in ((False, "uniform"), (True, "unit"), (True, "spread")):
+                chain = chain_ref = None
+                for _ in range(61):
+                    n = int(rng.integers(50, 400))
+                    values, weights = random_samples(int(rng.integers(2**32)), n, ties, weight_kind)
+                    d, ref = build_digest_arrays(values, weights, delta), reference_build(values, weights, delta)
+                    chain = d if chain is None else merge([chain, d], delta)
+                    chain_ref = ref if chain_ref is None else reference_merge([chain_ref, ref], delta)
+                    assert_matches(chain, chain_ref)
+
     def test_tiny_weight_increments(self):
         # weights far below one ulp of the running total leave q (and r)
         # flat or moving by single ulps, where arcsin need not be monotone
@@ -426,6 +442,17 @@ class TestMatchesReferenceLoop:
             weights = 10.0 ** rng.uniform(-18.0, 0.0, 2000)
             digest = tdigest.build_digest_arrays(values, weights, delta)
             assert_matches(digest, reference_build(values, weights, delta))
+
+    def test_extreme_values_keep_finite_means(self):
+        # a sum of the products w * v would overflow here; the running mean
+        # never leaves the range of its samples
+        for values, weights, mean in (
+            ([-1e300, 1e300], [1e10, 1e10], 0.0),
+            ([1e308, 1.5e308], [1.0, 1.0], 1.25e308),
+        ):
+            digest = tdigest.build_digest_arrays(values, weights, 2.0)
+            assert digest.means().tolist() == [mean]
+            assert_matches(digest, reference_build(values, weights, 2.0))
 
     @given(
         st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=200),
@@ -459,7 +486,9 @@ class TestMatchesReferenceLoop:
         values, weights = random_samples(seed, n, ties, weight_kind)
         segments = np.random.default_rng(seed + 1).integers(0, segment_count, n)
         totals = np.array([np.sum(weights[segments == k]) for k in range(segment_count)])
-        means, cl_weights, counts = tdigest._build_segments(values, weights, delta, segments, totals)
+        order = np.lexsort((values, segments))
+        sizes = np.bincount(segments, minlength=segment_count)
+        means, cl_weights, counts = tdigest._build_segments(values[order], weights[order], delta, sizes, totals)
         ends = np.cumsum(counts)
         for k, (count, end) in enumerate(zip(counts.tolist(), ends.tolist())):
             mine = segments == k
