@@ -23,8 +23,6 @@ import json
 import re
 import sys
 
-import numpy as np
-
 from . import datagen
 from .conformal import (
     CALIBRATOR_KINDS,
@@ -32,9 +30,9 @@ from .conformal import (
     calibrate_baseline,
     predict_regression,
 )
-from .datagen import IngestError, SynthConfig, substream
-from .federation import ClientDataset, ProtocolError, message_to_json, run_round
-from .groups import CoveringError, GroupFamily, family_from_json, membership_vector
+from .datagen import IngestError, SynthConfig
+from .federation import ClientDataset, check_mixture, client_datasets, message_to_json, run_round
+from .groups import GroupFamily, family_from_json, membership_vector
 from .harness import (
     DEFAULT_FAMILY,
     DegenerateGroupError,
@@ -51,19 +49,10 @@ EXIT_DEGENERATE = 3
 EXIT_INGEST = 4
 EXIT_SEARCH = 5
 
-EXIT_CODES_HELP = """\
-exit codes:
-  0  success
-  2  configuration error
-  3  degenerate group (a group with zero calibration mass)
-  4  ingestion error (a malformed file, or too few rows to split)
-  5  threshold search failure (an empty prediction set, or an LP optimum
-     that fails verification)
-"""
+# the docstring's table; python -OO strips docstrings
+EXIT_CODES_HELP = __doc__[__doc__.index("exit codes:"):] if __doc__ else ""
 
-
-class ConfigError(ValueError):
-    pass
+_HEADER = ["client_id", "x", "y", "score"]
 
 
 def _parse_family(arg: str | None) -> GroupFamily:
@@ -72,85 +61,59 @@ def _parse_family(arg: str | None) -> GroupFamily:
     try:
         return family_from_json(arg)
     except Exception as exc:
-        raise ConfigError(f"bad --groups value: {exc}") from exc
+        raise ValueError(f"bad --groups value: {exc}") from exc
 
 
-def _parse_mixture(arg: str, n_clients: int) -> tuple[float, ...]:
+def _parse_mixture(arg: str) -> tuple[float, ...]:
+    """The --mixture weights; () for "uniform"."""
     if arg == "uniform":
-        return tuple(1.0 / n_clients for _ in range(n_clients))
+        return ()
     try:
         pi = tuple(float(v) for v in json.loads(arg))
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad --mixture value: {exc}") from exc
-    if len(pi) != n_clients:
-        raise ConfigError(f"--mixture has {len(pi)} weights for {n_clients} clients")
-    if abs(sum(pi) - 1.0) > 1e-9:
-        raise ConfigError("--mixture weights must sum to 1")
+        raise ValueError(f"bad --mixture value: {exc}") from exc
+    check_mixture(pi)
     return pi
 
 
-def _synth_config(args) -> SynthConfig:
-    if args.clients < 2:
-        raise ConfigError("--clients must be at least 2")
-    if args.clients == 4:
-        sizes = (1000, 333, 333, 333)
+def _synth_config(args, pi: tuple[float, ...] = ()) -> SynthConfig:
+    if args.clients == SynthConfig.n_clients:
+        sizes = SynthConfig.n_per_client
     else:
         sizes = tuple(500 for _ in range(args.clients))
-    return SynthConfig(
-        seed=args.seed,
-        n_clients=args.clients,
-        n_per_client=sizes,
-        pi=_parse_mixture(args.mixture, args.clients),
-    )
-
-
-def _write_dataset_csv(path, config: SynthConfig) -> None:
-    model = datagen.fit_linear(datagen.make_training_set(config))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["client_id", "x", "y", "score"])
-        for k in range(1, config.n_clients + 1):
-            x = datagen.sample_covariates(config, k, config.n_per_client[k - 1])
-            rng = substream(config.seed, "response", 0, k)
-            y = datagen.generate_response(x, k, rng)
-            s = datagen.score_absolute(model, x, y)
-            for xi, yi, si in zip(x, y, s):
-                writer.writerow([k, repr(float(xi)), repr(float(yi)), repr(float(si))])
+    return SynthConfig(seed=args.seed, n_clients=args.clients, n_per_client=sizes, pi=pi)
 
 
 def _read_dataset_csv(path, mixture_arg: str) -> list[ClientDataset]:
-    by_client: dict[int, list[tuple[float, float]]] = {}
+    ids, xs, scores = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["client_id", "x", "y", "score"]:
+        if header != _HEADER:
             raise IngestError(f"bad dataset header {header!r}")
         for lineno, row in enumerate(reader, start=2):
             try:
-                by_client.setdefault(int(row[0]), []).append(
-                    (float(row[1]), float(row[3]))
-                )
+                cid, x, score = int(row[0]), float(row[1]), float(row[3])
             except (IndexError, ValueError) as exc:
                 raise IngestError(f"row {lineno}: {exc}") from exc
-    if not by_client:
+            ids.append(cid)
+            xs.append(x)
+            scores.append(score)
+    if not ids:
         raise IngestError("dataset has no rows")
-    ids = sorted(by_client)
-    pi = _parse_mixture(mixture_arg, len(ids))
-    return [
-        ClientDataset(
-            cid,
-            np.array([x for x, _ in by_client[cid]]),
-            np.array([s for _, s in by_client[cid]]),
-            pi[i],
-        )
-        for i, cid in enumerate(ids)
-    ]
+    return client_datasets(ids, xs, scores, _parse_mixture(mixture_arg))
 
 
 def cmd_synth(args) -> int:
     if not args.out:
-        raise ConfigError("synth requires --out")
-    _write_dataset_csv(args.out, _synth_config(args))
+        raise ValueError("synth requires --out")
+    _, clients = datagen.synth_clients(_synth_config(args))
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_HEADER)
+        for k, (x, y, s) in enumerate(clients, start=1):
+            for row in zip(x.tolist(), y.tolist(), s.tolist()):
+                writer.writerow([k, *map(repr, row)])
     print(f"wrote dataset to {args.out}")
     return EXIT_OK
 
@@ -180,8 +143,7 @@ def cmd_predict(args) -> int:
     calibrator = calibrate_baseline("gcfcp_coreset", datasets, args.alpha, family=family, delta=args.delta)
     feature = membership_vector(args.x, family)
     s_star = calibrator.threshold(feature)
-    center = args.prediction if args.prediction is not None else 0.0
-    ps = predict_regression(center, s_star)
+    ps = predict_regression(args.prediction, s_star)
     print(
         f"x={args.x} pattern={''.join(map(str, feature))} threshold={s_star:.6f} "
         f"interval=[{ps.center - ps.radius:.6f}, {ps.center + ps.radius:.6f}]"
@@ -190,18 +152,14 @@ def cmd_predict(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    kinds = tuple(k.strip() for k in args.calibrators.split(",") if k.strip())
-    bad = [k for k in kinds if k not in CALIBRATOR_KINDS]
-    if bad:
-        raise ConfigError(f"unknown calibrators {bad}; choose from {CALIBRATOR_KINDS}")
     return ExperimentConfig(
-        calibrators=kinds,
+        calibrators=tuple(k.strip() for k in args.calibrators.split(",") if k.strip()),
         alpha=args.alpha,
         delta=args.delta,
         trials=args.trials,
         test_points=args.test_points,
         family=_parse_family(args.groups),
-        synth=_synth_config(args),
+        synth=_synth_config(args, _parse_mixture(args.mixture)),
         ingest_path=args.ingest,
         serial=args.serial,
     )
@@ -217,16 +175,16 @@ def cmd_experiment(args) -> int:
 
 
 _OPTIONS = {
-    "alpha": dict(type=float, default=0.1),
-    "delta": dict(type=float, default=250.0),
-    "clients": dict(type=int, default=4),
-    "trials": dict(type=int, default=100),
-    "test-points": dict(type=int, default=200),
-    "seed": dict(type=int, default=0),
+    "alpha": dict(type=float, default=ExperimentConfig.alpha),
+    "delta": dict(type=float, default=ExperimentConfig.delta),
+    "clients": dict(type=int, default=SynthConfig.n_clients),
+    "trials": dict(type=int, default=ExperimentConfig.trials),
+    "test-points": dict(type=int, default=ExperimentConfig.test_points),
+    "seed": dict(type=int, default=SynthConfig.seed),
     "groups": dict(help="group family JSON"),
     "mixture": dict(default="uniform", help='JSON weights or "uniform"'),
     "calibrators": dict(
-        default="centralized_cp,fcp_marginal,gcfcp_coreset",
+        default=",".join(ExperimentConfig.calibrators),
         help=f"comma-separated subset of {', '.join(CALIBRATOR_KINDS)}",
     ),
     "out": dict(help="output path"),
@@ -262,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="write a synthetic calibration dataset CSV")
-    _add_options(p, "clients", "seed", "mixture", "out")
+    _add_options(p, "clients", "seed", "out")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("calibrate", help="emit digest messages for a dataset CSV")
@@ -274,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="dataset CSV from the synth subcommand")
     p.add_argument("--x", type=float, required=True, help="test covariate")
     p.add_argument(
-        "--prediction", type=float, help="model prediction at x (interval center)"
+        "--prediction", type=float, default=0.0, help="model prediction at x (interval center)"
     )
     _add_options(p, "alpha", "delta", "groups", "mixture")
     p.set_defaults(func=cmd_predict)
@@ -299,7 +257,7 @@ def main(argv=None) -> int:
     except (EmptySetError, SolverError) as exc:
         print(f"error: threshold search: {exc}", file=sys.stderr)
         return EXIT_SEARCH
-    except (ConfigError, ProtocolError, CoveringError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -14,7 +14,7 @@ per-client and per-trial generation is reproducible regardless of ordering.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,12 +29,14 @@ class IngestError(ValueError):
     """Malformed score-ingestion file."""
 
 
-def default_mu(k: int, n_clients: int) -> float:
-    return 0.5 + 4.0 * (k - 1) / (n_clients - 1)
+# the training draw the linear model is fit on
+TRAIN_SIZE = 2000
 
 
-def default_sigma(k: int) -> float:
-    return 0.5 + 0.1 * (k - 1)
+def covariate_law(client: int, n_clients: int) -> tuple[float, float]:
+    """(mu, sigma) of a 1-based client's covariates: locations evenly spaced
+    over [0.5, 4.5] and spreads 0.5, 0.6, 0.7, ... in client order."""
+    return 0.5 + 4.0 * (client - 1) / (n_clients - 1), 0.5 + 0.1 * (client - 1)
 
 
 @dataclass(frozen=True)
@@ -42,23 +44,16 @@ class SynthConfig:
     seed: int = 0
     n_clients: int = 4
     n_per_client: tuple[int, ...] = (1000, 333, 333, 333)
-    mu: tuple[float, ...] = ()
-    sigma: tuple[float, ...] = ()
     pi: tuple[float, ...] = ()
-    train_size: int = 2000
 
     def __post_init__(self):
         k = self.n_clients
-        if len(self.n_per_client) != k:
-            raise ValueError("n_per_client length must match n_clients")
-        if not self.mu:
-            object.__setattr__(self, "mu", tuple(default_mu(i + 1, k) for i in range(k)))
-        if not self.sigma:
-            object.__setattr__(self, "sigma", tuple(default_sigma(i + 1) for i in range(k)))
+        if k < 2:
+            raise ValueError(f"n_clients {k!r} must be at least 2")
         if not self.pi:
             object.__setattr__(self, "pi", tuple(1.0 / k for _ in range(k)))
-        if any(s <= 0 for s in self.sigma):
-            raise ValueError("sigma must be positive")
+        if len(self.n_per_client) != k or len(self.pi) != k:
+            raise ValueError(f"n_per_client and pi must each hold n_clients = {k} values")
 
 
 def substream(seed: int, purpose: str, *keys: int) -> np.random.Generator:
@@ -86,7 +81,7 @@ def sample_covariates(
     if not 1 <= client <= config.n_clients:
         raise ValueError(f"client index {client} out of range")
     rng = substream(config.seed, "covariates", trial, client)
-    return _truncated_normal(rng, config.mu[client - 1], config.sigma[client - 1], count)
+    return _truncated_normal(rng, *covariate_law(client, config.n_clients), count)
 
 
 def generate_response(x, client: int, rng: np.random.Generator):
@@ -124,6 +119,20 @@ def score_absolute(model: LinearModel, x, y):
     return np.abs(np.asarray(y, dtype=float) - model.predict(x))
 
 
+def synth_clients(
+    config: SynthConfig, trial: int = 0
+) -> tuple[LinearModel, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """The trial's fitted model and, for each client in index order, its
+    covariates, responses and absolute-residual scores."""
+    model = fit_linear(make_training_set(config, trial))
+    clients = []
+    for k, count in enumerate(config.n_per_client, start=1):
+        x = sample_covariates(config, k, count, trial)
+        y = generate_response(x, k, substream(config.seed, "response", trial, k))
+        clients.append((x, y, score_absolute(model, x, y)))
+    return model, clients
+
+
 def sample_mixture_clients(config: SynthConfig, count: int, trial: int) -> np.ndarray:
     """1-based client index per point, drawn from the mixture weights."""
     rng = substream(config.seed, "mixture", trial)
@@ -139,9 +148,7 @@ def draw_points(
     ys = np.empty(clients.size)
     for k in range(1, config.n_clients + 1):
         mask = clients == k
-        xs[mask] = _truncated_normal(
-            rng, config.mu[k - 1], config.sigma[k - 1], int(mask.sum())
-        )
+        xs[mask] = _truncated_normal(rng, *covariate_law(k, config.n_clients), int(mask.sum()))
         ys[mask] = generate_response(xs[mask], k, rng)
     return xs, ys
 
@@ -149,7 +156,7 @@ def draw_points(
 def make_training_set(config: SynthConfig, trial: int = 0) -> np.ndarray:
     """(x, y) pairs from the uniform client mixture; a disjoint substream."""
     rng = substream(config.seed, "train", trial)
-    clients = rng.integers(1, config.n_clients + 1, size=config.train_size)
+    clients = rng.integers(1, config.n_clients + 1, size=TRAIN_SIZE)
     return np.column_stack(draw_points(config, clients, rng))
 
 

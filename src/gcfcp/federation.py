@@ -137,10 +137,24 @@ def test_term_weight(datasets: Sequence[ClientDataset]) -> float:
 
 
 def check_mixture(pis: Iterable[float]) -> None:
-    """Raise ProtocolError unless the mixture weights pi_k sum to 1."""
+    """Raise ProtocolError unless the mixture weights pi_k sum to 1 (a NaN
+    sum does not)."""
     mixture = sum(pis)
-    if abs(mixture - 1.0) > _WEIGHT_TOL:
+    if not abs(mixture - 1.0) <= _WEIGHT_TOL:
         raise ProtocolError(f"mixture weights sum to {mixture!r}, expected 1")
+
+
+def client_datasets(client_ids, covariates, scores, pi: Sequence[float] = ()) -> list[ClientDataset]:
+    """One ClientDataset per distinct client id, ids ascending, each holding
+    its rows in input order; ``pi`` gives the mixture weights in id order,
+    uniform when empty."""
+    ids, inverse, counts = np.unique(np.asarray(client_ids), return_inverse=True, return_counts=True)
+    pi = tuple(pi) or tuple(1.0 / ids.size for _ in range(ids.size))
+    if len(pi) != ids.size:
+        raise ProtocolError(f"{len(pi)} mixture weights for {ids.size} clients")
+    covariates, scores = np.asarray(covariates), np.asarray(scores)
+    rows = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+    return [ClientDataset(cid, covariates[r], scores[r], p) for cid, r, p in zip(ids.tolist(), rows, pi)]
 
 
 def client_build_messages(

@@ -16,6 +16,7 @@ tied scores end in any order, as the client sketch weighs all its scores alike.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -40,6 +41,10 @@ class Interval:
     hi: float
     lo_closed: bool = True
     hi_closed: bool = True
+
+    def __post_init__(self):
+        if not self.lo <= self.hi:  # also false for a NaN bound
+            raise FamilyConfigError(f"interval needs lo <= hi, got lo={self.lo!r}, hi={self.hi!r}")
 
 
 @dataclass(frozen=True)
@@ -142,21 +147,17 @@ def family_from_json(payload: str | Mapping) -> GroupFamily:
         groups = []
         for g in raw:
             try:
-                groups.append(
-                    Interval(
-                        lo=float(g["lo"]),
-                        hi=float(g["hi"]),
-                        lo_closed=bool(g.get("lo_closed", True)),
-                        hi_closed=bool(g.get("hi_closed", True)),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FamilyConfigError(f"malformed interval {g!r}") from exc
+                closed = g.get("lo_closed", True), g.get("hi_closed", True)
+                if not all(isinstance(c, bool) for c in closed):
+                    raise TypeError("lo_closed and hi_closed must be booleans")
+                groups.append(Interval(float(g["lo"]), float(g["hi"]), *closed))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise FamilyConfigError(f"malformed interval {g!r}: {exc}") from exc
         return GroupFamily(groups=tuple(groups), feature=feature)
     if kind == "label_sets":
         try:
-            groups = tuple(LabelSet(frozenset(int(y) for y in g)) for g in raw)
-        except (TypeError, ValueError) as exc:
+            groups = tuple(LabelSet(frozenset(operator.index(y) for y in g)) for g in raw)
+        except TypeError as exc:
             raise FamilyConfigError(f"malformed label set: {exc}") from exc
         return GroupFamily(groups=groups, feature=feature)
     raise FamilyConfigError(f"unknown family kind {kind!r}")

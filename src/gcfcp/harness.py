@@ -24,7 +24,7 @@ import numpy as np
 from . import datagen
 from .conformal import CALIBRATOR_KINDS, DegenerateGroupError, calibrate_baseline
 from .datagen import IngestError, ScoreRecord, SynthConfig, substream
-from .federation import ClientDataset, run_round  # run_round unused: perfbench/tracing.py patches harness.run_round
+from .federation import ClientDataset, client_datasets, run_round  # run_round unused: perfbench/tracing.py patches harness.run_round
 from .groups import GroupFamily, interval_family, membership_matrix
 
 DEFAULT_FAMILY = interval_family([(0, 2), (1, 3), (2, 4), (3, 5)])
@@ -49,9 +49,11 @@ class ExperimentConfig:
             raise ValueError("test_points must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha {self.alpha!r} outside (0, 1)")
+        if not self.calibrators:
+            raise ValueError("calibrators must name at least one kind")
         for kind in self.calibrators:
             if kind not in CALIBRATOR_KINDS:
-                raise ValueError(f"unknown calibrator kind {kind!r}")
+                raise ValueError(f"unknown calibrator kind {kind!r}; choose from {', '.join(CALIBRATOR_KINDS)}")
 
 
 @dataclass
@@ -109,15 +111,11 @@ class _TrialData:
 
 def _synth_trial_data(config: ExperimentConfig, trial: int) -> _TrialData:
     cfg = config.synth
-    model = datagen.fit_linear(datagen.make_training_set(cfg, trial))
-    datasets = []
-    for k in range(1, cfg.n_clients + 1):
-        x = datagen.sample_covariates(cfg, k, cfg.n_per_client[k - 1], trial)
-        rng = substream(cfg.seed, "response", trial, k)
-        y = datagen.generate_response(x, k, rng)
-        datasets.append(
-            ClientDataset(k, x, datagen.score_absolute(model, x, y), cfg.pi[k - 1])
-        )
+    model, draws = datagen.synth_clients(cfg, trial)
+    datasets = [
+        ClientDataset(k, x, scores, pi)
+        for k, ((x, _, scores), pi) in enumerate(zip(draws, cfg.pi), start=1)
+    ]
     rng = substream(cfg.seed, "test", trial)
     clients = datagen.sample_mixture_clients(cfg, config.test_points, trial)
     xs, ys = datagen.draw_points(cfg, clients, rng)
@@ -142,14 +140,9 @@ def _ingest_trial_data(
             f"{len(records)} score rows cannot fill both a calibration and a test half"
         )
     shuffled = [records[i] for i in order]
-    client = np.array([r.client_id for r in shuffled[:half]])
     labels = np.array([r.predicted_label for r in shuffled])
     scores = np.array([r.true_score for r in shuffled])
-    ids = np.unique(client).tolist()
-    datasets = []
-    for cid in ids:
-        rows = np.flatnonzero(client == cid)
-        datasets.append(ClientDataset(cid, labels[rows], scores[rows], 1.0 / len(ids)))
+    datasets = client_datasets([r.client_id for r in shuffled[:half]], labels[:half], scores[:half])
     label_scores = np.array([r.label_scores for r in shuffled[half:]])
     return _TrialData(
         datasets,

@@ -102,7 +102,7 @@ def _cluster_starts(r: np.ndarray, delta: float, bounds: np.ndarray) -> np.ndarr
     idx = np.arange(n)
     cuts = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
     end = np.concatenate([a + np.searchsorted(r[a:b], left[a:b] + _SPAN, side="right") for a, b in cuts])
-    end = np.clip(end, idx + 1, stop)
+    end = np.maximum(end, idx + 1)  # searchsorted keeps each end within its segment
     while True:
         fwd = np.flatnonzero(end < stop)
         fwd = fwd[r[end[fwd]] - left[fwd] <= _SPAN]

@@ -1,10 +1,12 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,9 @@ from hypothesis import strategies as st
 from gcfcp import cli, conformal
 from gcfcp.cli import main
 from gcfcp.conformal import EmptySetError
+from gcfcp.datagen import SynthConfig
 from gcfcp.federation import message_from_json
+from gcfcp.harness import ExperimentConfig, _synth_trial_data
 from gcfcp.pinball import SolverError
 
 SMALL_GROUPS = json.dumps(
@@ -41,6 +45,21 @@ def test_synth_writes_csv(dataset_csv):
     lines = dataset_csv.read_text().splitlines()
     assert lines[0] == "client_id,x,y,score"
     assert len(lines) == 1 + 1000 + 3 * 333
+
+
+@pytest.mark.parametrize("seed, clients", [(1, 4), (2, 3)])
+def test_synth_rows_are_the_harness_trial_0_draws(tmp_path, seed, clients):
+    path = tmp_path / "data.csv"
+    assert main(["synth", "--out", str(path), "--seed", str(seed), "--clients", str(clients)]) == 0
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    sizes = (1000, 333, 333, 333) if clients == 4 else (500,) * clients
+    config = ExperimentConfig(synth=SynthConfig(seed=seed, n_clients=clients, n_per_client=sizes))
+    datasets = _synth_trial_data(config, trial=0).datasets
+    assert [int(r[0]) for r in rows] == [d.client_id for d in datasets for _ in range(d.n)]
+    x, score = (np.array([float(r[i]) for r in rows]) for i in (1, 3))
+    assert np.array_equal(x, np.concatenate([d.covariates for d in datasets]))
+    assert np.array_equal(score, np.concatenate([d.scores for d in datasets]))
 
 
 def test_synth_requires_out(capsys):
@@ -98,6 +117,7 @@ def test_non_finite_delta_exits_2(dataset_csv, capsys, command, delta):
     [
         ["predict", "data.csv", "--x", "1.5", "--trials", "0"],
         ["synth", "--out", "data.csv", "--groups", "x"],
+        ["synth", "--out", "data.csv", "--mixture", "uniform"],
         ["calibrate", "data.csv", "--alpha", "5"],
     ],
 )
@@ -133,8 +153,11 @@ def test_experiment_small(tmp_path, capsys):
 
 def test_exit_code_config_error(capsys):
     assert main(["experiment", "--calibrators", "bogus", "--trials", "1"]) == 2
+    assert main(["experiment", "--calibrators", ",", "--trials", "1"]) == 2
     assert main(["experiment", "--mixture", "[0.9, 0.9]", "--trials", "1"]) == 2
     assert main(["experiment", "--groups", "{bad json", "--trials", "1"]) == 2
+    reversed_bounds = '{"kind": "intervals", "groups": [{"lo": 0, "hi": 5}, {"lo": 3, "hi": 1}]}'
+    assert main(["experiment", "--groups", reversed_bounds, "--trials", "1"]) == 2
     capsys.readouterr()
 
 

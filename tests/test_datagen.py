@@ -9,6 +9,7 @@ from gcfcp.datagen import (
     LinearModel,
     ScoreRecord,
     SynthConfig,
+    covariate_law,
     fit_linear,
     generate_response,
     ingest_scores,
@@ -31,8 +32,9 @@ def truncated_normal_mean(mu, sigma, lo=0.0, hi=5.0):
 class TestConfig:
     def test_table_defaults(self):
         cfg = SynthConfig()
-        assert cfg.mu == pytest.approx((0.5, 0.5 + 4 / 3, 0.5 + 8 / 3, 4.5))
-        assert cfg.sigma == pytest.approx((0.5, 0.6, 0.7, 0.8))
+        mu, sigma = zip(*(covariate_law(k, cfg.n_clients) for k in range(1, 5)))
+        assert mu == pytest.approx((0.5, 0.5 + 4 / 3, 0.5 + 8 / 3, 4.5))
+        assert sigma == pytest.approx((0.5, 0.6, 0.7, 0.8))
         assert cfg.pi == (0.25,) * 4
         assert cfg.n_per_client == (1000, 333, 333, 333)
 
@@ -40,7 +42,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             SynthConfig(n_clients=3)  # n_per_client length mismatch
         with pytest.raises(ValueError):
-            SynthConfig(sigma=(0.5, -1.0, 0.5, 0.5))
+            SynthConfig(pi=(0.5, 0.5))
+        with pytest.raises(ValueError, match="at least 2"):
+            SynthConfig(n_clients=1, n_per_client=(10,))
 
 
 class TestCovariates:

@@ -257,6 +257,17 @@ class TestConfig:
             family_from_json('{"kind": "polygons", "groups": []}')
         with pytest.raises(FamilyConfigError):
             family_from_json('{"kind": "intervals", "groups": [{"lo": 0}]}')
+        for bad in (
+            '{"kind": "label_sets", "groups": [[0.5], [1.9]]}',
+            '{"kind": "intervals", "groups": [{"lo": 0, "hi": 1, "lo_closed": "false"}]}',
+            '{"kind": "intervals", "groups": [{"lo": NaN, "hi": 1}]}',
+            '{"kind": "intervals", "groups": [{"lo": 0, "hi": "nan"}]}',
+            '{"kind": "intervals", "groups": [{"lo": 3, "hi": 1}]}',
+        ):
+            with pytest.raises(FamilyConfigError):
+                family_from_json(bad)
+        unbounded = family_from_json('{"kind": "intervals", "groups": [{"lo": -Infinity, "hi": Infinity}]}')
+        assert unbounded.groups == (Interval(-np.inf, np.inf),)
 
     def test_empty_family_rejected(self):
         with pytest.raises(FamilyConfigError):

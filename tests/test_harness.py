@@ -67,6 +67,8 @@ class TestConfig:
             dataclasses.replace(SMALL, alpha=1.5)
         with pytest.raises(ValueError):
             dataclasses.replace(SMALL, calibrators=("nope",))
+        with pytest.raises(ValueError, match="at least one"):
+            dataclasses.replace(SMALL, calibrators=())
 
 
 class TestRunExperiment:
