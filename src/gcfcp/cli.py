@@ -31,7 +31,7 @@ from .conformal import (
     predict_regression,
 )
 from .datagen import IngestError, SynthConfig
-from .federation import ClientDataset, check_mixture, client_datasets, message_to_json, run_round
+from .federation import ClientDataset, check_mixture, client_datasets, run_round
 from .groups import GroupFamily, family_from_json, membership_vector
 from .harness import (
     DEFAULT_FAMILY,
@@ -124,8 +124,8 @@ def cmd_calibrate(args) -> int:
     round_ = run_round(datasets, family, args.delta)
     out = sys.stdout if args.out is None else open(args.out, "w")
     try:
-        for message in round_.messages:
-            print(message_to_json(message), file=out)
+        for line in round_.lines:
+            print(line, file=out)
     finally:
         if out is not sys.stdout:
             out.close()

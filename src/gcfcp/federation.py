@@ -352,7 +352,8 @@ def server_assemble(messages: Sequence[ClientMessage], family: GroupFamily) -> t
 @dataclass(frozen=True)
 class FederationRound:
     coreset: Coreset
-    messages: tuple[ClientMessage, ...]
+    messages: tuple[ClientMessage, ...]  # as the server decoded them
+    lines: tuple[str, ...]  # the wire lines the clients sent, one per client
     wire_bytes: int
     test_weight: float
 
@@ -361,12 +362,13 @@ def run_round(
     datasets: Sequence[ClientDataset], family: GroupFamily, delta: float
 ) -> FederationRound:
     """Full protocol round with explicit serialization at the client boundary."""
-    lines = [message_to_json(client_build_messages(ds, family, delta)) for ds in datasets]
+    lines = tuple(message_to_json(client_build_messages(ds, family, delta)) for ds in datasets)
     received = tuple(message_from_json(line) for line in lines)
     coreset, test_weight = server_assemble(received, family)
     return FederationRound(
         coreset=coreset,
         messages=received,
+        lines=lines,
         wire_bytes=sum(len(line.encode("utf-8")) for line in lines),
         test_weight=test_weight,
     )

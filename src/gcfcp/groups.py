@@ -45,11 +45,17 @@ class Interval:
     def __post_init__(self):
         if not self.lo <= self.hi:  # also false for a NaN bound
             raise FamilyConfigError(f"interval needs lo <= hi, got lo={self.lo!r}, hi={self.hi!r}")
+        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+            raise FamilyConfigError(f"interval at {self.lo!r} with an open end holds no value")
 
 
 @dataclass(frozen=True)
 class LabelSet:
     labels: frozenset[int]
+
+    def __post_init__(self):
+        if not self.labels:
+            raise FamilyConfigError("label set holds no label")
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,8 @@ def family_from_json(payload: str | Mapping) -> GroupFamily:
         raw = obj["groups"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise FamilyConfigError(f"malformed family configuration: {exc}") from exc
+    if not isinstance(raw, list):
+        raise FamilyConfigError(f"groups must be a list, got {raw!r}")
     feature = obj.get("feature", 0 if kind == "intervals" else "predicted_label")
     if kind == "intervals":
         groups = []

@@ -81,9 +81,6 @@ class CalibratorSummary:
 class CoverageReport:
     summaries: dict[str, CalibratorSummary]
     trials: int
-    test_points: int
-    alpha: float
-    delta: float
 
 
 def group_coverage(covered: np.ndarray, memberships: np.ndarray) -> dict[int, tuple[float, int]]:
@@ -217,13 +214,7 @@ def _aggregate(config: ExperimentConfig, per_trial) -> CoverageReport:
             wire_bytes=float(np.mean([t[kind].wire_bytes for t in per_trial])),
             n_points=n,
         )
-    return CoverageReport(
-        summaries=summaries,
-        trials=config.trials,
-        test_points=config.test_points,
-        alpha=config.alpha,
-        delta=config.delta,
-    )
+    return CoverageReport(summaries=summaries, trials=config.trials)
 
 
 def write_report_csv(report: CoverageReport, path) -> None:

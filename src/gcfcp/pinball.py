@@ -13,9 +13,18 @@ particular shape: one box-constrained variable eta_e per entry and only
 We solve that dual directly with a dense bounded-variable revised simplex
 whose basis is only |groups| wide. The simplex multipliers of the final
 basis are exactly the primal beta, and the eta at a vertex are exact KKT
-multipliers, which the threshold search requires. ``AugmentedQrSolver``, built
-for one calibration set and one test pattern, is the only entry point; the
-caller (``conformal``) rejects a group column without calibration mass first.
+multipliers, which the threshold search requires.
+
+The solver keeps the inverse of its basis. It is inverted afresh wherever
+the basic values are recomputed, and each pivot updates it by one rank-one
+(eta) step, the product form of Dantzig & Orchard-Hays (1954), with a fresh
+inversion at least every 512 pivots. Each column also keeps the direction
+it can move in: +1 at its lower bound, -1 at its upper bound, 0 when basic
+or zero-width. A reduced cost times that direction is the gain of entering
+the column, so Dantzig pricing is one argmax over that product.
+``AugmentedQrSolver``, built for one calibration set and one test pattern, is
+the only entry point; the caller (``conformal``) rejects a group column
+without calibration mass first.
 
 A cold solve does not start from eta = 0. All rows of an atom (one
 membership pattern) share one column of the coupling, so starting each atom
@@ -28,7 +37,8 @@ Only the test entry's cost depends on the test score t, so every reduced
 cost is affine in t, r0 + t * r1 with r0 priced at t = 0, and an optimal
 basis stays optimal between breakpoints, the scores -r0 / r1.
 ``raise_test_score`` walks those breakpoints with one pivot each and finds
-the exact score at which the test dual reaches its bound. When no reduced
+the exact score at which the test dual reaches its bound. r0 and r1 depend
+on the basis alone, so they are priced once per basis. When no reduced
 cost can still change sign, the basis is optimal for every larger score, the
 dual never reaches its bound and the walk returns +inf. Koenker & d'Orey
 (AS 229) trace regression quantiles through the breakpoints of the quantile
@@ -59,6 +69,10 @@ _GAP_TOL = 1e-8
 _SLOPE_TOL = 1e-9
 # Breakpoints closer than this, relative to 1 + |t|, are one breakpoint.
 _BREAKPOINT_RTOL = 1e-10
+# Enter by Bland's rule instead of Dantzig's after this many degenerate steps in a row.
+_BLAND_AFTER = 40
+# The kept basis inverse is inverted afresh after this many rank-one updates.
+_REFACTOR_EVERY = 512
 
 
 class SolverError(RuntimeError):
@@ -125,47 +139,62 @@ class AugmentedQrSolver:
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha {alpha!r} outside (0, 1)")
         features = np.asarray(features, dtype=float)
-        scores = np.asarray(scores, dtype=float)
-        weights = np.asarray(weights, dtype=float)
         n_cal, d = features.shape
         if len(test_feature) != d:
             raise ValueError("test feature dimension mismatch")
         self.alpha = alpha
         self.test_weight = float(test_weight)
 
-        self._phi = np.vstack([features, np.asarray(test_feature, dtype=float)])
-        self._w = np.append(weights, self.test_weight)
         e = self._e = n_cal + 1
         N = e + d
-        self._A = np.hstack([self._phi.T, np.eye(d)])
-        self._lo = np.concatenate([-self._w * alpha, np.zeros(d)])
-        self._up = np.concatenate([self._w * (1.0 - alpha), np.zeros(d)])
+        # one column per entry (the test entry last), then the artificials
+        self._A = np.empty((d, N))
+        self._A[:, :n_cal] = features.T
+        self._A[:, n_cal] = test_feature
+        self._A[:, e:] = np.eye(d)
+        self._w = np.empty(e)
+        self._w[:n_cal] = weights
+        self._w[n_cal] = self.test_weight
+        self._lo = np.zeros(N)
+        self._up = np.zeros(N)
+        np.multiply(self._w, -alpha, out=self._lo[:e])
+        np.multiply(self._w, 1.0 - alpha, out=self._up[:e])
         self._movable = self._up > self._lo
-        self._c = np.concatenate([scores, np.zeros(d + 1)])
-        self._s = self._c[:e]  # the entries' scores, the test score last
         # the costs at test score 0 and their rate of change with the score
-        self._parametric = np.array([self._c, np.zeros(N)])
-        self._parametric[1, e - 1] = 1.0
+        self._parametric = np.zeros((2, N))
+        self._parametric[0, :n_cal] = scores
+        self._parametric[1, n_cal] = 1.0
+        self._c = self._parametric[0].copy()
+        self._s = self._c[:e]  # the entries' scores, the test score last
         self.test_score: float | None = None  # the score of the last solve or walk step
 
         if start_basis is None:
-            start_basis = SimplexBasis(np.arange(e, N), self._crash(features, scores))
-        basic, x = start_basis.basic, start_basis.point
-        in_basis = np.isin(np.arange(N), basic)
-        if (
-            x.shape != (N,)
-            or basic.shape != (d,)
-            or np.count_nonzero(in_basis) != d
-            or in_basis[e - 1]
-            or not np.all(in_basis | ((x >= self._lo) & (x <= self._up)))
-        ):
-            raise ValueError("start basis does not fit this problem")
+            basic, x = np.arange(e, N), self._crash(features)
+        else:
+            basic, x = start_basis.basic, start_basis.point.copy()
+            if x.shape != (N,) or basic.shape != (d,) or not 0 <= basic.min() <= basic.max() < N:
+                raise ValueError("start basis does not fit this problem")
+            in_basis = np.zeros(N, dtype=bool)
+            in_basis[basic] = True
+            x[basic] = 0.0  # inside every box; the basic values are recomputed
+            if (
+                np.count_nonzero(in_basis) != d
+                or in_basis[e - 1]
+                or not np.all((x >= self._lo) & (x <= self._up))
+            ):
+                raise ValueError("start basis does not fit this problem")
         self._basis = basic.copy()
-        self._status = (x == self._up).astype(np.int8)  # 0 lower, 1 upper, 2 basic
+        at_upper = x == self._up
+        self._status = at_upper.astype(np.int8)  # 0 lower, 1 upper, 2 basic
         self._status[basic] = 2
-        self._start: np.ndarray | None = np.where(in_basis, 0.0, x)
+        # the direction each nonbasic column can move in: +1 up from its
+        # lower bound, -1 down from its upper one, 0 if basic or zero-width
+        self._dir = np.where(at_upper, -1.0, 1.0)
+        self._dir *= self._movable
+        self._dir[basic] = 0.0
+        self._start: np.ndarray | None = x
 
-    def _crash(self, features: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    def _crash(self, features: np.ndarray) -> np.ndarray:
         """A point with every atom (the rows sharing one pattern) at its
         weighted (1 - alpha)-quantile split.
 
@@ -176,7 +205,7 @@ class AugmentedQrSolver:
         Every atom sums to 0, so sum_e eta_e phi_e = 0 holds and the
         artificial basis stays feasible; the test entry starts at 0.
         """
-        order = np.lexsort((-scores,) + tuple(features.T[::-1]))
+        order = np.lexsort((-self._s[:-1],) + tuple(features.T[::-1]))
         f, w = features[order], self._w[order]
         first = np.ones(len(order), dtype=bool)
         first[1:] = np.any(f[1:] != f[:-1], axis=1)
@@ -189,21 +218,27 @@ class AugmentedQrSolver:
         x[order] = np.clip(target - (through - w) - self.alpha * w, self._lo[order], self._up[order])
         return x
 
+    def _factor(self) -> None:
+        """Invert the basis afresh, dropping the rank-one updates made since."""
+        self._Binv = np.linalg.inv(self._A[:, self._basis])
+        self._updates = 0
+
     def _refresh(self) -> None:
+        self._factor()
         x = np.where(self._status == 1, self._up, self._lo)
         x[self._basis] = 0.0
-        self._xB = np.linalg.solve(self._A[:, self._basis], -self._A @ x)
+        self._xB = self._Binv @ -(self._A @ x)
 
     def _prices(self, costs: np.ndarray) -> np.ndarray:
         """Reduced costs of every column for each row of ``costs`` under the current basis."""
-        y = np.linalg.solve(self._A[:, self._basis].T, costs[..., self._basis].T)
-        return costs - y.T @ self._A
+        return costs - (costs[..., self._basis] @ self._Binv) @ self._A
 
     def _step(self, j: int, sgn: float, value: float) -> float:
         """Move nonbasic column j from ``value`` in direction ``sgn`` until it
         reaches a bound (a bound flip) or a basic variable does (a pivot);
         returns the length of the move."""
-        dxB = -sgn * np.linalg.solve(self._A[:, self._basis], self._A[:, j])
+        col = self._Binv @ self._A[:, j]
+        dxB = -sgn * col
         loB, upB = self._lo[self._basis], self._up[self._basis]
         tmax = self._up[j] - value if sgn > 0 else value - self._lo[j]
         leave = -1
@@ -223,33 +258,40 @@ class AugmentedQrSolver:
         self._xB += dxB * tmax
         if leave < 0:
             self._status[j] = 1 if sgn > 0 else 0
-        else:
-            self._status[self._basis[leave]] = 0 if dxB[leave] < 0 else 1
-            self._basis[leave] = j
-            self._status[j] = 2
-            self._xB[leave] = value + sgn * tmax
+            self._dir[j] = -sgn
+            return tmax
+        out = self._basis[leave]
+        self._status[out] = 0 if dxB[leave] < 0 else 1
+        self._dir[out] = (1.0 if dxB[leave] < 0 else -1.0) if self._movable[out] else 0.0
+        self._basis[leave] = j
+        self._status[j] = 2
+        self._dir[j] = 0.0
+        self._xB[leave] = value + sgn * tmax
+        self._updates += 1
+        if self._updates >= _REFACTOR_EVERY:
+            self._factor()
+        else:  # the product-form (eta) update of the inverse
+            row = self._Binv[leave] / col[leave]
+            self._Binv -= col[:, None] * row
+            self._Binv[leave] = row
         return tmax
 
-    def _enter(self, candidates: np.ndarray, rank: np.ndarray) -> None:
-        """Move one nonbasic candidate off its bound: the one with the largest
-        |rank| (Dantzig), or the smallest index (Bland's rule) after more than
-        40 degenerate steps in a row."""
-        if self._degenerate > 40:
-            j = int(candidates[0])
-        else:
-            j = int(candidates[np.argmax(np.abs(rank[candidates]))])
-        at_lower = self._status[j] == 0
-        moved = self._step(j, 1.0 if at_lower else -1.0, self._lo[j] if at_lower else self._up[j])
+    def _enter(self, j: int) -> None:
+        """Move nonbasic column j off its bound along its direction, and count
+        the degenerate steps in a row."""
+        sgn = self._dir[j]
+        moved = self._step(j, sgn, self._lo[j] if sgn > 0 else self._up[j])
         self._degenerate = self._degenerate + 1 if moved < 1e-13 else 0
 
     def _crossover(self) -> int:
         """Move each nonbasic column of the start point that lies strictly
         inside its box to a bound or into the basis, one ratio test each."""
         x, self._start = self._start, None
-        self._xB = np.linalg.solve(self._A[:, self._basis], -self._A @ x)
+        self._factor()
+        self._xB = self._Binv @ -(self._A @ x)
         interior = np.flatnonzero((x > self._lo) & (x < self._up) & (self._status != 2))
         for j in interior.tolist():
-            y = np.linalg.solve(self._A[:, self._basis].T, self._c[self._basis])
+            y = self._c[self._basis] @ self._Binv
             r = self._c[j] - y @ self._A[:, j]
             self._step(j, 1.0 if r > 0.0 else -1.0, float(x[j]))
         return len(interior)
@@ -262,16 +304,15 @@ class AugmentedQrSolver:
         crossed = self._crossover() if self._start is not None else 0
         self._refresh()
         for it in range(max_iter):
-            y = np.linalg.solve(self._A[:, self._basis].T, c[self._basis])
-            r = c - y @ self._A
-            cand = np.flatnonzero(
-                self._movable
-                & (((self._status == 0) & (r > price_tol)) | ((self._status == 1) & (r < -price_tol)))
-            )
-            if cand.size == 0:
+            y = c[self._basis] @ self._Binv
+            rank = (c - y @ self._A) * self._dir
+            j = int(np.argmax(rank))  # Dantzig: the largest gain, the lowest index on ties
+            if not rank[j] > price_tol:
                 self._refresh()
                 return y, crossed + it
-            self._enter(cand, r)
+            if self._degenerate > _BLAND_AFTER:
+                j = int(np.argmax(rank > price_tol))  # Bland: the first column that gains
+            self._enter(j)
             if it % 512 == 511:
                 self._refresh()
         raise SolverError("simplex iteration limit exceeded")
@@ -281,6 +322,12 @@ class AugmentedQrSolver:
         x[self._basis] = self._xB
         return x
 
+    def _value(self, j: int) -> float:
+        """The current value of column j."""
+        if self._status[j] == 2:
+            return float(self._xB[np.flatnonzero(self._basis == j)[0]])
+        return float(self._up[j] if self._status[j] == 1 else self._lo[j])
+
     def solve_at(self, test_score: float) -> QrSolution:
         if not math.isfinite(test_score):
             raise SolverError(f"test score {test_score!r} is not finite")
@@ -288,7 +335,7 @@ class AugmentedQrSolver:
         beta, iterations = self._optimize()
 
         eta = self._primal_values()[: self._e]
-        theta = self._phi @ beta
+        theta = beta @ self._A[:, : self._e]
         resid = self._s - theta
         pin = np.where(resid >= 0.0, (1.0 - self.alpha) * resid, -self.alpha * resid)
         primal = float(self._w @ pin)
@@ -312,7 +359,9 @@ class AugmentedQrSolver:
         Only the test entry's cost moves with the test score t, so every
         reduced cost is r0 + t * r1, with r0 priced at t = 0, and the optimal
         basis of the last solve stays optimal until the first breakpoint, the
-        score -r0 / r1 at which a nonbasic reduced cost changes sign. There
+        score -r0 / r1 at which a nonbasic reduced cost changes sign. r0 and
+        r1 depend on the basis alone, so they are priced once per basis: at a
+        new breakpoint the crossing columns come from the same prices. There
         the crossing columns are pivoted in directly, one at a time: the
         optimum after them has the largest eta_test among the optima at t (r1
         is the rate of eta_test along each move), and eta_test is tested only
@@ -327,19 +376,22 @@ class AugmentedQrSolver:
         self._degenerate = 0
         for _ in range(500_000):
             r0, r1 = self._prices(self._parametric)
-            lower = self._movable & (self._status == 0)
-            upper = self._movable & (self._status == 1)
-            losing = np.flatnonzero((lower & (r1 > _SLOPE_TOL)) | (upper & (r1 < -_SLOPE_TOL)))
+            rank = r1 * self._dir
+            losing = np.flatnonzero(rank > _SLOPE_TOL)
             breakpoints = -r0[losing] / r1[losing]
-            crossing = losing[breakpoints <= t + _BREAKPOINT_RTOL * (1.0 + abs(t))]
-            if crossing.size:
-                self._enter(crossing, r1)
-                continue
-            if self._primal_values()[self._e - 1] >= eta_bound:
-                return t
-            if not losing.size:
-                return math.inf
-            t = self.test_score = float(breakpoints.min())
+            at_t = breakpoints <= t + _BREAKPOINT_RTOL * (1.0 + abs(t))
+            if not at_t.any():
+                if self._value(self._e - 1) >= eta_bound:
+                    return t
+                if not losing.size:
+                    return math.inf
+                t = self.test_score = float(breakpoints.min())
+                at_t = breakpoints <= t + _BREAKPOINT_RTOL * (1.0 + abs(t))
+            crossing = losing[at_t]
+            if self._degenerate > _BLAND_AFTER:
+                self._enter(int(crossing[0]))
+            else:
+                self._enter(int(crossing[np.argmax(rank[crossing])]))
         raise SolverError("parametric iteration limit exceeded")
 
     def export_basis(self) -> SimplexBasis:
@@ -358,7 +410,7 @@ class AugmentedQrSolver:
         lo, up = self._lo[: self._e], self._up[: self._e]
         if not np.all((eta >= lo - _BOX_TOL) & (eta <= up + _BOX_TOL)):
             raise SolverError("dual box constraint violated")
-        coupling = float(np.max(np.abs(self._phi.T @ eta)))
+        coupling = float(np.max(np.abs(self._A[:, : self._e] @ eta)))
         if not coupling <= _COUPLING_TOL:
             raise SolverError(f"coupling residual {coupling:.2e} outside tolerance")
         gap = abs(primal - dual)

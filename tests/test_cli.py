@@ -82,6 +82,22 @@ def test_calibrate_emits_messages(dataset_csv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("4 messages, ")
 
 
+def test_calibrate_prints_the_lines_the_round_sent(dataset_csv, tmp_path, monkeypatch, capsys):
+    rounds = []
+
+    def recording_round(*args):
+        rounds.append(cli_run_round(*args))
+        return rounds[-1]
+
+    cli_run_round = cli.run_round
+    monkeypatch.setattr(cli, "run_round", recording_round)
+    out = tmp_path / "messages.jsonl"
+    assert main(["calibrate", str(dataset_csv), "--delta", "100", "--out", str(out)]) == 0
+    (round_,) = rounds
+    assert out.read_bytes() == "".join(line + "\n" for line in round_.lines).encode("utf-8")
+    assert f"{round_.wire_bytes} wire bytes" in capsys.readouterr().err
+
+
 def test_predict_prints_interval(dataset_csv, capsys):
     code = main(
         ["predict", str(dataset_csv), "--x", "1.5", "--prediction", "2.0",
@@ -158,6 +174,13 @@ def test_exit_code_config_error(capsys):
     assert main(["experiment", "--groups", "{bad json", "--trials", "1"]) == 2
     reversed_bounds = '{"kind": "intervals", "groups": [{"lo": 0, "hi": 5}, {"lo": 3, "hi": 1}]}'
     assert main(["experiment", "--groups", reversed_bounds, "--trials", "1"]) == 2
+    for empty_group in (
+        '{"kind": "label_sets", "groups": [[], [0, 1]]}',
+        '{"kind": "intervals", "groups": [{"lo": 2, "hi": 2, "hi_closed": false}]}',
+        '{"kind": "intervals", "groups": 5}',
+    ):
+        assert main(["experiment", "--groups", empty_group, "--trials", "1"]) == 2
+        assert "bad --groups value" in capsys.readouterr().err
     capsys.readouterr()
 
 

@@ -84,7 +84,9 @@ def interval_families(draw, feature=0):
     groups = []
     for _ in range(draw(st.integers(1, 5))):
         lo, hi = sorted(draw(st.tuples(st.sampled_from(GRID), st.sampled_from(GRID))))
-        groups.append(Interval(lo, hi, draw(st.booleans()), draw(st.booleans())))
+        # a point interval holds its value only when closed at both ends
+        closed = (True, True) if lo == hi else (draw(st.booleans()), draw(st.booleans()))
+        groups.append(Interval(lo, hi, *closed))
     return GroupFamily(groups=tuple(groups), feature=feature)
 
 
@@ -263,9 +265,16 @@ class TestConfig:
             '{"kind": "intervals", "groups": [{"lo": NaN, "hi": 1}]}',
             '{"kind": "intervals", "groups": [{"lo": 0, "hi": "nan"}]}',
             '{"kind": "intervals", "groups": [{"lo": 3, "hi": 1}]}',
+            '{"kind": "label_sets", "groups": [[], [0, 1]]}',
+            '{"kind": "intervals", "groups": [{"lo": 1, "hi": 1, "lo_closed": false}]}',
+            '{"kind": "intervals", "groups": [{"lo": 1, "hi": 1, "hi_closed": false}]}',
+            '{"kind": "intervals", "groups": 5}',
+            '{"kind": "label_sets", "groups": {"0": [1]}}',
         ):
             with pytest.raises(FamilyConfigError):
                 family_from_json(bad)
+        point = family_from_json('{"kind": "intervals", "groups": [{"lo": 1, "hi": 1}]}')
+        assert point.groups == (Interval(1.0, 1.0),)
         unbounded = family_from_json('{"kind": "intervals", "groups": [{"lo": -Infinity, "hi": Infinity}]}')
         assert unbounded.groups == (Interval(-np.inf, np.inf),)
 

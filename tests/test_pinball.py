@@ -7,13 +7,13 @@ import pytest
 from conftest import atom_features, breakpoint_minimum, random_lp, small_lp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import artificial_basis_at_zero, pinball_loss
+from reference import artificial_basis_at_zero, pinball_loss, reference_threshold_search
 
 from gcfcp import harness
 from gcfcp.conformal import CalibrationData, DegenerateGroupError, threshold_search
 from gcfcp.datagen import SynthConfig
 from gcfcp.federation import run_round
-from gcfcp.pinball import _COUPLING_TOL, _GAP_TOL, AugmentedQrSolver, SimplexBasis, SolverError
+from gcfcp.pinball import _BLAND_AFTER, _COUPLING_TOL, _GAP_TOL, AugmentedQrSolver, SimplexBasis, SolverError
 
 TINY = 1e-12
 
@@ -376,3 +376,63 @@ def test_cold_solve_iterations_on_criterion_09_data():
         sol = solver.solve_at(0.0)
         _assert_verified(sol)
         assert sol.iterations <= limit
+
+
+def _assert_kept_state(solver):
+    """The kept basis inverse is the inverse of the basis columns, and the
+    direction array is +1 at a lower bound, -1 at an upper one and 0 for a
+    basic or zero-width column."""
+    fresh = np.linalg.inv(solver._A[:, solver._basis])
+    assert np.max(np.abs(solver._Binv - fresh)) <= 1e-9 * np.max(np.abs(fresh))
+    movable = solver._up > solver._lo
+    expected = np.select([solver._status == 0, solver._status == 1], [1.0, -1.0], 0.0) * movable
+    np.testing.assert_array_equal(solver._dir, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_kept_inverse_and_directions_follow_the_basis(seed, warm):
+    rng = np.random.default_rng(seed)
+    p = random_lp(rng)
+    start = _calibration_only(p).export_basis() if warm else None
+    solver = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight, start_basis=start)
+    solver.solve_at(float(rng.normal(scale=2.0)) - 3.0)
+    _assert_kept_state(solver)
+    solver.raise_test_score(p.test_weight * (1.0 - p.alpha) - 1e-9)
+    _assert_kept_state(solver)
+    solver.solve_at(solver.test_score)
+    _assert_kept_state(solver)
+
+
+def test_blands_rule_on_a_degenerate_start(monkeypatch):
+    """A start at a vertex where every basic column sits on a bound: 50
+    disjoint groups, each with two tied high scores at the lower bound and
+    two tied low ones at the upper bound, equal weights, the artificials
+    basic at 0. Each group's first pivot is degenerate, so the simplex
+    passes 40 degenerate steps in a row and enters by Bland's rule; the
+    threshold still matches the bisection and the crash start."""
+    bland_entries = []
+    enter = AugmentedQrSolver._enter
+
+    def counting_enter(self, j):
+        bland_entries.append(self._degenerate > _BLAND_AFTER)
+        enter(self, j)
+
+    monkeypatch.setattr(AugmentedQrSolver, "_enter", counting_enter)
+    d, m = 50, 4
+    n = d * m
+    features = np.zeros((n, d))
+    features[np.arange(n), np.arange(n) // m] = 1.0
+    high = np.arange(n) % m < m // 2
+    weights = np.full(n, 1.0 / (n + 1))
+    alpha = 0.5
+    point = np.zeros(n + 1 + d)
+    point[:n] = np.where(high, -weights * alpha, weights * (1.0 - alpha))
+    start = SimplexBasis(np.arange(n + 1, n + 1 + d), point)
+    data = CalibrationData(features, np.where(high, 10.0, 9.0), weights, 1.0 / (n + 1))
+    pattern = tuple(int(b) for b in features[0])
+    got = threshold_search(data, pattern, alpha, start_basis=start)
+    assert any(bland_entries)
+    assert got == threshold_search(data, pattern, alpha)
+    want = reference_threshold_search(data, pattern, alpha)
+    assert -1e-7 <= got - want <= 1e-6 + 1e-7
