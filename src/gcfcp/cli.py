@@ -143,6 +143,8 @@ def cmd_predict(args) -> int:
     calibrator = calibrate_baseline("gcfcp_coreset", datasets, args.alpha, family=family, delta=args.delta)
     feature = membership_vector(args.x, family)
     s_star = calibrator.threshold(feature)
+    if s_star < 0.0:  # no absolute residual is negative
+        raise EmptySetError(f"empty prediction set: threshold {s_star!r} is negative")
     ps = predict_regression(args.prediction, s_star)
     print(
         f"x={args.x} pattern={''.join(map(str, feature))} threshold={s_star:.6f} "

@@ -51,7 +51,8 @@ CALIBRATOR_KINDS = (
 
 
 class EmptySetError(RuntimeError):
-    """The test dual is already at its upper bound one below the lowest score."""
+    """The prediction set is empty: the test dual is already at its upper
+    bound one below the lowest score, or S* is below every possible score."""
 
 
 class DegenerateGroupError(RuntimeError):

@@ -120,7 +120,8 @@ def _synth_trial_data(config: ExperimentConfig, trial: int) -> _TrialData:
         datasets,
         datagen.score_absolute(model, xs, ys),
         membership_matrix(xs, config.family),
-        lambda thresholds: 2.0 * thresholds,
+        # a negative threshold admits no score: an empty set, size 0
+        lambda thresholds: 2.0 * np.maximum(thresholds, 0.0),
     )
 
 

@@ -26,12 +26,25 @@ the column, so Dantzig pricing is one argmax over that product.
 the only entry point; the caller (``conformal``) rejects a group column
 without calibration mass first.
 
+Work over all N columns (pricing, recomputing the basic values,
+verification) is vectorized. The ratio test of a step, over only the d basis
+rows, is one loop in Python floats over the basic values, the moving column
+and the bounds of the basic columns, kept by basis row: the first row with
+the smallest ratio among those falling to their lower bound, replaced by the
+first with the smallest ratio among those rising to their upper bound only
+below it less 1e-13. The arithmetic is that of the array code, so every
+pivot is the same to the bit; the eta update of the inverse stays in numpy.
+
 A cold solve does not start from eta = 0. All rows of an atom (one
 membership pattern) share one column of the coupling, so starting each atom
 at its own weighted (1 - alpha)-quantile split keeps the coupling at 0 and
 lands within a few dozen entries of the optimum; a crossover moves the one
 interior entry per atom to a bound or into the basis, and the simplex
-finishes from there.
+finishes from there. The crash orders the rows by one packed byte key per
+row, the pattern with one bit per group: a stable sort by descending score,
+then a stable sort per key byte, last byte first, gives ``np.lexsort``'s
+order by (pattern, -score), and the atoms are the runs of equal keys. The
+features are 0/1.
 
 Only the test entry's cost depends on the test score t, so every reduced
 cost is affine in t, r0 + t * r1 with r0 priced at t = 0, and an optimal
@@ -102,6 +115,23 @@ class QrSolution:
     iterations: int  # crossover steps, simplex pivots and bound flips of this solve
     duality_gap: float  # |primal - dual| as verified
     coupling_residual: float  # max |sum_e eta_e phi_e| as verified
+
+
+def _atom_order(features: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ordered by pattern, then by descending score, ties in input
+    order (``np.lexsort``'s order on the scores and the feature columns), and
+    each row's packed pattern in that order.
+
+    A pattern packs into bytes, one bit per group, the first group highest,
+    so byte by byte it orders as the feature row does. A stable sort by
+    descending score, then one stable sort per byte, last byte first, is a
+    radix sort by (pattern, -score).
+    """
+    key = np.packbits(features != 0.0, axis=1)
+    order = np.argsort(-scores, kind="stable")
+    for byte in key.T[::-1]:
+        order = order[np.argsort(byte[order], kind="stable")]
+    return order, key[order]
 
 
 class AugmentedQrSolver:
@@ -184,6 +214,8 @@ class AugmentedQrSolver:
             ):
                 raise ValueError("start basis does not fit this problem")
         self._basis = basic.copy()
+        # the bounds of the basic columns by basis row, for the ratio test
+        self._loB, self._upB = self._lo[basic].tolist(), self._up[basic].tolist()
         at_upper = x == self._up
         self._status = at_upper.astype(np.int8)  # 0 lower, 1 upper, 2 basic
         self._status[basic] = 2
@@ -205,10 +237,10 @@ class AugmentedQrSolver:
         Every atom sums to 0, so sum_e eta_e phi_e = 0 holds and the
         artificial basis stays feasible; the test entry starts at 0.
         """
-        order = np.lexsort((-self._s[:-1],) + tuple(features.T[::-1]))
-        f, w = features[order], self._w[order]
+        order, key = _atom_order(features, self._s[:-1])
+        w = self._w[order]
         first = np.ones(len(order), dtype=bool)
-        first[1:] = np.any(f[1:] != f[:-1], axis=1)
+        first[1:] = np.any(key[1:] != key[:-1], axis=1)
         starts = np.flatnonzero(first)
         atom = np.cumsum(first) - 1
         cum = np.cumsum(w)
@@ -233,37 +265,58 @@ class AugmentedQrSolver:
         """Reduced costs of every column for each row of ``costs`` under the current basis."""
         return costs - (costs[..., self._basis] @ self._Binv) @ self._A
 
+    def _ratio_test(self, col: np.ndarray, sgn: float, tmax: float) -> tuple[int, float]:
+        """The basis row that reaches a bound first when a nonbasic column
+        with basis representation ``col`` moves in direction ``sgn``, and the
+        length of the move; row -1 if the column reaches its own other bound
+        first, at ``tmax``.
+
+        One loop over the d basis rows in Python floats. Row i falls at the
+        rate sgn * col_i per unit of the move. The first row with the smallest
+        ratio among those falling to their lower bound is taken if its ratio
+        is below ``tmax`` less 1e-13, then the first with the smallest ratio
+        among those rising to their upper bound if below that length less
+        1e-13. A rate within 1e-11 of 0 does not move its row.
+        """
+        xB, loB, upB = self._xB.tolist(), self._loB, self._upB
+        fall, fall_at, rise, rise_at = math.inf, -1, math.inf, -1
+        for i, c in enumerate(col.tolist()):
+            rate = sgn * c
+            if rate > 1e-11:
+                room = xB[i] - loB[i]
+                ratio = 0.0 if room <= 0.0 else room / rate
+                if ratio < fall:
+                    fall, fall_at = ratio, i
+            elif rate < -1e-11:
+                room = upB[i] - xB[i]
+                ratio = 0.0 if room <= 0.0 else room / -rate
+                if ratio < rise:
+                    rise, rise_at = ratio, i
+        leave = -1
+        if fall < tmax - 1e-13:
+            tmax, leave = fall, fall_at
+        if rise < tmax - 1e-13:
+            tmax, leave = rise, rise_at
+        return leave, tmax
+
     def _step(self, j: int, sgn: float, value: float) -> float:
         """Move nonbasic column j from ``value`` in direction ``sgn`` until it
         reaches a bound (a bound flip) or a basic variable does (a pivot);
         returns the length of the move."""
         col = self._Binv @ self._A[:, j]
-        dxB = -sgn * col
-        loB, upB = self._lo[self._basis], self._up[self._basis]
-        tmax = self._up[j] - value if sgn > 0 else value - self._lo[j]
-        leave = -1
-        neg = np.flatnonzero(dxB < -1e-11)
-        if neg.size:
-            ratios = np.maximum(self._xB[neg] - loB[neg], 0.0) / -dxB[neg]
-            k = int(np.argmin(ratios))
-            if ratios[k] < tmax - 1e-13:
-                tmax, leave = float(ratios[k]), int(neg[k])
-        pos = np.flatnonzero(dxB > 1e-11)
-        if pos.size:
-            ratios = np.maximum(upB[pos] - self._xB[pos], 0.0) / dxB[pos]
-            k = int(np.argmin(ratios))
-            if ratios[k] < tmax - 1e-13:
-                tmax, leave = float(ratios[k]), int(pos[k])
-
-        self._xB += dxB * tmax
+        tmax = self._up.item(j) - value if sgn > 0 else value - self._lo.item(j)
+        leave, tmax = self._ratio_test(col, sgn, tmax)
+        self._xB += (-sgn * col) * tmax
         if leave < 0:
             self._status[j] = 1 if sgn > 0 else 0
             self._dir[j] = -sgn
             return tmax
-        out = self._basis[leave]
-        self._status[out] = 0 if dxB[leave] < 0 else 1
-        self._dir[out] = (1.0 if dxB[leave] < 0 else -1.0) if self._movable[out] else 0.0
+        out = self._basis.item(leave)
+        falls = -sgn * col.item(leave) < 0
+        self._status[out] = 0 if falls else 1
+        self._dir[out] = (1.0 if falls else -1.0) if self._movable[out] else 0.0
         self._basis[leave] = j
+        self._loB[leave], self._upB[leave] = self._lo.item(j), self._up.item(j)
         self._status[j] = 2
         self._dir[j] = 0.0
         self._xB[leave] = value + sgn * tmax
@@ -279,8 +332,8 @@ class AugmentedQrSolver:
     def _enter(self, j: int) -> None:
         """Move nonbasic column j off its bound along its direction, and count
         the degenerate steps in a row."""
-        sgn = self._dir[j]
-        moved = self._step(j, sgn, self._lo[j] if sgn > 0 else self._up[j])
+        sgn = self._dir.item(j)
+        moved = self._step(j, sgn, (self._lo if sgn > 0 else self._up).item(j))
         self._degenerate = self._degenerate + 1 if moved < 1e-13 else 0
 
     def _crossover(self) -> int:
@@ -324,9 +377,10 @@ class AugmentedQrSolver:
 
     def _value(self, j: int) -> float:
         """The current value of column j."""
-        if self._status[j] == 2:
-            return float(self._xB[np.flatnonzero(self._basis == j)[0]])
-        return float(self._up[j] if self._status[j] == 1 else self._lo[j])
+        status = self._status[j]
+        if status == 2:
+            return self._xB.item(self._basis.tolist().index(j))
+        return (self._up if status == 1 else self._lo).item(j)
 
     def solve_at(self, test_score: float) -> QrSolution:
         if not math.isfinite(test_score):
@@ -375,23 +429,23 @@ class AugmentedQrSolver:
         t = self.test_score
         self._degenerate = 0
         for _ in range(500_000):
-            r0, r1 = self._prices(self._parametric)
-            rank = r1 * self._dir
+            prices = self._prices(self._parametric)
+            rank = prices[1] * self._dir
             losing = np.flatnonzero(rank > _SLOPE_TOL)
-            breakpoints = -r0[losing] / r1[losing]
-            at_t = breakpoints <= t + _BREAKPOINT_RTOL * (1.0 + abs(t))
-            if not at_t.any():
+            r0, r1 = prices[:, losing]
+            breakpoints = -r0 / r1
+            first = float(breakpoints.min()) if losing.size else math.inf
+            if first > t + _BREAKPOINT_RTOL * (1.0 + abs(t)):  # no breakpoint at t
                 if self._value(self._e - 1) >= eta_bound:
                     return t
                 if not losing.size:
                     return math.inf
-                t = self.test_score = float(breakpoints.min())
-                at_t = breakpoints <= t + _BREAKPOINT_RTOL * (1.0 + abs(t))
-            crossing = losing[at_t]
-            if self._degenerate > _BLAND_AFTER:
-                self._enter(int(crossing[0]))
-            else:
+                t = self.test_score = first
+            crossing = losing[breakpoints <= t + _BREAKPOINT_RTOL * (1.0 + abs(t))]
+            if crossing.size > 1 and self._degenerate <= _BLAND_AFTER:
                 self._enter(int(crossing[np.argmax(rank[crossing])]))
+            else:
+                self._enter(int(crossing[0]))
         raise SolverError("parametric iteration limit exceeded")
 
     def export_basis(self) -> SimplexBasis:

@@ -28,13 +28,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def atom_features(rng, d, n, label_sets):
     """(n, d) binary features on a few shared patterns (atoms): drawn from a
     random pool of patterns, or the memberships of random labels in d random
-    label sets that together cover every label."""
+    label sets that together cover every label. Above 10 groups the pool is
+    drawn pattern by pattern instead of from the list of all patterns."""
     if label_sets:
-        labels = int(rng.integers(d + 1, 9))
+        labels = int(rng.integers(d + 1, max(9, d + 2)))
         groups = [set(rng.choice(labels, int(rng.integers(1, labels)), replace=False).tolist()) for _ in range(d)]
         groups[0] |= set(range(labels)) - set().union(*groups)
         family = GroupFamily(tuple(LabelSet(frozenset(g)) for g in groups), feature="predicted_label")
         return membership_matrix(rng.integers(0, labels, n), family).astype(float)
+    if d > 10:  # too many patterns to list: a random pool, group 0 in every pattern
+        pool = (rng.random((int(rng.integers(1, 2 * n)), d)) < 0.5).astype(float)
+        pool[:, 0] = 1.0
+        return pool[rng.integers(0, len(pool), n)]
     patterns = np.array([p for p in itertools.product((0, 1), repeat=d) if any(p)], dtype=float)
     pool = patterns[rng.choice(len(patterns), int(rng.integers(1, len(patterns) + 1)), replace=False)]
     return pool[rng.integers(0, len(pool), n)]

@@ -5,6 +5,10 @@ formulations of atom stratification, digest construction, the wire codec and
 server assembly: the library runs vectorized versions, and the tests compare
 the two bit for bit.
 
+The solver's ratio test as array operations over the basis rows: the
+library runs it as a loop in Python floats, and the tests compare the two
+bit for bit.
+
 The solver's first start with every column at 0 and the artificial columns
 basic, and the bisection on the test score: the library starts from a
 per-atom quantile crash and walks the breakpoints of the test score instead,
@@ -210,6 +214,27 @@ def reference_round(datasets, family, delta):
         for m, w in zip(means, weights)
     ]
     return lines, entries, per_atom
+
+
+def reference_ratio_test(solver, col, sgn, tmax):
+    """``AugmentedQrSolver._ratio_test`` with numpy over the basis rows: the
+    leaving row (-1 for a bound flip) and the length of the move."""
+    dxB = -sgn * col
+    loB, upB = solver._lo[solver._basis], solver._up[solver._basis]
+    leave = -1
+    neg = np.flatnonzero(dxB < -1e-11)
+    if neg.size:
+        ratios = np.maximum(solver._xB[neg] - loB[neg], 0.0) / -dxB[neg]
+        k = int(np.argmin(ratios))
+        if ratios[k] < tmax - 1e-13:
+            tmax, leave = float(ratios[k]), int(neg[k])
+    pos = np.flatnonzero(dxB > 1e-11)
+    if pos.size:
+        ratios = np.maximum(upB[pos] - solver._xB[pos], 0.0) / dxB[pos]
+        k = int(np.argmin(ratios))
+        if ratios[k] < tmax - 1e-13:
+            tmax, leave = float(ratios[k]), int(pos[k])
+    return leave, tmax
 
 
 def artificial_basis_at_zero(n_cal, d):

@@ -219,6 +219,16 @@ def test_exit_code_search_error(dataset_csv, monkeypatch, capsys, error):
     assert "error: threshold search: search failed" in capsys.readouterr().err
 
 
+def test_predict_exits_5_on_an_empty_set(dataset_csv, capsys):
+    """At alpha 0.999 the seed-1 data give x = 2.5 a negative S*: no absolute
+    residual is that small, so the set is empty, a search failure (exit 5)
+    and not a configuration error."""
+    code = main(["predict", str(dataset_csv), "--x", "2.5", "--alpha", "0.999"])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert "empty prediction set: threshold -0.0149" in err
+
+
 def test_exit_code_ingest_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("client_id,predicted_label,true_label,score_0\n1,0,0,2.5\n")

@@ -220,3 +220,17 @@ def test_trial_outcomes_reproducible():
     for kind in SMALL.calibrators:
         assert np.array_equal(a[kind].covered, b[kind].covered)
         assert np.array_equal(a[kind].set_sizes, b[kind].set_sizes)
+
+
+def test_an_empty_set_counts_as_size_zero():
+    """At alpha 0.999 gcfcp_coreset gives some test points of synth seed 1 a
+    negative S*: no absolute residual is that small, so their sets are empty,
+    of size 0 and uncovered, never of negative size."""
+    config = ExperimentConfig(
+        calibrators=("gcfcp_coreset",), alpha=0.999, trials=1, synth=SynthConfig(seed=1)
+    )
+    outcome = run_trial(config, 0)["gcfcp_coreset"]
+    empty = outcome.set_sizes == 0.0
+    assert empty.any()
+    assert np.all(outcome.set_sizes >= 0.0)
+    assert not outcome.covered[empty].any()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -7,13 +8,21 @@ import pytest
 from conftest import atom_features, breakpoint_minimum, random_lp, small_lp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import artificial_basis_at_zero, pinball_loss, reference_threshold_search
+from reference import artificial_basis_at_zero, pinball_loss, reference_ratio_test, reference_threshold_search
 
 from gcfcp import harness
-from gcfcp.conformal import CalibrationData, DegenerateGroupError, threshold_search
+from gcfcp.conformal import CalibrationData, DegenerateGroupError, calibration_basis, threshold_search
 from gcfcp.datagen import SynthConfig
 from gcfcp.federation import run_round
-from gcfcp.pinball import _BLAND_AFTER, _COUPLING_TOL, _GAP_TOL, AugmentedQrSolver, SimplexBasis, SolverError
+from gcfcp.pinball import (
+    _BLAND_AFTER,
+    _COUPLING_TOL,
+    _GAP_TOL,
+    AugmentedQrSolver,
+    SimplexBasis,
+    SolverError,
+    _atom_order,
+)
 
 TINY = 1e-12
 
@@ -436,3 +445,120 @@ def test_blands_rule_on_a_degenerate_start(monkeypatch):
     assert got == threshold_search(data, pattern, alpha)
     want = reference_threshold_search(data, pattern, alpha)
     assert -1e-7 <= got - want <= 1e-6 + 1e-7
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    warm=st.booleans(),
+    sgn=st.sampled_from([1.0, -1.0]),
+    offset=st.sampled_from([-2e-13, -1e-13, -5e-14, 0.0, 5e-14, 1e-13, 1.5e-13, 2e-13, 1.0, math.inf]),
+)
+def test_ratio_test_matches_the_array_reference(seed, warm, sgn, offset):
+    """The float loop picks the same leaving row and the same step length,
+    bit for bit, as the array ratio test: rates and ratios on small grids
+    tie within and across the two sides, some rows sit on or past their
+    bound (-0.0 at a lower bound 0.0 among them), some rates are within
+    1e-11 of 0, and the bound-flip length lies within 1e-13 of a ratio."""
+    rng = np.random.default_rng(seed)
+    p = random_lp(rng)
+    start = _calibration_only(p).export_basis() if warm else None
+    solver = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight, start_basis=start)
+    solver.solve_at(p.test_score)
+    d = p.dimension
+    lo, up = solver._lo[solver._basis], solver._up[solver._basis]
+    rates = rng.choice([-2.0, -1.0, -0.5, -1e-12, 0.0, 1e-12, 0.5, 1.0, 2.0], d)
+    ratios = rng.choice([0.0, 0.125, 0.25, 0.5], d)
+    xB = np.where(rates > 0, lo + ratios * rates, up + ratios * rates)
+    past = rng.random(d) < 0.2
+    xB[past] = np.where(rates > 0, lo - 0.1, up + 0.1)[past]
+    for i in np.flatnonzero(rng.random(d) < 0.2).tolist():  # at a lower bound 0.0 as -0.0
+        solver._lo[solver._basis[i]] = solver._loB[i] = 0.0
+        xB[i] = -0.0
+    solver._xB = xB
+    col = rates / sgn  # row i falls at sgn * col_i
+    tmax = float(rng.choice(ratios)) + offset
+    got = solver._ratio_test(col, sgn, tmax)
+    want = reference_ratio_test(solver, col, sgn, tmax)
+    assert got[0] == want[0]
+    assert _bits(got[1]) == _bits(want[1])
+    # the solver's own states: every nonbasic column of the optimum
+    for j in np.flatnonzero(solver._dir != 0.0)[:20].tolist():
+        col = solver._Binv @ solver._A[:, j]
+        s = solver._dir.item(j)
+        flip = solver._up.item(j) - solver._lo.item(j)
+        got, want = solver._ratio_test(col, s, flip), reference_ratio_test(solver, col, s, flip)
+        assert got[0] == want[0] and _bits(got[1]) == _bits(want[1])
+
+
+def _table3_trial0(seed):
+    config = harness.ExperimentConfig(synth=SynthConfig(seed=seed, n_per_client=(1000, 333, 333, 333)))
+    datasets = harness._synth_trial_data(replace(config, test_points=5), trial=0).datasets
+    round_ = run_round(datasets, config.family, 250.0)
+    return (
+        CalibrationData.from_datasets(datasets, config.family),
+        CalibrationData.from_coreset(round_.coreset, round_.test_weight),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_searches_with_the_array_ratio_test_are_identical(monkeypatch, seed):
+    """Whole threshold searches on Table-3 trial-0 draws, centralized and
+    coreset, cold and warm: the array ratio test in place of the float loop
+    gives the same thresholds (as repr) and the same iteration counts."""
+    solves = []
+    solve_at = AugmentedQrSolver.solve_at
+
+    def counting_solve_at(self, score):
+        sol = solve_at(self, score)
+        solves.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(AugmentedQrSolver, "solve_at", counting_solve_at)
+
+    def run():
+        solves.clear()
+        out = []
+        for data in _table3_trial0(seed):
+            basis = calibration_basis(data, 0.1)
+            for pattern in ((1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)):
+                out.append(repr(threshold_search(data, pattern, 0.1)))
+                out.append(repr(threshold_search(data, pattern, 0.1, start_basis=basis)))
+        return out, list(solves)
+
+    floats = run()
+    monkeypatch.setattr(AugmentedQrSolver, "_ratio_test", reference_ratio_test)
+    arrays = run()
+    assert floats == arrays
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 4, 8, 9, 20]),
+    label_sets=st.booleans(),
+    duplicates=st.booleans(),
+)
+def test_atom_order_is_lexsort_order(seed, d, label_sets, duplicates):
+    """The crash's radix order by packed pattern and descending score is
+    ``np.lexsort``'s, with tied scores (0.0 and -0.0 among them) and
+    duplicate rows; 9 and 20 groups pack into two and three bytes."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    features = atom_features(rng, d, n, label_sets)
+    scores = np.round(rng.normal(size=n) * 2.0) / 2.0
+    if duplicates:
+        rows = rng.integers(0, n, n // 2)
+        features = np.vstack([features, features[rows]])
+        scores = np.append(scores, scores[rows])
+    order, key = _atom_order(features, scores)
+    want = np.lexsort((-scores,) + tuple(features.T[::-1]))
+    np.testing.assert_array_equal(order, want)
+    assert key.shape[1] == (d + 7) // 8
+    np.testing.assert_array_equal(key, np.packbits(features[want].astype(bool), axis=1))
+    f = features[want]
+    np.testing.assert_array_equal(np.any(key[1:] != key[:-1], axis=1), np.any(f[1:] != f[:-1], axis=1))
