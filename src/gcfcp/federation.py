@@ -34,8 +34,10 @@ cluster weights do not sum to pi_k n_k / (n_k + 1). It takes delta from the
 first header and the test weight sum_k pi_k / (n_k + 1) from all of them,
 and merges every atom across clients in one more sketch pass at that delta,
 whose clusters are the rows of the coreset used by the quantile regression.
-That pass sorts the received clusters stably by (atom, mean): tied means from
-different clients carry different weights, and keep message order.
+That pass sorts the received clusters stably by (atom, mean), which tied means
+from different clients, carrying different weights, leave in message order:
+a radix sort of the atom ids, then per atom a stable sort of the means, which
+merges the clients' runs, each already in mean order.
 Serialization is exercised for real so the byte accounting is honest, even
 though everything runs in-process.
 """
@@ -168,7 +170,7 @@ def client_build_messages(
         order, bits, sizes = enumerate_atoms(dataset.covariates, family, dataset.scores)
         w = dataset.sample_weight
         scores = np.asarray(dataset.scores, dtype=float)[order]
-        means, weights, counts = _build_segments(scores, np.full(scores.size, w), delta, sizes, sizes * w)
+        means, weights, counts = _build_segments(scores, w, delta, sizes, sizes * w)
         atoms, counts = tuple(map(tuple, bits.tolist())), tuple(counts.tolist())
     return ClientMessage(
         client_id=int(dataset.client_id),
@@ -328,14 +330,21 @@ def server_assemble(messages: Sequence[ClientMessage], family: GroupFamily) -> t
         raise ProtocolError("no client sent any scores")
     atoms = sorted(totals)
     segment = {atom: i for i, atom in enumerate(atoms)}
-    segments = np.repeat([segment[a] for m in messages for a in m.atoms], [c for m in messages for c in m.counts])
+    ids = np.array([segment[a] for m in messages for a in m.atoms], dtype=np.min_scalar_type(len(atoms)))
+    segments = np.repeat(ids, [c for m in messages for c in m.counts])
+    sizes = np.bincount(segments, minlength=len(atoms))
+    # stable (atom, mean) order: see the module docstring
+    order = np.argsort(segments, kind="stable")
     values = np.concatenate([m.means for m in messages])
-    order = np.lexsort((values, segments))  # stable: see the module docstring
+    by_atom = values[order]
+    ends = np.cumsum(sizes).tolist()
+    for a, b in zip([0, *ends], ends):
+        order[a:b] = order[a:b][np.argsort(by_atom[a:b], kind="stable")]
     means, weights, counts = _build_segments(
         values[order],
         np.concatenate([m.weights for m in messages])[order],
         delta,
-        np.bincount(segments, minlength=len(atoms)),
+        sizes,
         [totals[atom] for atom in atoms],
     )
     entries = np.empty(means.size, dtype=[("atom", np.int8, (d,)), ("mean", float), ("weight", float)])

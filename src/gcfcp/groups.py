@@ -8,9 +8,13 @@ membership patterns, the disjoint refinement of the family: the unique rows of
 that matrix. ``membership_matrix`` is the one membership routine;
 ``membership_vector`` is its single-point case.
 
-``enumerate_atoms`` orders rows by (atom, score) with one unstable argsort of
-the scores and one stable argsort per packed membership byte, last byte first:
-tied scores end in any order, as the client sketch weighs all its scores alike.
+``enumerate_atoms`` packs each row's membership bits from the boolean group
+columns, without building the int matrix: group g goes to bit 7 - g % 8 of
+byte g // 8, the layout of ``np.packbits``, so that the bytes sort in the
+lexicographic bit order for any family size. It orders rows by (atom, score)
+with one unstable argsort of the scores and one stable argsort per membership
+byte, last byte first: tied scores end in any order, as the client sketch
+weighs all its scores alike.
 """
 
 from __future__ import annotations
@@ -92,6 +96,12 @@ def membership_matrix(xs: Sequence, family: GroupFamily) -> np.ndarray:
     and, for a family with label sets, first on a label that is not a finite
     integer.
     """
+    return np.column_stack(_membership_columns(xs, family)).astype(int)
+
+
+def _membership_columns(xs: Sequence, family: GroupFamily) -> list[np.ndarray]:
+    """One boolean column per group, in family order, checked as
+    ``membership_matrix`` describes."""
     xs = np.asarray(xs)
     if xs.ndim > 1:
         xs = xs[:, family.feature]
@@ -116,7 +126,7 @@ def membership_matrix(xs: Sequence, family: GroupFamily) -> np.ndarray:
         raise CoveringError(
             f"covariate value {xs[i].item()!r} (index {i}) is outside every group"
         )
-    return np.column_stack(cols).astype(int)
+    return cols
 
 
 def enumerate_atoms(
@@ -129,15 +139,17 @@ def enumerate_atoms(
     """
     if len(covariates) == 0:
         raise ValueError("enumerate_atoms requires at least one covariate")
-    # Each row's bits packed into bytes, first group in the high bit: byte
-    # columns sort in the lexicographic bit order, for any family size.
-    packed = np.packbits(membership_matrix(covariates, family), axis=1)
+    # one row of bytes per 8 groups, packed as the module docstring says
+    cols = _membership_columns(covariates, family)
+    packed = np.zeros(((len(cols) + 7) // 8, cols[0].size), dtype=np.uint8)
+    for g, col in enumerate(cols):
+        packed[g // 8] |= col.view(np.uint8) << (7 - g % 8)
     order = np.argsort(np.asarray(scores, dtype=float))
-    for column in packed.T[::-1]:  # least significant byte first (LSD radix)
-        order = order[np.argsort(column[order], kind="stable")]
-    keys = packed[order]
-    starts = np.flatnonzero(np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1))))
-    atoms = np.unpackbits(keys[starts], axis=1, count=len(family))
+    for row in packed[::-1]:  # least significant byte first (LSD radix)
+        order = order[np.argsort(row[order], kind="stable")]
+    keys = packed[:, order]
+    starts = np.flatnonzero(np.concatenate(([True], (keys[:, 1:] != keys[:, :-1]).any(axis=0))))
+    atoms = np.unpackbits(keys[:, starts], axis=0, count=len(family)).T
     return order, atoms, np.diff(np.append(starts, order.size))
 
 

@@ -15,11 +15,21 @@ federation client sketches all its atoms with one call, and the server merges
 a round with one more. ``build_digest_arrays`` and ``merge`` are one segment.
 Its caller sorts the samples by (segment, value): the order among tied values
 moves cumulative weights and cluster edges unless the tied samples weigh the
-same, so ``build_digest_arrays`` and ``merge`` sort stably.
+same, so ``build_digest_arrays`` and ``merge`` sort stably. A client, whose
+samples all weigh the same, passes that weight as one float: the running sum
+of one table, summed left to right as ``np.cumsum`` sums each segment, then
+gives every sample's scale position, every step of the running mean and every
+cluster's weight, with the bits of the per-sample array.
+
+A segment longer than ``_WALK_AFTER * delta`` finds its cluster starts by a
+walk with one bisect per cluster, once a check shows its scale positions
+nondecreasing; where arcsin rounding makes them dip, and on shorter segments,
+a per-sample pass finds them for any positions. Both give the greedy starts.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Sequence
 
@@ -27,6 +37,10 @@ import numpy as np
 
 # A sample joins the current cluster iff its scale span stays within this.
 _SPAN = 1.0 + 1e-12
+# A segment longer than this many times delta has its cluster starts walked:
+# a walk costs about one step per cluster (about delta / 2 of them), the
+# per-sample pass one array element per sample and more per call.
+_WALK_AFTER = 12
 
 
 class DigestError(ValueError):
@@ -90,8 +104,53 @@ def _cluster_starts(r: np.ndarray, delta: float, bounds: np.ndarray) -> np.ndarr
     ``bounds`` holds each segment's first sample, then r.size. A cluster at s
     has left edge r[s-1] (-delta/4, quantile 0's scale, at a segment start)
     and ends at its segment's end or the first i > s with r[i] - left > _SPAN.
+    A segment longer than _WALK_AFTER * delta whose r is nondecreasing is
+    walked cluster by cluster; the others take the per-sample pass of
+    ``_scan_starts``, which holds for any r.
+    """
+    walked, scanned = [], []
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        seg = r[a:b]
+        if b - a > _WALK_AFTER * delta and np.all(seg[1:] >= seg[:-1]):
+            walked += _walk_starts(seg.tolist(), a, delta)
+        else:
+            scanned.append((a, b))
+    if not walked:
+        return _scan_starts(r, delta, bounds)
+    starts = np.array(walked)
+    if scanned:
+        rows = np.concatenate([np.arange(a, b) for a, b in scanned])
+        sizes = [b - a for a, b in scanned]
+        starts = np.sort(np.concatenate((starts, rows[_scan_starts(r[rows], delta, np.cumsum([0, *sizes]))])))
+    return starts
+
+
+def _walk_starts(rs: list[float], a: int, delta: float) -> list[int]:
+    """The cluster starts of one segment whose scale positions ``rs`` are
+    nondecreasing, offset by its first sample ``a``.
+
+    One bisect per cluster proposes its end, and the exact test moves the end
+    to the first sample that fails it. As r - left is nondecreasing in r, every
+    sample before that end passes: these are the greedy starts.
+    """
+    starts, left, s, m = [a], -delta / 4.0, 0, len(rs)
+    while True:
+        i = bisect.bisect_right(rs, left + _SPAN, s + 1)
+        while i < m and rs[i] - left <= _SPAN:
+            i += 1
+        while i > s + 1 and rs[i - 1] - left > _SPAN:
+            i -= 1
+        if i >= m:
+            return starts
+        starts.append(a + i)
+        left, s = rs[i - 1], i
+
+
+def _scan_starts(r: np.ndarray, delta: float, bounds: np.ndarray) -> np.ndarray:
+    """``_cluster_starts`` by a per-sample pass, correct for any r.
+
     One searchsorted per segment proposes an end for every start, and each
-    steps forward until it fails that exact test. The followed clusters are
+    steps forward until it fails the exact test. The followed clusters are
     then checked as a whole: an index inside one that fails the test
     (searchsorted rounded past it, or arcsin rounding made r dip) ends it.
     """
@@ -125,10 +184,14 @@ def _cluster_starts(r: np.ndarray, delta: float, bounds: np.ndarray) -> np.ndarr
         ends[owner[bad[0]]] = int(bad[0])
 
 
-def _build_segments(v: np.ndarray, w: np.ndarray, delta: float, sizes, totals):
+def _build_segments(v: np.ndarray, w, delta: float, sizes, totals):
     """Cluster means and weights of samples sorted by (segment, value), and
     each segment's cluster count. ``sizes`` and ``totals`` hold each segment's
-    samples and weight; its clusters equal a build on it alone."""
+    samples and weight; its clusters equal a build on it alone.
+
+    ``w`` holds each sample's weight, or is one float that every sample
+    weighs: then one running sum of it serves every segment and cluster.
+    """
     if v.size == 0:
         raise DigestError("cannot build a digest from zero samples")
     if not 2.0 <= delta < math.inf:
@@ -137,15 +200,22 @@ def _build_segments(v: np.ndarray, w: np.ndarray, delta: float, sizes, totals):
         raise DigestError("sample values must be finite")
     if not (np.all(w > 0.0) and np.all(np.isfinite(w))):
         raise DigestError("sample weights must be positive and finite")
+    sizes = np.asarray(sizes)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
+    uniform = np.ndim(w) == 0
+    if uniform:
+        # table[j] = the weight of j + 1 samples, summed left to right as
+        # np.cumsum sums each segment of equal weights
+        table = np.cumsum(np.full(sizes.max(), float(w)))
+        cum = table[np.arange(v.size) - np.repeat(bounds[:-1], sizes)]
+    else:
+        cum = np.concatenate([np.cumsum(w[a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
     # r[i] = scale at the right boundary after absorbing sample i
-    r = np.concatenate([
-        (delta / (2.0 * math.pi)) * np.arcsin(2.0 * np.minimum(np.cumsum(w[a:b]) / total, 1.0) - 1.0)
-        for a, b, total in zip(bounds[:-1].tolist(), bounds[1:].tolist(), totals)
-    ])
+    q = np.minimum(cum / np.repeat(np.asarray(totals, dtype=float), sizes), 1.0)
+    r = (delta / (2.0 * math.pi)) * np.arcsin(2.0 * q - 1.0)
 
     # an empty segment starts no cluster
-    starts = _cluster_starts(r, delta, np.append(bounds[:-1][np.diff(bounds) > 0], v.size))
+    starts = _cluster_starts(r, delta, np.append(bounds[:-1][sizes > 0], v.size))
     lengths = np.diff(np.append(starts, v.size))
     # Incremental weighted mean (bounds rounding drift over merge chains),
     # one step per position within a cluster across all clusters that long.
@@ -154,6 +224,14 @@ def _build_segments(v: np.ndarray, w: np.ndarray, delta: float, sizes, totals):
     first = starts[by_len]
     longer = np.searchsorted(-lengths[by_len], -np.arange(1, lengths.max()), side="left")
     cur_mean = v[first]
+    back = np.argsort(by_len)
+    counts = np.diff(np.searchsorted(starts, bounds))
+    if uniform:
+        # step j's factor w / (weight of j + 1 samples), as the array path's
+        factors = (w / table[: lengths.max()]).tolist()
+        for j, k in enumerate(longer.tolist(), start=1):
+            cur_mean[:k] += factors[j] * (v[first[:k] + j] - cur_mean[:k])
+        return cur_mean[back], table[lengths - 1], counts
     cur_w = w[first]
     for j, k in enumerate(longer.tolist(), start=1):
         pos = first[:k] + j
@@ -161,8 +239,7 @@ def _build_segments(v: np.ndarray, w: np.ndarray, delta: float, sizes, totals):
         cw = cur_w[:k]
         cw += wj
         cur_mean[:k] += (wj / cw) * (v[pos] - cur_mean[:k])
-    back = np.argsort(by_len)
-    return cur_mean[back], cur_w[back], np.diff(np.searchsorted(starts, bounds))
+    return cur_mean[back], cur_w[back], counts
 
 
 def _build_one(values: np.ndarray, weights: np.ndarray, delta: float, total: float) -> Digest:

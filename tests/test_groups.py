@@ -73,6 +73,20 @@ class TestMembership:
     def test_matrix_covering_violation_reports_index(self):
         with pytest.raises(CoveringError, match="index 1"):
             membership_matrix([1.0, 9.0], FOUR_INTERVALS)
+        with pytest.raises(CoveringError, match=r"9\.0 \(index 1\) is outside every group"):
+            enumerate_atoms([1.0, 9.0, 7.0], FOUR_INTERVALS, np.zeros(3))
+
+    def test_label_is_checked_before_coverage(self):
+        # label 7 is in no group, but label 0.5 after it is reported first
+        groups = (LabelSet(frozenset({0, 1})), LabelSet(frozenset({1, 2})))
+        for xs, fam in (
+            ([1.0, 7.0, 0.5], GroupFamily(groups=groups, feature="predicted_label")),
+            (np.array([[9.0, 1.0], [9.0, 7.0], [9.0, 0.5]]), GroupFamily(groups=groups, feature=1)),
+        ):
+            with pytest.raises(CoveringError, match=r"label 0\.5 \(index 2\) is not a finite integer"):
+                membership_matrix(xs, fam)
+            with pytest.raises(CoveringError, match=r"label 0\.5 \(index 2\) is not a finite integer"):
+                enumerate_atoms(xs, fam, np.zeros(3))
 
 
 GRID = (-1.0, 0.0, 0.5, 1.0, 2.0)
@@ -224,6 +238,16 @@ class TestAtomsMatchReference:
     def test_more_than_64_groups(self, case):
         _, atoms, _ = assert_client_order(case[0], WIDE_FAMILY, case[1])
         assert atoms.shape[1] == 70
+
+    @pytest.mark.parametrize("d", [8, 9, 16])
+    @given(case=rows_and_scores(st.floats(0.0, 1.0)))
+    @settings(max_examples=30, deadline=None)
+    def test_byte_boundaries(self, d, case):
+        # one byte of membership bits, one bit past it, and two full bytes
+        family = interval_family([(g / 2, g / 2 + 1) for g in range(d)])
+        xs = [x * (d / 2 + 0.5) for x in case[0]]  # the family covers [0, d / 2 + 0.5]
+        _, atoms, _ = assert_client_order(xs, family, case[1])
+        assert atoms.shape[1] == d
 
     def test_vector_covariates_and_many_rows(self):
         rng = np.random.default_rng(0)

@@ -113,6 +113,14 @@ class TestBuild:
         with pytest.raises(DigestError):
             build([1.0], 1.5)
 
+    @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_weight_rejected_as_float_and_as_array(self, weight):
+        # a client passes its one sample weight as a float
+        values = np.array([1.0, 2.0])
+        for w in (weight, np.full(2, weight)):
+            with pytest.raises(DigestError, match="sample weights must be positive and finite"):
+                tdigest._build_segments(values, w, 25.0, [2], [1.0])
+
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
     def test_non_finite_compression_rejected(self, delta):
         with pytest.raises(DigestError, match="compression"):
@@ -458,23 +466,78 @@ class TestMatchesReferenceLoop:
         st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=200),
         st.sampled_from([2.0, 5.0, 25.0]),
         st.sets(st.integers(1, 199), max_size=6),
+        st.sampled_from(["as drawn", "sorted", "on the span"]),
+        st.sampled_from([None, "1 ulp", "0.5"]),
+        st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_cluster_starts_on_any_scale_sequence(self, r, delta, cuts):
-        # the boundary search must match the loop even where r is not sorted,
-        # and every segment starts a cluster at left edge -delta / 4
+    @settings(max_examples=300, deadline=None)
+    def test_cluster_starts_on_any_scale_sequence(self, r, delta, cuts, shape, dip, seed):
+        # the boundary search must match the loop where r is not sorted, and
+        # in segments long enough to be walked (over 24 samples at delta 2,
+        # over 60 at delta 5) where it is sorted, with ties, or "on the span":
+        # every sample within an ulp of the span of the one p before it, from
+        # -delta / 4 up, so that the exact test and a search on left + span
+        # disagree where r - left rounds. Also where one sample dips below the
+        # one before it. Every segment starts a cluster at left edge -delta / 4.
         r = np.array(r)
+        rng = np.random.default_rng(seed)
+        if shape == "sorted":
+            r = np.sort(np.round(rng.uniform(-30.0, 30.0, rng.integers(25, 201)), 1))
+        elif shape == "on the span":
+            runs = []
+            for _ in range(rng.integers(1, 6)):
+                p, run = rng.integers(2, 11), np.empty(rng.integers(25, 121))
+                run[:p] = -delta / 4.0 + np.arange(1, p + 1) * ((1.0 + 1e-12) / p)
+                for i in range(p, run.size):
+                    run[i] = run[i - p] + (1.0 + 1e-12)
+                run = np.nextafter(run, run + rng.integers(-1, 2, run.size))  # -1, 0 or +1 ulp
+                runs.append(run)
+            r = np.concatenate(runs)
+            cuts = set(np.cumsum([run.size for run in runs])[:-1].tolist())
         bounds = [0, *sorted(c for c in cuts if c < r.size), r.size]
-        starts = []
-        for i in range(r.size):
-            if i in bounds:
-                left = -delta / 4.0
-            elif r[i] - left <= 1.0 + 1e-12:
-                continue
-            else:
-                left = r[i - 1]
-            starts.append(i)
+
+        def loop_starts():
+            starts = []
+            for i in range(r.size):
+                if i in bounds:
+                    left = -delta / 4.0
+                elif r[i] - left <= 1.0 + 1e-12:
+                    continue
+                else:
+                    left = r[i - 1]
+                starts.append(i)
+            return starts
+
+        if dip and r.size > 1:
+            # at a cluster start where there is one, so that the dipped
+            # sample joins the cluster that it ended
+            inner = [i for i in loop_starts() if i not in bounds] or [rng.integers(1, r.size)]
+            i = inner[rng.integers(len(inner))]
+            r[i] = np.nextafter(r[i - 1], -np.inf) if dip == "1 ulp" else r[i - 1] - 0.5
+        starts = loop_starts()
         assert tdigest._cluster_starts(r, delta, np.array(bounds)).tolist() == starts
+
+    @given(
+        n=st.integers(1, 8000),
+        segment_count=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.booleans(),
+        weight=st.sampled_from([1.0, 1.0 / 3.0, 0.1, 1e-5, 2.5e-5, 7.0]),
+        delta=st.sampled_from([2.0, 5.0, 25.0, 250.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_float_weight_matches_array_of_it(self, n, segment_count, seed, ties, weight, delta):
+        # one float weight gives the bits of an array holding it n times, on
+        # segments both shorter and longer than the walk's cutoff
+        values, _ = random_samples(seed, n, ties, "unit")
+        segments = np.random.default_rng(seed + 1).integers(0, segment_count, n)
+        order = np.lexsort((values, segments))
+        sizes = np.bincount(segments, minlength=segment_count)
+        totals = sizes * weight
+        got = tdigest._build_segments(values[order], weight, delta, sizes, totals)
+        want = tdigest._build_segments(values[order], np.full(n, weight), delta, sizes, totals)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
     @given(
         n=st.integers(1, 2000),
