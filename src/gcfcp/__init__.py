@@ -12,9 +12,7 @@ from .conformal import (
     ConditionalCalibrator,
     EmptySetError,
     GlobalCalibrator,
-    PredictionSet,
     calibrate_baseline,
-    predict_regression,
     split_cp_threshold,
     threshold_search,
 )
@@ -42,13 +40,11 @@ __all__ = [
     "GroupFamily",
     "Interval",
     "LabelSet",
-    "PredictionSet",
     "build_digest_arrays",
     "calibrate_baseline",
     "interval_family",
     "membership_vector",
     "merge",
-    "predict_regression",
     "run_experiment",
     "run_round",
     "split_cp_threshold",

@@ -24,12 +24,7 @@ import re
 import sys
 
 from . import datagen
-from .conformal import (
-    CALIBRATOR_KINDS,
-    EmptySetError,
-    calibrate_baseline,
-    predict_regression,
-)
+from .conformal import CALIBRATOR_KINDS, EmptySetError, calibrate_baseline
 from .datagen import IngestError, SynthConfig
 from .federation import ClientDataset, check_mixture, client_datasets, run_round
 from .groups import GroupFamily, family_from_json, membership_vector
@@ -145,10 +140,9 @@ def cmd_predict(args) -> int:
     s_star = calibrator.threshold(feature)
     if s_star < 0.0:  # no absolute residual is negative
         raise EmptySetError(f"empty prediction set: threshold {s_star!r} is negative")
-    ps = predict_regression(args.prediction, s_star)
     print(
         f"x={args.x} pattern={''.join(map(str, feature))} threshold={s_star:.6f} "
-        f"interval=[{ps.center - ps.radius:.6f}, {ps.center + ps.radius:.6f}]"
+        f"interval=[{args.prediction - s_star:.6f}, {args.prediction + s_star:.6f}]"
     )
     return EXIT_OK
 

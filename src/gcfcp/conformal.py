@@ -70,15 +70,6 @@ class DegenerateGroupError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PredictionSet:
-    """The interval center +- radius for the absolute-residual score."""
-
-    threshold: float
-    center: float
-    radius: float
-
-
-@dataclass(frozen=True)
 class CalibrationData:
     """QR inputs: one row per calibration entry plus the aggregated test weight."""
 
@@ -170,15 +161,6 @@ def threshold_search(
     s_star = min(solver.raise_test_score(bound), hi)
     solver.solve_at(min(solver.test_score, s_star))
     return s_star
-
-
-def predict_regression(model_prediction: float, s_star: float) -> PredictionSet:
-    """Interval inversion of the absolute-residual score."""
-    if s_star < 0.0:
-        raise ValueError(f"negative threshold {s_star!r}")
-    return PredictionSet(
-        threshold=s_star, center=float(model_prediction), radius=float(s_star)
-    )
 
 
 def split_cp_threshold(scores: Sequence[float], alpha: float) -> float:

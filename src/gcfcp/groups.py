@@ -8,13 +8,15 @@ membership patterns, the disjoint refinement of the family: the unique rows of
 that matrix. ``membership_matrix`` is the one membership routine;
 ``membership_vector`` is its single-point case.
 
-``enumerate_atoms`` packs each row's membership bits from the boolean group
-columns, without building the int matrix: group g goes to bit 7 - g % 8 of
-byte g // 8, the layout of ``np.packbits``, so that the bytes sort in the
-lexicographic bit order for any family size. It orders rows by (atom, score)
-with one unstable argsort of the scores and one stable argsort per membership
-byte, last byte first: tied scores end in any order, as the client sketch
-weighs all its scores alike.
+``sort_atoms`` is the one home of the atom key, for the client sketch
+(``enumerate_atoms``) and the cold crash of ``pinball.AugmentedQrSolver``. It
+packs each row's membership bits from the boolean group columns: group g goes
+to bit 7 - g % 8 of byte g // 8, so that the bytes sort in the lexicographic
+bit order for any family size. From the caller's starting row order it sorts
+stably by each membership byte, last byte first, and the atoms are the runs of
+equal keys. ``enumerate_atoms`` starts from an unstable argsort of the scores,
+so tied scores end in any order, as the client sketch weighs all its scores
+alike.
 """
 
 from __future__ import annotations
@@ -129,6 +131,26 @@ def _membership_columns(xs: Sequence, family: GroupFamily) -> list[np.ndarray]:
     return cols
 
 
+def sort_atoms(columns: Sequence[np.ndarray], order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, starts)``: the rows of ``order`` sorted stably by membership
+    pattern in lexicographic bit order, and the position in it where each
+    pattern's run of rows starts.
+
+    ``columns`` holds one boolean column per group, in family order, and
+    ``order`` every row once; within a pattern the rows keep their order in it.
+    """
+    # one row of bytes per 8 groups, packed as the module docstring says
+    packed = np.zeros(((len(columns) + 7) // 8, len(order)), dtype=np.uint8)
+    for g, col in enumerate(columns):
+        packed[g // 8] |= col.view(np.uint8) << (7 - g % 8)
+    for row in packed[::-1]:  # least significant byte first (LSD radix)
+        order = order[np.argsort(row[order], kind="stable")]
+    keys = packed[:, order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    return order, np.flatnonzero(new)
+
+
 def enumerate_atoms(
     covariates: Sequence, family: GroupFamily, scores: Sequence
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -139,17 +161,10 @@ def enumerate_atoms(
     """
     if len(covariates) == 0:
         raise ValueError("enumerate_atoms requires at least one covariate")
-    # one row of bytes per 8 groups, packed as the module docstring says
     cols = _membership_columns(covariates, family)
-    packed = np.zeros(((len(cols) + 7) // 8, cols[0].size), dtype=np.uint8)
-    for g, col in enumerate(cols):
-        packed[g // 8] |= col.view(np.uint8) << (7 - g % 8)
-    order = np.argsort(np.asarray(scores, dtype=float))
-    for row in packed[::-1]:  # least significant byte first (LSD radix)
-        order = order[np.argsort(row[order], kind="stable")]
-    keys = packed[:, order]
-    starts = np.flatnonzero(np.concatenate(([True], (keys[:, 1:] != keys[:, :-1]).any(axis=0))))
-    atoms = np.unpackbits(keys[:, starts], axis=0, count=len(family)).T
+    order, starts = sort_atoms(cols, np.argsort(np.asarray(scores, dtype=float)))
+    first = order[starts]
+    atoms = np.array([col[first] for col in cols], dtype=np.uint8).T
     return order, atoms, np.diff(np.append(starts, order.size))
 
 
@@ -170,12 +185,17 @@ def family_from_json(payload: str | Mapping) -> GroupFamily:
                 closed = g.get("lo_closed", True), g.get("hi_closed", True)
                 if not all(isinstance(c, bool) for c in closed):
                     raise TypeError("lo_closed and hi_closed must be booleans")
-                groups.append(Interval(float(g["lo"]), float(g["hi"]), *closed))
+                bounds = g["lo"], g["hi"]
+                if not all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in bounds):
+                    raise TypeError("lo and hi must be numbers")
+                groups.append(Interval(*map(float, bounds), *closed))
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise FamilyConfigError(f"malformed interval {g!r}: {exc}") from exc
         return GroupFamily(groups=tuple(groups), feature=feature)
     if kind == "label_sets":
         try:
+            if any(isinstance(y, bool) for g in raw for y in g):
+                raise TypeError("labels must be integers, not booleans")
             groups = tuple(LabelSet(frozenset(operator.index(y) for y in g)) for g in raw)
         except TypeError as exc:
             raise FamilyConfigError(f"malformed label set: {exc}") from exc

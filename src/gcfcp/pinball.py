@@ -40,11 +40,8 @@ membership pattern) share one column of the coupling, so starting each atom
 at its own weighted (1 - alpha)-quantile split keeps the coupling at 0 and
 lands within a few dozen entries of the optimum; a crossover moves the one
 interior entry per atom to a bound or into the basis, and the simplex
-finishes from there. The crash orders the rows by one packed byte key per
-row, the pattern with one bit per group: a stable sort by descending score,
-then a stable sort per key byte, last byte first, gives ``np.lexsort``'s
-order by (pattern, -score), and the atoms are the runs of equal keys. The
-features are 0/1.
+finishes from there. The crash finds the atoms with ``groups.sort_atoms``,
+from a stable sort by descending score. The features are 0/1.
 
 Only the test entry's cost depends on the test score t, so every reduced
 cost is affine in t, r0 + t * r1 with r0 priced at t = 0, and an optimal
@@ -73,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import MembershipVector
+from .groups import MembershipVector, sort_atoms
 
 _BOX_TOL = 1e-9
 _COUPLING_TOL = 1e-8
@@ -115,23 +112,6 @@ class QrSolution:
     iterations: int  # crossover steps, simplex pivots and bound flips of this solve
     duality_gap: float  # |primal - dual| as verified
     coupling_residual: float  # max |sum_e eta_e phi_e| as verified
-
-
-def _atom_order(features: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows ordered by pattern, then by descending score, ties in input
-    order (``np.lexsort``'s order on the scores and the feature columns), and
-    each row's packed pattern in that order.
-
-    A pattern packs into bytes, one bit per group, the first group highest,
-    so byte by byte it orders as the feature row does. A stable sort by
-    descending score, then one stable sort per byte, last byte first, is a
-    radix sort by (pattern, -score).
-    """
-    key = np.packbits(features != 0.0, axis=1)
-    order = np.argsort(-scores, kind="stable")
-    for byte in key.T[::-1]:
-        order = order[np.argsort(byte[order], kind="stable")]
-    return order, key[order]
 
 
 class AugmentedQrSolver:
@@ -237,15 +217,12 @@ class AugmentedQrSolver:
         Every atom sums to 0, so sum_e eta_e phi_e = 0 holds and the
         artificial basis stays feasible; the test entry starts at 0.
         """
-        order, key = _atom_order(features, self._s[:-1])
+        order, starts = sort_atoms(features.T != 0.0, np.argsort(-self._s[:-1], kind="stable"))
         w = self._w[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = np.any(key[1:] != key[:-1], axis=1)
-        starts = np.flatnonzero(first)
-        atom = np.cumsum(first) - 1
+        sizes = np.diff(np.append(starts, len(order)))
         cum = np.cumsum(w)
-        through = cum - (cum - w)[starts][atom]  # atom weight ranked at or above each entry
-        target = self.alpha * through[np.append(starts[1:], len(order)) - 1][atom]
+        through = cum - np.repeat((cum - w)[starts], sizes)  # atom weight ranked at or above each entry
+        target = self.alpha * np.repeat(through[starts + sizes - 1], sizes)
         x = np.zeros(len(self._c))
         x[order] = np.clip(target - (through - w) - self.alpha * w, self._lo[order], self._up[order])
         return x

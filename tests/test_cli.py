@@ -105,7 +105,28 @@ def test_predict_prints_interval(dataset_csv, capsys):
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "pattern=1100" in out and "interval=[" in out
+    assert "pattern=1100" in out
+    # the absolute-residual interval: the prediction plus or minus S*
+    threshold = float(re.search(r"threshold=(\S+)", out)[1])
+    lo, hi = (float(v) for v in re.search(r"interval=\[(\S+), (\S+)\]", out).groups())
+    assert threshold > 0.0
+    assert (lo, hi) == pytest.approx((2.0 - threshold, 2.0 + threshold), abs=2e-6)
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [
+        '{"kind": "intervals", "groups": [{"lo": "0", "hi": "5"}]}',
+        '{"kind": "intervals", "groups": [{"lo": 0, "hi": true}]}',
+        '{"kind": "label_sets", "groups": [[false, true]]}',
+        '{"kind": "label_sets", "groups": [[0, 1], [true]]}',
+    ],
+    ids=["string-bounds", "boolean-bound", "boolean-labels", "boolean-label"],
+)
+def test_predict_takes_only_numbers_in_the_family(dataset_csv, capsys, groups):
+    """Bounds must be JSON numbers and labels integers, not strings or booleans."""
+    assert main(["predict", str(dataset_csv), "--x", "1.5", "--groups", groups]) == 2
+    assert "bad --groups value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from gcfcp.conformal import (
     EmptySetError,
     GlobalCalibrator,
     calibrate_baseline,
-    predict_regression,
     split_cp_threshold,
     threshold_search,
 )
@@ -194,24 +193,6 @@ def test_parametric_threshold_matches_bisection(
 
 
 class TestPredictionSets:
-    def test_regression_interval(self):
-        ps = predict_regression(3.0, 0.5)
-        assert (ps.center - ps.radius, ps.center + ps.radius) == (2.5, 3.5)
-        assert ps.threshold == 0.5
-
-    def test_regression_degenerate_point(self):
-        ps = predict_regression(0.0, 0.0)
-        assert (ps.center, ps.radius) == (0.0, 0.0)
-
-    def test_regression_negative_center(self):
-        ps = predict_regression(-1.2, 2.0)
-        assert ps.center - ps.radius == pytest.approx(-3.2)
-        assert ps.center + ps.radius == pytest.approx(0.8)
-
-    def test_regression_rejects_negative_threshold(self):
-        with pytest.raises(ValueError):
-            predict_regression(0.0, -0.1)
-
     def test_label_sets_nested_in_alpha(self):
         rng = np.random.default_rng(2)
         datasets = [

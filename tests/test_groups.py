@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import atom_features
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from gcfcp.groups import (
     interval_family,
     membership_matrix,
     membership_vector,
+    sort_atoms,
 )
 from reference import reference_atoms, reference_membership
 
@@ -222,6 +224,43 @@ class TestAtoms:
         assert len(atoms) <= min(2 ** len(FOUR_INTERVALS) - 1, len(set(map(tuple, mat))))
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 4, 8, 9, 20]),
+    label_sets=st.booleans(),
+    duplicates=st.booleans(),
+)
+def test_sort_atoms_is_lexsort_order(seed, d, label_sets, duplicates):
+    """``sort_atoms`` from the starting orders of both callers, the client's
+    argsort of the scores and the crash's stable argsort of the negated
+    scores, sorts by pattern and keeps the starting order within a pattern:
+    ``np.lexsort``'s order, with tied scores (0.0 and -0.0 among them) and
+    duplicate rows; 9 and 20 groups pack into two and three bytes. The runs
+    start where the pattern row changes."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    features = atom_features(rng, d, n, label_sets)
+    scores = np.round(rng.normal(size=n) * 2.0) / 2.0
+    if duplicates:
+        rows = rng.integers(0, n, n // 2)
+        features = np.vstack([features, features[rows]])
+        scores = np.append(scores, scores[rows])
+    patterns = tuple(features.T[::-1])
+    for start, key in ((np.argsort(scores), scores), (np.argsort(-scores, kind="stable"), -scores)):
+        order, starts = sort_atoms(features.T != 0.0, start)
+        rank = np.empty(len(start), dtype=int)
+        rank[start] = np.arange(len(start))
+        np.testing.assert_array_equal(order, np.lexsort((rank,) + patterns))
+        np.testing.assert_array_equal(key[order], key[np.lexsort((key,) + patterns)])
+        f = features[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = np.any(f[1:] != f[:-1], axis=1)
+        np.testing.assert_array_equal(starts, np.flatnonzero(new))
+    # the crash's start is stable, so its order is lexsort's on the scores
+    np.testing.assert_array_equal(order, np.lexsort((-scores,) + patterns))
+
+
 class TestAtomsMatchReference:
     @given(rows_and_scores(st.floats(0.0, 5.0)))
     @settings(max_examples=60, deadline=None)
@@ -294,6 +333,10 @@ class TestConfig:
             '{"kind": "intervals", "groups": [{"lo": 1, "hi": 1, "hi_closed": false}]}',
             '{"kind": "intervals", "groups": 5}',
             '{"kind": "label_sets", "groups": {"0": [1]}}',
+            '{"kind": "intervals", "groups": [{"lo": "0", "hi": 1}]}',
+            '{"kind": "intervals", "groups": [{"lo": 0, "hi": true}]}',
+            '{"kind": "label_sets", "groups": [[false, true]]}',
+            '{"kind": "label_sets", "groups": [[0, 1], [true]]}',
         ):
             with pytest.raises(FamilyConfigError):
                 family_from_json(bad)

@@ -21,7 +21,6 @@ from gcfcp.pinball import (
     AugmentedQrSolver,
     SimplexBasis,
     SolverError,
-    _atom_order,
 )
 
 TINY = 1e-12
@@ -534,31 +533,3 @@ def test_searches_with_the_array_ratio_test_are_identical(monkeypatch, seed):
     monkeypatch.setattr(AugmentedQrSolver, "_ratio_test", reference_ratio_test)
     arrays = run()
     assert floats == arrays
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    d=st.sampled_from([1, 4, 8, 9, 20]),
-    label_sets=st.booleans(),
-    duplicates=st.booleans(),
-)
-def test_atom_order_is_lexsort_order(seed, d, label_sets, duplicates):
-    """The crash's radix order by packed pattern and descending score is
-    ``np.lexsort``'s, with tied scores (0.0 and -0.0 among them) and
-    duplicate rows; 9 and 20 groups pack into two and three bytes."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 80))
-    features = atom_features(rng, d, n, label_sets)
-    scores = np.round(rng.normal(size=n) * 2.0) / 2.0
-    if duplicates:
-        rows = rng.integers(0, n, n // 2)
-        features = np.vstack([features, features[rows]])
-        scores = np.append(scores, scores[rows])
-    order, key = _atom_order(features, scores)
-    want = np.lexsort((-scores,) + tuple(features.T[::-1]))
-    np.testing.assert_array_equal(order, want)
-    assert key.shape[1] == (d + 7) // 8
-    np.testing.assert_array_equal(key, np.packbits(features[want].astype(bool), axis=1))
-    f = features[want]
-    np.testing.assert_array_equal(np.any(key[1:] != key[:-1], axis=1), np.any(f[1:] != f[:-1], axis=1))
