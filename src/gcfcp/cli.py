@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 
@@ -133,6 +134,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if not math.isfinite(args.prediction):
+        raise ValueError(f"prediction {args.prediction!r} must be finite")
     datasets = _read_dataset_csv(args.dataset, args.mixture)
     family = _parse_family(args.groups)
     calibrator = calibrate_baseline("gcfcp_coreset", datasets, args.alpha, family=family, delta=args.delta)

@@ -15,25 +15,34 @@ sketch. The line is a JSON object with the header fields
     counts     [int]   the number of clusters of each atom, in atom order
     crc32      int     zlib.crc32 of the ASCII text of ``data``
 
-and one payload field, ``data``: the base64 of one little-endian float64
-array holding all the client's cluster means (atom after atom, ascending
-within an atom) and then all its cluster weights, in the same order. A client
-without scores, or with pi_k = 0, sends the header with no atoms and empty
-data. Floats survive the wire bit for bit.
+and one payload field, ``data``: the base64 of all the client's cluster
+means as little-endian float64 (atom after atom, ascending within an atom),
+then each cluster's sample count in the same order, as little-endian unsigned
+integers of the smallest of 1, 2, 4 or 8 bytes that holds n_k. Every score of
+a client weighs w = pi_k / (n_k + 1), and a cluster of L scores weighs
+``uniform_table(w, L)[L - 1]``, the sketch's own running sum, so the count and
+the header give each weight bit for bit. A client without scores, or with
+pi_k = 0, sends the header with no atoms and empty data. Means survive the
+wire bit for bit.
 
 The client's sketch raises DigestError on a compression that is not finite
 and at least 2. ``message_from_json`` checks each line on its own and raises
 ProtocolError on a malformed header (a delta that is not finite and at least
-2 among them), a checksum, base64 or length mismatch, a non-finite value, a
-nonpositive weight, means out of order within an atom, or weights that sum
-to infinity, in all or in one atom. ``server_assemble``
-checks the round: it raises ProtocolError on a repeated client, a family
-fingerprint or atom length other than the round's, a delta other than the
-first message's, mixture weights that do not sum to 1, and a client whose
-cluster weights do not sum to pi_k n_k / (n_k + 1). It takes delta from the
-first header and the test weight sum_k pi_k / (n_k + 1) from all of them,
-and merges every atom across clients in one more sketch pass at that delta,
-whose clusters are the rows of the coreset used by the quantile regression.
+2, and an n of 2**53 or more, among them), a checksum, base64 or length
+mismatch, a non-finite mean, means out of order within an atom, a count of
+0, counts that do not sum to n_k, or atoms with a sample weight
+pi_k / (n_k + 1) of 0. ``server_assemble`` checks the round: it raises
+ProtocolError on a repeated client, a family fingerprint or atom length other
+than the round's, a delta other than the first message's, mixture weights
+that do not sum to 1, and a client whose cluster weights do not sum to
+pi_k n_k / (n_k + 1). It rebuilds the weights with ``cluster_weights``: one
+table per distinct sample weight in the round, as long as the largest count
+it received. A sketch keeps that count at or below sin(pi/delta) n_k + 1, but
+the table grows with whatever count a line claims, up to its n_k. It takes
+delta from the first header and the test weight sum_k pi_k / (n_k + 1) from
+all of them, and merges every atom across clients in one more sketch pass at
+that delta, whose clusters are the rows of the coreset used by the quantile
+regression.
 That pass sorts the received clusters stably by (atom, mean), which tied means
 from different clients, carrying different weights, leave in message order:
 a radix sort of the atom ids, then per atom a stable sort of the means, which
@@ -55,9 +64,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .groups import AtomKey, GroupFamily, enumerate_atoms
-from .tdigest import Digest, _build_segments
+from .tdigest import Digest, _build_segments, uniform_table
 
 _WEIGHT_TOL = 1e-9
+_MAX_N = 2**53  # every n below it, and every count, is exact as a float
 _FIELDS = ("client_id", "n", "pi", "delta", "family", "atoms", "counts", "crc32", "data")
 _ATOM_CODE = re.compile("[01]*1[01]*")
 
@@ -92,7 +102,8 @@ class ClientDataset:
 
 @dataclass(frozen=True, eq=False)
 class ClientMessage:
-    """One client's wire line as fields; ``means`` and ``weights`` hold ``data``."""
+    """One client's wire line as fields; ``means`` and ``sizes`` (each
+    cluster's sample count, int64) hold ``data``."""
 
     client_id: int
     n: int
@@ -102,7 +113,7 @@ class ClientMessage:
     atoms: tuple[AtomKey, ...]
     counts: tuple[int, ...]
     means: np.ndarray
-    weights: np.ndarray
+    sizes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -165,12 +176,12 @@ def client_build_messages(
     """The client's one message: one sketch pass with weight pi_k / (n_k + 1)
     per score and one segment per non-empty atom (none without scores or
     without mixture weight)."""
-    atoms, counts, means, weights = (), (), np.empty(0), np.empty(0)
+    atoms, counts, means, sizes = (), (), np.empty(0), np.empty(0, dtype=np.int64)
     if dataset.n and dataset.pi:
-        order, bits, sizes = enumerate_atoms(dataset.covariates, family, dataset.scores)
+        order, bits, rows = enumerate_atoms(dataset.covariates, family, dataset.scores)
         w = dataset.sample_weight
         scores = np.asarray(dataset.scores, dtype=float)[order]
-        means, weights, counts = _build_segments(scores, w, delta, sizes, sizes * w)
+        means, sizes, counts = _build_segments(scores, w, delta, rows, rows * w)
         atoms, counts = tuple(map(tuple, bits.tolist())), tuple(counts.tolist())
     return ClientMessage(
         client_id=int(dataset.client_id),
@@ -181,14 +192,21 @@ def client_build_messages(
         atoms=atoms,
         counts=counts,
         means=means,
-        weights=weights,
+        sizes=sizes,
     )
+
+
+def _count_width(n: int) -> int:
+    """Bytes per sample count: the smallest of 1, 2, 4 and 8 that holds n."""
+    return next(width for width in (1, 2, 4, 8) if n < 1 << 8 * width)
 
 
 def message_to_json(message: ClientMessage) -> str:
     """The message's one wire line; see the module docstring."""
-    payload = np.concatenate((message.means, message.weights)).astype("<f8", copy=False)
-    data = base64.b64encode(payload.tobytes())
+    data = base64.b64encode(
+        message.means.astype("<f8", copy=False).tobytes()
+        + message.sizes.astype(f"<u{_count_width(message.n)}").tobytes()
+    )
     header = {
         "client_id": message.client_id,
         "n": message.n,
@@ -198,9 +216,11 @@ def message_to_json(message: ClientMessage) -> str:
         "atoms": ["".join(map(str, atom)) for atom in message.atoms],
         "counts": list(message.counts),
         "crc32": zlib.crc32(data),
-        "data": data.decode("ascii"),
     }
-    return json.dumps(header, separators=(",", ":"))
+    # data is the last field and base64 needs no JSON escaping, so this is
+    # json.dumps of the whole object without escaping the payload
+    head = json.dumps(header, separators=(",", ":"))
+    return f'{head[:-1]},"data":"{data.decode("ascii")}"}}'
 
 
 def _is_int(value) -> bool:
@@ -221,8 +241,8 @@ def message_from_json(line: str) -> ClientMessage:
         raise ProtocolError(f"a client message holds exactly the fields {', '.join(_FIELDS)}")
     client_id, n, pi, delta = obj["client_id"], obj["n"], obj["pi"], obj["delta"]
     codes, counts, data = obj["atoms"], obj["counts"], obj["data"]
-    if not (_is_int(client_id) and _is_int(n) and n >= 0):
-        raise ProtocolError(f"client id {client_id!r} and n {n!r} must be integers, n >= 0")
+    if not (_is_int(client_id) and _is_int(n) and 0 <= n < _MAX_N):
+        raise ProtocolError(f"client id {client_id!r} and n {n!r} must be integers, 0 <= n < 2**53")
     if not (_is_real(pi) and 0.0 <= pi <= 1.0):
         raise ProtocolError(f"client {client_id}: pi {pi!r} outside [0, 1]")
     if not (_is_real(delta) and delta >= 2.0):
@@ -254,26 +274,27 @@ def message_from_json(line: str) -> ClientMessage:
         raw = base64.b64decode(text, validate=True)
     except ValueError as exc:
         raise ProtocolError(f"client {client_id}: corrupt payload: {exc}") from exc
-    size = sum(counts)
-    if len(raw) != 16 * size:
+    size, width = sum(counts), _count_width(n)
+    if len(raw) != (8 + width) * size:
         raise ProtocolError(
-            f"client {client_id}: payload of {len(raw)} bytes, counts need {16 * size}"
+            f"client {client_id}: payload of {len(raw)} bytes, counts need {(8 + width) * size}"
         )
 
-    values = np.frombuffer(raw, dtype="<f8")
-    means, weights = values[:size], values[size:]
+    means = np.frombuffer(raw, dtype="<f8", count=size)
+    sizes = np.frombuffer(raw, dtype=f"<u{width}", offset=8 * size)
     ends = np.cumsum(counts, dtype=np.int64)
-    if not np.isfinite(values).all():
-        raise ProtocolError(f"client {client_id}: means and weights must be finite")
-    if not np.all(weights > 0.0):
-        raise ProtocolError(f"client {client_id}: nonpositive cluster weight")
+    if not np.isfinite(means).all():
+        raise ProtocolError(f"client {client_id}: means must be finite")
     down = means[1:] < means[:-1]
     down[ends[:-1] - 1] = False  # pairs that straddle two atoms
     if down.any():
         raise ProtocolError(f"client {client_id}: clusters not sorted by mean")
-    with np.errstate(over="ignore"):  # the client's sum is inf if any atom's is
-        if size and not math.isfinite(weights.cumsum()[-1]):
-            raise ProtocolError(f"client {client_id}: cluster weights sum to infinity")
+    if size and not pi / (n + 1) > 0.0:
+        raise ProtocolError(f"client {client_id}: atoms with sample weight pi / (n + 1) = 0")
+    if not sizes.all():
+        raise ProtocolError(f"client {client_id}: a cluster of 0 samples")
+    if size and sum(sizes.tolist()) != n:  # exact: a numpy sum may wrap
+        raise ProtocolError(f"client {client_id}: sample counts do not sum to n = {n}")
     return ClientMessage(
         client_id=client_id,
         n=n,
@@ -283,17 +304,36 @@ def message_from_json(line: str) -> ClientMessage:
         atoms=tuple(tuple(map(int, code)) for code in codes),
         counts=tuple(counts),
         means=means,
-        weights=weights,
+        sizes=sizes.astype(np.int64),
     )
+
+
+def cluster_weights(messages: Sequence[ClientMessage]) -> list[np.ndarray]:
+    """Each message's cluster weights, rebuilt from its sample counts.
+
+    One ``uniform_table`` per distinct sample weight pi_k / (n_k + 1), as long
+    as the largest count received: a cluster of L samples weighs its entry
+    L - 1, bit for bit the weight the client's sketch gave it.
+    """
+    longest = max((int(m.sizes.max()) for m in messages if m.sizes.size), default=0)
+    tables: dict[float, np.ndarray] = {}
+    weights = []
+    for m in messages:
+        w = m.pi / (m.n + 1)
+        if m.sizes.size and w not in tables:
+            tables[w] = uniform_table(w, longest)
+        weights.append(tables[w][m.sizes - 1] if m.sizes.size else np.empty(0))
+    return weights
 
 
 def server_assemble(messages: Sequence[ClientMessage], family: GroupFamily) -> tuple[Coreset, float]:
     """The coreset and the test weight of a round, from its messages alone.
 
     Checks the round (see the module docstring) and merges it in one sketch
-    pass at the first message's delta, one segment per atom whose total adds
-    each client's sequential sum of the atom's weights in message order. The
-    test weight is sum_k pi_k / (n_k + 1) over the headers, in message order.
+    pass at the first message's delta over the ``cluster_weights``, one
+    segment per atom whose total adds each client's sequential sum of the
+    atom's weights in message order. The test weight is sum_k pi_k / (n_k + 1)
+    over the headers, in message order.
     """
     if not messages:
         raise ProtocolError("server received no messages")
@@ -301,7 +341,8 @@ def server_assemble(messages: Sequence[ClientMessage], family: GroupFamily) -> t
     first, delta = messages[0].client_id, messages[0].delta
     totals: dict[AtomKey, float] = {}
     senders: set[int] = set()
-    for m in messages:
+    client_weights = cluster_weights(messages)
+    for m, w in zip(messages, client_weights):
         if m.client_id in senders:
             raise ProtocolError(f"duplicate message for client {m.client_id}")
         senders.add(m.client_id)
@@ -316,7 +357,7 @@ def server_assemble(messages: Sequence[ClientMessage], family: GroupFamily) -> t
         if any(len(atom) != d for atom in m.atoms):
             raise ProtocolError(f"client {m.client_id} sent atoms of another length than {d}")
         ends = np.cumsum(m.counts, dtype=np.int64).tolist()
-        sums = [float(m.weights[end - c : end].cumsum()[-1]) for c, end in zip(m.counts, ends)]
+        sums = [float(w[end - c : end].cumsum()[-1]) for c, end in zip(m.counts, ends)]
         mass = sum(sums)
         expected = m.pi * m.n / (m.n + 1)
         if not abs(mass - expected) <= _WEIGHT_TOL * expected:
@@ -342,7 +383,7 @@ def server_assemble(messages: Sequence[ClientMessage], family: GroupFamily) -> t
         order[a:b] = order[a:b][np.argsort(by_atom[a:b], kind="stable")]
     means, weights, counts = _build_segments(
         values[order],
-        np.concatenate([m.weights for m in messages])[order],
+        np.concatenate(client_weights)[order],
         delta,
         sizes,
         [totals[atom] for atom in atoms],

@@ -17,9 +17,12 @@ Its caller sorts the samples by (segment, value): the order among tied values
 moves cumulative weights and cluster edges unless the tied samples weigh the
 same, so ``build_digest_arrays`` and ``merge`` sort stably. A client, whose
 samples all weigh the same, passes that weight as one float: the running sum
-of one table, summed left to right as ``np.cumsum`` sums each segment, then
-gives every sample's scale position, every step of the running mean and every
-cluster's weight, with the bits of the per-sample array.
+of one ``uniform_table``, summed left to right as ``np.cumsum`` sums each
+segment, then gives every sample's scale position, every step of the running
+mean and every cluster's weight, with the bits of the per-sample array. Such a
+cluster's weight is the table's entry at its sample count less one, so the
+pass returns the counts, and the federation server reads the weights from the
+same table.
 
 A segment longer than ``_WALK_AFTER * delta`` finds its cluster starts by a
 walk with one bisect per cluster, once a check shows its scale positions
@@ -184,13 +187,21 @@ def _scan_starts(r: np.ndarray, delta: float, bounds: np.ndarray) -> np.ndarray:
         ends[owner[bad[0]]] = int(bad[0])
 
 
+def uniform_table(w: float, length: int) -> np.ndarray:
+    """``table[j]``: the weight of j + 1 samples that each weigh ``w``, summed
+    left to right as ``np.cumsum`` sums each segment of equal weights."""
+    return np.cumsum(np.full(length, float(w)))
+
+
 def _build_segments(v: np.ndarray, w, delta: float, sizes, totals):
     """Cluster means and weights of samples sorted by (segment, value), and
     each segment's cluster count. ``sizes`` and ``totals`` hold each segment's
     samples and weight; its clusters equal a build on it alone.
 
     ``w`` holds each sample's weight, or is one float that every sample
-    weighs: then one running sum of it serves every segment and cluster.
+    weighs: then one ``uniform_table`` serves every segment and cluster, and
+    each cluster's sample count stands in for its weight, which is
+    ``uniform_table(w, count)[count - 1]``.
     """
     if v.size == 0:
         raise DigestError("cannot build a digest from zero samples")
@@ -204,9 +215,7 @@ def _build_segments(v: np.ndarray, w, delta: float, sizes, totals):
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     uniform = np.ndim(w) == 0
     if uniform:
-        # table[j] = the weight of j + 1 samples, summed left to right as
-        # np.cumsum sums each segment of equal weights
-        table = np.cumsum(np.full(sizes.max(), float(w)))
+        table = uniform_table(w, sizes.max())
         cum = table[np.arange(v.size) - np.repeat(bounds[:-1], sizes)]
     else:
         cum = np.concatenate([np.cumsum(w[a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
@@ -231,7 +240,7 @@ def _build_segments(v: np.ndarray, w, delta: float, sizes, totals):
         factors = (w / table[: lengths.max()]).tolist()
         for j, k in enumerate(longer.tolist(), start=1):
             cur_mean[:k] += factors[j] * (v[first[:k] + j] - cur_mean[:k])
-        return cur_mean[back], table[lengths - 1], counts
+        return cur_mean[back], lengths, counts
     cur_w = w[first]
     for j, k in enumerate(longer.tolist(), start=1):
         pos = first[:k] + j

@@ -103,8 +103,9 @@ def reference_atoms(covariates, family):
     return dict(sorted(atoms.items()))
 
 
-def reference_build(values, weights, delta, total=None):
-    """Greedy pass one sample at a time: returns (means, weights, total)."""
+def reference_clusters(values, weights, delta, total=None):
+    """Greedy pass one sample at a time: returns (means, weights, sizes,
+    total), ``sizes`` holding each cluster's number of samples."""
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if total is None:
@@ -114,23 +115,34 @@ def reference_build(values, weights, delta, total=None):
     w = weights[order]
     q = np.minimum(np.cumsum(w) / total, 1.0)
     r = (delta / (2.0 * math.pi)) * np.arcsin(2.0 * q - 1.0)
-    means, cl_weights = [], []
+    means, cl_weights, sizes = [], [], []
     r_left = -delta / 4.0
     cur_mean = v[0]
     cur_w = w[0]
+    size = 1
     for i in range(1, v.size):
         if r[i] - r_left <= 1.0 + 1e-12:
             cur_w += w[i]
             cur_mean += (w[i] / cur_w) * (v[i] - cur_mean)
+            size += 1
         else:
             means.append(cur_mean)
             cl_weights.append(cur_w)
+            sizes.append(size)
             r_left = r[i - 1]
             cur_mean = v[i]
             cur_w = w[i]
+            size = 1
     means.append(cur_mean)
     cl_weights.append(cur_w)
-    return np.array(means), np.array(cl_weights), total
+    sizes.append(size)
+    return np.array(means), np.array(cl_weights), sizes, total
+
+
+def reference_build(values, weights, delta, total=None):
+    """Greedy pass one sample at a time: returns (means, weights, total)."""
+    means, cl_weights, _, total = reference_clusters(values, weights, delta, total)
+    return means, cl_weights, total
 
 
 def reference_merge(parts, delta):
@@ -146,15 +158,27 @@ def reference_merge(parts, delta):
     )
 
 
-def reference_line(client_id, n, pi, delta, fingerprint, atoms, clusters):
+def count_width(n):
+    """Bytes per sample count on the wire: the smallest of 1, 2, 4 and 8
+    that holds n."""
+    for width in (1, 2, 4, 8):
+        if n < 256**width:
+            return width
+    raise ValueError(f"n = {n} needs more than 8 bytes")
+
+
+def reference_line(client_id, n, pi, delta, fingerprint, atoms, clusters, width=None):
     """One client wire line, packed value by value.
 
-    ``atoms`` are code strings and ``clusters`` one list of (mean, weight)
-    pairs per atom; any floats, valid or not, are packed as given.
+    ``atoms`` are code strings and ``clusters`` one list of (mean, sample
+    count) pairs per atom; any values, valid or not, are packed as given,
+    the counts at ``width`` bytes (by default the width n needs).
     """
+    width = count_width(n) if width is None else width
     means = [m for pairs in clusters for m, _ in pairs]
-    weights = [w for pairs in clusters for _, w in pairs]
-    raw = b"".join(struct.pack("<d", v) for v in means + weights)
+    sizes = [c for pairs in clusters for _, c in pairs]
+    raw = b"".join(struct.pack("<d", v) for v in means)
+    raw += b"".join(c.to_bytes(width, "little") for c in sizes)
     data = base64.b64encode(raw)
     header = {
         "client_id": client_id,
@@ -170,6 +194,14 @@ def reference_line(client_id, n, pi, delta, fingerprint, atoms, clusters):
     return json.dumps(header, separators=(",", ":"))
 
 
+def uniform_weight(w, size):
+    """The weight of ``size`` samples that each weigh ``w``, added one by one."""
+    total = 0.0
+    for _ in range(size):
+        total += w
+    return total
+
+
 def reference_round(datasets, family, delta):
     """Client lines, then the server's per-atom merge, all with loops.
 
@@ -180,14 +212,14 @@ def reference_round(datasets, family, delta):
     for ds in datasets:
         w = ds.pi / (ds.n + 1)
         scores = np.asarray(ds.scores, dtype=float)
-        atoms = reference_atoms(ds.covariates, family) if ds.n else {}
+        atoms = reference_atoms(ds.covariates, family) if ds.n and ds.pi else {}
         codes, clusters = [], []
         for atom, idx in atoms.items():
-            means, weights, _ = reference_build(
+            means, _, sizes, _ = reference_clusters(
                 scores[idx], np.full(len(idx), w), delta, total=len(idx) * w
             )
             codes.append("".join(str(b) for b in atom))
-            clusters.append(list(zip(means.tolist(), weights.tolist())))
+            clusters.append(list(zip(means.tolist(), sizes)))
         lines.append(
             reference_line(ds.client_id, ds.n, float(ds.pi), float(delta), fingerprint, codes, clusters)
         )
@@ -195,15 +227,17 @@ def reference_round(datasets, family, delta):
     for line in lines:
         obj = json.loads(line)
         raw = base64.b64decode(obj["data"])
-        values = [struct.unpack_from("<d", raw, 8 * i)[0] for i in range(len(raw) // 8)]
-        size = len(values) // 2
+        w = obj["pi"] / (obj["n"] + 1)
+        width = count_width(obj["n"])
+        size = sum(obj["counts"])
         start = 0
         for code, count in zip(obj["atoms"], obj["counts"]):
             means, weights, total = [], [], 0.0
             for i in range(start, start + count):
-                means.append(values[i])
-                weights.append(values[size + i])
-                total += values[size + i]
+                means.append(struct.unpack_from("<d", raw, 8 * i)[0])
+                at = 8 * size + width * i
+                weights.append(uniform_weight(w, int.from_bytes(raw[at : at + width], "little")))
+                total += weights[-1]
             start += count
             atom = tuple(int(b) for b in code)
             by_atom.setdefault(atom, []).append((np.array(means), np.array(weights), total))

@@ -149,6 +149,15 @@ def test_non_finite_delta_exits_2(dataset_csv, capsys, command, delta):
     assert err.startswith(f"error: compression {float(delta)!r} must be finite")
 
 
+@pytest.mark.parametrize("prediction", ["nan", "inf", "-inf"])
+def test_non_finite_prediction_exits_2(dataset_csv, capsys, prediction):
+    # before, nan printed interval=[nan, nan] and inf interval=[inf, inf], exit 0
+    assert main(["predict", str(dataset_csv), "--x", "2.5", f"--prediction={prediction}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: prediction {float(prediction)!r} must be finite\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,10 +2,12 @@ import base64
 import hashlib
 import json
 import math
+import re
 import string
 import struct
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +17,12 @@ from hypothesis import strategies as st
 from gcfcp.conformal import CalibrationData, threshold_search
 from gcfcp.datagen import SynthConfig, sample_covariates
 from gcfcp.federation import (
+    _FIELDS,
     ClientDataset,
     ProtocolError,
+    _count_width,
     client_build_messages,
+    cluster_weights,
     message_from_json,
     message_to_json,
     run_round,
@@ -25,8 +30,8 @@ from gcfcp.federation import (
 )
 from gcfcp.federation import test_term_weight as term_weight
 from gcfcp.groups import SINGLE_GROUP, enumerate_atoms, interval_family
-from gcfcp.tdigest import Digest
-from reference import approx_quantile, reference_line, reference_round
+from gcfcp.tdigest import Digest, _build_segments
+from reference import approx_quantile, count_width, reference_line, reference_round
 
 FOUR_INTERVALS = interval_family([(0, 2), (1, 3), (2, 4), (3, 5)])
 FINGERPRINT = hashlib.sha256(repr(FOUR_INTERVALS).encode("utf-8")).hexdigest()[:16]
@@ -35,9 +40,10 @@ ATOM_CODES = ["0001", "0011", "0110", "1000", "1100"]
 
 def crafted(clusters, **header):
     """A wire line of client 1 under FOUR_INTERVALS at delta 25, one
-    (mean, weight) list per atom, atoms in ``ATOM_CODES`` order."""
+    (mean, sample count) list per atom, atoms in ``ATOM_CODES`` order; n is
+    the sum of the counts unless given."""
     fields = dict(
-        client_id=1, n=sum(map(len, clusters)), pi=1.0, delta=25.0,
+        client_id=1, n=sum(c for pairs in clusters for _, c in pairs), pi=1.0, delta=25.0,
         fingerprint=FINGERPRINT, atoms=ATOM_CODES[: len(clusters)],
     )
     fields.update(header)
@@ -51,6 +57,11 @@ def edited(line, **fields):
     if isinstance(fields.get("data"), str):
         obj["crc32"] = zlib.crc32(fields["data"].encode("utf-8"))
     return json.dumps(obj, separators=(",", ":"))
+
+
+def weights_of(message):
+    """The message's cluster weights, as the server rebuilds them."""
+    return cluster_weights([message])[0]
 
 
 def uniform_clients(rng, sizes, lo=0.0, hi=5.0):
@@ -72,7 +83,8 @@ class TestClientSide:
         msg = client_build_messages(ds, FOUR_INTERVALS, 4.0)
         assert msg.atoms == ((1, 0, 0, 0),)
         assert msg.counts == (len(msg.means),) and len(msg.means) <= 7
-        assert math.fsum(msg.weights) == pytest.approx(7 / 8, abs=1e-15)
+        assert msg.sizes.sum() == 7
+        assert math.fsum(weights_of(msg)) == pytest.approx(7 / 8, abs=1e-15)
 
     def test_client1_mass_concentrates_low_atoms(self):
         config = SynthConfig(seed=11)
@@ -91,18 +103,20 @@ class TestClientSide:
         assert msg.family == FINGERPRINT
         _, atoms, sizes = enumerate_atoms(ds.covariates, FOUR_INTERVALS, ds.scores)
         assert list(msg.atoms) == sorted(map(tuple, atoms.tolist()))
-        assert sum(msg.counts) == len(msg.means) == len(msg.weights)
-        assert math.fsum(msg.weights) == pytest.approx(10 * 0.5 / 11, abs=1e-12)
+        assert sum(msg.counts) == len(msg.means) == len(msg.sizes)
+        weights = weights_of(msg)
+        assert math.fsum(weights) == pytest.approx(10 * 0.5 / 11, abs=1e-12)
         ends = np.cumsum(msg.counts)
         for size, count, end in zip(sizes.tolist(), msg.counts, ends, strict=True):
-            # each atom carries its own samples' weight, 0.5 / 11 per score
-            assert math.fsum(msg.weights[end - count : end]) == pytest.approx(size * 0.5 / 11, abs=1e-15)
+            # each atom carries its own samples, 0.5 / 11 of weight per score
+            assert msg.sizes[end - count : end].sum() == size
+            assert math.fsum(weights[end - count : end]) == pytest.approx(size * 0.5 / 11, abs=1e-15)
             assert np.all(np.diff(msg.means[end - count : end]) >= 0)
 
     def test_empty_client_sends_header_only(self):
         ds = ClientDataset(1, np.array([]), np.array([]), 1.0)
         msg = client_build_messages(ds, FOUR_INTERVALS, 100.0)
-        assert (msg.n, msg.atoms, msg.counts, msg.means.size, msg.weights.size) == (0, (), (), 0, 0)
+        assert (msg.n, msg.atoms, msg.counts, msg.means.size, msg.sizes.size) == (0, (), (), 0, 0)
         obj = json.loads(message_to_json(msg))
         assert (obj["atoms"], obj["counts"], obj["data"]) == ([], [], "")
 
@@ -111,8 +125,8 @@ class TestClientSide:
         scores = rng.random(40)
         ds = ClientDataset(1, np.full(40, 2.5), scores, 1.0)
         msg = client_build_messages(ds, FOUR_INTERVALS, 2500.0)
-        digest = Digest(msg.means, msg.weights, msg.delta, math.fsum(msg.weights))
-        assert msg.counts == (40,)  # every sample its own cluster
+        digest = Digest(msg.means, weights_of(msg), msg.delta, math.fsum(weights_of(msg)))
+        assert msg.counts == (40,) and set(msg.sizes) == {1}  # every sample its own cluster
         s = np.sort(scores)
         for u in (0.1, 0.5, 0.9):
             exact = s[min(int(math.ceil(u * 40)) - 1, 39)]
@@ -132,13 +146,14 @@ class TestWire:
         assert back.atoms == msg.atoms and len(back.atoms) > 1
         assert back.counts == msg.counts
         assert np.array_equal(back.means, msg.means)
-        assert np.array_equal(back.weights, msg.weights)
+        assert np.array_equal(back.sizes, msg.sizes)
+        assert weights_of(back).tobytes() == weights_of(msg).tobytes()
         assert message_to_json(back) == line
 
     def test_wire_schema(self):
         ds = ClientDataset(7, np.array([0.5]), np.array([1.25]), 1.0)
         line = message_to_json(client_build_messages(ds, FOUR_INTERVALS, 25.0))
-        data = base64.b64encode(struct.pack("<2d", 1.25, 0.5))
+        data = base64.b64encode(struct.pack("<dB", 1.25, 1))
         assert line == json.dumps(
             {
                 "client_id": 7,
@@ -160,32 +175,34 @@ class TestWire:
             "not json",
             "{}",
             "[]",
-            crafted([[(1.0, 1.0)]]).replace('"n":1', '"n":1,"extra":0'),
-            edited(crafted([[(1.0, 1.0)]]), client_id="1"),
-            edited(crafted([[(1.0, 1.0)]]), client_id=True),
-            edited(crafted([[(1.0, 1.0)]]), n=-1),
-            edited(crafted([[(1.0, 1.0)]]), n=1.0),
-            edited(crafted([[(1.0, 1.0)]]), pi=1.5),
-            edited(crafted([[(1.0, 1.0)]]), pi=None),
-            edited(crafted([[(1.0, 1.0)]]), delta=0.0),
-            edited(crafted([[(1.0, 1.0)]]), family=16),
-            crafted([[(1.0, 1.0)]], atoms=["0000"]),
-            crafted([[(1.0, 1.0)]], atoms=["10x0"]),
-            crafted([[(1.0, 1.0)]], atoms=[""]),
-            crafted([[(1.0, 1.0)]], atoms=[1000]),
-            crafted([[(1.0, 1.0)], [(1.0, 1.0)]], atoms=["1000", "0100"]),
-            crafted([[(1.0, 1.0)], [(1.0, 1.0)]], atoms=["1000", "1000"]),
-            crafted([[(1.0, 1.0)], [(1.0, 1.0)]], atoms=["100", "1100"]),
-            crafted([[(1.0, 1.0), (2.0, 1.0)]], n=1),
-            edited(crafted([[(1.0, 1.0)]]), counts=[0]),
-            edited(crafted([[(1.0, 1.0)]]), counts=[2], n=2),
-            edited(crafted([[(1.0, 1.0)]]), counts=[1, 1], n=2),
-            edited(crafted([[(1.0, 1.0)]]), counts=1),
-            edited(crafted([[(1.0, 1.0)]]), crc32=0),
-            edited(crafted([[(1.0, 1.0)]]), data="AAAA!AAAAAAAAAAAAAAAAAAAAAA="),
-            edited(crafted([[(1.0, 1.0)]]), data="AAAAAAAAAAA="),
-            edited(crafted([[(1.0, 1.0)]]), data="AAAAAAAAAAAAAAAAAAAAAAAAAAé="),
-            edited(crafted([[(1.0, 1.0)]]), data=["AAAA"]),
+            crafted([[(1.0, 1)]]).replace('"n":1', '"n":1,"extra":0'),
+            edited(crafted([[(1.0, 1)]]), client_id="1"),
+            edited(crafted([[(1.0, 1)]]), client_id=True),
+            edited(crafted([[(1.0, 1)]]), n=-1),
+            edited(crafted([[(1.0, 1)]]), n=2**53),
+            edited(crafted([[(1.0, 1)]]), n=10**400),
+            edited(crafted([[(1.0, 1)]]), n=1.0),
+            edited(crafted([[(1.0, 1)]]), pi=1.5),
+            edited(crafted([[(1.0, 1)]]), pi=None),
+            edited(crafted([[(1.0, 1)]]), delta=0.0),
+            edited(crafted([[(1.0, 1)]]), family=16),
+            crafted([[(1.0, 1)]], atoms=["0000"]),
+            crafted([[(1.0, 1)]], atoms=["10x0"]),
+            crafted([[(1.0, 1)]], atoms=[""]),
+            crafted([[(1.0, 1)]], atoms=[1000]),
+            crafted([[(1.0, 1)], [(1.0, 1)]], atoms=["1000", "0100"]),
+            crafted([[(1.0, 1)], [(1.0, 1)]], atoms=["1000", "1000"]),
+            crafted([[(1.0, 1)], [(1.0, 1)]], atoms=["100", "1100"]),
+            crafted([[(1.0, 1), (2.0, 1)]], n=1),
+            edited(crafted([[(1.0, 1)]]), counts=[0]),
+            edited(crafted([[(1.0, 1)]]), counts=[2], n=2),
+            edited(crafted([[(1.0, 1)]]), counts=[1, 1], n=2),
+            edited(crafted([[(1.0, 1)]]), counts=1),
+            edited(crafted([[(1.0, 1)]]), crc32=0),
+            edited(crafted([[(1.0, 1)]]), data="AAAA!AAAAAAAAAAAAAAAAAAAAAA="),
+            edited(crafted([[(1.0, 1)]]), data="AAAAAAAAAAA="),
+            edited(crafted([[(1.0, 1)]]), data="AAAAAAAAAAAAAAAAAAAAAAAAAAé="),
+            edited(crafted([[(1.0, 1)]]), data=["AAAA"]),
         ],
     )
     def test_rejects_malformed(self, line):
@@ -195,62 +212,53 @@ class TestWire:
     @pytest.mark.parametrize(
         "clusters",
         [
-            [[(math.nan, 1.0)]],
-            [[(1.0, math.inf)]],
-            [[(1.0, 1.0), (-math.inf, 1.0)]],
-            [[(1.0, math.nan)]],
-            [[(1.0, 1e308), (2.0, 1e308)]],
-            [[(1.0, 1e308)], [(1.0, 1e308)]],  # each atom finite, the client's sum not
-            [[(1.0, 1.0)], [(math.inf, 1.0)]],
+            [[(math.nan, 1)]],
+            [[(1.0, 1), (-math.inf, 1)]],
+            [[(1.0, 1)], [(math.inf, 1)]],
         ],
     )
     def test_rejects_non_finite_clusters(self, clusters):
-        with pytest.raises(ProtocolError, match="finite|infinity"):
+        with pytest.raises(ProtocolError, match="finite"):
             message_from_json(crafted(clusters))
+
+    @pytest.mark.parametrize("n", [2**53, 2**53 + 1, 2**64, 10**400])
+    def test_rejects_n_of_2_to_the_53_or_more(self, n):
+        # before, n = 10**400 decoded and server_assemble raised OverflowError
+        # at pi * n / (n + 1)
+        with pytest.raises(ProtocolError, match=r"2\*\*53"):
+            message_from_json(crafted([[(1.0, 1)]], n=n, width=8))
+
+    def test_rejects_counts_whose_sum_wraps(self):
+        # a 64-bit sum of these counts wraps around to n
+        n = 2**32
+        with pytest.raises(ProtocolError, match="sum to n"):
+            message_from_json(crafted([[(1.0, 2**64 - 1), (2.0, n + 1)]], n=n))
+
+    def test_accepts_n_below_2_to_the_53(self):
+        n = 2**53 - 1
+        line = crafted([[(1.0, 1), (2.0, n - 1)]], n=n)
+        back = message_from_json(line)
+        assert back.sizes.tolist() == [1, n - 1] and message_to_json(back) == line
 
     @pytest.mark.parametrize("delta", ["NaN", "Infinity", "-Infinity"])
     def test_rejects_non_finite_delta(self, delta):
-        line = crafted([[(1.0, 1.0)]]).replace('"delta":25.0', f'"delta":{delta}')
+        line = crafted([[(1.0, 1)]]).replace('"delta":25.0', f'"delta":{delta}')
         with pytest.raises(ProtocolError, match="delta"):
             message_from_json(line)
 
     @pytest.mark.parametrize("delta", ["1.0", "1.9999999999999998", "0.5"])
     def test_rejects_delta_below_2(self, delta):
-        line = crafted([[(1.0, 1.0)]]).replace('"delta":25.0', f'"delta":{delta}')
+        line = crafted([[(1.0, 1)]]).replace('"delta":25.0', f'"delta":{delta}')
         with pytest.raises(ProtocolError, match="delta"):
             message_from_json(line)
 
-    def test_rejects_unsorted_means_and_nonpositive_weights(self):
+    def test_rejects_unsorted_means_and_zero_counts(self):
         with pytest.raises(ProtocolError, match="sorted"):
-            message_from_json(crafted([[(2.0, 1.0), (1.0, 1.0)]]))
-        with pytest.raises(ProtocolError, match="nonpositive"):
-            message_from_json(crafted([[(1.0, 0.0)]]))
+            message_from_json(crafted([[(2.0, 1), (1.0, 1)]]))
+        with pytest.raises(ProtocolError, match="0 samples"):
+            message_from_json(crafted([[(1.0, 0), (2.0, 2)]]))
         # means restart at each atom
-        assert message_from_json(crafted([[(2.0, 1.0)], [(1.0, 1.0)]]))
-
-    @given(
-        data=st.data(),
-        client_id=st.integers(0, 10**9),
-        d=st.integers(1, 70),
-        pi=st.floats(0.0, 1.0),
-        delta=st.floats(min_value=2.0, allow_infinity=False),
-        spare=st.integers(0, 10),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_codec_round_trip_is_byte_exact(self, data, client_id, d, pi, delta, spare):
-        codes = data.draw(
-            st.lists(st.text("01", min_size=d, max_size=d).filter(lambda a: "1" in a), max_size=4, unique=True)
-        )
-        pair = st.tuples(
-            st.floats(allow_nan=False, allow_infinity=False),
-            st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
-        )
-        clusters = [
-            sorted(data.draw(st.lists(pair, min_size=1, max_size=20)), key=lambda p: p[0]) for _ in codes
-        ]
-        n = sum(map(len, clusters)) + spare
-        line = reference_line(client_id, n, pi, delta, FINGERPRINT, sorted(codes), clusters)
-        assert message_to_json(message_from_json(line)) == line
+        assert message_from_json(crafted([[(2.0, 1)], [(1.0, 1)]]))
 
     def test_wire_bytes(self):
         rng = np.random.default_rng(3)
@@ -298,6 +306,53 @@ CLIENT_LINES = st.builds(
 )
 
 
+# n on both sides of each count width's upper end: 1, 2, 4 and 8 bytes
+WIDTH_EDGES = (255, 256, 65_535, 65_536, 2**32 - 1, 2**32)
+
+
+def positive_parts(draw, total, k):
+    """``total`` split into ``k`` positive integers."""
+    if k == 1:
+        return [total]
+    cuts = sorted(draw(st.lists(st.integers(1, total - 1), min_size=k - 1, max_size=k - 1, unique=True)))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+
+@st.composite
+def crafted_clients(draw, scores=False):
+    """A well-formed line's fields: n at the width edges or small, 0 to 4
+    atoms (at least 1 with ``scores``; none for a client without scores or,
+    sometimes, with pi = 0), sample counts summing to n and means ascending
+    within each atom."""
+    n = draw(st.sampled_from(WIDTH_EDGES) | st.integers(int(scores), 300))
+    d = draw(st.integers(1, 70))
+    codes = draw(
+        st.lists(
+            st.text("01", min_size=d, max_size=d).filter(lambda a: "1" in a),
+            min_size=int(scores),
+            max_size=min(4, n),
+            unique=True,
+        )
+    )
+    if not codes:
+        pi = draw(st.sampled_from([0.0]) | st.floats(0.0, 1.0))
+        return dict(n=n, pi=pi, atoms=[], clusters=[])
+    k = draw(st.integers(len(codes), min(20, n)))
+    sizes = positive_parts(draw, n, k)
+    clusters, start = [], 0
+    for count in positive_parts(draw, k, len(codes)):
+        means = sorted(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=count, max_size=count)))
+        clusters.append(list(zip(means, sizes[start : start + count])))
+        start += count
+    pi = draw(st.floats(1e-300, 1.0))
+    return dict(n=n, pi=pi, atoms=sorted(codes), clusters=clusters)
+
+
+def crafted_line(fields, **changes):
+    """The wire line of ``crafted_clients`` fields, client 9 at delta 25."""
+    return reference_line(9, delta=25.0, fingerprint=FINGERPRINT, **{**fields, **changes})
+
+
 class TestWireProperties:
     @given(ROUNDS)
     @settings(max_examples=60, deadline=None)
@@ -311,8 +366,89 @@ class TestWireProperties:
         for line, m, got in zip(lines, sent, round_.messages, strict=True):
             assert message_to_json(message_from_json(line)) == line
             assert (got.atoms, got.counts) == (m.atoms, m.counts)
-            assert np.array_equal(got.means, m.means) and np.array_equal(got.weights, m.weights)
+            assert np.array_equal(got.means, m.means) and np.array_equal(got.sizes, m.sizes)
         assert round_.test_weight == sum(ds.pi / (ds.n + 1) for ds in datasets)
+
+    @given(crafted_clients())
+    @settings(max_examples=200, deadline=None)
+    def test_codec_round_trip_is_byte_exact(self, fields):
+        line = crafted_line(fields)
+        back = message_from_json(line)
+        assert message_to_json(back) == line
+        sizes = [c for pairs in fields["clusters"] for _, c in pairs]
+        assert back.sizes.tolist() == sizes and back.n == fields["n"]
+        width = count_width(fields["n"])
+        assert _count_width(fields["n"]) == width
+        assert len(base64.b64decode(json.loads(line)["data"])) == (8 + width) * len(sizes)
+
+    @given(
+        fields=crafted_clients(scores=True),
+        bad=st.sampled_from(["zero count", "count sum off by one", "one width short", "one width long",
+                             "wrong width", "zero pi"]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_malformed_counts_are_rejected(self, fields, bad, data):
+        width = count_width(fields["n"])
+        clusters = [list(pairs) for pairs in fields["clusters"]]
+        cells = [(a, j) for a, pairs in enumerate(clusters) for j in range(len(pairs))]
+        sizes = [clusters[a][j][1] for a, j in cells]
+        changes, match = {}, "payload of"
+        if bad == "zero count":
+            i = data.draw(st.integers(0, len(cells) - 1))
+            if len(cells) > 1:  # its samples move to another cluster: the sum stays n
+                a, j = cells[i - 1]
+                clusters[a][j] = (clusters[a][j][0], sizes[i - 1] + sizes[i])
+            a, j = cells[i]
+            clusters[a][j] = (clusters[a][j][0], 0)
+            changes, match = dict(clusters=clusters), "0 samples"
+        elif bad == "count sum off by one":
+            step = data.draw(st.sampled_from([1, -1]))
+            if step == -1 and max(sizes) == 1 or step == 1 and min(sizes) + 1 == 256**width:
+                step = -step
+            i = sizes.index(max(sizes)) if step == -1 else sizes.index(min(sizes))
+            a, j = cells[i]
+            clusters[a][j] = (clusters[a][j][0], sizes[i] + step)
+            changes, match = dict(clusters=clusters), "sum to n"
+        elif bad == "wrong width":
+            other = data.draw(st.sampled_from([w for w in (1, 2, 4, 8) if w != width]))
+            assume(max(sizes) < 256**other)
+            changes = dict(width=other)
+        elif bad == "zero pi":
+            changes, match = dict(pi=0.0), "sample weight"
+        line = crafted_line(fields, **changes)
+        if bad.startswith("one width"):
+            raw = base64.b64decode(json.loads(line)["data"])
+            raw = raw[:-width] if bad.endswith("short") else raw + bytes(width)
+            line = edited(line, data=base64.b64encode(raw).decode("ascii"))
+        with pytest.raises(ProtocolError, match=match):
+            message_from_json(line)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([0, 1, 255, 256, 65_535, 65_536]) | st.integers(1, 400),
+        pi=st.sampled_from([0.0, 1.0]) | st.floats(1e-6, 1.0),
+        delta=st.sampled_from([2.0, 25.0, 250.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_client_weights_match_the_array_path(self, seed, n, pi, delta):
+        rng = np.random.default_rng(seed)
+        ds = ClientDataset(1, rng.uniform(0, 5, n), np.round(rng.exponential(size=n), 2), pi)
+        msg = client_build_messages(ds, FOUR_INTERVALS, delta)
+        line = message_to_json(msg)
+        back = message_from_json(line)
+        assert message_to_json(back) == line
+        width = count_width(n)
+        assert len(base64.b64decode(json.loads(line)["data"])) == (8 + width) * len(msg.sizes)
+        if not (n and pi):
+            assert back.atoms == () and back.sizes.size == 0
+            return
+        order, _, rows = enumerate_atoms(ds.covariates, FOUR_INTERVALS, ds.scores)
+        w = ds.sample_weight
+        means, weights, counts = _build_segments(ds.scores[order], np.full(n, w), delta, rows, rows * w)
+        assert back.counts == tuple(counts.tolist())
+        assert back.means.tobytes() == means.tobytes()
+        assert weights_of(back).tobytes() == weights.tobytes()
 
     @given(line=CLIENT_LINES, cut=st.floats(0.0, 1.0, exclude_max=True))
     @settings(max_examples=100, deadline=None)
@@ -357,33 +493,32 @@ class TestWireProperties:
 
     @given(
         data=st.data(),
-        bad=st.sampled_from(["nan mean", "inf mean", "-inf mean", "nan weight", "inf weight",
-                             "zero weight", "negative weight", "unsorted means"]),
+        bad=st.sampled_from(["nan mean", "inf mean", "-inf mean", "zero count", "largest count",
+                             "unsorted means"]),
     )
     @settings(max_examples=100, deadline=None)
     def test_invalid_payload_values_are_rejected(self, data, bad):
         sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
         clusters = [
-            [(float(m), 1.0) for m in sorted(data.draw(st.lists(st.integers(-50, 50), min_size=k, max_size=k, unique=True)))]
+            [(float(m), 1) for m in sorted(data.draw(st.lists(st.integers(-50, 50), min_size=k, max_size=k, unique=True)))]
             for k in sizes
         ]
+        n = sum(sizes)
         atom = data.draw(st.integers(0, len(sizes) - 1))
         pairs = clusters[atom]
         j = data.draw(st.integers(0, len(pairs) - 1))
-        mean, weight = pairs[j]
+        mean, count = pairs[j]
         if bad == "unsorted means":
             assume(len(pairs) > 1)
             pairs[0], pairs[-1] = pairs[-1], pairs[0]
         elif bad.endswith("mean"):
-            pairs[j] = (float(bad.split()[0]), weight)
-        elif bad == "zero weight":
-            pairs[j] = (mean, 0.0)
-        elif bad == "negative weight":
-            pairs[j] = (mean, -data.draw(st.floats(min_value=0.0, max_value=1e300)))
-        else:
-            pairs[j] = (mean, float(bad.split()[0]))
+            pairs[j] = (float(bad.split()[0]), count)
+        elif bad == "zero count":
+            pairs[j] = (mean, 0)
+        else:  # the most the width holds
+            pairs[j] = (mean, 255)
         with pytest.raises(ProtocolError):
-            message_from_json(crafted(clusters))
+            message_from_json(crafted(clusters, n=n))
 
     @given(ROUNDS, st.data())
     @settings(max_examples=40, deadline=None)
@@ -412,21 +547,26 @@ class TestWireProperties:
 class TestServer:
     def test_atom_total_sums_each_client_in_turn(self):
         # each client's weights are summed in order, then the clients in
-        # message order: 0.8 here, where one sum over all rows in message
-        # order reads 0.8000000000000003 and math.fsum 0.8000000000000002
+        # message order: 0.7333333333333334 here, where one sum over all rows
+        # in message order, and math.fsum, read 0.7333333333333333
         lines = [
-            crafted([[(0.0, 0.1), (1.0, 0.2), (2.0, 0.1), (3.0, 1e-17), (4.0, 0.1)]], client_id=1, n=5, pi=0.6),
-            crafted([[(0.5, 6e-17), (1.5, 6e-17), (2.5, 0.3)]], client_id=2, n=3, pi=0.4),
+            crafted([[(0.0, 1), (1.0, 1)]], client_id=1, pi=0.65),
+            crafted([[(0.5, 1), (1.5, 1), (2.5, 4)]], client_id=2, pi=0.35),
         ]
         messages = [message_from_json(line) for line in lines]
         coreset, _ = server_assemble(messages, FOUR_INTERVALS)
         total = 0.0
         for m in messages:
             client = 0.0
-            for w in m.weights.tolist():
+            for w in weights_of(m).tolist():
                 client += w
             total += client
-        assert coreset.per_atom_digests[(0, 0, 0, 1)].total_weight == total == 0.8
+        rows = np.concatenate(cluster_weights(messages)).tolist()
+        flat = 0.0
+        for w in rows:
+            flat += w
+        assert flat == math.fsum(rows) == 0.7333333333333333
+        assert coreset.per_atom_digests[(0, 0, 0, 1)].total_weight == total == 0.7333333333333334
 
     def test_merge_of_one(self):
         rng = np.random.default_rng(5)
@@ -434,7 +574,7 @@ class TestServer:
         message = client_build_messages(ds, FOUR_INTERVALS, 50.0)
         coreset, test_weight = server_assemble([message], FOUR_INTERVALS)
         assert list(zip(coreset.entries["mean"].tolist(), coreset.entries["weight"].tolist())) == list(
-            zip(message.means.tolist(), message.weights.tolist())
+            zip(message.means.tolist(), weights_of(message).tolist())
         )
         assert test_weight == 1.0 / 31
 
@@ -656,3 +796,17 @@ def test_server_keeps_message_order_among_tied_means():
     assert set(forward.messages[0].means) & set(forward.messages[1].means) & set(forward.messages[2].means)
     assert not np.array_equal(forward.coreset.entries["weight"], backward.coreset.entries["weight"])
 
+
+
+def test_readme_wire_format_matches_the_codec():
+    """README's field table names the wire fields in order, and its payload
+    paragraph states the count width rule and the payload length."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Wire format\n")[1].split("\n## ")[0]
+    assert tuple(re.findall(r"^\| `(\w+)` \| ", section, flags=re.M)) == _FIELDS
+    text = " ".join(section.split("The payload is ")[1].split("\n\n")[0].split())
+    edges = [(int(w), int(n)) for w, n in re.findall(r"(\d) bytes? when `n` <= (\d+)", text)]
+    assert [width for width, _ in edges] == [1, 2, 4] and "and 8 bytes otherwise" in text
+    for width, top in edges:
+        assert _count_width(top) == width < _count_width(top + 1)
+    assert "`(8 + width) * sum(counts)` bytes long" in text

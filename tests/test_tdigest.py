@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcfcp import tdigest
-from gcfcp.federation import ClientMessage, ProtocolError, message_from_json, message_to_json
+from gcfcp.federation import ClientMessage, ProtocolError, cluster_weights, message_from_json, message_to_json
 from reference import (
     approx_cdf,
     approx_quantile,
@@ -27,11 +27,13 @@ def build(values, delta, weights=None):
     return build_digest_arrays(values, np.ones(values.size) if weights is None else weights, delta)
 
 
-def to_wire(digest):
-    """A federation wire line whose one atom carries the digest."""
-    message = ClientMessage(
-        1, len(digest), 1.0, digest.compression, "", ((1,),), (len(digest),), digest.means(), digest.weights()
-    )
+def to_wire(values, delta):
+    """A federation wire line whose one atom carries the uniform-weight
+    sketch of ``values`` (each weighs 1 / (n + 1), as under pi = 1)."""
+    n = len(values)
+    w = 1.0 / (n + 1)
+    means, sizes, _ = tdigest._build_segments(np.sort(values), w, delta, [n], [n * w])
+    message = ClientMessage(1, n, 1.0, delta, "", ((1,),), (len(means),), means, sizes)
     return message_to_json(message)
 
 
@@ -42,9 +44,11 @@ def from_wire(line):
     return message
 
 
-def wire(pairs, delta=25.0, count=None):
-    """A one-atom wire line packing the (mean, weight) pairs as given."""
-    line = reference_line(1, len(pairs), 1.0, delta, "", ["1"], [pairs])
+def wire(pairs, delta=25.0, count=None, n=None):
+    """A one-atom wire line packing the (mean, sample count) pairs as given;
+    n is the sum of the counts unless given."""
+    n = sum(c for _, c in pairs) if n is None else n
+    line = reference_line(1, n, 1.0, delta, "", ["1"], [pairs])
     return line if count is None else line.replace('"counts":[%d]' % len(pairs), f'"counts":{count}')
 
 
@@ -282,26 +286,27 @@ class TestMaxClusterMass:
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(6)
-        d = build(rng.normal(size=500), 50.0)
-        back = from_wire(to_wire(d))
+        values = rng.normal(size=500)
+        d = build(values, 50.0, weights=np.full(500, 1.0 / 501))
+        back = from_wire(to_wire(values, 50.0))
         assert np.array_equal(back.means, d.means())
-        assert np.array_equal(back.weights, d.weights())
+        # the weights rebuilt from the sample counts are the array path's
+        assert cluster_weights([back])[0].tobytes() == d.weights().tobytes()
         assert back.delta == d.compression
-        assert message_to_json(back) == to_wire(d)
+        assert message_to_json(back) == to_wire(values, 50.0)
 
     def test_wire_shape(self):
-        d = build([1.0], 25.0, weights=[2.0])
-        obj = json.loads(to_wire(d))
+        obj = json.loads(to_wire(np.array([1.0]), 25.0))
         assert (obj["delta"], obj["atoms"], obj["counts"]) == (25.0, ["1"], [1])
-        assert np.frombuffer(base64.b64decode(obj["data"]), "<f8").tolist() == [1.0, 2.0]
+        assert base64.b64decode(obj["data"]) == np.float64(1.0).tobytes() + bytes([1])
 
     def test_reject_unsorted(self):
         with pytest.raises(ProtocolError):
-            from_wire(wire([(2.0, 1.0), (1.0, 1.0)]))
+            from_wire(wire([(2.0, 1), (1.0, 1)]))
 
-    def test_reject_nonpositive_weight(self):
+    def test_reject_zero_count(self):
         with pytest.raises(ProtocolError):
-            from_wire(wire([(1.0, 0.0)]))
+            from_wire(wire([(1.0, 0)], n=1))
 
     def test_reject_garbage(self):
         with pytest.raises(ProtocolError):
@@ -311,12 +316,12 @@ class TestSerialization:
         "payload",
         [
             wire([]),
-            wire([(1.0, 1.0), (1.0, 0.5)], count=[3]),
-            wire([(1.0, 1.0), (2.0, 1.0)], count=[1]),
-            wire([(1.0, 1.0)], count='"ab"'),
-            wire([(1.0, 1.0)], count="[null]"),
-            wire([(1.0, 1.0)], count="[1.0]"),
-            wire([(1.0, 1.0)], delta=-1.0),
+            wire([(1.0, 1), (1.0, 1)], count=[3]),
+            wire([(1.0, 1), (2.0, 1)], count=[1]),
+            wire([(1.0, 1)], count='"ab"'),
+            wire([(1.0, 1)], count="[null]"),
+            wire([(1.0, 1)], count="[1.0]"),
+            wire([(1.0, 1)], delta=-1.0),
         ],
     )
     def test_reject_malformed_clusters(self, payload):
@@ -326,15 +331,12 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "payload",
         [
-            wire([(1.0, 1.0)]).replace('"delta":25.0', '"delta":NaN'),
-            wire([(1.0, 1.0)]).replace('"delta":25.0', '"delta":Infinity'),
-            wire([(1.0, 1.0)]).replace('"delta":25.0', '"delta":-Infinity'),
-            wire([(math.nan, 1.0)]),
-            wire([(1.0, 1.0), (-math.inf, 1.0)]),
-            wire([(1.0, math.inf)]),
-            wire([(1.0, math.nan)]),
-            wire([(math.nan, 1.0), (1.0, math.inf)]).replace('"delta":25.0', '"delta":NaN'),
-            wire([(1.0, 1e308), (2.0, 1e308)]),
+            wire([(1.0, 1)]).replace('"delta":25.0', '"delta":NaN'),
+            wire([(1.0, 1)]).replace('"delta":25.0', '"delta":Infinity'),
+            wire([(1.0, 1)]).replace('"delta":25.0', '"delta":-Infinity'),
+            wire([(math.nan, 1)]),
+            wire([(1.0, 1), (-math.inf, 1)]),
+            wire([(math.nan, 1), (1.0, 1)]).replace('"delta":25.0', '"delta":NaN'),
         ],
     )
     def test_reject_non_finite(self, payload):
@@ -528,16 +530,21 @@ class TestMatchesReferenceLoop:
     @settings(max_examples=80, deadline=None)
     def test_float_weight_matches_array_of_it(self, n, segment_count, seed, ties, weight, delta):
         # one float weight gives the bits of an array holding it n times, on
-        # segments both shorter and longer than the walk's cutoff
+        # segments both shorter and longer than the walk's cutoff: the means,
+        # the cluster counts, and as weights the table entries at the
+        # clusters' sample counts
         values, _ = random_samples(seed, n, ties, "unit")
         segments = np.random.default_rng(seed + 1).integers(0, segment_count, n)
         order = np.lexsort((values, segments))
         sizes = np.bincount(segments, minlength=segment_count)
         totals = sizes * weight
-        got = tdigest._build_segments(values[order], weight, delta, sizes, totals)
+        means, lengths, counts = tdigest._build_segments(values[order], weight, delta, sizes, totals)
         want = tdigest._build_segments(values[order], np.full(n, weight), delta, sizes, totals)
-        for a, b in zip(got, want):
+        weights = tdigest.uniform_table(weight, lengths.max())[lengths - 1]
+        for a, b in zip((means, weights, counts), want):
             assert a.tobytes() == b.tobytes()
+        owner = np.repeat(np.arange(segment_count), counts)
+        assert np.bincount(owner, lengths, minlength=segment_count).tolist() == sizes.tolist()
 
     @given(
         n=st.integers(1, 2000),
