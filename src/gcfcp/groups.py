@@ -179,6 +179,8 @@ def family_from_json(payload: str | Mapping) -> GroupFamily:
         raise FamilyConfigError(f"groups must be a list, got {raw!r}")
     feature = obj.get("feature", 0 if kind == "intervals" else "predicted_label")
     if kind == "intervals":
+        if isinstance(feature, bool) or not isinstance(feature, int):
+            raise FamilyConfigError(f"an interval family's feature must be an integer, not {feature!r}")
         groups = []
         for g in raw:
             try:
@@ -193,6 +195,8 @@ def family_from_json(payload: str | Mapping) -> GroupFamily:
                 raise FamilyConfigError(f"malformed interval {g!r}: {exc}") from exc
         return GroupFamily(groups=tuple(groups), feature=feature)
     if kind == "label_sets":
+        if feature != "predicted_label":
+            raise FamilyConfigError(f"a label-set family's feature must be 'predicted_label', not {feature!r}")
         try:
             if any(isinstance(y, bool) for g in raw for y in g):
                 raise TypeError("labels must be integers, not booleans")

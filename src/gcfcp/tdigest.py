@@ -24,10 +24,10 @@ cluster's weight is the table's entry at its sample count less one, so the
 pass returns the counts, and the federation server reads the weights from the
 same table.
 
-A segment longer than ``_WALK_AFTER * delta`` finds its cluster starts by a
-walk with one bisect per cluster, once a check shows its scale positions
-nondecreasing; where arcsin rounding makes them dip, and on shorter segments,
-a per-sample pass finds them for any positions. Both give the greedy starts.
+Each segment finds its cluster starts by the greedy rule in a loop over its
+samples, except that a segment longer than ``_WALK_AFTER * delta`` whose scale
+positions are nondecreasing (arcsin rounding can make them dip) is walked with
+one bisect per cluster. Both give the same starts.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ import numpy as np
 # A sample joins the current cluster iff its scale span stays within this.
 _SPAN = 1.0 + 1e-12
 # A segment longer than this many times delta has its cluster starts walked:
-# a walk costs about one step per cluster (about delta / 2 of them), the
-# per-sample pass one array element per sample and more per call.
+# a walk costs about one bisect per cluster (about delta / 2 of them), the
+# loop one step per sample.
 _WALK_AFTER = 12
 
 
@@ -108,23 +108,28 @@ def _cluster_starts(r: np.ndarray, delta: float, bounds: np.ndarray) -> np.ndarr
     has left edge r[s-1] (-delta/4, quantile 0's scale, at a segment start)
     and ends at its segment's end or the first i > s with r[i] - left > _SPAN.
     A segment longer than _WALK_AFTER * delta whose r is nondecreasing is
-    walked cluster by cluster; the others take the per-sample pass of
-    ``_scan_starts``, which holds for any r.
+    walked cluster by cluster; the others take the rule itself, one sample at
+    a time, which holds for any r.
     """
-    walked, scanned = [], []
+    starts = []
     for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         seg = r[a:b]
         if b - a > _WALK_AFTER * delta and np.all(seg[1:] >= seg[:-1]):
-            walked += _walk_starts(seg.tolist(), a, delta)
+            starts += _walk_starts(seg.tolist(), a, delta)
         else:
-            scanned.append((a, b))
-    if not walked:
-        return _scan_starts(r, delta, bounds)
-    starts = np.array(walked)
-    if scanned:
-        rows = np.concatenate([np.arange(a, b) for a, b in scanned])
-        sizes = [b - a for a, b in scanned]
-        starts = np.sort(np.concatenate((starts, rows[_scan_starts(r[rows], delta, np.cumsum([0, *sizes]))])))
+            starts += _greedy_starts(seg.tolist(), a, delta)
+    return np.array(starts)
+
+
+def _greedy_starts(rs: list[float], a: int, delta: float) -> list[int]:
+    """The cluster starts of one segment's scale positions ``rs``, offset by
+    its first sample ``a``: the greedy rule itself, which holds for any r."""
+    starts, left, prev = [a], -delta / 4.0, rs[0]
+    for i, x in enumerate(rs[1:], start=a + 1):
+        if x - left > _SPAN:
+            starts.append(i)
+            left = prev
+        prev = x
     return starts
 
 
@@ -147,44 +152,6 @@ def _walk_starts(rs: list[float], a: int, delta: float) -> list[int]:
             return starts
         starts.append(a + i)
         left, s = rs[i - 1], i
-
-
-def _scan_starts(r: np.ndarray, delta: float, bounds: np.ndarray) -> np.ndarray:
-    """``_cluster_starts`` by a per-sample pass, correct for any r.
-
-    One searchsorted per segment proposes an end for every start, and each
-    steps forward until it fails the exact test. The followed clusters are
-    then checked as a whole: an index inside one that fails the test
-    (searchsorted rounded past it, or arcsin rounding made r dip) ends it.
-    """
-    n = r.size
-    left = np.concatenate(([-delta / 4.0], r[:-1]))
-    left[bounds[:-1]] = -delta / 4.0
-    stop = np.repeat(bounds[1:], np.diff(bounds))
-    idx = np.arange(n)
-    cuts = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-    end = np.concatenate([a + np.searchsorted(r[a:b], left[a:b] + _SPAN, side="right") for a, b in cuts])
-    end = np.maximum(end, idx + 1)  # searchsorted keeps each end within its segment
-    while True:
-        fwd = np.flatnonzero(end < stop)
-        fwd = fwd[r[end[fwd]] - left[fwd] <= _SPAN]
-        if not fwd.size:
-            break
-        end[fwd] += 1
-
-    ends = end.tolist()
-    while True:
-        starts = []
-        s = 0
-        while s < n:
-            starts.append(s)
-            s = ends[s]
-        starts = np.array(starts)
-        owner = np.repeat(starts, np.diff(np.append(starts, n)))
-        bad = np.flatnonzero((r - left[owner] > _SPAN) & (owner != idx))
-        if not bad.size:
-            return starts
-        ends[owner[bad[0]]] = int(bad[0])
 
 
 def uniform_table(w: float, length: int) -> np.ndarray:
@@ -266,8 +233,10 @@ def build_digest_arrays(values: np.ndarray, weights: np.ndarray, delta: float) -
     that alone exceeds the span still forms a singleton cluster, in which
     case the mass bound degrades to max(sin(pi/delta), max_i w_i/W).
     """
-    weights = np.asarray(weights, dtype=float)
-    return _build_one(np.asarray(values, dtype=float), weights, delta, float(np.sum(weights)))
+    values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    if values.ndim != 1 or values.shape != weights.shape:
+        raise DigestError("values and weights must be 1-d arrays of equal length")
+    return _build_one(values, weights, delta, float(np.sum(weights)))
 
 
 def merge(digests: Sequence[Digest], delta: float) -> Digest:

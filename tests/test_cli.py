@@ -120,11 +120,20 @@ def test_predict_prints_interval(dataset_csv, capsys):
         '{"kind": "intervals", "groups": [{"lo": 0, "hi": true}]}',
         '{"kind": "label_sets", "groups": [[false, true]]}',
         '{"kind": "label_sets", "groups": [[0, 1], [true]]}',
+        '{"kind": "intervals", "feature": "abc", "groups": [{"lo": 0, "hi": 5}]}',
+        '{"kind": "intervals", "feature": 1.5, "groups": [{"lo": 0, "hi": 5}]}',
+        '{"kind": "intervals", "feature": true, "groups": [{"lo": 0, "hi": 5}]}',
+        '{"kind": "label_sets", "feature": 0, "groups": [[0, 1]]}',
     ],
-    ids=["string-bounds", "boolean-bound", "boolean-labels", "boolean-label"],
+    ids=[
+        "string-bounds", "boolean-bound", "boolean-labels", "boolean-label",
+        "string-feature", "float-feature", "boolean-feature", "label-set-feature",
+    ],
 )
 def test_predict_takes_only_numbers_in_the_family(dataset_csv, capsys, groups):
-    """Bounds must be JSON numbers and labels integers, not strings or booleans."""
+    """Bounds must be JSON numbers and labels integers, not strings or
+    booleans; an interval family's feature is an integer and a label-set
+    family's "predicted_label"."""
     assert main(["predict", str(dataset_csv), "--x", "1.5", "--groups", groups]) == 2
     assert "bad --groups value" in capsys.readouterr().err
 

@@ -337,9 +337,18 @@ class TestConfig:
             '{"kind": "intervals", "groups": [{"lo": 0, "hi": true}]}',
             '{"kind": "label_sets", "groups": [[false, true]]}',
             '{"kind": "label_sets", "groups": [[0, 1], [true]]}',
+            '{"kind": "intervals", "feature": "abc", "groups": [{"lo": 0, "hi": 1}]}',
+            '{"kind": "intervals", "feature": 1.5, "groups": [{"lo": 0, "hi": 1}]}',
+            '{"kind": "intervals", "feature": true, "groups": [{"lo": 0, "hi": 1}]}',
+            '{"kind": "intervals", "feature": null, "groups": [{"lo": 0, "hi": 1}]}',
+            '{"kind": "label_sets", "feature": 0, "groups": [[0, 1]]}',
+            '{"kind": "label_sets", "feature": "label", "groups": [[0, 1]]}',
         ):
             with pytest.raises(FamilyConfigError):
                 family_from_json(bad)
+        assert family_from_json('{"kind": "intervals", "feature": 1, "groups": [{"lo": 0, "hi": 1}]}').feature == 1
+        labels = family_from_json('{"kind": "label_sets", "feature": "predicted_label", "groups": [[0]]}')
+        assert labels.feature == "predicted_label"
         point = family_from_json('{"kind": "intervals", "groups": [{"lo": 1, "hi": 1}]}')
         assert point.groups == (Interval(1.0, 1.0),)
         unbounded = family_from_json('{"kind": "intervals", "groups": [{"lo": -Infinity, "hi": Infinity}]}')

@@ -1,6 +1,9 @@
 import base64
+import bisect
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +59,14 @@ def exact_cdf(values, weights, t):
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     return float(weights[values <= t].sum() / weights.sum())
+
+
+def test_readme_states_the_walk_cutoff():
+    """README's sketching item gives the segment length past which cluster
+    starts are walked as ``tdigest._WALK_AFTER`` times delta."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    item = readme.split("1. **Sketching**")[1].split("2. **Groups and atoms**")[0]
+    assert re.findall(r"longer than (\d+) `delta`", item) == [str(tdigest._WALK_AFTER)]
 
 
 class TestScale:
@@ -116,6 +127,14 @@ class TestBuild:
             build([math.nan], 25.0)
         with pytest.raises(DigestError):
             build([1.0], 1.5)
+        # values and weights must be 1-d and of equal length
+        for values, weights in (
+            ([1.0, 2.0], [1.0, 1.0, 5.0]),
+            ([1.0, 2.0, 3.0], [1.0, 1.0]),
+            ([[1.0, 2.0]], [[1.0, 1.0]]),
+        ):
+            with pytest.raises(DigestError, match="1-d arrays of equal length"):
+                build_digest_arrays(values, weights, 25.0)
 
     @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
     def test_bad_weight_rejected_as_float_and_as_array(self, weight):
@@ -465,38 +484,41 @@ class TestMatchesReferenceLoop:
             assert_matches(digest, reference_build(values, weights, 2.0))
 
     @given(
-        st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=200),
-        st.sampled_from([2.0, 5.0, 25.0]),
-        st.sets(st.integers(1, 199), max_size=6),
+        st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=50),
+        st.sampled_from([2.0, 5.0, 25.0, 250.0]),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 2**16)), min_size=1, max_size=4),
         st.sampled_from(["as drawn", "sorted", "on the span"]),
         st.sampled_from([None, "1 ulp", "0.5"]),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=300, deadline=None)
-    def test_cluster_starts_on_any_scale_sequence(self, r, delta, cuts, shape, dip, seed):
-        # the boundary search must match the loop where r is not sorted, and
-        # in segments long enough to be walked (over 24 samples at delta 2,
-        # over 60 at delta 5) where it is sorted, with ties, or "on the span":
-        # every sample within an ulp of the span of the one p before it, from
-        # -delta / 4 up, so that the exact test and a search on left + span
-        # disagree where r - left rounds. Also where one sample dips below the
-        # one before it. Every segment starts a cluster at left edge -delta / 4.
-        r = np.array(r)
+    def test_cluster_starts_on_any_scale_sequence(self, drawn, delta, segments, shape, dip, seed):
+        # _cluster_starts must match the loop on segments both longer than the
+        # walk's cutoff, _WALK_AFTER * delta samples, and not, at every delta:
+        # where r repeats the drawn values (unsorted, or constant), where each
+        # segment is sorted with ties, and "on the span": every sample within
+        # an ulp of the span of the one p before it, from -delta / 4 up, so
+        # that the exact test and a bisect on left + span disagree where
+        # r - left rounds. Also where one sample dips below the one before it,
+        # inside a walk-length segment if there is one, which must then take
+        # the loop. Every segment starts a cluster at left edge -delta / 4.
         rng = np.random.default_rng(seed)
-        if shape == "sorted":
-            r = np.sort(np.round(rng.uniform(-30.0, 30.0, rng.integers(25, 201)), 1))
-        elif shape == "on the span":
+        cutoff = int(tdigest._WALK_AFTER * delta)
+        sizes = [cutoff + 1 + k % 100 if long else 1 + k % cutoff for long, k in segments]
+        bounds = np.cumsum([0, *sizes]).tolist()
+        if shape == "as drawn":
+            r = np.resize(np.array(drawn), bounds[-1])
+        elif shape == "sorted":
+            r = np.concatenate([np.sort(np.round(rng.uniform(-30.0, 30.0, n), 1)) for n in sizes])
+        else:
             runs = []
-            for _ in range(rng.integers(1, 6)):
-                p, run = rng.integers(2, 11), np.empty(rng.integers(25, 121))
-                run[:p] = -delta / 4.0 + np.arange(1, p + 1) * ((1.0 + 1e-12) / p)
-                for i in range(p, run.size):
+            for n in sizes:
+                p, run = rng.integers(2, 11), np.empty(n)
+                run[:p] = (-delta / 4.0 + np.arange(1, p + 1) * ((1.0 + 1e-12) / p))[:n]
+                for i in range(p, n):
                     run[i] = run[i - p] + (1.0 + 1e-12)
-                run = np.nextafter(run, run + rng.integers(-1, 2, run.size))  # -1, 0 or +1 ulp
-                runs.append(run)
+                runs.append(np.nextafter(run, run + rng.integers(-1, 2, n)))  # -1, 0 or +1 ulp
             r = np.concatenate(runs)
-            cuts = set(np.cumsum([run.size for run in runs])[:-1].tolist())
-        bounds = [0, *sorted(c for c in cuts if c < r.size), r.size]
 
         def loop_starts():
             starts = []
@@ -513,8 +535,10 @@ class TestMatchesReferenceLoop:
         if dip and r.size > 1:
             # at a cluster start where there is one, so that the dipped
             # sample joins the cluster that it ended
-            inner = [i for i in loop_starts() if i not in bounds] or [rng.integers(1, r.size)]
-            i = inner[rng.integers(len(inner))]
+            inner = [i for i in loop_starts() if i not in bounds]
+            walkable = [i for i in inner if sizes[bisect.bisect(bounds, i) - 1] > cutoff]
+            pool = walkable or inner or [rng.integers(1, r.size)]
+            i = pool[rng.integers(len(pool))]
             r[i] = np.nextafter(r[i - 1], -np.inf) if dip == "1 ulp" else r[i - 1] - 0.5
         starts = loop_starts()
         assert tdigest._cluster_starts(r, delta, np.array(bounds)).tolist() == starts
