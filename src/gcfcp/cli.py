@@ -28,7 +28,7 @@ from . import datagen
 from .conformal import CALIBRATOR_KINDS, EmptySetError, calibrate_baseline
 from .datagen import IngestError, SynthConfig
 from .federation import ClientDataset, check_mixture, client_datasets, run_round
-from .groups import GroupFamily, family_from_json, membership_vector
+from .groups import FamilyConfigError, GroupFamily, family_from_json, membership_vector
 from .harness import (
     DEFAULT_FAMILY,
     DegenerateGroupError,
@@ -56,7 +56,7 @@ def _parse_family(arg: str | None) -> GroupFamily:
         return DEFAULT_FAMILY
     try:
         return family_from_json(arg)
-    except Exception as exc:
+    except FamilyConfigError as exc:
         raise ValueError(f"bad --groups value: {exc}") from exc
 
 
@@ -88,9 +88,11 @@ def _read_dataset_csv(path, mixture_arg: str) -> list[ClientDataset]:
         if header != _HEADER:
             raise IngestError(f"bad dataset header {header!r}")
         for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(_HEADER):
+                raise IngestError(f"row {lineno}: expected {len(_HEADER)} fields")
             try:
-                cid, x, score = int(row[0]), float(row[1]), float(row[3])
-            except (IndexError, ValueError) as exc:
+                cid, x, _, score = int(row[0]), float(row[1]), float(row[2]), float(row[3])
+            except ValueError as exc:
                 raise IngestError(f"row {lineno}: {exc}") from exc
             ids.append(cid)
             xs.append(x)

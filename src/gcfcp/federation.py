@@ -235,7 +235,7 @@ def message_from_json(line: str) -> ClientMessage:
     """Parse one client line and check it on its own; see the module docstring."""
     try:
         obj = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
         raise ProtocolError(f"malformed client message: {exc}") from exc
     if not isinstance(obj, dict) or obj.keys() != set(_FIELDS):
         raise ProtocolError(f"a client message holds exactly the fields {', '.join(_FIELDS)}")

@@ -1,12 +1,12 @@
 """Group-membership features over a finite, possibly overlapping group family.
 
-A family is either a list of scalar covariate intervals or a list of
-predicted-label sets. Membership of a point is a fixed-length binary vector
-(one bit per group, in family order), and a sample set is a 0/1 membership
-matrix with one row per point. Atoms are the equivalence classes of observed
-membership patterns, the disjoint refinement of the family: the unique rows of
-that matrix. ``membership_matrix`` is the one membership routine;
-``membership_vector`` is its single-point case.
+A family is either a list of intervals or a list of predicted-label sets over
+one scalar covariate per point. Membership of a point is a fixed-length
+binary vector (one bit per group, in family order), and a sample set is a 0/1
+membership matrix with one row per point. Atoms are the equivalence classes of
+observed membership patterns, the disjoint refinement of the family: the
+unique rows of that matrix. ``membership_matrix`` is the one membership
+routine; ``membership_vector`` is its single-point case.
 
 ``sort_atoms`` is the one home of the atom key, for the client sketch
 (``enumerate_atoms``) and the cold crash of ``pinball.AugmentedQrSolver``. It
@@ -22,9 +22,8 @@ alike.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,8 +32,9 @@ AtomKey = tuple[int, ...]
 
 
 class CoveringError(ValueError):
-    """A covariate fell outside every group of the family, or a label-set
-    family was given a label that is not a finite integer."""
+    """Covariates were not one value per point, a covariate fell outside
+    every group of the family, or a label-set family was given a label that
+    is not a finite integer."""
 
 
 class FamilyConfigError(ValueError):
@@ -66,15 +66,9 @@ class LabelSet:
 
 @dataclass(frozen=True)
 class GroupFamily:
-    """Ordered groups; order defines bit positions in membership vectors.
-
-    ``feature`` selects the covariate coordinate for interval families (an
-    index into vector covariates, ignored for scalars) or is the string
-    "predicted_label" for label-set families.
-    """
+    """Ordered groups; order defines bit positions in membership vectors."""
 
     groups: tuple[Interval | LabelSet, ...]
-    feature: int | str = 0
 
     def __post_init__(self):
         if not self.groups:
@@ -93,10 +87,9 @@ def membership_matrix(xs: Sequence, family: GroupFamily) -> np.ndarray:
     """Bit (i, g) is set iff point i belongs to group g under its closure
     convention; an (n, |groups|) int array.
 
-    Rows may be scalars or vectors, of which ``family.feature`` selects the
-    covariate. Raises CoveringError on the first point outside every group,
-    and, for a family with label sets, first on a label that is not a finite
-    integer.
+    ``xs`` holds one covariate value per point. Raises CoveringError unless
+    ``xs`` is 1-d, on the first point outside every group, and, for a family
+    with label sets, first on a label that is not a finite integer.
     """
     return np.column_stack(_membership_columns(xs, family)).astype(int)
 
@@ -105,8 +98,8 @@ def _membership_columns(xs: Sequence, family: GroupFamily) -> list[np.ndarray]:
     """One boolean column per group, in family order, checked as
     ``membership_matrix`` describes."""
     xs = np.asarray(xs)
-    if xs.ndim > 1:
-        xs = xs[:, family.feature]
+    if xs.ndim != 1:
+        raise CoveringError(f"covariates must hold one value per point, not shape {xs.shape}")
     if any(isinstance(g, LabelSet) for g in family.groups):
         with np.errstate(invalid="ignore"):
             # inf and NaN leave a NaN remainder, which is != 0 as well
@@ -168,43 +161,45 @@ def enumerate_atoms(
     return order, atoms, np.diff(np.append(starts, order.size))
 
 
-def family_from_json(payload: str | Mapping) -> GroupFamily:
+def family_from_json(payload: str) -> GroupFamily:
+    """Parse a family from JSON text, raising FamilyConfigError on any other
+    shape.
+
+    The object holds exactly ``kind`` and ``groups``. An ``intervals`` family
+    lists objects of ``lo`` and ``hi`` (JSON numbers within float range) and
+    optionally ``lo_closed`` and ``hi_closed`` (booleans, true by default); a
+    ``label_sets`` family lists lists of integer labels.
+    """
     try:
-        obj = json.loads(payload) if isinstance(payload, str) else payload
-        kind = obj["kind"]
-        raw = obj["groups"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        obj = json.loads(payload)
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
         raise FamilyConfigError(f"malformed family configuration: {exc}") from exc
+    if not isinstance(obj, dict) or obj.keys() != {"kind", "groups"}:
+        raise FamilyConfigError("a family holds exactly the keys kind and groups")
+    kind, raw = obj["kind"], obj["groups"]
     if not isinstance(raw, list):
         raise FamilyConfigError(f"groups must be a list, got {raw!r}")
-    feature = obj.get("feature", 0 if kind == "intervals" else "predicted_label")
     if kind == "intervals":
-        if isinstance(feature, bool) or not isinstance(feature, int):
-            raise FamilyConfigError(f"an interval family's feature must be an integer, not {feature!r}")
-        groups = []
-        for g in raw:
-            try:
-                closed = g.get("lo_closed", True), g.get("hi_closed", True)
-                if not all(isinstance(c, bool) for c in closed):
-                    raise TypeError("lo_closed and hi_closed must be booleans")
-                bounds = g["lo"], g["hi"]
-                if not all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in bounds):
-                    raise TypeError("lo and hi must be numbers")
-                groups.append(Interval(*map(float, bounds), *closed))
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise FamilyConfigError(f"malformed interval {g!r}: {exc}") from exc
-        return GroupFamily(groups=tuple(groups), feature=feature)
+        return GroupFamily(groups=tuple(map(_interval_from_json, raw)))
     if kind == "label_sets":
-        if feature != "predicted_label":
-            raise FamilyConfigError(f"a label-set family's feature must be 'predicted_label', not {feature!r}")
-        try:
-            if any(isinstance(y, bool) for g in raw for y in g):
-                raise TypeError("labels must be integers, not booleans")
-            groups = tuple(LabelSet(frozenset(operator.index(y) for y in g)) for g in raw)
-        except TypeError as exc:
-            raise FamilyConfigError(f"malformed label set: {exc}") from exc
-        return GroupFamily(groups=groups, feature=feature)
+        if not all(isinstance(g, list) and all(type(y) is int for y in g) for g in raw):  # a bool is no label
+            raise FamilyConfigError(f"label sets must be lists of integer labels, got {raw!r}")
+        return GroupFamily(groups=tuple(LabelSet(frozenset(g)) for g in raw))
     raise FamilyConfigError(f"unknown family kind {kind!r}")
+
+
+def _interval_from_json(g) -> Interval:
+    if not (isinstance(g, dict) and {"lo", "hi"} <= g.keys() <= {"lo", "hi", "lo_closed", "hi_closed"}):
+        raise FamilyConfigError(f"an interval holds lo, hi and optionally lo_closed and hi_closed, not {g!r}")
+    bounds, closed = (g["lo"], g["hi"]), (g.get("lo_closed", True), g.get("hi_closed", True))
+    if not all(type(b) in (int, float) for b in bounds):  # a bool is no bound
+        raise FamilyConfigError(f"interval bounds must be numbers, not {bounds!r}")
+    if not all(type(c) is bool for c in closed):
+        raise FamilyConfigError(f"lo_closed and hi_closed must be booleans, not {closed!r}")
+    try:
+        return Interval(*map(float, bounds), *closed)
+    except OverflowError as exc:
+        raise FamilyConfigError(f"interval bound too large for a float: {exc}") from exc
 
 
 def interval_family(bounds: Sequence[tuple[float, float]]) -> GroupFamily:

@@ -34,7 +34,7 @@ def atom_features(rng, d, n, label_sets):
         labels = int(rng.integers(d + 1, max(9, d + 2)))
         groups = [set(rng.choice(labels, int(rng.integers(1, labels)), replace=False).tolist()) for _ in range(d)]
         groups[0] |= set(range(labels)) - set().union(*groups)
-        family = GroupFamily(tuple(LabelSet(frozenset(g)) for g in groups), feature="predicted_label")
+        family = GroupFamily(tuple(LabelSet(frozenset(g)) for g in groups))
         return membership_matrix(rng.integers(0, labels, n), family).astype(float)
     if d > 10:  # too many patterns to list: a random pool, group 0 in every pattern
         pool = (rng.random((int(rng.integers(1, 2 * n)), d)) < 0.5).astype(float)

@@ -79,18 +79,18 @@ def pinball_loss(theta, s, alpha):
 
 
 def reference_membership(x, family):
-    """Bit g is set iff the point lies in group g, tested one group at a time."""
-    value = x if np.ndim(x) == 0 else x[family.feature]
+    """Bit g is set iff the scalar covariate x lies in group g, tested one
+    group at a time."""
     bits = []
     for g in family.groups:
         if isinstance(g, Interval):
-            above = value >= g.lo if g.lo_closed else value > g.lo
-            below = value <= g.hi if g.hi_closed else value < g.hi
+            above = x >= g.lo if g.lo_closed else x > g.lo
+            below = x <= g.hi if g.hi_closed else x < g.hi
             bits.append(int(above and below))
         else:
-            bits.append(int(int(value) in g.labels))
+            bits.append(int(int(x) in g.labels))
     if not any(bits):
-        raise CoveringError(f"covariate value {value!r} is outside every group of the family")
+        raise CoveringError(f"covariate value {x!r} is outside every group of the family")
     return tuple(bits)
 
 

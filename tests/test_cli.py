@@ -16,13 +16,13 @@ from gcfcp.cli import main
 from gcfcp.conformal import EmptySetError
 from gcfcp.datagen import SynthConfig
 from gcfcp.federation import message_from_json
+from gcfcp.groups import Interval, LabelSet, family_from_json
 from gcfcp.harness import ExperimentConfig, _synth_trial_data
 from gcfcp.pinball import SolverError
 
 SMALL_GROUPS = json.dumps(
     {
         "kind": "intervals",
-        "feature": 0,
         "groups": [
             {"lo": 0, "hi": 2},
             {"lo": 1, "hi": 3},
@@ -120,20 +120,23 @@ def test_predict_prints_interval(dataset_csv, capsys):
         '{"kind": "intervals", "groups": [{"lo": 0, "hi": true}]}',
         '{"kind": "label_sets", "groups": [[false, true]]}',
         '{"kind": "label_sets", "groups": [[0, 1], [true]]}',
-        '{"kind": "intervals", "feature": "abc", "groups": [{"lo": 0, "hi": 5}]}',
-        '{"kind": "intervals", "feature": 1.5, "groups": [{"lo": 0, "hi": 5}]}',
-        '{"kind": "intervals", "feature": true, "groups": [{"lo": 0, "hi": 5}]}',
-        '{"kind": "label_sets", "feature": 0, "groups": [[0, 1]]}',
+        '{"kind": "intervals", "groups": [{"lo": 0, "hi": 1' + "0" * 400 + '}]}',
+        '{"kind": "intervals", "feature": 0, "groups": [{"lo": 0, "hi": 5}]}',
+        '{"kind": "label_sets", "feature": "predicted_label", "groups": [[0, 1]]}',
+        '{"kind": "intervals", "groups": [{"lo": 0, "hi": 5}], "comment": ""}',
+        '{"kind": "intervals", "groups": [{"lo": 0, "hi": 5, "feature": 0}]}',
+        '{"kind": "intervals", "groups": [{"lo": 0, "hi": 5, "hi_closd": false}]}',
+        "[" * 100_000,
     ],
     ids=[
-        "string-bounds", "boolean-bound", "boolean-labels", "boolean-label",
-        "string-feature", "float-feature", "boolean-feature", "label-set-feature",
+        "string-bounds", "boolean-bound", "boolean-labels", "boolean-label", "huge-bound",
+        "interval-feature", "label-set-feature", "extra-family-key", "interval-feature-key",
+        "misspelled-interval-key", "deep-nest",
     ],
 )
 def test_predict_takes_only_numbers_in_the_family(dataset_csv, capsys, groups):
-    """Bounds must be JSON numbers and labels integers, not strings or
-    booleans; an interval family's feature is an integer and a label-set
-    family's "predicted_label"."""
+    """Bounds must be JSON numbers that a float holds and labels integers,
+    not strings or booleans, and a family holds exactly the keys it reads."""
     assert main(["predict", str(dataset_csv), "--x", "1.5", "--groups", groups]) == 2
     assert "bad --groups value" in capsys.readouterr().err
 
@@ -236,8 +239,7 @@ def test_exit_code_zero_test_points(capsys):
 
 def test_exit_code_degenerate_group(capsys):
     groups = json.dumps(
-        {"kind": "intervals", "feature": 0,
-         "groups": [{"lo": 0, "hi": 5}, {"lo": 90, "hi": 91}]}
+        {"kind": "intervals", "groups": [{"lo": 0, "hi": 5}, {"lo": 90, "hi": 91}]}
     )
     code = main(
         ["experiment", "--trials", "1", "--test-points", "5", "--delta", "50",
@@ -277,6 +279,20 @@ def test_exit_code_ingest_error(tmp_path, capsys):
     )
     assert code == 4
     assert "ingestion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row", ["1,1.0,abc,0.5", "1,1.0,0.0,0.5,junk", "1,1.0,abc,0.5,junk", "1,1.0,0.5"],
+    ids=["text-y", "extra-field", "text-y-and-extra-field", "missing-field"],
+)
+@pytest.mark.parametrize("command", [["predict", "--x", "1.5"], ["calibrate"]], ids=["predict", "calibrate"])
+def test_dataset_row_must_match_the_header(tmp_path, capsys, command, row):
+    """Every dataset row has the header's four fields and a numeric y, as
+    score-CSV rows have theirs, though only x and the score are read."""
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(["client_id,x,y,score", "1,2.0,0.0,0.5", row]) + "\n")
+    assert main([command[0], str(path), *command[1:]]) == 4
+    assert capsys.readouterr().err.startswith("error: ingestion: row 3: ")
 
 
 @pytest.mark.parametrize("rows", [[], ["1,0,0,0.2,0.7"]], ids=["header-only", "one-row"])
@@ -328,6 +344,16 @@ def test_docs_match_the_parser():
     assert [line.split()[0] for line in listed.splitlines()] == list(parsed)
 
 
+def test_readme_family_examples_parse():
+    """Every family JSON in README, a ```json block or an inline
+    `{"kind": ...}` span, parses with ``family_from_json``, and the examples
+    show both kinds."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = re.findall(r"```json\n(.*?)```", readme, re.S) + re.findall(r'`(\{"kind".*?\})`', readme)
+    kinds = {type(family_from_json(text).groups[0]) for text in examples}
+    assert kinds == {Interval, LabelSet}, examples
+
+
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 FIELD = st.one_of(
     ANY_FLOAT.map(repr),
@@ -363,7 +389,11 @@ OPTION_VALUES = {
     "--delta": st.one_of(st.floats(2.0, 500.0), ANY_FLOAT).map(repr),
     "--groups": st.sampled_from(
         [SMALL_GROUPS, "{bad json", "[]", '{"kind": "intervals", "groups": []}', "null",
-         '{"kind": "intervals", "feature": 0, "groups": [{"lo": 0, "hi": "x"}]}']
+         '{"kind": "intervals", "groups": [{"lo": 0, "hi": "x"}]}',
+         '{"kind": "intervals", "groups": [{"lo": 0, "hi": 5, "hi_closd": false}]}',
+         '{"kind": "intervals", "feature": 0, "groups": [{"lo": 0, "hi": 5}]}',
+         "[" * 100_000,
+         '{"kind": "intervals", "groups": [{"lo": 0, "hi": 1' + "0" * 400 + '}]}']
     ),
     "--mixture": st.sampled_from(["uniform", "[0.5, 0.5]", "[NaN, 1]", "[1]", "{", "[2, -1]"]),
     "--x": st.one_of(st.floats(0.0, 5.0), ANY_FLOAT).map(repr),

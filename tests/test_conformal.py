@@ -206,7 +206,6 @@ class TestPredictionSets:
                 LabelSet(frozenset(range(0, 6))),
                 LabelSet(frozenset(range(4, 10))),
             ),
-            feature="predicted_label",
         )
         candidates = {y: float(s) for y, s in enumerate(rng.random(10))}
         prev = None

@@ -209,6 +209,11 @@ class TestWire:
         with pytest.raises(ProtocolError):
             message_from_json(line)
 
+    def test_rejects_deep_nesting(self):
+        # the JSON decoder runs out of stack, which is no error of the caller's
+        with pytest.raises(ProtocolError, match="malformed client message"):
+            message_from_json("[" * 100_000)
+
     @pytest.mark.parametrize(
         "clusters",
         [

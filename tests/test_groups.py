@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 from conftest import atom_features
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gcfcp.groups import (
@@ -32,7 +34,6 @@ LABEL_FAMILY = GroupFamily(
         LabelSet(frozenset(range(4, 8))),
         LabelSet(frozenset(range(6, 10))),
     ),
-    feature="predicted_label",
 )
 
 
@@ -52,10 +53,7 @@ class TestMembership:
 
     @pytest.mark.parametrize("bad", [1.7, -0.5, float("nan"), float("inf")])
     def test_label_must_be_a_finite_integer(self, bad):
-        fam = GroupFamily(
-            groups=(LabelSet(frozenset({0, 1})), LabelSet(frozenset({1, 2}))),
-            feature="predicted_label",
-        )
+        fam = GroupFamily(groups=(LabelSet(frozenset({0, 1})), LabelSet(frozenset({1, 2}))))
         assert membership_vector(1.0, fam) == (1, 1)
         with pytest.raises(CoveringError, match="not a finite integer"):
             membership_vector(bad, fam)
@@ -80,22 +78,32 @@ class TestMembership:
 
     def test_label_is_checked_before_coverage(self):
         # label 7 is in no group, but label 0.5 after it is reported first
-        groups = (LabelSet(frozenset({0, 1})), LabelSet(frozenset({1, 2})))
-        for xs, fam in (
-            ([1.0, 7.0, 0.5], GroupFamily(groups=groups, feature="predicted_label")),
-            (np.array([[9.0, 1.0], [9.0, 7.0], [9.0, 0.5]]), GroupFamily(groups=groups, feature=1)),
-        ):
-            with pytest.raises(CoveringError, match=r"label 0\.5 \(index 2\) is not a finite integer"):
-                membership_matrix(xs, fam)
-            with pytest.raises(CoveringError, match=r"label 0\.5 \(index 2\) is not a finite integer"):
-                enumerate_atoms(xs, fam, np.zeros(3))
+        fam = GroupFamily(groups=(LabelSet(frozenset({0, 1})), LabelSet(frozenset({1, 2}))))
+        with pytest.raises(CoveringError, match=r"label 0\.5 \(index 2\) is not a finite integer"):
+            membership_matrix([1.0, 7.0, 0.5], fam)
+        with pytest.raises(CoveringError, match=r"label 0\.5 \(index 2\) is not a finite integer"):
+            enumerate_atoms([1.0, 7.0, 0.5], fam, np.zeros(3))
+
+    @pytest.mark.parametrize("family", [FOUR_INTERVALS, LABEL_FAMILY], ids=["intervals", "label-sets"])
+    def test_one_covariate_per_point(self, family):
+        """A family reads one scalar per point: vector covariates, whichever
+        column holds a covered value, raise CoveringError."""
+        rows = np.array([[0.5, 1.0], [1.0, 2.0]])
+        for xs in (rows, rows[:, :1], rows[np.newaxis]):
+            with pytest.raises(CoveringError, match="one value per point"):
+                membership_matrix(xs, family)
+            with pytest.raises(CoveringError, match="one value per point"):
+                enumerate_atoms(xs, family, np.zeros(len(xs)))
+        with pytest.raises(CoveringError, match="one value per point"):
+            membership_vector([1.0, 2.0], family)
+        assert membership_matrix(rows[:, 1], family).shape == (2, 4)
 
 
 GRID = (-1.0, 0.0, 0.5, 1.0, 2.0)
 
 
 @st.composite
-def interval_families(draw, feature=0):
+def interval_families(draw):
     """Intervals with endpoints on GRID, each end open or closed."""
     groups = []
     for _ in range(draw(st.integers(1, 5))):
@@ -103,13 +111,13 @@ def interval_families(draw, feature=0):
         # a point interval holds its value only when closed at both ends
         closed = (True, True) if lo == hi else (draw(st.booleans()), draw(st.booleans()))
         groups.append(Interval(lo, hi, *closed))
-    return GroupFamily(groups=tuple(groups), feature=feature)
+    return GroupFamily(groups=tuple(groups))
 
 
 @st.composite
 def label_families(draw):
     sets = draw(st.lists(st.frozensets(st.integers(0, 6), min_size=1), min_size=1, max_size=5))
-    return GroupFamily(groups=tuple(LabelSet(s) for s in sets), feature="predicted_label")
+    return GroupFamily(groups=tuple(LabelSet(s) for s in sets))
 
 
 # exact endpoints, points between and beyond them, and NaN
@@ -146,17 +154,18 @@ class TestMembershipMatchesReference:
         assert_matches_reference(labels, family)
 
     @given(
-        st.integers(0, 2).flatmap(
-            lambda k: st.tuples(
-                interval_families(feature=k),
-                st.lists(st.lists(POINTS, min_size=3, max_size=3), min_size=1, max_size=20),
-            )
-        )
+        interval_families(),
+        st.lists(st.lists(POINTS, min_size=3, max_size=3), min_size=1, max_size=20),
+        st.integers(0, 2),
     )
     @settings(max_examples=100, deadline=None)
-    def test_vector_covariates(self, case):
-        family, rows = case
-        assert_matches_reference(np.array(rows), family)
+    def test_vector_covariates(self, family, rows, k):
+        """Rows of three values raise CoveringError; their column k is read
+        as any scalar covariates are."""
+        rows = np.array(rows)
+        with pytest.raises(CoveringError, match="one value per point"):
+            membership_matrix(rows, family)
+        assert_matches_reference(rows[:, k], family)
 
 
 def assert_client_order(xs, family, scores):
@@ -291,8 +300,60 @@ class TestAtomsMatchReference:
     def test_vector_covariates_and_many_rows(self):
         rng = np.random.default_rng(0)
         xs = np.column_stack([rng.normal(size=20_000), rng.uniform(0, 35.5, 20_000)])
-        fam = GroupFamily(groups=WIDE_FAMILY.groups, feature=1)
-        assert_client_order(xs, fam, np.round(rng.normal(size=20_000), 1))
+        scores = np.round(rng.normal(size=20_000), 1)
+        with pytest.raises(CoveringError, match="one value per point"):
+            enumerate_atoms(xs, WIDE_FAMILY, scores)
+        assert_client_order(xs[:, 1], WIDE_FAMILY, scores)
+
+
+# the schema's keys, near misses of them, and the removed ``feature``
+KEYS = st.sampled_from(
+    ["kind", "groups", "lo", "hi", "lo_closed", "hi_closed", "feature", "Kind", "group", "hi_closd", "lo "]
+)
+NUMBERS = st.one_of(
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([10**400, -(10**400), 2**64]),
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    NUMBERS,
+    st.sampled_from(["intervals", "label_sets", "predicted_label", "0", "NaN"]),
+    st.text(max_size=4),
+)
+JSON_VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=5), max_leaves=20
+)
+INTERVALS = st.builds(
+    lambda a, b, closed: {"lo": min(a, b), "hi": max(a, b), **closed},
+    NUMBERS,
+    NUMBERS,
+    st.fixed_dictionaries({}, optional={"lo_closed": st.booleans(), "hi_closed": st.booleans()}),
+)
+NEAR_INTERVALS = st.fixed_dictionaries(
+    {"lo": SCALARS, "hi": NUMBERS},
+    optional={"lo_closed": SCALARS, "hi_closd": st.booleans(), "feature": SCALARS},
+)
+LABELS = st.lists(st.one_of(st.integers(-2, 9), st.booleans(), st.sampled_from([10**400, 0.5])), max_size=4)
+FAMILIES = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("intervals"), "groups": st.lists(INTERVALS, max_size=4)}),
+    st.fixed_dictionaries({"kind": st.just("label_sets"), "groups": st.lists(LABELS, max_size=4)}),
+    st.fixed_dictionaries(
+        {
+            "kind": st.sampled_from(["intervals", "label_sets", "polygons"]),
+            "groups": st.lists(st.one_of(INTERVALS, NEAR_INTERVALS, LABELS, JSON_VALUES), max_size=4),
+        },
+        optional={"feature": SCALARS, "comment": JSON_VALUES},
+    ),
+)
+# json.dumps writes NaN, Infinity and -Infinity, which the parser reads back
+FAMILY_TEXT = st.one_of(
+    FAMILIES.map(json.dumps),
+    JSON_VALUES.map(json.dumps),
+    st.integers(1, 3_000).map(lambda depth: "[" * depth + "]" * depth),
+    st.text(alphabet='{}[]":,0123456789.eE-+ tfnul', max_size=30),
+)
 
 
 class TestConfig:
@@ -309,11 +370,13 @@ class TestConfig:
 
     def test_explicit_schema(self):
         fam = family_from_json(
-            '{"kind": "intervals", "feature": 0, "groups":'
-            ' [{"lo": 0, "hi": 2}, {"lo": 1, "hi": 3, "hi_closed": false}]}'
+            '{"kind": "intervals", "groups":'
+            ' [{"lo": 0, "hi": 2}, {"lo": 1, "hi": 3, "hi_closed": false},'
+            ' {"lo": 2, "hi": 4, "lo_closed": false, "hi_closed": true}]}'
         )
-        assert fam.groups[0] == Interval(0.0, 2.0)
-        assert fam.groups[1].hi_closed is False
+        assert fam.groups == (
+            Interval(0.0, 2.0), Interval(1.0, 3.0, hi_closed=False), Interval(2.0, 4.0, lo_closed=False)
+        )
 
     def test_malformed(self):
         with pytest.raises(FamilyConfigError):
@@ -337,22 +400,46 @@ class TestConfig:
             '{"kind": "intervals", "groups": [{"lo": 0, "hi": true}]}',
             '{"kind": "label_sets", "groups": [[false, true]]}',
             '{"kind": "label_sets", "groups": [[0, 1], [true]]}',
-            '{"kind": "intervals", "feature": "abc", "groups": [{"lo": 0, "hi": 1}]}',
-            '{"kind": "intervals", "feature": 1.5, "groups": [{"lo": 0, "hi": 1}]}',
-            '{"kind": "intervals", "feature": true, "groups": [{"lo": 0, "hi": 1}]}',
-            '{"kind": "intervals", "feature": null, "groups": [{"lo": 0, "hi": 1}]}',
-            '{"kind": "label_sets", "feature": 0, "groups": [[0, 1]]}',
-            '{"kind": "label_sets", "feature": "label", "groups": [[0, 1]]}',
+            # exactly the keys a family reads: no feature, no misspelling
+            '{"kind": "intervals", "feature": 0, "groups": [{"lo": 0, "hi": 1}]}',
+            '{"kind": "intervals", "feature": 3, "groups": [{"lo": 0, "hi": 1}]}',
+            '{"kind": "label_sets", "feature": "predicted_label", "groups": [[0, 1]]}',
+            '{"kind": "intervals", "groups": [{"lo": 0, "hi": 5, "hi_closd": false}]}',
+            '{"kind": "intervals", "groups": [{"lo": 0, "hi": 5, "feature": 0}]}',
+            '{"kind": "intervals", "groups": [{"lo": 0, "hi": 1}], "comment": ""}',
+            '{"kind": "intervals"}',
+            '[{"lo": 0, "hi": 1}]',
+            # a bound no float holds
+            '{"kind": "intervals", "groups": [{"lo": 0, "hi": 1' + "0" * 400 + '}]}',
+            '{"kind": "intervals", "groups": [{"lo": -1' + "0" * 400 + ', "hi": 0}]}',
         ):
             with pytest.raises(FamilyConfigError):
                 family_from_json(bad)
-        assert family_from_json('{"kind": "intervals", "feature": 1, "groups": [{"lo": 0, "hi": 1}]}').feature == 1
-        labels = family_from_json('{"kind": "label_sets", "feature": "predicted_label", "groups": [[0]]}')
-        assert labels.feature == "predicted_label"
         point = family_from_json('{"kind": "intervals", "groups": [{"lo": 1, "hi": 1}]}')
         assert point.groups == (Interval(1.0, 1.0),)
         unbounded = family_from_json('{"kind": "intervals", "groups": [{"lo": -Infinity, "hi": Infinity}]}')
         assert unbounded.groups == (Interval(-np.inf, np.inf),)
+
+    @given(FAMILY_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_parses_or_raises_family_config_error(self, text):
+        """Whatever the text, family_from_json returns a family or raises
+        FamilyConfigError, never another error."""
+        try:
+            family = family_from_json(text)
+        except FamilyConfigError:
+            event("rejected")
+            return
+        event("parsed")
+        obj = json.loads(text)
+        assert obj.keys() == {"kind", "groups"} and len(family) == len(obj["groups"])
+        kind = Interval if obj["kind"] == "intervals" else LabelSet
+        assert all(isinstance(g, kind) for g in family.groups)
+
+    def test_deep_nesting(self):
+        # the JSON decoder runs out of stack, which is no error of the caller's
+        with pytest.raises(FamilyConfigError, match="malformed family configuration"):
+            family_from_json("[" * 100_000)
 
     def test_empty_family_rejected(self):
         with pytest.raises(FamilyConfigError):

@@ -163,7 +163,6 @@ class TestIngestExperiment:
                 LabelSet(frozenset(range(0, 4))),
                 LabelSet(frozenset(range(2, 6))),
             ),
-            feature="predicted_label",
         )
         config = ExperimentConfig(
             calibrators=("centralized_cp", "gcfcp_coreset"),
@@ -182,7 +181,6 @@ class TestIngestExperiment:
     def test_tiny_alpha_label_set_holds_every_label(self):
         family = GroupFamily(
             groups=(LabelSet(frozenset(range(0, 4))), LabelSet(frozenset(range(2, 6)))),
-            feature="predicted_label",
         )
         config = ExperimentConfig(
             calibrators=("centralized_cp", "gcfcp_coreset"), alpha=0.001, delta=50.0, family=family
@@ -198,7 +196,6 @@ class TestIngestExperiment:
         # no predicted label reaches the second group, so it has no mass
         family = GroupFamily(
             groups=(LabelSet(frozenset(range(6))), LabelSet(frozenset({7}))),
-            feature="predicted_label",
         )
         config = ExperimentConfig(
             calibrators=("gcfcp_coreset",),
