@@ -331,9 +331,9 @@ def server_assemble(messages: Sequence[ClientMessage], family: GroupFamily) -> t
 
     Checks the round (see the module docstring) and merges it in one sketch
     pass at the first message's delta over the ``cluster_weights``, one
-    segment per atom whose total adds each client's sequential sum of the
-    atom's weights in message order. The test weight is sum_k pi_k / (n_k + 1)
-    over the headers, in message order.
+    segment per atom whose total adds each client's sum of the atom's weights
+    in message order. The test weight is sum_k pi_k / (n_k + 1) over the
+    headers, in message order.
     """
     if not messages:
         raise ProtocolError("server received no messages")
@@ -356,8 +356,7 @@ def server_assemble(messages: Sequence[ClientMessage], family: GroupFamily) -> t
             )
         if any(len(atom) != d for atom in m.atoms):
             raise ProtocolError(f"client {m.client_id} sent atoms of another length than {d}")
-        ends = np.cumsum(m.counts, dtype=np.int64).tolist()
-        sums = [float(w[end - c : end].cumsum()[-1]) for c, end in zip(m.counts, ends)]
+        sums = np.add.reduceat(w, np.cumsum((0, *m.counts[:-1]))).tolist() if m.counts else []
         mass = sum(sums)
         expected = m.pi * m.n / (m.n + 1)
         if not abs(mass - expected) <= _WEIGHT_TOL * expected:

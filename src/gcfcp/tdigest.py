@@ -15,14 +15,15 @@ federation client sketches all its atoms with one call, and the server merges
 a round with one more. ``build_digest_arrays`` and ``merge`` are one segment.
 Its caller sorts the samples by (segment, value): the order among tied values
 moves cumulative weights and cluster edges unless the tied samples weigh the
-same, so ``build_digest_arrays`` and ``merge`` sort stably. A client, whose
-samples all weigh the same, passes that weight as one float: the running sum
-of one ``uniform_table``, summed left to right as ``np.cumsum`` sums each
-segment, then gives every sample's scale position, every step of the running
-mean and every cluster's weight, with the bits of the per-sample array. Such a
-cluster's weight is the table's entry at its sample count less one, so the
-pass returns the counts, and the federation server reads the weights from the
-same table.
+same, so ``build_digest_arrays`` and ``merge`` sort stably. Each cluster's
+mean is its samples' share-weighted sum (a sample's share is its weight over
+the cluster's), clamped to the range of their values. A client, whose samples
+all weigh the same, passes that weight as one float: the running sum of one
+``uniform_table``, summed left to right as ``np.cumsum`` sums each segment,
+gives every sample's scale position with the bits of the per-sample array, and
+every share is one over the cluster's sample count. Such a cluster's weight is
+the table's entry at its sample count less one, so the pass returns the
+counts, and the federation server reads the weights from the same table.
 
 Each segment finds its cluster starts by the greedy rule in a loop over its
 samples, except that a segment longer than ``_WALK_AFTER * delta`` whose scale
@@ -166,9 +167,11 @@ def _build_segments(v: np.ndarray, w, delta: float, sizes, totals):
     samples and weight; its clusters equal a build on it alone.
 
     ``w`` holds each sample's weight, or is one float that every sample
-    weighs: then one ``uniform_table`` serves every segment and cluster, and
-    each cluster's sample count stands in for its weight, which is
-    ``uniform_table(w, count)[count - 1]``.
+    weighs: then one ``uniform_table`` serves every segment, and each
+    cluster's sample count stands in for its weight, which is
+    ``uniform_table(w, count)[count - 1]``. A cluster's mean is one segmented
+    sum of its samples' share-weighted values, clamped to their range: so a
+    cluster of equal values, a singleton among them, keeps that value.
     """
     if v.size == 0:
         raise DigestError("cannot build a digest from zero samples")
@@ -193,29 +196,16 @@ def _build_segments(v: np.ndarray, w, delta: float, sizes, totals):
     # an empty segment starts no cluster
     starts = _cluster_starts(r, delta, np.append(bounds[:-1][sizes > 0], v.size))
     lengths = np.diff(np.append(starts, v.size))
-    # Incremental weighted mean (bounds rounding drift over merge chains),
-    # one step per position within a cluster across all clusters that long.
-    # Longest clusters first, so the clusters still absorbing form a prefix.
-    by_len = np.argsort(-lengths, kind="stable")
-    first = starts[by_len]
-    longer = np.searchsorted(-lengths[by_len], -np.arange(1, lengths.max()), side="left")
-    cur_mean = v[first]
-    back = np.argsort(by_len)
     counts = np.diff(np.searchsorted(starts, bounds))
     if uniform:
-        # step j's factor w / (weight of j + 1 samples), as the array path's
-        factors = (w / table[: lengths.max()]).tolist()
-        for j, k in enumerate(longer.tolist(), start=1):
-            cur_mean[:k] += factors[j] * (v[first[:k] + j] - cur_mean[:k])
-        return cur_mean[back], lengths, counts
-    cur_w = w[first]
-    for j, k in enumerate(longer.tolist(), start=1):
-        pos = first[:k] + j
-        wj = w[pos]
-        cw = cur_w[:k]
-        cw += wj
-        cur_mean[:k] += (wj / cw) * (v[pos] - cur_mean[:k])
-    return cur_mean[back], cur_w[back], counts
+        weights, share = lengths, np.repeat(1.0 / lengths, lengths)
+    else:
+        weights = np.add.reduceat(w, starts)
+        share = w / np.repeat(weights, lengths)
+    # a sum that rounds past float range is clamped back into the cluster's range
+    with np.errstate(over="ignore"):
+        means = np.add.reduceat(share * v, starts)
+    return np.clip(means, v[starts], v[starts + lengths - 1]), weights, counts
 
 
 def _build_one(values: np.ndarray, weights: np.ndarray, delta: float, total: float) -> Digest:

@@ -7,15 +7,20 @@ verdict is visible even when the tests succeed.
 
 import csv
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 from reference import pinball_loss
 
+from gcfcp import tdigest
 from gcfcp.groups import GroupFamily, LabelSet, membership_matrix
 from gcfcp.pinball import AugmentedQrSolver
 
 ACCEPTANCE_RESULTS: list[str] = []
+# how far the library's cluster sums may lie from the exact ones: see
+# reference.reference_clusters
+SUM_TOL = 8.0 * np.finfo(float).eps
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -154,3 +159,31 @@ def export_scores(records, path):
                     *(repr(float(s)) for s in r.label_scores),
                 ]
             )
+
+
+@contextmanager
+def recorded_cluster_sizes():
+    """Within the block, every sketch pass appends its clusters' sample
+    counts, in the order it returns them, to the list it yields."""
+    passes, cluster_starts = [], tdigest._cluster_starts
+
+    def record(r, delta, bounds):
+        starts = cluster_starts(r, delta, bounds)
+        passes.append(np.diff(np.append(starts, r.size)).tolist())
+        return starts
+
+    tdigest._cluster_starts = record
+    try:
+        yield passes
+    finally:
+        tdigest._cluster_starts = cluster_starts
+
+
+def assert_close_to_reference(ref, means, weights=None):
+    """Means within SUM_TOL of their cluster's reach, and weights (if
+    given) within SUM_TOL of themselves, of the exact ``reference_clusters``
+    ``ref``."""
+    ref_means, ref_weights, _, reach, _ = ref
+    assert np.all(np.abs(means - ref_means) <= SUM_TOL * reach)
+    if weights is not None:
+        assert np.all(np.abs(weights - ref_weights) <= SUM_TOL * ref_weights)

@@ -31,7 +31,15 @@ from gcfcp.federation import (
 from gcfcp.federation import test_term_weight as term_weight
 from gcfcp.groups import SINGLE_GROUP, enumerate_atoms, interval_family
 from gcfcp.tdigest import Digest, _build_segments
-from reference import approx_quantile, count_width, reference_line, reference_round
+from conftest import SUM_TOL, assert_close_to_reference, recorded_cluster_sizes
+from reference import (
+    approx_quantile,
+    count_width,
+    reference_clusters,
+    reference_line,
+    reference_round,
+    uniform_weight,
+)
 
 FOUR_INTERVALS = interval_family([(0, 2), (1, 3), (2, 4), (3, 5)])
 FINGERPRINT = hashlib.sha256(repr(FOUR_INTERVALS).encode("utf-8")).hexdigest()[:16]
@@ -448,12 +456,20 @@ class TestWireProperties:
         if not (n and pi):
             assert back.atoms == () and back.sizes.size == 0
             return
+        # the array path's cluster edges; means within the loop's bound;
+        # and as weights the one-by-one sums of the clusters' sample weights
         order, _, rows = enumerate_atoms(ds.covariates, FOUR_INTERVALS, ds.scores)
         w = ds.sample_weight
-        means, weights, counts = _build_segments(ds.scores[order], np.full(n, w), delta, rows, rows * w)
+        with recorded_cluster_sizes() as passes:
+            _, _, counts = _build_segments(ds.scores[order], np.full(n, w), delta, rows, rows * w)
         assert back.counts == tuple(counts.tolist())
-        assert back.means.tobytes() == means.tobytes()
-        assert weights_of(back).tobytes() == weights.tobytes()
+        assert back.sizes.tolist() == passes[0]
+        ends = np.cumsum(rows)
+        scores = ds.scores[order]
+        for a, b, means in zip(ends - rows, ends, np.split(back.means, np.cumsum(back.counts)[:-1])):
+            ref = reference_clusters(scores[a:b], np.full(b - a, w), delta, total=(b - a) * w)
+            assert_close_to_reference(ref, means)
+        assert weights_of(back).tolist() == [uniform_weight(w, size) for size in back.sizes.tolist()]
 
     @given(line=CLIENT_LINES, cut=st.floats(0.0, 1.0, exclude_max=True))
     @settings(max_examples=100, deadline=None)
@@ -551,9 +567,10 @@ class TestWireProperties:
 
 class TestServer:
     def test_atom_total_sums_each_client_in_turn(self):
-        # each client's weights are summed in order, then the clients in
-        # message order: 0.7333333333333334 here, where one sum over all rows
-        # in message order, and math.fsum, read 0.7333333333333333
+        # each client's weights are summed (in order, for so few), then the
+        # clients in message order: 0.7333333333333334 here, where one sum
+        # over all rows in message order, and math.fsum, read
+        # 0.7333333333333333
         lines = [
             crafted([[(0.0, 1), (1.0, 1)]], client_id=1, pi=0.65),
             crafted([[(0.5, 1), (1.5, 1), (2.5, 4)]], client_id=2, pi=0.35),
@@ -748,32 +765,44 @@ FEDERATIONS = {
 }
 
 
-def assert_round_is_bit_identical_to_loop_reference(datasets, family, delta):
-    ref_lines, ref_entries, ref_per_atom = reference_round(datasets, family, delta)
-
+def assert_round_matches_loop_reference(datasets, family, delta):
+    """The round against ``reference_round``: every wire line but its
+    means, and every cluster edge, bit for bit; each cluster's mean, the
+    server's weights and each atom's total within the reference's bound of
+    the exact sums."""
+    with recorded_cluster_sizes() as passes:
+        round_ = run_round(datasets, family, delta)
     lines = [message_to_json(client_build_messages(ds, family, delta)) for ds in datasets]
-    assert lines == ref_lines
-    round_ = run_round(datasets, family, delta)
-    assert [message_to_json(m) for m in round_.messages] == ref_lines
-    assert round_.wire_bytes == sum(len(line.encode("utf-8")) for line in ref_lines)
+    assert list(round_.lines) == lines
+    assert [message_to_json(m) for m in round_.messages] == lines
+    assert round_.wire_bytes == sum(len(line.encode("utf-8")) for line in lines)
     assert round_.test_weight == sum(ds.pi / (ds.n + 1) for ds in datasets)
 
+    digests = round_.coreset.per_atom_digests
+    totals = {atom: digest.total_weight for atom, digest in digests.items()}
+    ref_lines, clients, ref_per_atom = reference_round(datasets, family, delta, lines, totals)
+    assert lines == ref_lines
+    for message, refs in zip(round_.messages, clients):
+        ends = np.cumsum(message.counts, dtype=int)
+        for ref, means in zip(refs, np.split(message.means, ends[:-1])):
+            assert_close_to_reference(ref, means)
+
+    assert list(digests) == list(ref_per_atom)
+    assert passes[-1] == [size for ref, _ in ref_per_atom.values() for size in ref[2]]
+    for atom, (ref, exact_total) in ref_per_atom.items():
+        assert_close_to_reference(ref, digests[atom].means(), digests[atom].weights())
+        assert abs(totals[atom] - exact_total) <= SUM_TOL * exact_total
     entries = round_.coreset.entries
-    assert list(
-        zip(map(tuple, entries["atom"].tolist()), entries["mean"].tolist(), entries["weight"].tolist())
-    ) == ref_entries
-    assert list(round_.coreset.per_atom_digests) == list(ref_per_atom)
-    for atom, (means, weights, total) in ref_per_atom.items():
-        digest = round_.coreset.per_atom_digests[atom]
-        assert np.array_equal(digest.means(), means)
-        assert np.array_equal(digest.weights(), weights)
-        assert digest.total_weight == total
+    atoms = [atom for atom, digest in digests.items() for _ in range(len(digest))]
+    assert list(map(tuple, entries["atom"].tolist())) == atoms
+    assert entries["mean"].tobytes() == np.concatenate([d.means() for d in digests.values()]).tobytes()
+    assert entries["weight"].tobytes() == np.concatenate([d.weights() for d in digests.values()]).tobytes()
 
     data = CalibrationData.from_coreset(round_.coreset, round_.test_weight)
     ref_data = CalibrationData(
-        np.array([atom for atom, _, _ in ref_entries], dtype=float),
-        np.array([m for _, m, _ in ref_entries]),
-        np.array([w for _, _, w in ref_entries]),
+        np.array(atoms, dtype=float),
+        np.array(entries["mean"].tolist()),
+        np.array(entries["weight"].tolist()),
         sum(ds.pi / (ds.n + 1) for ds in datasets),
     )
     for pattern in list(ref_per_atom)[:2]:
@@ -784,7 +813,7 @@ def assert_round_is_bit_identical_to_loop_reference(datasets, family, delta):
 @pytest.mark.parametrize("name", sorted(FEDERATIONS))
 def test_round_is_bit_identical_to_loop_reference(name):
     make, family, delta = FEDERATIONS[name]
-    assert_round_is_bit_identical_to_loop_reference(make(), family, delta)
+    assert_round_matches_loop_reference(make(), family, delta)
 
 
 def test_server_keeps_message_order_among_tied_means():
@@ -796,11 +825,38 @@ def test_server_keeps_message_order_among_tied_means():
         ClientDataset(k, np.zeros(n), rng.integers(0, 4, n).astype(float), pi)
         for k, (n, pi) in enumerate(((30, 0.5), (7, 0.3), (120, 0.2)), start=1)
     ]
-    forward = assert_round_is_bit_identical_to_loop_reference(datasets, SINGLE_GROUP, 25.0)
-    backward = assert_round_is_bit_identical_to_loop_reference(datasets[::-1], SINGLE_GROUP, 25.0)
+    forward = assert_round_matches_loop_reference(datasets, SINGLE_GROUP, 25.0)
+    backward = assert_round_matches_loop_reference(datasets[::-1], SINGLE_GROUP, 25.0)
     assert set(forward.messages[0].means) & set(forward.messages[1].means) & set(forward.messages[2].means)
     assert not np.array_equal(forward.coreset.entries["weight"], backward.coreset.entries["weight"])
 
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 2000), min_size=1, max_size=3),
+    kind=st.sampled_from(["one decimal", "integer"]),
+    delta=st.sampled_from([5.0, 25.0, 250.0]),
+)
+@settings(max_examples=100, deadline=None)
+def test_tied_scores_keep_each_mean_within_its_cluster(seed, sizes, kind, delta):
+    # runs of tied scores straddle cluster edges and fill whole clusters:
+    # every mean lies within its cluster's first and last score, so every
+    # client's line decodes with ascending means, and a cluster of equal
+    # scores keeps that score (the sign of a zero aside)
+    rng = np.random.default_rng(seed)
+    datasets = []
+    for k, n in enumerate(sizes, start=1):
+        scores = 3.0 * rng.normal(size=n)
+        scores = np.round(scores, 1) if kind == "one decimal" else np.round(scores)
+        datasets.append(ClientDataset(k, rng.uniform(0, 5, n), scores, 1.0 / len(sizes)))
+    round_ = run_round(datasets, FOUR_INTERVALS, delta)
+    for ds, message in zip(datasets, round_.messages):
+        order, _, _ = enumerate_atoms(ds.covariates, FOUR_INTERVALS, ds.scores)
+        ends = np.cumsum(message.sizes)
+        first, last = ds.scores[order][ends - message.sizes], ds.scores[order][ends - 1]
+        assert np.all((first <= message.means) & (message.means <= last))
+        equal = first == last
+        assert np.array_equal(message.means[equal], first[equal])
 
 
 def test_readme_wire_format_matches_the_codec():

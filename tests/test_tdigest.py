@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from gcfcp import tdigest
 from gcfcp.federation import ClientMessage, ProtocolError, cluster_weights, message_from_json, message_to_json
+from conftest import assert_close_to_reference, recorded_cluster_sizes
 from reference import (
     approx_cdf,
     approx_quantile,
     max_cluster_mass,
-    reference_build,
+    reference_clusters,
     reference_line,
     reference_merge,
     scale,
@@ -306,12 +307,15 @@ class TestSerialization:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(6)
         values = rng.normal(size=500)
-        d = build(values, 50.0, weights=np.full(500, 1.0 / 501))
+        w = 1.0 / 501
+        means, sizes, _ = tdigest._build_segments(np.sort(values), w, 50.0, [500], [500 * w])
         back = from_wire(to_wire(values, 50.0))
-        assert np.array_equal(back.means, d.means())
-        # the weights rebuilt from the sample counts are the array path's
-        assert cluster_weights([back])[0].tobytes() == d.weights().tobytes()
-        assert back.delta == d.compression
+        assert back.means.tobytes() == means.tobytes()
+        assert back.sizes.tolist() == sizes.tolist()
+        # the weights rebuilt from the sample counts are the sketch's table entries
+        table = tdigest.uniform_table(w, sizes.max())
+        assert cluster_weights([back])[0].tobytes() == table[sizes - 1].tobytes()
+        assert back.delta == 50.0
         assert message_to_json(back) == to_wire(values, 50.0)
 
     def test_wire_shape(self):
@@ -389,11 +393,20 @@ class TestDigestArrays:
         assert a != Digest(means=[1.0], weights=[2.0], compression=25.0, total_weight=2.0)
 
 
-def assert_matches(digest, ref):
-    means, weights, total = ref
-    assert np.array_equal(digest.means(), means)
-    assert np.array_equal(digest.weights(), weights)
-    assert digest.total_weight == total
+def with_sizes(make, *args):
+    """``make(*args)``, and the sample counts of the clusters of the one
+    sketch pass it runs."""
+    with recorded_cluster_sizes() as passes:
+        digest = make(*args)
+    (sizes,) = passes
+    return digest, sizes
+
+
+def assert_matches(digest, sizes, ref):
+    """The loop's cluster edges and total, and sums within its bound."""
+    assert sizes == ref[2]
+    assert digest.total_weight == ref[4]
+    assert_close_to_reference(ref, digest.means(), digest.weights())
 
 
 def random_samples(seed, n, ties, weight_kind):
@@ -423,8 +436,8 @@ class TestMatchesReferenceLoop:
     @settings(max_examples=120, deadline=None)
     def test_build(self, n, seed, ties, weight_kind, delta):
         values, weights = random_samples(seed, n, ties, weight_kind)
-        digest = tdigest.build_digest_arrays(values, weights, delta)
-        assert_matches(digest, reference_build(values, weights, delta))
+        digest, sizes = with_sizes(build_digest_arrays, values, weights, delta)
+        assert_matches(digest, sizes, reference_clusters(values, weights, delta))
 
     @given(
         sizes=st.lists(st.integers(1, 600), min_size=1, max_size=6),
@@ -432,35 +445,40 @@ class TestMatchesReferenceLoop:
     )
     @settings(max_examples=60, deadline=None)
     def test_merge_chain(self, sizes, seed, ties, weight_kind, delta):
-        digests, refs = [], []
+        digests = []
         for k, n in enumerate(sizes):
             values, weights = random_samples(seed + k, n, ties, weight_kind)
-            digests.append(tdigest.build_digest_arrays(values, weights, delta))
-            refs.append(reference_build(values, weights, delta))
-            assert_matches(digests[-1], refs[-1])
-        # one multi-way merge, then a left-to-right chain of pairwise merges
-        assert_matches(merge(digests, delta), reference_merge(refs, delta))
-        chain, chain_ref = digests[0], refs[0]
-        for d, ref in zip(digests[1:], refs[1:]):
-            chain = merge([chain, d], delta)
-            chain_ref = reference_merge([chain_ref, ref], delta)
-            assert_matches(chain, chain_ref)
+            digest, cl_sizes = with_sizes(build_digest_arrays, values, weights, delta)
+            assert_matches(digest, cl_sizes, reference_clusters(values, weights, delta))
+            digests.append(digest)
+        # one multi-way merge, then a left-to-right chain of pairwise merges,
+        # each against the loop on the same digests
+        assert_matches(*with_sizes(merge, digests, delta), reference_merge(digests, delta))
+        chain = digests[0]
+        for d in digests[1:]:
+            pair = [chain, d]
+            chain, chain_sizes = with_sizes(merge, pair, delta)
+            assert_matches(chain, chain_sizes, reference_merge(pair, delta))
 
     def test_merge_chain_drift(self):
-        # 60 pairwise merges, left to right, each side merging its own
-        # results: tied values and weights over ten orders of magnitude move
-        # no cluster edge and no bit of the means and weights
+        # 60 pairwise merges, left to right, each merging its own last
+        # result: over tied values and weights over ten orders of magnitude,
+        # every merge keeps the loop's cluster edges on its inputs, and its
+        # sums stay within the loop's bound
         rng = np.random.default_rng(8)
         for delta in (5.0, 25.0, 250.0):
             for ties, weight_kind in ((False, "uniform"), (True, "unit"), (True, "spread")):
-                chain = chain_ref = None
+                chain = None
                 for _ in range(61):
                     n = int(rng.integers(50, 400))
                     values, weights = random_samples(int(rng.integers(2**32)), n, ties, weight_kind)
-                    d, ref = build_digest_arrays(values, weights, delta), reference_build(values, weights, delta)
-                    chain = d if chain is None else merge([chain, d], delta)
-                    chain_ref = ref if chain_ref is None else reference_merge([chain_ref, ref], delta)
-                    assert_matches(chain, chain_ref)
+                    d = build_digest_arrays(values, weights, delta)
+                    if chain is None:
+                        chain = d
+                        continue
+                    pair = [chain, d]
+                    chain, sizes = with_sizes(merge, pair, delta)
+                    assert_matches(chain, sizes, reference_merge(pair, delta))
 
     def test_tiny_weight_increments(self):
         # weights far below one ulp of the running total leave q (and r)
@@ -469,19 +487,28 @@ class TestMatchesReferenceLoop:
         for delta in (2.0, 5.0, 25.0, 250.0):
             values = np.round(rng.random(2000), 2)
             weights = 10.0 ** rng.uniform(-18.0, 0.0, 2000)
-            digest = tdigest.build_digest_arrays(values, weights, delta)
-            assert_matches(digest, reference_build(values, weights, delta))
+            digest, sizes = with_sizes(build_digest_arrays, values, weights, delta)
+            assert_matches(digest, sizes, reference_clusters(values, weights, delta))
 
     def test_extreme_values_keep_finite_means(self):
-        # a sum of the products w * v would overflow here; the running mean
-        # never leaves the range of its samples
+        # a sum of the products w * v would overflow here, so the sum is of
+        # the shares w / W times v; even that sum can round past the float
+        # range (eleven samples of the float maximum do), and the clamp to
+        # the cluster's range brings it back, on the array path and with one
+        # float weight alike
+        top = np.finfo(float).max
         for values, weights, mean in (
             ([-1e300, 1e300], [1e10, 1e10], 0.0),
             ([1e308, 1.5e308], [1.0, 1.0], 1.25e308),
+            ([top] * 11, [1.0] * 11, top),
+            ([-top] * 11, [1.0] * 11, -top),
         ):
-            digest = tdigest.build_digest_arrays(values, weights, 2.0)
+            digest, sizes = with_sizes(build_digest_arrays, values, weights, 2.0)
             assert digest.means().tolist() == [mean]
-            assert_matches(digest, reference_build(values, weights, 2.0))
+            assert_matches(digest, sizes, reference_clusters(values, weights, 2.0))
+            n = len(values)
+            means, _, _ = tdigest._build_segments(np.sort(values), weights[0], 2.0, [n], [n * weights[0]])
+            assert means.tolist() == [mean]
 
     @given(
         st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=50),
@@ -553,22 +580,25 @@ class TestMatchesReferenceLoop:
     )
     @settings(max_examples=80, deadline=None)
     def test_float_weight_matches_array_of_it(self, n, segment_count, seed, ties, weight, delta):
-        # one float weight gives the bits of an array holding it n times, on
-        # segments both shorter and longer than the walk's cutoff: the means,
-        # the cluster counts, and as weights the table entries at the
-        # clusters' sample counts
+        # one float weight forms the clusters of an array holding it n times,
+        # on segments both shorter and longer than the walk's cutoff: the
+        # same sample and cluster counts, and means within the loop's bound
         values, _ = random_samples(seed, n, ties, "unit")
         segments = np.random.default_rng(seed + 1).integers(0, segment_count, n)
         order = np.lexsort((values, segments))
         sizes = np.bincount(segments, minlength=segment_count)
         totals = sizes * weight
-        means, lengths, counts = tdigest._build_segments(values[order], weight, delta, sizes, totals)
-        want = tdigest._build_segments(values[order], np.full(n, weight), delta, sizes, totals)
-        weights = tdigest.uniform_table(weight, lengths.max())[lengths - 1]
-        for a, b in zip((means, weights, counts), want):
-            assert a.tobytes() == b.tobytes()
-        owner = np.repeat(np.arange(segment_count), counts)
-        assert np.bincount(owner, lengths, minlength=segment_count).tolist() == sizes.tolist()
+        with recorded_cluster_sizes() as passes:
+            means, lengths, counts = tdigest._build_segments(values[order], weight, delta, sizes, totals)
+            _, _, array_counts = tdigest._build_segments(values[order], np.full(n, weight), delta, sizes, totals)
+        assert passes[0] == passes[1] == lengths.tolist()
+        assert counts.tolist() == array_counts.tolist()
+        ends = np.cumsum(counts)
+        for k, (count, end) in enumerate(zip(counts.tolist(), ends.tolist())):
+            if sizes[k]:
+                ref = reference_clusters(values[segments == k], np.full(sizes[k], weight), delta, total=totals[k])
+                assert lengths[end - count : end].tolist() == ref[2]
+                assert_close_to_reference(ref, means[end - count : end])
 
     @given(
         n=st.integers(1, 2000),
