@@ -1,10 +1,10 @@
 """Simulated one-shot client/server protocol.
 
 Each client sketches its local scores in one pass, one segment per non-empty
-atom, with uniform per-sample weight pi_k / (n_k + 1), and sends one wire
-line. It sketches its scores in ``enumerate_atoms`` order, tied scores in any
-order: every score weighs the same, so their order changes no bit of the
-sketch. The line is a JSON object with the header fields
+atom, every score at unit weight, and sends one wire line. It sketches its
+scores in ``enumerate_atoms`` order, tied scores in any order: every score
+weighs the same, so their order changes no bit of the sketch. The line is a
+JSON object with the header fields
 
     client_id  int     the client's id, unique within the round
     n          int     n_k, the number of the client's scores
@@ -19,11 +19,9 @@ and one payload field, ``data``: the base64 of all the client's cluster
 means as little-endian float64 (atom after atom, ascending within an atom),
 then each cluster's sample count in the same order, as little-endian unsigned
 integers of the smallest of 1, 2, 4 or 8 bytes that holds n_k. Every score of
-a client weighs w = pi_k / (n_k + 1), and a cluster of L scores weighs
-``uniform_table(w, L)[L - 1]``, the sketch's own running sum, so the count and
-the header give each weight bit for bit. A client without scores, or with
-pi_k = 0, sends the header with no atoms and empty data. Means survive the
-wire bit for bit.
+a client weighs w = pi_k / (n_k + 1), so a cluster of L scores weighs L * w,
+rounded once. A client without scores, or with pi_k = 0, sends the header
+with no atoms and empty data. Means survive the wire bit for bit.
 
 The client's sketch raises DigestError on a compression that is not finite
 and at least 2. ``message_from_json`` checks each line on its own and raises
@@ -34,15 +32,11 @@ mismatch, a non-finite mean, means out of order within an atom, a count of
 pi_k / (n_k + 1) of 0. ``server_assemble`` checks the round: it raises
 ProtocolError on a repeated client, a family fingerprint or atom length other
 than the round's, a delta other than the first message's, mixture weights
-that do not sum to 1, and a client whose cluster weights do not sum to
-pi_k n_k / (n_k + 1). It rebuilds the weights with ``cluster_weights``: one
-table per distinct sample weight in the round, as long as the largest count
-it received. A sketch keeps that count at or below sin(pi/delta) n_k + 1, but
-the table grows with whatever count a line claims, up to its n_k. It takes
-delta from the first header and the test weight sum_k pi_k / (n_k + 1) from
-all of them, and merges every atom across clients in one more sketch pass at
-that delta, whose clusters are the rows of the coreset used by the quantile
-regression.
+that do not sum to 1, and a client whose cluster weights (``cluster_weights``)
+do not sum to pi_k n_k / (n_k + 1). It takes delta from the first header and
+the test weight sum_k pi_k / (n_k + 1) from all of them, and merges every
+atom across clients in one more sketch pass at that delta, whose clusters are
+the rows of the coreset used by the quantile regression.
 That pass sorts the received clusters stably by (atom, mean), which tied means
 from different clients, carrying different weights, leave in message order:
 a radix sort of the atom ids, then per atom a stable sort of the means, which
@@ -64,7 +58,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .groups import AtomKey, GroupFamily, enumerate_atoms
-from .tdigest import Digest, _build_segments, uniform_table
+from .tdigest import Digest, _build_segments
 
 _WEIGHT_TOL = 1e-9
 _MAX_N = 2**53  # every n below it, and every count, is exact as a float
@@ -173,15 +167,15 @@ def client_datasets(client_ids, covariates, scores, pi: Sequence[float] = ()) ->
 def client_build_messages(
     dataset: ClientDataset, family: GroupFamily, delta: float
 ) -> ClientMessage:
-    """The client's one message: one sketch pass with weight pi_k / (n_k + 1)
-    per score and one segment per non-empty atom (none without scores or
-    without mixture weight)."""
+    """The client's one message: one sketch pass with unit weight per score
+    and one segment per non-empty atom (none without scores or without
+    mixture weight), so each cluster's weight is its sample count."""
     atoms, counts, means, sizes = (), (), np.empty(0), np.empty(0, dtype=np.int64)
     if dataset.n and dataset.pi:
         order, bits, rows = enumerate_atoms(dataset.covariates, family, dataset.scores)
-        w = dataset.sample_weight
         scores = np.asarray(dataset.scores, dtype=float)[order]
-        means, sizes, counts = _build_segments(scores, w, delta, rows, rows * w)
+        means, sizes, counts = _build_segments(scores, np.ones(scores.size), delta, rows, rows)
+        sizes = sizes.astype(np.int64)
         atoms, counts = tuple(map(tuple, bits.tolist())), tuple(counts.tolist())
     return ClientMessage(
         client_id=int(dataset.client_id),
@@ -309,21 +303,9 @@ def message_from_json(line: str) -> ClientMessage:
 
 
 def cluster_weights(messages: Sequence[ClientMessage]) -> list[np.ndarray]:
-    """Each message's cluster weights, rebuilt from its sample counts.
-
-    One ``uniform_table`` per distinct sample weight pi_k / (n_k + 1), as long
-    as the largest count received: a cluster of L samples weighs its entry
-    L - 1, bit for bit the weight the client's sketch gave it.
-    """
-    longest = max((int(m.sizes.max()) for m in messages if m.sizes.size), default=0)
-    tables: dict[float, np.ndarray] = {}
-    weights = []
-    for m in messages:
-        w = m.pi / (m.n + 1)
-        if m.sizes.size and w not in tables:
-            tables[w] = uniform_table(w, longest)
-        weights.append(tables[w][m.sizes - 1] if m.sizes.size else np.empty(0))
-    return weights
+    """Each message's cluster weights: a cluster of L samples weighs
+    L * pi_k / (n_k + 1), the exact product rounded once."""
+    return [m.sizes * (m.pi / (m.n + 1)) for m in messages]
 
 
 def server_assemble(messages: Sequence[ClientMessage], family: GroupFamily) -> tuple[Coreset, float]:

@@ -17,13 +17,10 @@ Its caller sorts the samples by (segment, value): the order among tied values
 moves cumulative weights and cluster edges unless the tied samples weigh the
 same, so ``build_digest_arrays`` and ``merge`` sort stably. Each cluster's
 mean is its samples' share-weighted sum (a sample's share is its weight over
-the cluster's), clamped to the range of their values. A client, whose samples
-all weigh the same, passes that weight as one float: the running sum of one
-``uniform_table``, summed left to right as ``np.cumsum`` sums each segment,
-gives every sample's scale position with the bits of the per-sample array, and
-every share is one over the cluster's sample count. Such a cluster's weight is
-the table's entry at its sample count less one, so the pass returns the
-counts, and the federation server reads the weights from the same table.
+the cluster's), clamped to the range of their values. A client, whose scores
+all weigh the same, passes unit weights: its scale positions are then exact
+fractions j / L of the segment's L samples, and each cluster's weight is its
+sample count, which the federation server scales by the client's weight.
 
 Each segment finds its cluster starts by the greedy rule in a loop over its
 samples, except that a segment longer than ``_WALK_AFTER * delta`` whose scale
@@ -155,21 +152,13 @@ def _walk_starts(rs: list[float], a: int, delta: float) -> list[int]:
         left, s = rs[i - 1], i
 
 
-def uniform_table(w: float, length: int) -> np.ndarray:
-    """``table[j]``: the weight of j + 1 samples that each weigh ``w``, summed
-    left to right as ``np.cumsum`` sums each segment of equal weights."""
-    return np.cumsum(np.full(length, float(w)))
-
-
-def _build_segments(v: np.ndarray, w, delta: float, sizes, totals):
+def _build_segments(v: np.ndarray, w: np.ndarray, delta: float, sizes, totals):
     """Cluster means and weights of samples sorted by (segment, value), and
     each segment's cluster count. ``sizes`` and ``totals`` hold each segment's
     samples and weight; its clusters equal a build on it alone.
 
-    ``w`` holds each sample's weight, or is one float that every sample
-    weighs: then one ``uniform_table`` serves every segment, and each
-    cluster's sample count stands in for its weight, which is
-    ``uniform_table(w, count)[count - 1]``. A cluster's mean is one segmented
+    ``w`` holds each sample's weight; a client passes ones, so that each
+    cluster's weight is its sample count. A cluster's mean is one segmented
     sum of its samples' share-weighted values, clamped to their range: so a
     cluster of equal values, a singleton among them, keeps that value.
     """
@@ -183,12 +172,7 @@ def _build_segments(v: np.ndarray, w, delta: float, sizes, totals):
         raise DigestError("sample weights must be positive and finite")
     sizes = np.asarray(sizes)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
-    uniform = np.ndim(w) == 0
-    if uniform:
-        table = uniform_table(w, sizes.max())
-        cum = table[np.arange(v.size) - np.repeat(bounds[:-1], sizes)]
-    else:
-        cum = np.concatenate([np.cumsum(w[a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
+    cum = np.concatenate([np.cumsum(w[a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
     # r[i] = scale at the right boundary after absorbing sample i
     q = np.minimum(cum / np.repeat(np.asarray(totals, dtype=float), sizes), 1.0)
     r = (delta / (2.0 * math.pi)) * np.arcsin(2.0 * q - 1.0)
@@ -197,11 +181,8 @@ def _build_segments(v: np.ndarray, w, delta: float, sizes, totals):
     starts = _cluster_starts(r, delta, np.append(bounds[:-1][sizes > 0], v.size))
     lengths = np.diff(np.append(starts, v.size))
     counts = np.diff(np.searchsorted(starts, bounds))
-    if uniform:
-        weights, share = lengths, np.repeat(1.0 / lengths, lengths)
-    else:
-        weights = np.add.reduceat(w, starts)
-        share = w / np.repeat(weights, lengths)
+    weights = np.add.reduceat(w, starts)
+    share = w / np.repeat(weights, lengths)
     # a sum that rounds past float range is clamped back into the cluster's range
     with np.errstate(over="ignore"):
         means = np.add.reduceat(share * v, starts)

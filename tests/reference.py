@@ -217,33 +217,27 @@ def reference_line(client_id, n, pi, delta, fingerprint, atoms, clusters, width=
     return json.dumps(header, separators=(",", ":"))
 
 
-def uniform_weight(w, size):
-    """The weight of ``size`` samples that each weigh ``w``, added one by one."""
-    total = 0.0
-    for _ in range(size):
-        total += w
-    return total
-
-
 def reference_round(datasets, family, delta, lines, totals):
     """Each client's clusters, then the server's per-atom merge of the wire
     ``lines`` read value by value, all with loops.
 
-    The merge pools each atom's clusters in message order at the atom's
-    weight in ``totals``, so the server's edges are the loop's on the means
-    the lines carry. Returns (lines, clients, per_atom): the lines packing
-    the means each of ``lines`` carries with the loop's atoms, counts and
-    sample counts; per client, the ``reference_clusters`` of each atom's
-    scores in atom order; and per atom, ascending, the ``reference_clusters``
-    of the merge and the exact sum of the atom's weights, rounded once.
+    A client sketches each atom's scores at unit weight, so quantile
+    positions j / L. The merge weighs a cluster of c samples of client k as
+    the exact product c * pi_k / (n_k + 1), rounded once, and pools each
+    atom's clusters in message order at the atom's weight in ``totals``, so
+    the server's edges are the loop's on the means the lines carry. Returns
+    (lines, clients, per_atom): the lines packing the means each of
+    ``lines`` carries with the loop's atoms, counts and sample counts; per
+    client, the ``reference_clusters`` of each atom's scores in atom order;
+    and per atom, ascending, the ``reference_clusters`` of the merge and the
+    exact sum of the atom's weights, rounded once.
     """
     fingerprint = hashlib.sha256(repr(family).encode("utf-8")).hexdigest()[:16]
     ref_lines, clients, by_atom = [], [], {}
     for ds, line in zip(datasets, lines):
-        w = ds.pi / (ds.n + 1)
         scores = np.asarray(ds.scores, dtype=float)
         atoms = reference_atoms(ds.covariates, family) if ds.n and ds.pi else {}
-        refs = [reference_clusters(scores[idx], np.full(len(idx), w), delta, total=len(idx) * w) for idx in atoms.values()]
+        refs = [reference_clusters(scores[idx], np.ones(len(idx)), delta, total=len(idx)) for idx in atoms.values()]
         clients.append(refs)
 
         obj = json.loads(line)
@@ -259,9 +253,9 @@ def reference_round(datasets, family, delta, lines, totals):
         codes = ["".join(str(b) for b in atom) for atom in atoms]
         ref_lines.append(reference_line(ds.client_id, ds.n, float(ds.pi), float(delta), fingerprint, codes, packed))
 
-        start = 0
+        start, w = 0, Fraction(obj["pi"] / (obj["n"] + 1))
         for code, count in zip(obj["atoms"], obj["counts"]):
-            weights = [uniform_weight(obj["pi"] / (obj["n"] + 1), c) for c in sizes[start : start + count]]
+            weights = [float(Fraction(c) * w) for c in sizes[start : start + count]]
             by_atom.setdefault(tuple(int(b) for b in code), []).append((means[start : start + count], weights))
             start += count
     per_atom = {}

@@ -7,6 +7,7 @@ import string
 import struct
 import zlib
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,6 @@ from reference import (
     reference_clusters,
     reference_line,
     reference_round,
-    uniform_weight,
 )
 
 FOUR_INTERVALS = interval_family([(0, 2), (1, 3), (2, 4), (3, 5)])
@@ -456,20 +456,41 @@ class TestWireProperties:
         if not (n and pi):
             assert back.atoms == () and back.sizes.size == 0
             return
-        # the array path's cluster edges; means within the loop's bound;
-        # and as weights the one-by-one sums of the clusters' sample weights
+        # the array path's cluster edges at unit weights; means within the
+        # loop's bound; and as weights the exact products of the sample
+        # counts and pi / (n + 1), each rounded once
         order, _, rows = enumerate_atoms(ds.covariates, FOUR_INTERVALS, ds.scores)
-        w = ds.sample_weight
         with recorded_cluster_sizes() as passes:
-            _, _, counts = _build_segments(ds.scores[order], np.full(n, w), delta, rows, rows * w)
+            _, _, counts = _build_segments(ds.scores[order], np.ones(n), delta, rows, rows)
         assert back.counts == tuple(counts.tolist())
         assert back.sizes.tolist() == passes[0]
         ends = np.cumsum(rows)
         scores = ds.scores[order]
         for a, b, means in zip(ends - rows, ends, np.split(back.means, np.cumsum(back.counts)[:-1])):
-            ref = reference_clusters(scores[a:b], np.full(b - a, w), delta, total=(b - a) * w)
+            ref = reference_clusters(scores[a:b], np.ones(b - a), delta, total=b - a)
             assert_close_to_reference(ref, means)
-        assert weights_of(back).tolist() == [uniform_weight(w, size) for size in back.sizes.tolist()]
+        w = Fraction(ds.sample_weight)
+        assert weights_of(back).tolist() == [float(Fraction(size) * w) for size in back.sizes.tolist()]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3000),
+        pis=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=2, max_size=2, unique=True),
+        delta=st.sampled_from([2.0, 5.0, 25.0, 250.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_client_sketch_is_scale_free(self, seed, n, pis, delta):
+        # the client sketches at unit weights, so its mixture weight moves
+        # no cluster: the two lines differ in pi alone
+        rng = np.random.default_rng(seed)
+        ds = ClientDataset(1, rng.uniform(0, 5, n), np.round(rng.exponential(size=n), 2), pis[0])
+        one, other = (client_build_messages(replace(ds, pi=pi), FOUR_INTERVALS, delta) for pi in pis)
+        assert (one.atoms, one.counts) == (other.atoms, other.counts)
+        assert one.means.tobytes() == other.means.tobytes()
+        assert one.sizes.tobytes() == other.sizes.tobytes()
+        lines = [json.loads(message_to_json(m)) for m in (one, other)]
+        assert [line.pop("pi") for line in lines] == pis
+        assert lines[0] == lines[1]
 
     @given(line=CLIENT_LINES, cut=st.floats(0.0, 1.0, exclude_max=True))
     @settings(max_examples=100, deadline=None)
@@ -599,6 +620,15 @@ class TestServer:
             zip(message.means.tolist(), weights_of(message).tolist())
         )
         assert test_weight == 1.0 / 31
+
+    def test_huge_sample_count_needs_no_table(self):
+        # a cluster of 2**40 samples weighs its count times pi / (n + 1),
+        # rounded once; the server's memory does not grow with the count
+        n = 2**40
+        message = message_from_json(crafted([[(0.5, n)]], n=n))
+        coreset, _ = server_assemble([message], FOUR_INTERVALS)
+        assert coreset.entries["mean"].tolist() == [0.5]
+        assert coreset.entries["weight"].tolist() == [float(Fraction(n) * Fraction(1 / (n + 1)))]
 
     def test_entries_layout(self):
         rng = np.random.default_rng(4)
@@ -861,7 +891,8 @@ def test_tied_scores_keep_each_mean_within_its_cluster(seed, sizes, kind, delta)
 
 def test_readme_wire_format_matches_the_codec():
     """README's field table names the wire fields in order, and its payload
-    paragraph states the count width rule and the payload length."""
+    paragraph states the count width rule, the payload length and a
+    cluster's weight as its sample count times the sample weight."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("## Wire format\n")[1].split("\n## ")[0]
     assert tuple(re.findall(r"^\| `(\w+)` \| ", section, flags=re.M)) == _FIELDS
@@ -871,3 +902,4 @@ def test_readme_wire_format_matches_the_codec():
     for width, top in edges:
         assert _count_width(top) == width < _count_width(top + 1)
     assert "`(8 + width) * sum(counts)` bytes long" in text
+    assert "a cluster of `L` samples weighs `L * w`" in text and "uniform_table" not in text

@@ -32,12 +32,12 @@ def build(values, delta, weights=None):
 
 
 def to_wire(values, delta):
-    """A federation wire line whose one atom carries the uniform-weight
-    sketch of ``values`` (each weighs 1 / (n + 1), as under pi = 1)."""
+    """A federation wire line whose one atom carries the client sketch of
+    ``values``: unit weights, so each cluster's weight is its sample count
+    (under pi = 1 each value weighs 1 / (n + 1) on the server)."""
     n = len(values)
-    w = 1.0 / (n + 1)
-    means, sizes, _ = tdigest._build_segments(np.sort(values), w, delta, [n], [n * w])
-    message = ClientMessage(1, n, 1.0, delta, "", ((1,),), (len(means),), means, sizes)
+    means, sizes, _ = tdigest._build_segments(np.sort(values), np.ones(n), delta, [n], [n])
+    message = ClientMessage(1, n, 1.0, delta, "", ((1,),), (len(means),), means, sizes.astype(np.int64))
     return message_to_json(message)
 
 
@@ -138,12 +138,9 @@ class TestBuild:
                 build_digest_arrays(values, weights, 25.0)
 
     @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
-    def test_bad_weight_rejected_as_float_and_as_array(self, weight):
-        # a client passes its one sample weight as a float
-        values = np.array([1.0, 2.0])
-        for w in (weight, np.full(2, weight)):
-            with pytest.raises(DigestError, match="sample weights must be positive and finite"):
-                tdigest._build_segments(values, w, 25.0, [2], [1.0])
+    def test_bad_weight_rejected(self, weight):
+        with pytest.raises(DigestError, match="sample weights must be positive and finite"):
+            tdigest._build_segments(np.array([1.0, 2.0]), np.full(2, weight), 25.0, [2], [1.0])
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
     def test_non_finite_compression_rejected(self, delta):
@@ -307,14 +304,12 @@ class TestSerialization:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(6)
         values = rng.normal(size=500)
-        w = 1.0 / 501
-        means, sizes, _ = tdigest._build_segments(np.sort(values), w, 50.0, [500], [500 * w])
+        means, sizes, _ = tdigest._build_segments(np.sort(values), np.ones(500), 50.0, [500], [500])
         back = from_wire(to_wire(values, 50.0))
         assert back.means.tobytes() == means.tobytes()
         assert back.sizes.tolist() == sizes.tolist()
-        # the weights rebuilt from the sample counts are the sketch's table entries
-        table = tdigest.uniform_table(w, sizes.max())
-        assert cluster_weights([back])[0].tobytes() == table[sizes - 1].tobytes()
+        # the server weighs each cluster as its sample count times 1 / (n + 1)
+        assert cluster_weights([back])[0].tobytes() == (sizes * (1.0 / 501)).tobytes()
         assert back.delta == 50.0
         assert message_to_json(back) == to_wire(values, 50.0)
 
@@ -494,8 +489,7 @@ class TestMatchesReferenceLoop:
         # a sum of the products w * v would overflow here, so the sum is of
         # the shares w / W times v; even that sum can round past the float
         # range (eleven samples of the float maximum do), and the clamp to
-        # the cluster's range brings it back, on the array path and with one
-        # float weight alike
+        # the cluster's range brings it back
         top = np.finfo(float).max
         for values, weights, mean in (
             ([-1e300, 1e300], [1e10, 1e10], 0.0),
@@ -506,9 +500,6 @@ class TestMatchesReferenceLoop:
             digest, sizes = with_sizes(build_digest_arrays, values, weights, 2.0)
             assert digest.means().tolist() == [mean]
             assert_matches(digest, sizes, reference_clusters(values, weights, 2.0))
-            n = len(values)
-            means, _, _ = tdigest._build_segments(np.sort(values), weights[0], 2.0, [n], [n * weights[0]])
-            assert means.tolist() == [mean]
 
     @given(
         st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=50),
@@ -575,29 +566,25 @@ class TestMatchesReferenceLoop:
         segment_count=st.integers(1, 8),
         seed=st.integers(0, 2**32 - 1),
         ties=st.booleans(),
-        weight=st.sampled_from([1.0, 1.0 / 3.0, 0.1, 1e-5, 2.5e-5, 7.0]),
         delta=st.sampled_from([2.0, 5.0, 25.0, 250.0]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_float_weight_matches_array_of_it(self, n, segment_count, seed, ties, weight, delta):
-        # one float weight forms the clusters of an array holding it n times,
-        # on segments both shorter and longer than the walk's cutoff: the
-        # same sample and cluster counts, and means within the loop's bound
+    def test_unit_weights_match_the_loop(self, n, segment_count, seed, ties, delta):
+        # a client's unit weights, on segments both shorter and longer than
+        # the walk's cutoff: each cluster weighs its sample count, which is
+        # the loop's, and its mean lies within the loop's bound
         values, _ = random_samples(seed, n, ties, "unit")
         segments = np.random.default_rng(seed + 1).integers(0, segment_count, n)
         order = np.lexsort((values, segments))
         sizes = np.bincount(segments, minlength=segment_count)
-        totals = sizes * weight
         with recorded_cluster_sizes() as passes:
-            means, lengths, counts = tdigest._build_segments(values[order], weight, delta, sizes, totals)
-            _, _, array_counts = tdigest._build_segments(values[order], np.full(n, weight), delta, sizes, totals)
-        assert passes[0] == passes[1] == lengths.tolist()
-        assert counts.tolist() == array_counts.tolist()
+            means, weights, counts = tdigest._build_segments(values[order], np.ones(n), delta, sizes, sizes)
+        assert passes[0] == weights.tolist()
         ends = np.cumsum(counts)
         for k, (count, end) in enumerate(zip(counts.tolist(), ends.tolist())):
             if sizes[k]:
-                ref = reference_clusters(values[segments == k], np.full(sizes[k], weight), delta, total=totals[k])
-                assert lengths[end - count : end].tolist() == ref[2]
+                ref = reference_clusters(values[segments == k], np.ones(sizes[k]), delta, total=sizes[k])
+                assert weights[end - count : end].tolist() == ref[2]
                 assert_close_to_reference(ref, means[end - count : end])
 
     @given(
