@@ -61,12 +61,15 @@ def _parse_family(arg: str | None) -> GroupFamily:
 
 
 def _parse_mixture(arg: str) -> tuple[float, ...]:
-    """The --mixture weights; () for "uniform"."""
+    """The --mixture weights, a JSON list of numbers; () for "uniform"."""
     if arg == "uniform":
         return ()
     try:
-        pi = tuple(float(v) for v in json.loads(arg))
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        weights = json.loads(arg)
+        if not (isinstance(weights, list) and all(type(v) in (int, float) for v in weights)):  # a bool is no weight
+            raise ValueError(f"{arg!r} is not a JSON list of numbers")
+        pi = tuple(map(float, weights))
+    except (ValueError, RecursionError, OverflowError) as exc:  # a JSONDecodeError is a ValueError
         raise ValueError(f"bad --mixture value: {exc}") from exc
     check_mixture(pi)
     return pi
@@ -83,7 +86,7 @@ def _synth_config(args, pi: tuple[float, ...] = ()) -> SynthConfig:
 def _read_dataset_csv(path, mixture_arg: str) -> list[ClientDataset]:
     ids, xs, scores = [], [], []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = datagen.csv_rows(fh)
         header = next(reader, None)
         if header != _HEADER:
             raise IngestError(f"bad dataset header {header!r}")

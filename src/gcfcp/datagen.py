@@ -172,6 +172,16 @@ class ScoreRecord:
         return self.label_scores[self.true_label]
 
 
+def csv_rows(fh):
+    """The rows of the CSV file ``fh``; IngestError on text the csv module
+    cannot read, such as a field longer than its field size limit."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise IngestError(f"line {reader.line_num}: {exc}") from exc
+
+
 def ingest_scores(path) -> list[ScoreRecord]:
     """Read precomputed per-label conformity scores from CSV.
 
@@ -179,7 +189,7 @@ def ingest_scores(path) -> list[ScoreRecord]:
     each score must lie in [0, 1] up to 1e-6 slack.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh)
         try:
             header = next(reader)
         except StopIteration:

@@ -25,11 +25,11 @@ with no atoms and empty data. Means survive the wire bit for bit.
 
 The client's sketch raises DigestError on a compression that is not finite
 and at least 2. ``message_from_json`` checks each line on its own and raises
-ProtocolError on a malformed header (a delta that is not finite and at least
-2, and an n of 2**53 or more, among them), a checksum, base64 or length
-mismatch, a non-finite mean, means out of order within an atom, a count of
-0, counts that do not sum to n_k, or atoms with a sample weight
-pi_k / (n_k + 1) of 0. ``server_assemble`` checks the round: it raises
+ProtocolError on a malformed header (a repeated field, a delta that is not
+finite and at least 2, and an n of 2**53 or more, among them), a checksum,
+base64 or length mismatch, a non-finite mean, means out of order within an
+atom, a count of 0, counts that do not sum to n_k, or atoms with a sample
+weight pi_k / (n_k + 1) of 0. ``server_assemble`` checks the round: it raises
 ProtocolError on a repeated client, a family fingerprint or atom length other
 than the round's, a delta other than the first message's, mixture weights
 that do not sum to 1, and a client whose cluster weights (``cluster_weights``)
@@ -57,7 +57,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import AtomKey, GroupFamily, enumerate_atoms
+from .groups import AtomKey, GroupFamily, decode_json, enumerate_atoms
 from .tdigest import Digest, _build_segments
 
 _WEIGHT_TOL = 1e-9
@@ -174,7 +174,7 @@ def client_build_messages(
     if dataset.n and dataset.pi:
         order, bits, rows = enumerate_atoms(dataset.covariates, family, dataset.scores)
         scores = np.asarray(dataset.scores, dtype=float)[order]
-        means, sizes, counts = _build_segments(scores, np.ones(scores.size), delta, rows, rows)
+        means, sizes, counts, _ = _build_segments(scores, np.ones(scores.size), delta, rows)
         sizes = sizes.astype(np.int64)
         atoms, counts = tuple(map(tuple, bits.tolist())), tuple(counts.tolist())
     return ClientMessage(
@@ -228,7 +228,7 @@ def _is_real(value) -> bool:
 def message_from_json(line: str) -> ClientMessage:
     """Parse one client line and check it on its own; see the module docstring."""
     try:
-        obj = json.loads(line)
+        obj = decode_json(line)
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
         raise ProtocolError(f"malformed client message: {exc}") from exc
     if not isinstance(obj, dict) or obj.keys() != set(_FIELDS):
@@ -313,15 +313,13 @@ def server_assemble(messages: Sequence[ClientMessage], family: GroupFamily) -> t
 
     Checks the round (see the module docstring) and merges it in one sketch
     pass at the first message's delta over the ``cluster_weights``, one
-    segment per atom whose total adds each client's sum of the atom's weights
-    in message order. The test weight is sum_k pi_k / (n_k + 1) over the
-    headers, in message order.
+    segment per atom, whose total is the sum of the atom's weights. The test
+    weight is sum_k pi_k / (n_k + 1) over the headers, in message order.
     """
     if not messages:
         raise ProtocolError("server received no messages")
     fingerprint, d = _family_fingerprint(family), len(family)
     first, delta = messages[0].client_id, messages[0].delta
-    totals: dict[AtomKey, float] = {}
     senders: set[int] = set()
     client_weights = cluster_weights(messages)
     for m, w in zip(messages, client_weights):
@@ -338,19 +336,16 @@ def server_assemble(messages: Sequence[ClientMessage], family: GroupFamily) -> t
             )
         if any(len(atom) != d for atom in m.atoms):
             raise ProtocolError(f"client {m.client_id} sent atoms of another length than {d}")
-        sums = np.add.reduceat(w, np.cumsum((0, *m.counts[:-1]))).tolist() if m.counts else []
-        mass = sum(sums)
+        mass = float(np.sum(w))
         expected = m.pi * m.n / (m.n + 1)
         if not abs(mass - expected) <= _WEIGHT_TOL * expected:
             raise ProtocolError(
                 f"client {m.client_id} sent weight {mass!r}, pi n / (n + 1) is {expected!r}"
             )
-        for atom, atom_sum in zip(m.atoms, sums):
-            totals[atom] = totals.get(atom, 0.0) + atom_sum
     check_mixture(m.pi for m in messages)
-    if not totals:
+    atoms = sorted({atom for m in messages for atom in m.atoms})
+    if not atoms:
         raise ProtocolError("no client sent any scores")
-    atoms = sorted(totals)
     segment = {atom: i for i, atom in enumerate(atoms)}
     ids = np.array([segment[a] for m in messages for a in m.atoms], dtype=np.min_scalar_type(len(atoms)))
     segments = np.repeat(ids, [c for m in messages for c in m.counts])
@@ -362,20 +357,14 @@ def server_assemble(messages: Sequence[ClientMessage], family: GroupFamily) -> t
     ends = np.cumsum(sizes).tolist()
     for a, b in zip([0, *ends], ends):
         order[a:b] = order[a:b][np.argsort(by_atom[a:b], kind="stable")]
-    means, weights, counts = _build_segments(
-        values[order],
-        np.concatenate(client_weights)[order],
-        delta,
-        sizes,
-        [totals[atom] for atom in atoms],
-    )
+    means, weights, counts, totals = _build_segments(values[order], np.concatenate(client_weights)[order], delta, sizes)
     entries = np.empty(means.size, dtype=[("atom", np.int8, (d,)), ("mean", float), ("weight", float)])
     entries["atom"] = np.repeat(np.array(atoms, dtype=np.int8), counts, axis=0)
     entries["mean"], entries["weight"] = means, weights
     entries.flags.writeable = False
     ends = np.cumsum(counts)[:-1]
-    split = zip(atoms, np.split(means, ends), np.split(weights, ends))
-    per_atom = {atom: Digest(mu, wt, delta, totals[atom]) for atom, mu, wt in split}
+    split = zip(atoms, np.split(means, ends), np.split(weights, ends), totals.tolist())
+    per_atom = {atom: Digest(mu, wt, delta, total) for atom, mu, wt, total in split}
     test_weight = float(sum(m.pi / (m.n + 1) for m in messages))
     return Coreset(entries=entries, per_atom_digests=per_atom), test_weight
 

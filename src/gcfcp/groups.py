@@ -161,6 +161,21 @@ def enumerate_atoms(
     return order, atoms, np.diff(np.append(starts, order.size))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object; ValueError on a repeated key, of which ``json`` alone
+    would keep the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+# json.loads, except that an object that repeats a key raises ValueError
+decode_json = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
+
+
 def family_from_json(payload: str) -> GroupFamily:
     """Parse a family from JSON text, raising FamilyConfigError on any other
     shape.
@@ -168,10 +183,11 @@ def family_from_json(payload: str) -> GroupFamily:
     The object holds exactly ``kind`` and ``groups``. An ``intervals`` family
     lists objects of ``lo`` and ``hi`` (JSON numbers within float range) and
     optionally ``lo_closed`` and ``hi_closed`` (booleans, true by default); a
-    ``label_sets`` family lists lists of integer labels.
+    ``label_sets`` family lists lists of integer labels. No object repeats a
+    key.
     """
     try:
-        obj = json.loads(payload)
+        obj = decode_json(payload)
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
         raise FamilyConfigError(f"malformed family configuration: {exc}") from exc
     if not isinstance(obj, dict) or obj.keys() != {"kind", "groups"}:

@@ -83,6 +83,8 @@ _BREAKPOINT_RTOL = 1e-10
 _BLAND_AFTER = 40
 # The kept basis inverse is inverted afresh after this many rank-one updates.
 _REFACTOR_EVERY = 512
+# The simplex and the parametric walk each give up after this many steps.
+_MAX_ITER = 500_000
 
 
 class SolverError(RuntimeError):
@@ -124,7 +126,7 @@ class AugmentedQrSolver:
     priced. The first solve starts from ``start_basis`` when one is given,
     and from the per-atom quantile crash with the artificial basis otherwise.
     Every nonbasic value of the start that sits on a bound sets that column's
-    status; every one strictly inside its box is moved to a bound or into
+    direction; every one strictly inside its box is moved to a bound or into
     the basis by a crossover before the simplex prices anything.
 
     ``solve_at`` re-solves after changing only the test score, warm-starting
@@ -197,8 +199,6 @@ class AugmentedQrSolver:
         # the bounds of the basic columns by basis row, for the ratio test
         self._loB, self._upB = self._lo[basic].tolist(), self._up[basic].tolist()
         at_upper = x == self._up
-        self._status = at_upper.astype(np.int8)  # 0 lower, 1 upper, 2 basic
-        self._status[basic] = 2
         # the direction each nonbasic column can move in: +1 up from its
         # lower bound, -1 down from its upper one, 0 if basic or zero-width
         self._dir = np.where(at_upper, -1.0, 1.0)
@@ -234,7 +234,7 @@ class AugmentedQrSolver:
 
     def _refresh(self) -> None:
         self._factor()
-        x = np.where(self._status == 1, self._up, self._lo)
+        x = np.where(self._dir > 0.0, self._lo, self._up)
         x[self._basis] = 0.0
         self._xB = self._Binv @ -(self._A @ x)
 
@@ -285,16 +285,13 @@ class AugmentedQrSolver:
         leave, tmax = self._ratio_test(col, sgn, tmax)
         self._xB += (-sgn * col) * tmax
         if leave < 0:
-            self._status[j] = 1 if sgn > 0 else 0
             self._dir[j] = -sgn
             return tmax
         out = self._basis.item(leave)
         falls = -sgn * col.item(leave) < 0
-        self._status[out] = 0 if falls else 1
         self._dir[out] = (1.0 if falls else -1.0) if self._movable[out] else 0.0
         self._basis[leave] = j
         self._loB[leave], self._upB[leave] = self._lo.item(j), self._up.item(j)
-        self._status[j] = 2
         self._dir[j] = 0.0
         self._xB[leave] = value + sgn * tmax
         self._updates += 1
@@ -319,21 +316,21 @@ class AugmentedQrSolver:
         x, self._start = self._start, None
         self._factor()
         self._xB = self._Binv @ -(self._A @ x)
-        interior = np.flatnonzero((x > self._lo) & (x < self._up) & (self._status != 2))
+        interior = np.flatnonzero((x > self._lo) & (x < self._up) & (self._dir != 0.0))
         for j in interior.tolist():
             y = self._c[self._basis] @ self._Binv
             r = self._c[j] - y @ self._A[:, j]
             self._step(j, 1.0 if r > 0.0 else -1.0, float(x[j]))
         return len(interior)
 
-    def _optimize(self, max_iter: int = 500_000) -> tuple[np.ndarray, int]:
+    def _optimize(self) -> tuple[np.ndarray, int]:
         """The simplex multipliers of the optimal basis and the iteration count."""
         c = self._c
         price_tol = 1e-9 * (1.0 + float(np.max(np.abs(c))))
         self._degenerate = 0
         crossed = self._crossover() if self._start is not None else 0
         self._refresh()
-        for it in range(max_iter):
+        for it in range(_MAX_ITER):
             y = c[self._basis] @ self._Binv
             rank = (c - y @ self._A) * self._dir
             j = int(np.argmax(rank))  # Dantzig: the largest gain, the lowest index on ties
@@ -348,16 +345,16 @@ class AugmentedQrSolver:
         raise SolverError("simplex iteration limit exceeded")
 
     def _primal_values(self) -> np.ndarray:
-        x = np.where(self._status == 1, self._up, self._lo)
+        x = np.where(self._dir > 0.0, self._lo, self._up)
         x[self._basis] = self._xB
         return x
 
     def _value(self, j: int) -> float:
         """The current value of column j."""
-        status = self._status[j]
-        if status == 2:
-            return self._xB.item(self._basis.tolist().index(j))
-        return (self._up if status == 1 else self._lo).item(j)
+        basis = self._basis.tolist()
+        if j in basis:
+            return self._xB.item(basis.index(j))
+        return (self._lo if self._dir.item(j) > 0.0 else self._up).item(j)
 
     def solve_at(self, test_score: float) -> QrSolution:
         if not math.isfinite(test_score):
@@ -405,7 +402,7 @@ class AugmentedQrSolver:
             raise ValueError("raise_test_score needs a preceding solve_at")
         t = self.test_score
         self._degenerate = 0
-        for _ in range(500_000):
+        for _ in range(_MAX_ITER):
             prices = self._prices(self._parametric)
             rank = prices[1] * self._dir
             losing = np.flatnonzero(rank > _SLOPE_TOL)

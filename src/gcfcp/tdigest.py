@@ -13,12 +13,14 @@ digest of Dunning & Ertl, arXiv:1902.04023).
 ``_build_segments`` builds the digests of disjoint segments in one pass: a
 federation client sketches all its atoms with one call, and the server merges
 a round with one more. ``build_digest_arrays`` and ``merge`` are one segment.
-Its caller sorts the samples by (segment, value): the order among tied values
-moves cumulative weights and cluster edges unless the tied samples weigh the
-same, so ``build_digest_arrays`` and ``merge`` sort stably. Each cluster's
-mean is its samples' share-weighted sum (a sample's share is its weight over
-the cluster's), clamped to the range of their values. A client, whose scores
-all weigh the same, passes unit weights: its scale positions are then exact
+A segment's clusters and total weight depend on its samples alone: its scale
+positions are its running weight over that sum's last entry. Its caller sorts
+the samples by (segment, value): the order among tied values moves cumulative
+weights and cluster edges unless the tied samples weigh the same, so
+``build_digest_arrays`` and ``merge`` sort stably. Each cluster's mean is its
+samples' share-weighted sum (a sample's share is its weight over the
+cluster's), clamped to the range of their values. A client, whose scores all
+weigh the same, passes unit weights: its scale positions are then exact
 fractions j / L of the segment's L samples, and each cluster's weight is its
 sample count, which the federation server scales by the client's weight.
 
@@ -152,15 +154,18 @@ def _walk_starts(rs: list[float], a: int, delta: float) -> list[int]:
         left, s = rs[i - 1], i
 
 
-def _build_segments(v: np.ndarray, w: np.ndarray, delta: float, sizes, totals):
-    """Cluster means and weights of samples sorted by (segment, value), and
-    each segment's cluster count. ``sizes`` and ``totals`` hold each segment's
-    samples and weight; its clusters equal a build on it alone.
+def _build_segments(v: np.ndarray, w: np.ndarray, delta: float, sizes):
+    """Cluster means and weights of samples sorted by (segment, value), each
+    segment's cluster count, and each segment's total weight. ``sizes`` holds
+    each segment's number of samples; a segment's clusters and total equal a
+    build on it alone.
 
     ``w`` holds each sample's weight; a client passes ones, so that each
-    cluster's weight is its sample count. A cluster's mean is one segmented
-    sum of its samples' share-weighted values, clamped to their range: so a
-    cluster of equal values, a singleton among them, keeps that value.
+    cluster's weight is its sample count. A segment's scale positions divide
+    its running weight by that sum's own last entry, so they end at exactly 1.
+    A cluster's mean is one segmented sum of its samples' share-weighted
+    values, clamped to their range: so a cluster of equal values, a singleton
+    among them, keeps that value.
     """
     if v.size == 0:
         raise DigestError("cannot build a digest from zero samples")
@@ -172,13 +177,16 @@ def _build_segments(v: np.ndarray, w: np.ndarray, delta: float, sizes, totals):
         raise DigestError("sample weights must be positive and finite")
     sizes = np.asarray(sizes)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
+    # an empty segment starts no cluster and weighs 0
+    firsts = bounds[:-1][sizes > 0]
+    totals = np.zeros(sizes.size)
+    totals[sizes > 0] = np.add.reduceat(w, firsts)
     cum = np.concatenate([np.cumsum(w[a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
     # r[i] = scale at the right boundary after absorbing sample i
-    q = np.minimum(cum / np.repeat(np.asarray(totals, dtype=float), sizes), 1.0)
+    q = cum / np.repeat(cum[bounds[1:] - 1], sizes)
     r = (delta / (2.0 * math.pi)) * np.arcsin(2.0 * q - 1.0)
 
-    # an empty segment starts no cluster
-    starts = _cluster_starts(r, delta, np.append(bounds[:-1][sizes > 0], v.size))
+    starts = _cluster_starts(r, delta, np.append(firsts, v.size))
     lengths = np.diff(np.append(starts, v.size))
     counts = np.diff(np.searchsorted(starts, bounds))
     weights = np.add.reduceat(w, starts)
@@ -186,13 +194,13 @@ def _build_segments(v: np.ndarray, w: np.ndarray, delta: float, sizes, totals):
     # a sum that rounds past float range is clamped back into the cluster's range
     with np.errstate(over="ignore"):
         means = np.add.reduceat(share * v, starts)
-    return np.clip(means, v[starts], v[starts + lengths - 1]), weights, counts
+    return np.clip(means, v[starts], v[starts + lengths - 1]), weights, counts, totals
 
 
-def _build_one(values: np.ndarray, weights: np.ndarray, delta: float, total: float) -> Digest:
+def _build_one(values: np.ndarray, weights: np.ndarray, delta: float) -> Digest:
     """One segment: the samples in stable value order, then one build."""
     order = np.argsort(values, kind="stable")
-    means, cl_weights, _ = _build_segments(values[order], weights[order], delta, [values.size], [total])
+    means, cl_weights, _, (total,) = _build_segments(values[order], weights[order], delta, [values.size])
     return Digest(means, cl_weights, compression=delta, total_weight=total)
 
 
@@ -207,20 +215,14 @@ def build_digest_arrays(values: np.ndarray, weights: np.ndarray, delta: float) -
     values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
     if values.ndim != 1 or values.shape != weights.shape:
         raise DigestError("values and weights must be 1-d arrays of equal length")
-    return _build_one(values, weights, delta, float(np.sum(weights)))
+    return _build_one(values, weights, delta)
 
 
 def merge(digests: Sequence[Digest], delta: float) -> Digest:
-    """Concatenate all cluster arrays as weighted samples and rebuild at delta.
-
-    Total weight is the exact sum of the input totals (fixed summation order:
-    digest order, then cluster order).
-    """
+    """Concatenate all cluster arrays as weighted samples and rebuild at delta;
+    the total weight is one sum of those cluster weights."""
     if len(digests) == 0:
         raise DigestError("cannot merge zero digests")
     values = np.concatenate([d.means() for d in digests])
     weights = np.concatenate([d.weights() for d in digests])
-    total = 0.0
-    for d in digests:
-        total += d.total_weight
-    return _build_one(values, weights, delta, total)
+    return _build_one(values, weights, delta)

@@ -114,17 +114,19 @@ def dyadic_sum(ratios):
     return Fraction(sum(p * (den // r) for p, r in ratios), den)
 
 
-def reference_clusters(values, weights, delta, total=None):
-    """Greedy pass one sample at a time, with each cluster's mean and weight
-    summed exactly as fractions and rounded once.
+def reference_clusters(values, weights, delta):
+    """Greedy pass one sample at a time over the scale positions of the
+    running weight divided by its last entry, with each cluster's mean and
+    weight, and the total, summed exactly as fractions and rounded once.
 
     Returns (means, weights, sizes, reach, total): ``sizes`` holds each
     cluster's number of samples and ``reach`` max(|first|, |last|) of its
     value-sorted samples, which bounds |v| over the cluster.
 
     The library's mean of a cluster of weight W lies within 8 eps * reach of
-    it, and its weight within 8 eps * W, eps being ``np.finfo(float).eps``.
-    Its weight is one ``np.add.reduceat`` of the w_i, and its mean sums
+    it, and its weight within 8 eps * W, eps being ``np.finfo(float).eps``;
+    so does its total, one ``np.add.reduceat`` of all the w_i, within 8 eps of
+    this one. Its weight is one ``np.add.reduceat`` of the w_i, and its mean sums
     fl(fl(w_i / W') v_i), W' the weight it summed: the relative error of W'
     enters the mean once, each share and product rounds once (eps * reach
     together), the mean's sum adds its own error, and the clamp to [first,
@@ -141,12 +143,11 @@ def reference_clusters(values, weights, delta, total=None):
     """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if total is None:
-        total = float(np.sum(weights))
     order = np.argsort(values, kind="stable")
     v = values[order]
     w = weights[order]
-    q = np.minimum(np.cumsum(w) / total, 1.0)
+    cum = np.cumsum(w)
+    q = cum / cum[-1]
     r = (delta / (2.0 * math.pi)) * np.arcsin(2.0 * q - 1.0)
     starts = [0]
     r_left = -delta / 4.0
@@ -164,20 +165,17 @@ def reference_clusters(values, weights, delta, total=None):
         cl_weights.append(float(cl_w))
         reach.append(max(abs(v[a]), abs(v[b - 1])))
     sizes = np.diff(starts + [v.size]).tolist()
+    total = float(dyadic_sum(x.as_integer_ratio() for x in w.tolist()))
     return np.array(means), np.array(cl_weights), sizes, np.array(reach), total
 
 
 def reference_merge(digests, delta):
     """Pool the digests' clusters in order as weighted samples and rebuild
-    at delta, at the sum of their totals in digest order."""
-    total = 0.0
-    for d in digests:
-        total += d.total_weight
+    at delta."""
     return reference_clusters(
         np.concatenate([d.means() for d in digests]),
         np.concatenate([d.weights() for d in digests]),
         delta,
-        total=total,
     )
 
 
@@ -217,27 +215,26 @@ def reference_line(client_id, n, pi, delta, fingerprint, atoms, clusters, width=
     return json.dumps(header, separators=(",", ":"))
 
 
-def reference_round(datasets, family, delta, lines, totals):
+def reference_round(datasets, family, delta, lines):
     """Each client's clusters, then the server's per-atom merge of the wire
     ``lines`` read value by value, all with loops.
 
     A client sketches each atom's scores at unit weight, so quantile
     positions j / L. The merge weighs a cluster of c samples of client k as
     the exact product c * pi_k / (n_k + 1), rounded once, and pools each
-    atom's clusters in message order at the atom's weight in ``totals``, so
-    the server's edges are the loop's on the means the lines carry. Returns
-    (lines, clients, per_atom): the lines packing the means each of
-    ``lines`` carries with the loop's atoms, counts and sample counts; per
-    client, the ``reference_clusters`` of each atom's scores in atom order;
-    and per atom, ascending, the ``reference_clusters`` of the merge and the
-    exact sum of the atom's weights, rounded once.
+    atom's clusters in message order, so the server's edges are the loop's
+    on the means the lines carry. Returns (lines, clients, per_atom): the
+    lines packing the means each of ``lines`` carries with the loop's atoms,
+    counts and sample counts; per client, the ``reference_clusters`` of each
+    atom's scores in atom order; and per atom, ascending, the
+    ``reference_clusters`` of the merge.
     """
     fingerprint = hashlib.sha256(repr(family).encode("utf-8")).hexdigest()[:16]
     ref_lines, clients, by_atom = [], [], {}
     for ds, line in zip(datasets, lines):
         scores = np.asarray(ds.scores, dtype=float)
         atoms = reference_atoms(ds.covariates, family) if ds.n and ds.pi else {}
-        refs = [reference_clusters(scores[idx], np.ones(len(idx)), delta, total=len(idx)) for idx in atoms.values()]
+        refs = [reference_clusters(scores[idx], np.ones(len(idx)), delta) for idx in atoms.values()]
         clients.append(refs)
 
         obj = json.loads(line)
@@ -261,8 +258,7 @@ def reference_round(datasets, family, delta, lines, totals):
     per_atom = {}
     for atom, parts in sorted(by_atom.items()):
         weights = [x for _, ws in parts for x in ws]
-        ref = reference_clusters([m for ms, _ in parts for m in ms], weights, delta, total=totals[atom])
-        per_atom[atom] = ref, float(dyadic_sum(x.as_integer_ratio() for x in weights))
+        per_atom[atom] = reference_clusters([m for ms, _ in parts for m in ms], weights, delta)
     return ref_lines, clients, per_atom
 
 

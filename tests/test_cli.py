@@ -213,6 +213,16 @@ def test_exit_code_config_error(capsys):
     assert main(["experiment", "--calibrators", "bogus", "--trials", "1"]) == 2
     assert main(["experiment", "--calibrators", ",", "--trials", "1"]) == 2
     assert main(["experiment", "--mixture", "[0.9, 0.9]", "--trials", "1"]) == 2
+    # a list of JSON numbers and nothing else: no strings, no bools, no
+    # nesting too deep to decode, no number too large for a float
+    for mixture in (
+        '["0.25", "0.25", "0.25", "0.25"]', "[true, false, false, false]", "[" * 100_000, "[1" + "0" * 400 + "]"
+    ):
+        assert main(["experiment", "--mixture", mixture, "--trials", "1"]) == 2
+        assert "bad --mixture value" in capsys.readouterr().err
+    repeated_key = '{"kind": "label_sets", "kind": "intervals", "groups": [{"lo": 0, "hi": 5}]}'
+    assert main(["experiment", "--groups", repeated_key, "--trials", "1"]) == 2
+    assert "repeated key 'kind'" in capsys.readouterr().err
     assert main(["experiment", "--groups", "{bad json", "--trials", "1"]) == 2
     reversed_bounds = '{"kind": "intervals", "groups": [{"lo": 0, "hi": 5}, {"lo": 3, "hi": 1}]}'
     assert main(["experiment", "--groups", reversed_bounds, "--trials", "1"]) == 2
@@ -279,6 +289,18 @@ def test_exit_code_ingest_error(tmp_path, capsys):
     )
     assert code == 4
     assert "ingestion" in capsys.readouterr().err
+
+
+def test_exit_code_ingest_error_on_a_field_too_long(tmp_path, capsys):
+    # the csv module rejects a field longer than its limit with csv.Error
+    long = tmp_path / "long.csv"
+    long.write_text("client_id,predicted_label,true_label,score_0\n1,0,0," + "0" * (csv.field_size_limit() + 1) + "\n")
+    code = main(
+        ["experiment", "--trials", "1", "--ingest", str(long),
+         "--calibrators", "centralized_cp", "--serial"]
+    )
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: ingestion: line 2: field larger than field limit")
 
 
 @pytest.mark.parametrize(
@@ -364,13 +386,14 @@ FIELD = st.one_of(
 @st.composite
 def dataset_text(draw):
     """A dataset CSV of two clients: well-formed half the time, otherwise with
-    one defect: no rows at all, a bad header, a junk or short row, or one
-    non-finite or out-of-range covariate or score."""
+    one defect: no rows at all, a bad header, a junk or short row, one
+    non-finite or out-of-range covariate or score, or one field longer than
+    the csv module reads."""
     rows = [
         f"{1 + i % 2},{draw(st.floats(0.0, 5.0))!r},0.0,{draw(st.floats(0.0, 3.0))!r}"
         for i in range(draw(st.integers(2, 30)))
     ]
-    defect = draw(st.sampled_from(["none"] * 5 + ["empty", "header", "junk", "value"]))
+    defect = draw(st.sampled_from(["none"] * 5 + ["empty", "header", "junk", "value", "long"]))
     if defect == "empty":
         return draw(st.sampled_from(["", "\n", "client_id,x,y,score\n"]))
     header = draw(st.sampled_from(["client_id,x,y", "", "a,b,c,d"])) if defect == "header" else "client_id,x,y,score"
@@ -380,6 +403,10 @@ def dataset_text(draw):
     if defect == "value":
         fields = rows[at].split(",")
         fields[draw(st.sampled_from([1, 3]))] = draw(st.sampled_from(["nan", "inf", "-inf", "-1.0", "9.0", "1e308"]))
+        rows[at] = ",".join(fields)
+    if defect == "long":
+        fields = rows[at].split(",")
+        fields[draw(st.integers(0, 3))] = "1" * (csv.field_size_limit() + 1)
         rows[at] = ",".join(fields)
     return "\n".join([header, *rows]) + "\n"
 
@@ -395,7 +422,9 @@ OPTION_VALUES = {
          "[" * 100_000,
          '{"kind": "intervals", "groups": [{"lo": 0, "hi": 1' + "0" * 400 + '}]}']
     ),
-    "--mixture": st.sampled_from(["uniform", "[0.5, 0.5]", "[NaN, 1]", "[1]", "{", "[2, -1]"]),
+    "--mixture": st.sampled_from(
+        ["uniform", "[0.5, 0.5]", "[NaN, 1]", "[1]", "{", "[2, -1]", "[" * 100_000, '["0.5", "0.5"]']
+    ),
     "--x": st.one_of(st.floats(0.0, 5.0), ANY_FLOAT).map(repr),
     "--prediction": ANY_FLOAT.map(repr),
 }

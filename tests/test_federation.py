@@ -31,7 +31,7 @@ from gcfcp.federation import (
 )
 from gcfcp.federation import test_term_weight as term_weight
 from gcfcp.groups import SINGLE_GROUP, enumerate_atoms, interval_family
-from gcfcp.tdigest import Digest, _build_segments
+from gcfcp.tdigest import Digest, _build_segments, build_digest_arrays
 from conftest import SUM_TOL, assert_close_to_reference, recorded_cluster_sizes
 from reference import (
     approx_quantile,
@@ -221,6 +221,13 @@ class TestWire:
         # the JSON decoder runs out of stack, which is no error of the caller's
         with pytest.raises(ProtocolError, match="malformed client message"):
             message_from_json("[" * 100_000)
+
+    def test_rejects_repeated_field(self):
+        # json alone keeps a repeated field's last value: client 1 here
+        line = crafted([[(1.0, 1)]])
+        assert line.startswith('{"client_id":1,') and message_from_json(line).client_id == 1
+        with pytest.raises(ProtocolError, match="malformed client message: repeated key 'client_id'"):
+            message_from_json('{"client_id":7,' + line[1:])
 
     @pytest.mark.parametrize(
         "clusters",
@@ -461,13 +468,13 @@ class TestWireProperties:
         # counts and pi / (n + 1), each rounded once
         order, _, rows = enumerate_atoms(ds.covariates, FOUR_INTERVALS, ds.scores)
         with recorded_cluster_sizes() as passes:
-            _, _, counts = _build_segments(ds.scores[order], np.ones(n), delta, rows, rows)
+            _, _, counts, _ = _build_segments(ds.scores[order], np.ones(n), delta, rows)
         assert back.counts == tuple(counts.tolist())
         assert back.sizes.tolist() == passes[0]
         ends = np.cumsum(rows)
         scores = ds.scores[order]
         for a, b, means in zip(ends - rows, ends, np.split(back.means, np.cumsum(back.counts)[:-1])):
-            ref = reference_clusters(scores[a:b], np.ones(b - a), delta, total=b - a)
+            ref = reference_clusters(scores[a:b], np.ones(b - a), delta)
             assert_close_to_reference(ref, means)
         w = Fraction(ds.sample_weight)
         assert weights_of(back).tolist() == [float(Fraction(size) * w) for size in back.sizes.tolist()]
@@ -587,29 +594,22 @@ class TestWireProperties:
 
 
 class TestServer:
-    def test_atom_total_sums_each_client_in_turn(self):
-        # each client's weights are summed (in order, for so few), then the
-        # clients in message order: 0.7333333333333334 here, where one sum
-        # over all rows in message order, and math.fsum, read
-        # 0.7333333333333333
+    def test_atom_total_is_one_sum_of_its_weights(self):
+        # the atom's total sums its pooled weights (in mean order, for so
+        # few) as a build on them alone does: 0.7333333333333333 here, as
+        # math.fsum reads, where adding each client's sum in message order
+        # reads 0.7333333333333334
         lines = [
             crafted([[(0.0, 1), (1.0, 1)]], client_id=1, pi=0.65),
             crafted([[(0.5, 1), (1.5, 1), (2.5, 4)]], client_id=2, pi=0.35),
         ]
         messages = [message_from_json(line) for line in lines]
         coreset, _ = server_assemble(messages, FOUR_INTERVALS)
-        total = 0.0
-        for m in messages:
-            client = 0.0
-            for w in weights_of(m).tolist():
-                client += w
-            total += client
-        rows = np.concatenate(cluster_weights(messages)).tolist()
-        flat = 0.0
-        for w in rows:
-            flat += w
-        assert flat == math.fsum(rows) == 0.7333333333333333
-        assert coreset.per_atom_digests[(0, 0, 0, 1)].total_weight == total == 0.7333333333333334
+        rows = np.concatenate(cluster_weights(messages))
+        assert sum(sum(weights_of(m).tolist()) for m in messages) == 0.7333333333333334
+        alone = build_digest_arrays(np.concatenate([m.means for m in messages]), rows, 25.0)
+        total = coreset.per_atom_digests[(0, 0, 0, 1)].total_weight
+        assert total == alone.total_weight == math.fsum(rows.tolist()) == 0.7333333333333333
 
     def test_merge_of_one(self):
         rng = np.random.default_rng(5)
@@ -809,8 +809,7 @@ def assert_round_matches_loop_reference(datasets, family, delta):
     assert round_.test_weight == sum(ds.pi / (ds.n + 1) for ds in datasets)
 
     digests = round_.coreset.per_atom_digests
-    totals = {atom: digest.total_weight for atom, digest in digests.items()}
-    ref_lines, clients, ref_per_atom = reference_round(datasets, family, delta, lines, totals)
+    ref_lines, clients, ref_per_atom = reference_round(datasets, family, delta, lines)
     assert lines == ref_lines
     for message, refs in zip(round_.messages, clients):
         ends = np.cumsum(message.counts, dtype=int)
@@ -818,10 +817,10 @@ def assert_round_matches_loop_reference(datasets, family, delta):
             assert_close_to_reference(ref, means)
 
     assert list(digests) == list(ref_per_atom)
-    assert passes[-1] == [size for ref, _ in ref_per_atom.values() for size in ref[2]]
-    for atom, (ref, exact_total) in ref_per_atom.items():
+    assert passes[-1] == [size for ref in ref_per_atom.values() for size in ref[2]]
+    for atom, ref in ref_per_atom.items():
         assert_close_to_reference(ref, digests[atom].means(), digests[atom].weights())
-        assert abs(totals[atom] - exact_total) <= SUM_TOL * exact_total
+        assert abs(digests[atom].total_weight - ref[4]) <= SUM_TOL * ref[4]
     entries = round_.coreset.entries
     atoms = [atom for atom, digest in digests.items() for _ in range(len(digest))]
     assert list(map(tuple, entries["atom"].tolist())) == atoms

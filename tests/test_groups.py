@@ -436,6 +436,20 @@ class TestConfig:
         kind = Interval if obj["kind"] == "intervals" else LabelSet
         assert all(isinstance(g, kind) for g in family.groups)
 
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ('{"kind": "label_sets", "kind": "intervals", "groups": [{"lo": 0, "hi": 1}]}', "kind"),
+            ('{"kind": "intervals", "groups": [{"lo": 3, "hi": 5, "lo": 0}]}', "lo"),
+        ],
+        ids=["family", "interval"],
+    )
+    def test_repeated_key_rejected(self, payload, key):
+        # json alone keeps a repeated key's last value: an interval family
+        # here, and the interval [0, 5]
+        with pytest.raises(FamilyConfigError, match=f"repeated key '{key}'"):
+            family_from_json(payload)
+
     def test_deep_nesting(self):
         # the JSON decoder runs out of stack, which is no error of the caller's
         with pytest.raises(FamilyConfigError, match="malformed family configuration"):

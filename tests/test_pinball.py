@@ -388,13 +388,15 @@ def test_cold_solve_iterations_on_criterion_09_data():
 
 def _assert_kept_state(solver):
     """The kept basis inverse is the inverse of the basis columns, and the
-    direction array is +1 at a lower bound, -1 at an upper one and 0 for a
-    basic or zero-width column."""
+    direction array is 0 for a basic or zero-width column and +1 or -1 for
+    every other."""
     fresh = np.linalg.inv(solver._A[:, solver._basis])
     assert np.max(np.abs(solver._Binv - fresh)) <= 1e-9 * np.max(np.abs(fresh))
-    movable = solver._up > solver._lo
-    expected = np.select([solver._status == 0, solver._status == 1], [1.0, -1.0], 0.0) * movable
-    np.testing.assert_array_equal(solver._dir, expected)
+    basic = np.zeros(solver._dir.size, dtype=bool)
+    basic[solver._basis] = True
+    assert np.count_nonzero(basic) == solver._basis.size
+    still = basic | ~(solver._lo < solver._up)
+    np.testing.assert_array_equal(np.abs(solver._dir), np.where(still, 0.0, 1.0))
 
 
 @settings(max_examples=60, deadline=None)

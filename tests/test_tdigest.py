@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gcfcp import tdigest
 from gcfcp.federation import ClientMessage, ProtocolError, cluster_weights, message_from_json, message_to_json
-from conftest import assert_close_to_reference, recorded_cluster_sizes
+from conftest import SUM_TOL, assert_close_to_reference, recorded_cluster_sizes
 from reference import (
     approx_cdf,
     approx_quantile,
@@ -36,7 +36,7 @@ def to_wire(values, delta):
     ``values``: unit weights, so each cluster's weight is its sample count
     (under pi = 1 each value weighs 1 / (n + 1) on the server)."""
     n = len(values)
-    means, sizes, _ = tdigest._build_segments(np.sort(values), np.ones(n), delta, [n], [n])
+    means, sizes, _, _ = tdigest._build_segments(np.sort(values), np.ones(n), delta, [n])
     message = ClientMessage(1, n, 1.0, delta, "", ((1,),), (len(means),), means, sizes.astype(np.int64))
     return message_to_json(message)
 
@@ -140,7 +140,7 @@ class TestBuild:
     @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
     def test_bad_weight_rejected(self, weight):
         with pytest.raises(DigestError, match="sample weights must be positive and finite"):
-            tdigest._build_segments(np.array([1.0, 2.0]), np.full(2, weight), 25.0, [2], [1.0])
+            tdigest._build_segments(np.array([1.0, 2.0]), np.full(2, weight), 25.0, [2])
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
     def test_non_finite_compression_rejected(self, delta):
@@ -268,10 +268,8 @@ class TestMerge:
     def test_merge_weight_conservation(self, groups):
         digests = [build(g, 30.0) for g in groups]
         m = merge(digests, 30.0)
-        total = 0.0
-        for d in digests:
-            total += d.total_weight
-        assert m.total_weight == total  # exact: fixed summation order
+        # unit weights: every total is an exact integer
+        assert m.total_weight == sum(d.total_weight for d in digests) == sum(map(len, groups))
 
 
 class TestMaxClusterMass:
@@ -304,7 +302,7 @@ class TestSerialization:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(6)
         values = rng.normal(size=500)
-        means, sizes, _ = tdigest._build_segments(np.sort(values), np.ones(500), 50.0, [500], [500])
+        means, sizes, _, _ = tdigest._build_segments(np.sort(values), np.ones(500), 50.0, [500])
         back = from_wire(to_wire(values, 50.0))
         assert back.means.tobytes() == means.tobytes()
         assert back.sizes.tolist() == sizes.tolist()
@@ -398,9 +396,9 @@ def with_sizes(make, *args):
 
 
 def assert_matches(digest, sizes, ref):
-    """The loop's cluster edges and total, and sums within its bound."""
+    """The loop's cluster edges, and sums and total within its bound."""
     assert sizes == ref[2]
-    assert digest.total_weight == ref[4]
+    assert abs(digest.total_weight - ref[4]) <= SUM_TOL * ref[4]
     assert_close_to_reference(ref, digest.means(), digest.weights())
 
 
@@ -578,12 +576,13 @@ class TestMatchesReferenceLoop:
         order = np.lexsort((values, segments))
         sizes = np.bincount(segments, minlength=segment_count)
         with recorded_cluster_sizes() as passes:
-            means, weights, counts = tdigest._build_segments(values[order], np.ones(n), delta, sizes, sizes)
+            means, weights, counts, totals = tdigest._build_segments(values[order], np.ones(n), delta, sizes)
         assert passes[0] == weights.tolist()
+        assert totals.tolist() == sizes.tolist()
         ends = np.cumsum(counts)
         for k, (count, end) in enumerate(zip(counts.tolist(), ends.tolist())):
             if sizes[k]:
-                ref = reference_clusters(values[segments == k], np.ones(sizes[k]), delta, total=sizes[k])
+                ref = reference_clusters(values[segments == k], np.ones(sizes[k]), delta)
                 assert weights[end - count : end].tolist() == ref[2]
                 assert_close_to_reference(ref, means[end - count : end])
 
@@ -596,16 +595,16 @@ class TestMatchesReferenceLoop:
     def test_segments_match_one_build_each(self, n, segment_count, seed, ties, weight_kind, delta):
         values, weights = random_samples(seed, n, ties, weight_kind)
         segments = np.random.default_rng(seed + 1).integers(0, segment_count, n)
-        totals = np.array([np.sum(weights[segments == k]) for k in range(segment_count)])
         order = np.lexsort((values, segments))
         sizes = np.bincount(segments, minlength=segment_count)
-        means, cl_weights, counts = tdigest._build_segments(values[order], weights[order], delta, sizes, totals)
+        means, cl_weights, counts, totals = tdigest._build_segments(values[order], weights[order], delta, sizes)
         ends = np.cumsum(counts)
         for k, (count, end) in enumerate(zip(counts.tolist(), ends.tolist())):
             mine = segments == k
             if not mine.any():
-                assert count == 0
+                assert count == 0 and totals[k] == 0.0
                 continue
             digest = build_digest_arrays(values[mine], weights[mine], delta)
+            assert totals[k] == digest.total_weight
             assert np.array_equal(means[end - count : end], digest.means())
             assert np.array_equal(cl_weights[end - count : end], digest.weights())
