@@ -1,16 +1,18 @@
 """Simulated one-shot client/server protocol.
 
 Each client sketches its local scores in one pass, one segment per non-empty
-atom, every score at unit weight, and sends one wire line. It sketches its
-scores in ``enumerate_atoms`` order, tied scores in any order: every score
-weighs the same, so their order changes no bit of the sketch. The line is a
-JSON object with the header fields
+atom, every score at unit weight, and sends one wire line. It sketches each
+atom's scores in value order, as ``enumerate_atoms`` gives them, with -0.0
+read as 0.0: every score weighs the same, so the line depends on the
+client's rows as a multiset, not on their order. The line is a JSON object
+with the header fields
 
     client_id  int     the client's id, unique within the round
     n          int     n_k, the number of the client's scores
     pi         float   pi_k, the client's mixture weight
     delta      float   the compression every digest was built at
-    family     str     the first 16 hex digits of sha256 over repr(family)
+    family     str     the first 16 hex digits of sha256 over repr(family),
+                       equal for families that compare equal (groups.py)
     atoms      [str]   the atom codes ("1100": the membership bits), ascending
     counts     [int]   the number of clusters of each atom, in atom order
     crc32      int     zlib.crc32 of the ASCII text of ``data``
@@ -48,6 +50,7 @@ though everything runs in-process.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
 import re
@@ -131,8 +134,10 @@ class Coreset:
         return len(self.entries)
 
 
+@functools.lru_cache
 def _family_fingerprint(family: GroupFamily) -> str:
-    """First 16 hex digits of sha256 over ``repr(family)``."""
+    """First 16 hex digits of sha256 over ``repr(family)``, which is equal
+    for families that compare equal."""
     import hashlib  # loads OpenSSL, about 4 ms: paid by the first round, not by every import
 
     return hashlib.sha256(repr(family).encode("utf-8")).hexdigest()[:16]
@@ -172,11 +177,10 @@ def client_build_messages(
     mixture weight), so each cluster's weight is its sample count."""
     atoms, counts, means, sizes = (), (), np.empty(0), np.empty(0, dtype=np.int64)
     if dataset.n and dataset.pi:
-        order, bits, rows = enumerate_atoms(dataset.covariates, family, dataset.scores)
-        scores = np.asarray(dataset.scores, dtype=float)[order]
-        means, sizes, counts, _ = _build_segments(scores, np.ones(scores.size), delta, rows)
-        sizes = sizes.astype(np.int64)
-        atoms, counts = tuple(map(tuple, bits.tolist())), tuple(counts.tolist())
+        values, bits, rows = enumerate_atoms(dataset.covariates, family, dataset.scores)
+        values += 0.0  # -0.0 reads as 0.0, so the line does not depend on row order
+        means, weights, counts, _ = _build_segments(values, np.ones(values.size), delta, rows)
+        atoms, counts, sizes = tuple(map(tuple, bits.tolist())), tuple(counts.tolist()), weights.astype(np.int64)
     return ClientMessage(
         client_id=int(dataset.client_id),
         n=dataset.n,

@@ -14,14 +14,15 @@ packs each row's membership bits from the boolean group columns: group g goes
 to bit 7 - g % 8 of byte g // 8, so that the bytes sort in the lexicographic
 bit order for any family size. From the caller's starting row order it sorts
 stably by each membership byte, last byte first, and the atoms are the runs of
-equal keys. ``enumerate_atoms`` starts from an unstable argsort of the scores,
-so tied scores end in any order, as the client sketch weighs all its scores
-alike.
+equal keys. ``enumerate_atoms`` starts from the rows in input order and then
+sorts each atom's scores by value: the client sketch weighs all its scores
+alike, so it needs their values in order, not their rows.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,12 +44,23 @@ class FamilyConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Interval:
+    """Bounds are floats, -0.0 read as 0.0, and the ends booleans, so that
+    intervals that compare equal print alike."""
+
     lo: float
     hi: float
     lo_closed: bool = True
     hi_closed: bool = True
 
     def __post_init__(self):
+        try:
+            lo, hi = float(self.lo) + 0.0, float(self.hi) + 0.0
+        except OverflowError as exc:
+            raise FamilyConfigError(f"interval bound too large for a float: {exc}") from exc
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo_closed", bool(self.lo_closed))
+        object.__setattr__(self, "hi_closed", bool(self.hi_closed))
         if not self.lo <= self.hi:  # also false for a NaN bound
             raise FamilyConfigError(f"interval needs lo <= hi, got lo={self.lo!r}, hi={self.hi!r}")
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
@@ -57,11 +69,21 @@ class Interval:
 
 @dataclass(frozen=True)
 class LabelSet:
+    """Labels are ints and print ascending, so that label sets that compare
+    equal print alike."""
+
     labels: frozenset[int]
 
     def __post_init__(self):
         if not self.labels:
             raise FamilyConfigError("label set holds no label")
+        try:
+            object.__setattr__(self, "labels", frozenset(map(operator.index, self.labels)))
+        except TypeError as exc:
+            raise FamilyConfigError(f"labels must be integers, not {set(self.labels)!r}") from exc
+
+    def __repr__(self) -> str:
+        return f"LabelSet(labels=frozenset({{{', '.join(map(repr, sorted(self.labels)))}}}))"
 
 
 @dataclass(frozen=True)
@@ -147,18 +169,26 @@ def sort_atoms(columns: Sequence[np.ndarray], order: np.ndarray) -> tuple[np.nda
 def enumerate_atoms(
     covariates: Sequence, family: GroupFamily, scores: Sequence
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(order, atoms, sizes)``: ``order`` sorts the rows by membership
-    pattern in lexicographic bit order, then by score (ties in any order);
-    ``atoms`` holds the bits of each non-empty atom, one uint8 row each, in
-    that order, and ``sizes`` its number of rows.
+    """``(values, atoms, sizes)``: ``values``, a new float array, holds the
+    scores by membership pattern in lexicographic bit order, ascending within
+    a pattern; ``atoms`` holds the bits of each non-empty atom, one uint8 row
+    each, in that order, and ``sizes`` its number of scores.
+
+    Raises ValueError without covariates or unless there is one score per
+    covariate.
     """
     if len(covariates) == 0:
         raise ValueError("enumerate_atoms requires at least one covariate")
+    if len(scores) != len(covariates):
+        raise ValueError(f"{len(scores)} scores for {len(covariates)} covariates")
     cols = _membership_columns(covariates, family)
-    order, starts = sort_atoms(cols, np.argsort(np.asarray(scores, dtype=float)))
+    order, starts = sort_atoms(cols, np.arange(len(covariates)))
+    values, heads = np.asarray(scores, dtype=float)[order], starts.tolist()
+    for a, b in zip(heads, heads[1:] + [order.size]):
+        values[a:b].sort()
     first = order[starts]
     atoms = np.array([col[first] for col in cols], dtype=np.uint8).T
-    return order, atoms, np.diff(np.append(starts, order.size))
+    return values, atoms, np.diff(starts, append=order.size)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -212,10 +242,7 @@ def _interval_from_json(g) -> Interval:
         raise FamilyConfigError(f"interval bounds must be numbers, not {bounds!r}")
     if not all(type(c) is bool for c in closed):
         raise FamilyConfigError(f"lo_closed and hi_closed must be booleans, not {closed!r}")
-    try:
-        return Interval(*map(float, bounds), *closed)
-    except OverflowError as exc:
-        raise FamilyConfigError(f"interval bound too large for a float: {exc}") from exc
+    return Interval(*bounds, *closed)
 
 
 def interval_family(bounds: Sequence[tuple[float, float]]) -> GroupFamily:

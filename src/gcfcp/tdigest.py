@@ -101,23 +101,21 @@ class Digest:
         )
 
 
-def _cluster_starts(r: np.ndarray, delta: float, bounds: np.ndarray) -> np.ndarray:
+def _cluster_starts(r: np.ndarray, delta: float, heads: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """First sample of every cluster of the greedy pass over scale positions.
 
-    ``bounds`` holds each segment's first sample, then r.size. A cluster at s
-    has left edge r[s-1] (-delta/4, quantile 0's scale, at a segment start)
-    and ends at its segment's end or the first i > s with r[i] - left > _SPAN.
+    ``heads`` and ``ends`` bound each non-empty segment. A cluster at s has
+    left edge r[s-1] (-delta/4, quantile 0's scale, at a segment start) and
+    ends at its segment's end or the first i > s with r[i] - left > _SPAN.
     A segment longer than _WALK_AFTER * delta whose r is nondecreasing is
     walked cluster by cluster; the others take the rule itself, one sample at
     a time, which holds for any r.
     """
     starts = []
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+    for a, b in zip(heads.tolist(), ends.tolist()):
         seg = r[a:b]
-        if b - a > _WALK_AFTER * delta and np.all(seg[1:] >= seg[:-1]):
-            starts += _walk_starts(seg.tolist(), a, delta)
-        else:
-            starts += _greedy_starts(seg.tolist(), a, delta)
+        walk = b - a > _WALK_AFTER * delta and (seg[1:] >= seg[:-1]).all()
+        starts += (_walk_starts if walk else _greedy_starts)(seg.tolist(), a, delta)
     return np.array(starts)
 
 
@@ -171,30 +169,31 @@ def _build_segments(v: np.ndarray, w: np.ndarray, delta: float, sizes):
         raise DigestError("cannot build a digest from zero samples")
     if not 2.0 <= delta < math.inf:
         raise DigestError(f"compression {delta!r} must be finite and >= 2")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise DigestError("sample values must be finite")
-    if not (np.all(w > 0.0) and np.all(np.isfinite(w))):
+    if not ((w > 0.0).all() and np.isfinite(w).all()):
         raise DigestError("sample weights must be positive and finite")
     sizes = np.asarray(sizes)
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    ends = sizes.cumsum()
+    heads = ends - sizes
     # an empty segment starts no cluster and weighs 0
-    firsts = bounds[:-1][sizes > 0]
+    full = sizes > 0
     totals = np.zeros(sizes.size)
-    totals[sizes > 0] = np.add.reduceat(w, firsts)
-    cum = np.concatenate([np.cumsum(w[a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
+    totals[full] = np.add.reduceat(w, heads[full])
+    cum = np.concatenate([w[a:b].cumsum() for a, b in zip(heads.tolist(), ends.tolist())])
     # r[i] = scale at the right boundary after absorbing sample i
-    q = cum / np.repeat(cum[bounds[1:] - 1], sizes)
+    q = cum / cum[ends - 1].repeat(sizes)
     r = (delta / (2.0 * math.pi)) * np.arcsin(2.0 * q - 1.0)
 
-    starts = _cluster_starts(r, delta, np.append(firsts, v.size))
-    lengths = np.diff(np.append(starts, v.size))
-    counts = np.diff(np.searchsorted(starts, bounds))
+    starts = _cluster_starts(r, delta, heads[full], ends[full])
+    stops = np.concatenate((starts[1:], [v.size]))
+    counts = starts.searchsorted(ends) - starts.searchsorted(heads)
     weights = np.add.reduceat(w, starts)
-    share = w / np.repeat(weights, lengths)
+    share = w / weights.repeat(stops - starts)
     # a sum that rounds past float range is clamped back into the cluster's range
     with np.errstate(over="ignore"):
         means = np.add.reduceat(share * v, starts)
-    return np.clip(means, v[starts], v[starts + lengths - 1]), weights, counts, totals
+    return np.minimum(np.maximum(means, v[starts]), v[stops - 1]), weights, counts, totals
 
 
 def _build_one(values: np.ndarray, weights: np.ndarray, delta: float) -> Digest:

@@ -167,8 +167,8 @@ def recorded_cluster_sizes():
     counts, in the order it returns them, to the list it yields."""
     passes, cluster_starts = [], tdigest._cluster_starts
 
-    def record(r, delta, bounds):
-        starts = cluster_starts(r, delta, bounds)
+    def record(r, delta, heads, ends):
+        starts = cluster_starts(r, delta, heads, ends)
         passes.append(np.diff(np.append(starts, r.size)).tolist())
         return starts
 

@@ -188,6 +188,22 @@ def count_width(n):
     raise ValueError(f"n = {n} needs more than 8 bytes")
 
 
+def reference_fingerprint(family):
+    """The wire's family fingerprint as README defines it: the first 16 hex
+    digits of sha256 over the family's repr, written out here group by
+    group: interval bounds as float reprs (-0.0 as 0.0) and ends as
+    booleans, label sets with their integer labels ascending."""
+    texts = []
+    for g in family.groups:
+        if isinstance(g, Interval):
+            lo, hi = float(g.lo) + 0.0, float(g.hi) + 0.0
+            texts.append(f"Interval(lo={lo!r}, hi={hi!r}, lo_closed={bool(g.lo_closed)}, hi_closed={bool(g.hi_closed)})")
+        else:
+            texts.append("LabelSet(labels=frozenset({" + ", ".join(str(y) for y in sorted(map(int, g.labels))) + "}))")
+    text = "GroupFamily(groups=(" + ", ".join(texts) + ("," if len(texts) == 1 else "") + "))"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
 def reference_line(client_id, n, pi, delta, fingerprint, atoms, clusters, width=None):
     """One client wire line, packed value by value.
 
@@ -229,7 +245,7 @@ def reference_round(datasets, family, delta, lines):
     atom's scores in atom order; and per atom, ascending, the
     ``reference_clusters`` of the merge.
     """
-    fingerprint = hashlib.sha256(repr(family).encode("utf-8")).hexdigest()[:16]
+    fingerprint = reference_fingerprint(family)
     ref_lines, clients, by_atom = [], [], {}
     for ds, line in zip(datasets, lines):
         scores = np.asarray(ds.scores, dtype=float)

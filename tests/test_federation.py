@@ -1,5 +1,4 @@
 import base64
-import hashlib
 import json
 import math
 import re
@@ -22,6 +21,7 @@ from gcfcp.federation import (
     ClientDataset,
     ProtocolError,
     _count_width,
+    _family_fingerprint,
     client_build_messages,
     cluster_weights,
     message_from_json,
@@ -30,19 +30,20 @@ from gcfcp.federation import (
     server_assemble,
 )
 from gcfcp.federation import test_term_weight as term_weight
-from gcfcp.groups import SINGLE_GROUP, enumerate_atoms, interval_family
+from gcfcp.groups import SINGLE_GROUP, GroupFamily, Interval, LabelSet, enumerate_atoms, family_from_json, interval_family
 from gcfcp.tdigest import Digest, _build_segments, build_digest_arrays
 from conftest import SUM_TOL, assert_close_to_reference, recorded_cluster_sizes
 from reference import (
     approx_quantile,
     count_width,
     reference_clusters,
+    reference_fingerprint,
     reference_line,
     reference_round,
 )
 
 FOUR_INTERVALS = interval_family([(0, 2), (1, 3), (2, 4), (3, 5)])
-FINGERPRINT = hashlib.sha256(repr(FOUR_INTERVALS).encode("utf-8")).hexdigest()[:16]
+FINGERPRINT = reference_fingerprint(FOUR_INTERVALS)
 ATOM_CODES = ["0001", "0011", "0110", "1000", "1100"]
 
 
@@ -466,15 +467,14 @@ class TestWireProperties:
         # the array path's cluster edges at unit weights; means within the
         # loop's bound; and as weights the exact products of the sample
         # counts and pi / (n + 1), each rounded once
-        order, _, rows = enumerate_atoms(ds.covariates, FOUR_INTERVALS, ds.scores)
+        values, _, rows = enumerate_atoms(ds.covariates, FOUR_INTERVALS, ds.scores)
         with recorded_cluster_sizes() as passes:
-            _, _, counts, _ = _build_segments(ds.scores[order], np.ones(n), delta, rows)
+            _, _, counts, _ = _build_segments(values, np.ones(n), delta, rows)
         assert back.counts == tuple(counts.tolist())
         assert back.sizes.tolist() == passes[0]
         ends = np.cumsum(rows)
-        scores = ds.scores[order]
         for a, b, means in zip(ends - rows, ends, np.split(back.means, np.cumsum(back.counts)[:-1])):
-            ref = reference_clusters(scores[a:b], np.ones(b - a), delta)
+            ref = reference_clusters(values[a:b], np.ones(b - a), delta)
             assert_close_to_reference(ref, means)
         w = Fraction(ds.sample_weight)
         assert weights_of(back).tolist() == [float(Fraction(size) * w) for size in back.sizes.tolist()]
@@ -871,7 +871,7 @@ def test_tied_scores_keep_each_mean_within_its_cluster(seed, sizes, kind, delta)
     # runs of tied scores straddle cluster edges and fill whole clusters:
     # every mean lies within its cluster's first and last score, so every
     # client's line decodes with ascending means, and a cluster of equal
-    # scores keeps that score (the sign of a zero aside)
+    # scores keeps that score bit for bit, a zero as 0.0
     rng = np.random.default_rng(seed)
     datasets = []
     for k, n in enumerate(sizes, start=1):
@@ -880,12 +880,77 @@ def test_tied_scores_keep_each_mean_within_its_cluster(seed, sizes, kind, delta)
         datasets.append(ClientDataset(k, rng.uniform(0, 5, n), scores, 1.0 / len(sizes)))
     round_ = run_round(datasets, FOUR_INTERVALS, delta)
     for ds, message in zip(datasets, round_.messages):
-        order, _, _ = enumerate_atoms(ds.covariates, FOUR_INTERVALS, ds.scores)
+        values = enumerate_atoms(ds.covariates, FOUR_INTERVALS, ds.scores)[0] + 0.0
         ends = np.cumsum(message.sizes)
-        first, last = ds.scores[order][ends - message.sizes], ds.scores[order][ends - 1]
+        first, last = values[ends - message.sizes], values[ends - 1]
         assert np.all((first <= message.means) & (message.means <= last))
         equal = first == last
-        assert np.array_equal(message.means[equal], first[equal])
+        assert message.means[equal].tobytes() == first[equal].tobytes()
+
+
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from([0.5, 1.5, 2.5, 4.5]), st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)),
+        min_size=1,
+        max_size=60,
+    ),
+    delta=st.sampled_from([2.0, 5.0, 25.0]),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_client_line_ignores_row_order(rows, delta, data):
+    # a client's line is a function of its rows as a multiset: tied
+    # covariates and tied scores, 0.0 and -0.0 among them, in any order
+    lines, n = set(), len(rows)
+    for order in (range(n), range(n)[::-1], data.draw(st.permutations(range(n)))):
+        x, scores = (np.array([rows[i][k] for i in order]) for k in (0, 1))
+        lines.add(message_to_json(client_build_messages(ClientDataset(1, x, scores, 0.5), FOUR_INTERVALS, delta)))
+    assert len(lines) == 1
+
+
+def spellings(draw, bound):
+    """One way to write an interval bound: int, float or numpy float, and
+    -0.0 for 0."""
+    ways = [float(bound), np.float64(bound)]
+    ways += [int(bound)] if bound == int(bound) else []
+    ways += [-0.0, -np.float64(0.0)] if bound == 0 else []
+    return draw(st.sampled_from(ways))
+
+
+@st.composite
+def equal_families(draw):
+    """Two families that compare equal: interval bounds spelled two ways, or
+    each label set's labels, as ints or numpy ints, inserted in two orders."""
+    twins = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            lo, hi = sorted(draw(st.lists(st.sampled_from([-1, 0, 0.5, 2, 3]), min_size=2, max_size=2)))
+            ends = (True, True) if lo == hi else (draw(st.booleans()), draw(st.booleans()))
+            twins.append([Interval(spellings(draw, lo), spellings(draw, hi), *ends) for _ in "ab"])
+        else:
+            labels = draw(st.lists(st.integers(-3, 40), min_size=1, max_size=8, unique=True))
+            kinds = draw(st.lists(st.sampled_from([int, np.int64]), min_size=2, max_size=2))
+            twins.append([LabelSet(frozenset(map(kind, draw(st.permutations(labels))))) for kind in kinds])
+    return tuple(GroupFamily(tuple(pair[k] for pair in twins)) for k in (0, 1))
+
+
+@given(equal_families())
+@settings(max_examples=200, deadline=None)
+def test_equal_families_have_one_fingerprint(families):
+    a, b = families
+    assert a == b and hash(a) == hash(b)
+    # uncached, so that b's fingerprint is not a's from the cache
+    fresh = _family_fingerprint.__wrapped__
+    assert fresh(a) == fresh(b) == reference_fingerprint(a) == _family_fingerprint(b)
+
+
+def test_default_family_fingerprint():
+    spelled = family_from_json(json.dumps({"kind": "intervals", "groups": [{"lo": lo, "hi": lo + 2.0} for lo in range(4)]}))
+    assert spelled == FOUR_INTERVALS
+    assert _family_fingerprint.__wrapped__(spelled) == FINGERPRINT == "bdb5251b8158666a"
+    for sets in ([[1, 9], [2]], [[9, 1], [2]]):
+        family = family_from_json(json.dumps({"kind": "label_sets", "groups": sets}))
+        assert _family_fingerprint.__wrapped__(family) == reference_fingerprint(family) == "9375d675d1adc2a9"
 
 
 def test_readme_wire_format_matches_the_codec():

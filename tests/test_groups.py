@@ -84,6 +84,11 @@ class TestMembership:
         with pytest.raises(CoveringError, match=r"label 0\.5 \(index 2\) is not a finite integer"):
             enumerate_atoms([1.0, 7.0, 0.5], fam, np.zeros(3))
 
+    def test_labels_are_integers(self):
+        assert repr(LabelSet(frozenset({np.int64(9), True}))) == "LabelSet(labels=frozenset({1, 9}))"
+        with pytest.raises(FamilyConfigError, match="labels must be integers"):
+            LabelSet(frozenset({1, 1.5}))
+
     @pytest.mark.parametrize("family", [FOUR_INTERVALS, LABEL_FAMILY], ids=["intervals", "label-sets"])
     def test_one_covariate_per_point(self, family):
         """A family reads one scalar per point: vector covariates, whichever
@@ -168,28 +173,28 @@ class TestMembershipMatchesReference:
         assert_matches_reference(rows[:, k], family)
 
 
-def assert_client_order(xs, family, scores):
+def assert_client_values(xs, family, scores):
     """``enumerate_atoms`` against an ``np.lexsort`` oracle and the per-row
-    reference: a permutation of the rows in (atom, score) order whose runs are
-    the reference's atoms, in lexicographic order, with its rows."""
+    reference: a new array of the scores in (atom, score) order whose runs
+    are the reference's atoms, in lexicographic order, each run the sorted
+    scores of its rows; the caller's scores are left as they were."""
     scores = np.asarray(scores, dtype=float)
-    order, atoms, sizes = enumerate_atoms(xs, family, scores)
+    before = scores.tobytes()
+    values, atoms, sizes = enumerate_atoms(xs, family, scores)
+    assert scores.tobytes() == before and not np.shares_memory(values, scores)
     mat = membership_matrix(xs, family)
     oracle = np.lexsort((scores, *mat.T[::-1]))
-    # partition: every row exactly once
-    assert order.dtype.kind == "i" and sorted(order.tolist()) == list(range(len(scores)))
-    assert np.array_equal(mat[order], mat[oracle])
-    assert np.array_equal(scores[order], scores[oracle])
+    assert values.dtype == float and np.array_equal(values, scores[oracle])
     want = reference_atoms(xs, family)
     assert [tuple(atom) for atom in atoms.tolist()] == list(want)
     assert sizes.tolist() == [len(idx) for idx in want.values()]
-    runs = np.split(order, np.cumsum(sizes)[:-1])
-    assert [sorted(run.tolist()) for run in runs] == list(want.values())
-    # reconstruction: per group, the rows of its atoms are its member rows
+    runs = np.split(values, np.cumsum(sizes)[:-1])
+    assert [run.tolist() for run in runs] == [sorted(scores[idx].tolist()) for idx in want.values()]
+    # reconstruction: per group, the scores of its atoms are its member rows' scores
     for g in range(len(family)):
-        from_atoms = sorted(i for atom, run in zip(atoms, runs) if atom[g] for i in run.tolist())
-        assert from_atoms == np.flatnonzero(mat[:, g]).tolist()
-    return order, atoms, sizes
+        from_atoms = sorted(v for atom, run in zip(atoms, runs) if atom[g] for v in run.tolist())
+        assert from_atoms == sorted(scores[mat[:, g] == 1].tolist())
+    return values, atoms, sizes
 
 
 # few distinct scores, so most of them tie
@@ -205,7 +210,7 @@ def rows_and_scores(covariate, max_size=300):
 class TestAtoms:
     def test_seven_atoms_on_grid(self):
         xs = np.linspace(0, 5, 501)
-        _, atoms, _ = assert_client_order(xs, FOUR_INTERVALS, np.zeros(xs.size))
+        _, atoms, _ = assert_client_values(xs, FOUR_INTERVALS, np.zeros(xs.size))
         assert [tuple(atom) for atom in atoms.tolist()] == [
             (0, 0, 0, 1),
             (0, 0, 1, 1),
@@ -217,18 +222,23 @@ class TestAtoms:
         ]
 
     def test_single_group(self):
-        order, atoms, sizes = enumerate_atoms([0.0, 1.0, 100.0], SINGLE_GROUP, [3.0, 1.0, 2.0])
-        assert (order.tolist(), atoms.tolist(), sizes.tolist()) == ([1, 2, 0], [[1]], [3])
+        values, atoms, sizes = enumerate_atoms([0.0, 1.0, 100.0], SINGLE_GROUP, [3.0, 1.0, 2.0])
+        assert (values.tolist(), atoms.tolist(), sizes.tolist()) == ([1.0, 2.0, 3.0], [[1]], [3])
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             enumerate_atoms([], FOUR_INTERVALS, [])
 
+    @pytest.mark.parametrize("n_scores", [2, 4])
+    def test_one_score_per_covariate(self, n_scores):
+        with pytest.raises(ValueError, match=rf"^{n_scores} scores for 3 covariates$"):
+            enumerate_atoms([0.5, 1.5, 2.5], FOUR_INTERVALS, np.zeros(n_scores))
+
     @given(rows_and_scores(st.floats(0.0, 5.0), max_size=200))
     @settings(max_examples=50, deadline=None)
     def test_partition_and_reconstruction(self, case):
         xs, scores = case
-        _, atoms, _ = assert_client_order(xs, FOUR_INTERVALS, scores)
+        _, atoms, _ = assert_client_values(xs, FOUR_INTERVALS, scores)
         mat = membership_matrix(xs, FOUR_INTERVALS)
         assert len(atoms) <= min(2 ** len(FOUR_INTERVALS) - 1, len(set(map(tuple, mat))))
 
@@ -242,7 +252,7 @@ class TestAtoms:
 )
 def test_sort_atoms_is_lexsort_order(seed, d, label_sets, duplicates):
     """``sort_atoms`` from the starting orders of both callers, the client's
-    argsort of the scores and the crash's stable argsort of the negated
+    rows in input order and the crash's stable argsort of the negated
     scores, sorts by pattern and keeps the starting order within a pattern:
     ``np.lexsort``'s order, with tied scores (0.0 and -0.0 among them) and
     duplicate rows; 9 and 20 groups pack into two and three bytes. The runs
@@ -256,7 +266,8 @@ def test_sort_atoms_is_lexsort_order(seed, d, label_sets, duplicates):
         features = np.vstack([features, features[rows]])
         scores = np.append(scores, scores[rows])
     patterns = tuple(features.T[::-1])
-    for start, key in ((np.argsort(scores), scores), (np.argsort(-scores, kind="stable"), -scores)):
+    in_order = np.arange(len(scores))
+    for start, key in ((in_order, in_order), (np.argsort(-scores, kind="stable"), -scores)):
         order, starts = sort_atoms(features.T != 0.0, start)
         rank = np.empty(len(start), dtype=int)
         rank[start] = np.arange(len(start))
@@ -274,17 +285,17 @@ class TestAtomsMatchReference:
     @given(rows_and_scores(st.floats(0.0, 5.0)))
     @settings(max_examples=60, deadline=None)
     def test_four_intervals(self, case):
-        assert_client_order(case[0], FOUR_INTERVALS, case[1])
+        assert_client_values(case[0], FOUR_INTERVALS, case[1])
 
     @given(rows_and_scores(st.integers(0, 9)))
     @settings(max_examples=30, deadline=None)
     def test_label_sets(self, case):
-        assert_client_order(case[0], LABEL_FAMILY, case[1])
+        assert_client_values(case[0], LABEL_FAMILY, case[1])
 
     @given(rows_and_scores(st.floats(0.0, 35.5)))
     @settings(max_examples=40, deadline=None)
     def test_more_than_64_groups(self, case):
-        _, atoms, _ = assert_client_order(case[0], WIDE_FAMILY, case[1])
+        _, atoms, _ = assert_client_values(case[0], WIDE_FAMILY, case[1])
         assert atoms.shape[1] == 70
 
     @pytest.mark.parametrize("d", [8, 9, 16])
@@ -294,7 +305,7 @@ class TestAtomsMatchReference:
         # one byte of membership bits, one bit past it, and two full bytes
         family = interval_family([(g / 2, g / 2 + 1) for g in range(d)])
         xs = [x * (d / 2 + 0.5) for x in case[0]]  # the family covers [0, d / 2 + 0.5]
-        _, atoms, _ = assert_client_order(xs, family, case[1])
+        _, atoms, _ = assert_client_values(xs, family, case[1])
         assert atoms.shape[1] == d
 
     def test_vector_covariates_and_many_rows(self):
@@ -303,7 +314,7 @@ class TestAtomsMatchReference:
         scores = np.round(rng.normal(size=20_000), 1)
         with pytest.raises(CoveringError, match="one value per point"):
             enumerate_atoms(xs, WIDE_FAMILY, scores)
-        assert_client_order(xs[:, 1], WIDE_FAMILY, scores)
+        assert_client_values(xs[:, 1], WIDE_FAMILY, scores)
 
 
 # the schema's keys, near misses of them, and the removed ``feature``

@@ -557,7 +557,8 @@ class TestMatchesReferenceLoop:
             i = pool[rng.integers(len(pool))]
             r[i] = np.nextafter(r[i - 1], -np.inf) if dip == "1 ulp" else r[i - 1] - 0.5
         starts = loop_starts()
-        assert tdigest._cluster_starts(r, delta, np.array(bounds)).tolist() == starts
+        heads, ends = np.array(bounds[:-1]), np.array(bounds[1:])
+        assert tdigest._cluster_starts(r, delta, heads, ends).tolist() == starts
 
     @given(
         n=st.integers(1, 8000),
