@@ -1,10 +1,10 @@
 """Simulated one-shot client/server protocol.
 
-Each client sketches its local scores in one pass, one segment per non-empty
-atom, every score at unit weight, and sends one wire line. It sketches each
-atom's scores in value order, as ``enumerate_atoms`` gives them, with -0.0
-read as 0.0: every score weighs the same, so the line depends on the
-client's rows as a multiset, not on their order. The line is a JSON object
+Each client sketches its local scores in one pass from integer counts, one
+segment per non-empty atom, and sends one wire line. It sketches each atom's
+scores in value order, as ``enumerate_atoms`` gives them, with -0.0 read as
+0.0: every score weighs the same, so the line depends on the client's rows
+as a multiset, not on their order. The line is a JSON object
 with the header fields
 
     client_id  int     the client's id, unique within the round
@@ -61,7 +61,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .groups import AtomKey, GroupFamily, decode_json, enumerate_atoms
-from .tdigest import Digest, _build_segments
+from .tdigest import Digest, _build_segments, _count_segments
 
 _WEIGHT_TOL = 1e-9
 _MAX_N = 2**53  # every n below it, and every count, is exact as a float
@@ -172,15 +172,15 @@ def client_datasets(client_ids, covariates, scores, pi: Sequence[float] = ()) ->
 def client_build_messages(
     dataset: ClientDataset, family: GroupFamily, delta: float
 ) -> ClientMessage:
-    """The client's one message: one sketch pass with unit weight per score
-    and one segment per non-empty atom (none without scores or without
+    """The client's one message: one counting sketch pass (``_count_segments``)
+    with one segment per non-empty atom (none without scores or without
     mixture weight), so each cluster's weight is its sample count."""
     atoms, counts, means, sizes = (), (), np.empty(0), np.empty(0, dtype=np.int64)
     if dataset.n and dataset.pi:
         values, bits, rows = enumerate_atoms(dataset.covariates, family, dataset.scores)
         values += 0.0  # -0.0 reads as 0.0, so the line does not depend on row order
-        means, weights, counts, _ = _build_segments(values, np.ones(values.size), delta, rows)
-        atoms, counts, sizes = tuple(map(tuple, bits.tolist())), tuple(counts.tolist()), weights.astype(np.int64)
+        means, sizes, counts = _count_segments(values, delta, rows)
+        atoms, counts = tuple(map(tuple, bits.tolist())), tuple(counts.tolist())
     return ClientMessage(
         client_id=int(dataset.client_id),
         n=dataset.n,

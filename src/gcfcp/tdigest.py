@@ -10,19 +10,19 @@ Digests built from disjoint datasets merge by concatenating their arrays as
 weighted samples and rebuilding at the same compression level (the merging
 digest of Dunning & Ertl, arXiv:1902.04023).
 
-``_build_segments`` builds the digests of disjoint segments in one pass: a
-federation client sketches all its atoms with one call, and the server merges
-a round with one more. ``build_digest_arrays`` and ``merge`` are one segment.
-A segment's clusters and total weight depend on its samples alone: its scale
-positions are its running weight over that sum's last entry. Its caller sorts
-the samples by (segment, value): the order among tied values moves cumulative
-weights and cluster edges unless the tied samples weigh the same, so
-``build_digest_arrays`` and ``merge`` sort stably. Each cluster's mean is its
-samples' share-weighted sum (a sample's share is its weight over the
-cluster's), clamped to the range of their values. A client, whose scores all
-weigh the same, passes unit weights: its scale positions are then exact
-fractions j / L of the segment's L samples, and each cluster's weight is its
-sample count, which the federation server scales by the client's weight.
+``_build_segments`` builds the digests of disjoint segments of weighted
+samples in one pass: the federation server merges a round with one call, and
+``build_digest_arrays`` and ``merge`` are one segment. ``_count_segments`` is
+that pass for samples that all weigh the same, from integer counts: a client
+sketches all its atoms with one call, and each cluster's weight is its sample
+count, which the server scales by the client's weight. A segment's clusters
+and total depend on its samples alone: its scale positions are its running
+weight over that sum's last entry (k / L for the k-th of L equal samples).
+Its caller sorts the samples by (segment, value): the order among tied values
+moves cumulative weights and cluster edges unless the tied samples weigh the
+same, so ``build_digest_arrays`` and ``merge`` sort stably. Each cluster's
+mean is its samples' share-weighted sum (a sample's share is its weight over
+the cluster's), clamped to the range of their values.
 
 Each segment finds its cluster starts by the greedy rule in a loop over its
 samples, except that a segment longer than ``_WALK_AFTER * delta`` whose scale
@@ -109,17 +109,17 @@ def _cluster_starts(r: np.ndarray, delta: float, heads: np.ndarray, ends: np.nda
     ends at its segment's end or the first i > s with r[i] - left > _SPAN.
     A segment longer than _WALK_AFTER * delta whose r is nondecreasing is
     walked cluster by cluster; the others take the rule itself, one sample at
-    a time, which holds for any r.
+    a time, which holds for any r. Both read the segment through a memoryview.
     """
     starts = []
     for a, b in zip(heads.tolist(), ends.tolist()):
         seg = r[a:b]
         walk = b - a > _WALK_AFTER * delta and (seg[1:] >= seg[:-1]).all()
-        starts += (_walk_starts if walk else _greedy_starts)(seg.tolist(), a, delta)
+        starts += (_walk_starts if walk else _greedy_starts)(memoryview(seg), a, delta)
     return np.array(starts)
 
 
-def _greedy_starts(rs: list[float], a: int, delta: float) -> list[int]:
+def _greedy_starts(rs: memoryview, a: int, delta: float) -> list[int]:
     """The cluster starts of one segment's scale positions ``rs``, offset by
     its first sample ``a``: the greedy rule itself, which holds for any r."""
     starts, left, prev = [a], -delta / 4.0, rs[0]
@@ -131,12 +131,12 @@ def _greedy_starts(rs: list[float], a: int, delta: float) -> list[int]:
     return starts
 
 
-def _walk_starts(rs: list[float], a: int, delta: float) -> list[int]:
+def _walk_starts(rs: memoryview, a: int, delta: float) -> list[int]:
     """The cluster starts of one segment whose scale positions ``rs`` are
     nondecreasing, offset by its first sample ``a``.
 
-    One bisect per cluster proposes its end, and the exact test moves the end
-    to the first sample that fails it. As r - left is nondecreasing in r, every
+    One bisect per cluster on the memoryview proposes its end, and the exact test moves
+    the end to the first sample that fails it. As r - left is nondecreasing in r, every
     sample before that end passes: these are the greedy starts.
     """
     starts, left, s, m = [a], -delta / 4.0, 0, len(rs)
@@ -152,48 +152,63 @@ def _walk_starts(rs: list[float], a: int, delta: float) -> list[int]:
         left, s = rs[i - 1], i
 
 
-def _build_segments(v: np.ndarray, w: np.ndarray, delta: float, sizes):
-    """Cluster means and weights of samples sorted by (segment, value), each
-    segment's cluster count, and each segment's total weight. ``sizes`` holds
-    each segment's number of samples; a segment's clusters and total equal a
-    build on it alone.
-
-    ``w`` holds each sample's weight; a client passes ones, so that each
-    cluster's weight is its sample count. A segment's scale positions divide
-    its running weight by that sum's own last entry, so they end at exactly 1.
-    A cluster's mean is one segmented sum of its samples' share-weighted
-    values, clamped to their range: so a cluster of equal values, a singleton
-    among them, keeps that value.
-    """
+def _segments(v: np.ndarray, delta: float, sizes):
+    """Both builders' checks, then each segment's size, first sample and end."""
     if v.size == 0:
         raise DigestError("cannot build a digest from zero samples")
     if not 2.0 <= delta < math.inf:
         raise DigestError(f"compression {delta!r} must be finite and >= 2")
     if not np.isfinite(v).all():
         raise DigestError("sample values must be finite")
-    if not ((w > 0.0).all() and np.isfinite(w).all()):
-        raise DigestError("sample weights must be positive and finite")
     sizes = np.asarray(sizes)
     ends = sizes.cumsum()
-    heads = ends - sizes
-    # an empty segment starts no cluster and weighs 0
-    full = sizes > 0
-    totals = np.zeros(sizes.size)
-    totals[full] = np.add.reduceat(w, heads[full])
-    cum = np.concatenate([w[a:b].cumsum() for a, b in zip(heads.tolist(), ends.tolist())])
-    # r[i] = scale at the right boundary after absorbing sample i
-    q = cum / cum[ends - 1].repeat(sizes)
-    r = (delta / (2.0 * math.pi)) * np.arcsin(2.0 * q - 1.0)
+    return sizes, ends - sizes, ends
 
+
+def _clusters(v: np.ndarray, q: np.ndarray, delta: float, sizes, heads, ends):
+    """Cluster starts and sample counts at quantile positions ``q``; each segment's cluster count."""
+    r = (delta / (2.0 * math.pi)) * np.arcsin(2.0 * q - 1.0)  # the scale after absorbing each sample
+    full = sizes > 0
     starts = _cluster_starts(r, delta, heads[full], ends[full])
-    stops = np.concatenate((starts[1:], [v.size]))
-    counts = starts.searchsorted(ends) - starts.searchsorted(heads)
-    weights = np.add.reduceat(w, starts)
-    share = w / weights.repeat(stops - starts)
+    lengths = np.concatenate((starts[1:], [v.size])) - starts
+    return starts, lengths, starts.searchsorted(ends) - starts.searchsorted(heads)
+
+
+def _means(v: np.ndarray, w: float | np.ndarray, weights: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each cluster's sum of shares (``w`` over its weight) times values, clamped to their range."""
+    share = w / weights.repeat(lengths)
     # a sum that rounds past float range is clamped back into the cluster's range
     with np.errstate(over="ignore"):
         means = np.add.reduceat(share * v, starts)
-    return np.minimum(np.maximum(means, v[starts]), v[stops - 1]), weights, counts, totals
+    return np.minimum(np.maximum(means, v[starts]), v[starts + lengths - 1])
+
+
+def _count_segments(v: np.ndarray, delta: float, sizes):
+    """``_build_segments`` at unit weights, bit for bit, with sample counts (int64) as cluster
+    weights and no totals: the k-th of a segment's L samples has quantile position k / L."""
+    sizes, heads, ends = _segments(v, delta, sizes)
+    q = (np.arange(1, v.size + 1) - heads.repeat(sizes)) / sizes.repeat(sizes)
+    starts, lengths, counts = _clusters(v, q, delta, sizes, heads, ends)
+    return _means(v, 1.0, lengths, starts, lengths), lengths, counts
+
+
+def _build_segments(v: np.ndarray, w: np.ndarray, delta: float, sizes):
+    """Cluster means and weights of samples sorted by (segment, value), weighing ``w``, and each
+    segment's cluster count and total weight (``sizes`` holds its sample count): a segment's
+    clusters and total equal a build on it alone, and a total past float range raises."""
+    sizes, heads, ends = _segments(v, delta, sizes)
+    if not ((w > 0.0).all() and np.isfinite(w).all()):
+        raise DigestError("sample weights must be positive and finite")
+    full = sizes > 0
+    totals = np.zeros(sizes.size)
+    with np.errstate(over="ignore"):  # a sum past float range is rejected below
+        totals[full] = np.add.reduceat(w, heads[full])
+        cum = np.concatenate([w[a:b].cumsum() for a, b in zip(heads.tolist(), ends.tolist())])
+    if not (np.isfinite(totals).all() and np.isfinite(cum).all()):
+        raise DigestError("a segment's total weight must be finite")
+    starts, lengths, counts = _clusters(v, cum / cum[ends - 1].repeat(sizes), delta, sizes, heads, ends)
+    weights = np.add.reduceat(w, starts)
+    return _means(v, w, weights, starts, lengths), weights, counts, totals
 
 
 def _build_one(values: np.ndarray, weights: np.ndarray, delta: float) -> Digest:

@@ -464,14 +464,15 @@ class TestWireProperties:
         if not (n and pi):
             assert back.atoms == () and back.sizes.size == 0
             return
-        # the array path's cluster edges at unit weights; means within the
-        # loop's bound; and as weights the exact products of the sample
-        # counts and pi / (n + 1), each rounded once
+        # the weighted builder's cluster edges and means at unit weights, bit
+        # for bit; means within the loop's bound; and as weights the exact
+        # products of the sample counts and pi / (n + 1), each rounded once
         values, _, rows = enumerate_atoms(ds.covariates, FOUR_INTERVALS, ds.scores)
         with recorded_cluster_sizes() as passes:
-            _, _, counts, _ = _build_segments(values, np.ones(n), delta, rows)
+            unit_means, _, counts, _ = _build_segments(values, np.ones(n), delta, rows)
         assert back.counts == tuple(counts.tolist())
         assert back.sizes.tolist() == passes[0]
+        assert back.means.tobytes() == unit_means.tobytes()
         ends = np.cumsum(rows)
         for a, b, means in zip(ends - rows, ends, np.split(back.means, np.cumsum(back.counts)[:-1])):
             ref = reference_clusters(values[a:b], np.ones(b - a), delta)

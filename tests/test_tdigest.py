@@ -33,11 +33,11 @@ def build(values, delta, weights=None):
 
 def to_wire(values, delta):
     """A federation wire line whose one atom carries the client sketch of
-    ``values``: unit weights, so each cluster's weight is its sample count
-    (under pi = 1 each value weighs 1 / (n + 1) on the server)."""
+    ``values``: each cluster's weight is its sample count (under pi = 1
+    each value weighs 1 / (n + 1) on the server)."""
     n = len(values)
-    means, sizes, _, _ = tdigest._build_segments(np.sort(values), np.ones(n), delta, [n])
-    message = ClientMessage(1, n, 1.0, delta, "", ((1,),), (len(means),), means, sizes.astype(np.int64))
+    means, sizes, _ = tdigest._count_segments(np.sort(values), delta, [n])
+    message = ClientMessage(1, n, 1.0, delta, "", ((1,),), (len(means),), means, sizes)
     return message_to_json(message)
 
 
@@ -128,6 +128,12 @@ class TestBuild:
             build([math.nan], 25.0)
         with pytest.raises(DigestError):
             build([1.0], 1.5)
+        # a segment whose total weight overflows, with no overflow warning
+        with pytest.raises(DigestError, match="total weight must be finite"):
+            build_digest_arrays([1, 2, 3], [1e308] * 3, 25)
+        heavy = [build([x], 25.0, weights=[1e308]) for x in (1.0, 2.0)]
+        with pytest.raises(DigestError, match="total weight must be finite"):
+            merge(heavy, 25.0)
         # values and weights must be 1-d and of equal length
         for values, weights in (
             ([1.0, 2.0], [1.0, 1.0, 5.0]),
@@ -302,7 +308,7 @@ class TestSerialization:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(6)
         values = rng.normal(size=500)
-        means, sizes, _, _ = tdigest._build_segments(np.sort(values), np.ones(500), 50.0, [500])
+        means, sizes, _ = tdigest._count_segments(np.sort(values), 50.0, [500])
         back = from_wire(to_wire(values, 50.0))
         assert back.means.tobytes() == means.tobytes()
         assert back.sizes.tolist() == sizes.tolist()
@@ -569,23 +575,29 @@ class TestMatchesReferenceLoop:
     )
     @settings(max_examples=80, deadline=None)
     def test_unit_weights_match_the_loop(self, n, segment_count, seed, ties, delta):
-        # a client's unit weights, on segments both shorter and longer than
-        # the walk's cutoff: each cluster weighs its sample count, which is
-        # the loop's, and its mean lies within the loop's bound
+        # the client's count builder, on segments both shorter and longer
+        # than the walk's cutoff: each cluster's sample count is the loop's,
+        # its mean lies within the loop's bound, and means, counts and
+        # cluster counts are the weighted builder's at unit weights, bit for bit
         values, _ = random_samples(seed, n, ties, "unit")
         segments = np.random.default_rng(seed + 1).integers(0, segment_count, n)
         order = np.lexsort((values, segments))
         sizes = np.bincount(segments, minlength=segment_count)
         with recorded_cluster_sizes() as passes:
-            means, weights, counts, totals = tdigest._build_segments(values[order], np.ones(n), delta, sizes)
-        assert passes[0] == weights.tolist()
-        assert totals.tolist() == sizes.tolist()
+            means, lengths, counts = tdigest._count_segments(values[order], delta, sizes)
+        assert lengths.dtype == np.int64
+        assert passes[0] == lengths.tolist()
         ends = np.cumsum(counts)
         for k, (count, end) in enumerate(zip(counts.tolist(), ends.tolist())):
             if sizes[k]:
                 ref = reference_clusters(values[segments == k], np.ones(sizes[k]), delta)
-                assert weights[end - count : end].tolist() == ref[2]
+                assert lengths[end - count : end].tolist() == ref[2]
                 assert_close_to_reference(ref, means[end - count : end])
+        unit_means, weights, unit_counts, totals = tdigest._build_segments(values[order], np.ones(n), delta, sizes)
+        assert means.tobytes() == unit_means.tobytes()
+        assert lengths.tobytes() == weights.astype(np.int64).tobytes()
+        assert counts.tobytes() == unit_counts.tobytes()
+        assert totals.tolist() == sizes.tolist()
 
     @given(
         n=st.integers(1, 2000),
