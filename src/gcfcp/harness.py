@@ -4,10 +4,11 @@ Each trial draws its calibration datasets and test points from
 trial-indexed substreams: synthetic regression data, or a per-trial split of
 ingested classification scores. ``run_trial`` is the one trial loop for both
 sources: it builds every requested calibrator through ``calibrate_baseline``,
-counts a test point covered iff its score is at most its threshold (so an
-unbounded set, threshold +inf, covers), and records set size, threshold-search
-wall-clock, and wire bytes. Trials are independent, so serial and parallel
-execution produce identical reports.
+asks each one for a threshold once per distinct membership pattern of the
+trial's test points, counts a test point covered iff its score is at most its
+pattern's threshold (so an unbounded set, threshold +inf, covers), and records
+set size, threshold-search wall-clock, and wire bytes. Trials are independent,
+so serial and parallel execution produce identical reports.
 """
 
 from __future__ import annotations
@@ -153,21 +154,30 @@ def _ingest_trial_data(
 def run_trial(
     config: ExperimentConfig, trial: int, records: list[ScoreRecord] | None = None
 ) -> dict[str, TrialOutcome]:
-    """Every calibrator on one trial: synthetic data, or ingested ``records``."""
+    """Every calibrator on one trial: synthetic data, or ingested ``records``.
+
+    S* depends on a test point only through its membership pattern, so each
+    calibrator is asked once per distinct pattern of the trial (``fcp_marginal``
+    once, for its one all-covering group) and every point takes its pattern's
+    threshold.
+    """
     if records is None:
         data = _synth_trial_data(config, trial)
     else:
         data = _ingest_trial_data(config, records, trial)
+    rows, inverse = np.unique(data.memberships, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    patterns = [tuple(row) for row in rows.tolist()]
     outcomes = {}
     for kind in config.calibrators:
         calibrator = calibrate_baseline(
             kind, data.datasets, config.alpha, family=config.family, delta=config.delta
         )
-        thresholds = np.empty(len(data.test_scores))
         try:
-            for i, row in enumerate(data.memberships):
-                feature = (1,) if kind == "fcp_marginal" else tuple(row)
-                thresholds[i] = calibrator.threshold(feature)
+            if kind == "fcp_marginal":
+                thresholds = np.full(len(data.test_scores), calibrator.threshold((1,)))
+            else:
+                thresholds = np.array([calibrator.threshold(p) for p in patterns])[inverse]
         except DegenerateGroupError as exc:
             raise DegenerateGroupError(exc.groups, trial) from exc
         outcomes[kind] = TrialOutcome(

@@ -18,10 +18,11 @@ multipliers, which the threshold search requires.
 The solver keeps the inverse of its basis. It is inverted afresh wherever
 the basic values are recomputed, and each pivot updates it by one rank-one
 (eta) step, the product form of Dantzig & Orchard-Hays (1954), with a fresh
-inversion at least every 512 pivots. Each column also keeps the direction
-it can move in: +1 at its lower bound, -1 at its upper bound, 0 when basic
-or zero-width. A reduced cost times that direction is the gain of entering
-the column, so Dantzig pricing is one argmax over that product.
+inversion at least every 512 pivots; a solve that takes no step keeps the
+inverse it opened with. Each column also keeps the direction it can move in:
++1 at its lower bound, -1 at its upper bound, 0 when basic or zero-width. A
+reduced cost times that direction is the gain of entering the column, so
+Dantzig pricing is one argmax over that product.
 ``AugmentedQrSolver``, built for one calibration set and one test pattern, is
 the only entry point; the caller (``conformal``) rejects a group column
 without calibration mass first.
@@ -335,7 +336,8 @@ class AugmentedQrSolver:
             rank = (c - y @ self._A) * self._dir
             j = int(np.argmax(rank))  # Dantzig: the largest gain, the lowest index on ties
             if not rank[j] > price_tol:
-                self._refresh()
+                if it:  # with no step taken, the opening refresh still holds
+                    self._refresh()
                 return y, crossed + it
             if self._degenerate > _BLAND_AFTER:
                 j = int(np.argmax(rank > price_tol))  # Bland: the first column that gains

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from conftest import export_scores
 
-from gcfcp.datagen import ScoreRecord, SynthConfig
+from gcfcp import harness
+from gcfcp.conformal import CALIBRATOR_KINDS, calibrate_baseline
+from gcfcp.datagen import ScoreRecord, SynthConfig, ingest_scores
 from gcfcp.groups import GroupFamily, LabelSet, interval_family
 from gcfcp.harness import (
     DegenerateGroupError,
@@ -25,6 +27,8 @@ SMALL = ExperimentConfig(
     delta=50.0,
     synth=SMALL_SYNTH,
 )
+
+LABEL_FAMILY = GroupFamily(groups=(LabelSet(frozenset(range(0, 4))), LabelSet(frozenset(range(2, 6)))))
 
 
 class TestGroupCoverage:
@@ -141,35 +145,29 @@ class TestRunExperiment:
         assert "trial 0" in str(err.value)
 
 
-class TestIngestExperiment:
-    def make_records(self, rng, count=160):
-        records = []
-        for _ in range(count):
-            true = int(rng.integers(0, 6))
-            scores = rng.uniform(0.2, 1.0, 6)
-            scores[true] = rng.uniform(0.0, 0.6)
-            pred = int(np.argmin(scores))
-            records.append(
-                ScoreRecord(int(rng.integers(1, 4)), pred, true, tuple(scores))
-            )
-        return records
+def make_records(rng, count=160):
+    """Six-label score rows whose predicted label has the lowest score."""
+    records = []
+    for _ in range(count):
+        true = int(rng.integers(0, 6))
+        scores = rng.uniform(0.2, 1.0, 6)
+        scores[true] = rng.uniform(0.0, 0.6)
+        pred = int(np.argmin(scores))
+        records.append(ScoreRecord(int(rng.integers(1, 4)), pred, true, tuple(scores)))
+    return records
 
+
+class TestIngestExperiment:
     def test_label_set_pipeline(self, tmp_path):
         rng = np.random.default_rng(1)
         path = tmp_path / "scores.csv"
-        export_scores(self.make_records(rng), path)
-        family = GroupFamily(
-            groups=(
-                LabelSet(frozenset(range(0, 4))),
-                LabelSet(frozenset(range(2, 6))),
-            ),
-        )
+        export_scores(make_records(rng), path)
         config = ExperimentConfig(
             calibrators=("centralized_cp", "gcfcp_coreset"),
             trials=2,
             test_points=1,  # ignored on the ingestion path, but must be valid
             delta=50.0,
-            family=family,
+            family=LABEL_FAMILY,
             ingest_path=str(path),
         )
         report = run_experiment(config)
@@ -179,20 +177,17 @@ class TestIngestExperiment:
         assert 0.0 <= s.mean_set_size <= 6.0
 
     def test_tiny_alpha_label_set_holds_every_label(self):
-        family = GroupFamily(
-            groups=(LabelSet(frozenset(range(0, 4))), LabelSet(frozenset(range(2, 6)))),
-        )
         config = ExperimentConfig(
-            calibrators=("centralized_cp", "gcfcp_coreset"), alpha=0.001, delta=50.0, family=family
+            calibrators=("centralized_cp", "gcfcp_coreset"), alpha=0.001, delta=50.0, family=LABEL_FAMILY
         )
-        records = self.make_records(np.random.default_rng(3))
+        records = make_records(np.random.default_rng(3))
         for outcome in run_trial(config, 0, records).values():
             assert np.all(outcome.set_sizes == 6.0)
             assert outcome.covered.all()
 
     def test_degenerate_group_names_trial(self, tmp_path):
         path = tmp_path / "scores.csv"
-        export_scores(self.make_records(np.random.default_rng(2)), path)
+        export_scores(make_records(np.random.default_rng(2)), path)
         # no predicted label reaches the second group, so it has no mass
         family = GroupFamily(
             groups=(LabelSet(frozenset(range(6))), LabelSet(frozenset({7}))),
@@ -231,3 +226,33 @@ def test_an_empty_set_counts_as_size_zero():
     assert empty.any()
     assert np.all(outcome.set_sizes >= 0.0)
     assert not outcome.covered[empty].any()
+
+
+@pytest.mark.parametrize("source", ["synth", "ingest"])
+def test_one_threshold_per_pattern_matches_asking_per_point(tmp_path, source):
+    """A trial asks each calibrator once per distinct membership pattern; its
+    outcomes equal, bit for bit, those of asking a fresh calibrator for every
+    test point, on SMALL synthetic data and on a label-set ingest file."""
+    config = dataclasses.replace(SMALL, calibrators=CALIBRATOR_KINDS)
+    records = None
+    if source == "ingest":
+        path = tmp_path / "scores.csv"
+        export_scores(make_records(np.random.default_rng(1)), path)
+        records = ingest_scores(path)
+        config = dataclasses.replace(config, family=LABEL_FAMILY, ingest_path=str(path))
+        data = harness._ingest_trial_data(config, records, 1)
+    else:
+        data = harness._synth_trial_data(config, 1)
+    outcomes = run_trial(config, 1, records)
+    patterns = {tuple(row) for row in data.memberships.tolist()}
+    assert 1 < len(patterns) < len(data.test_scores)
+    for kind in CALIBRATOR_KINDS:
+        calibrator = calibrate_baseline(kind, data.datasets, config.alpha, family=config.family, delta=config.delta)
+        thresholds = np.array(
+            [calibrator.threshold((1,) if kind == "fcp_marginal" else tuple(row)) for row in data.memberships]
+        )
+        got = outcomes[kind]
+        assert got.covered.tobytes() == (data.test_scores <= thresholds).tobytes()
+        assert got.set_sizes.tobytes() == data.set_sizes(thresholds).tobytes()
+        searches = {"centralized_cp": 0, "fcp_marginal": 1}.get(kind, len(patterns))
+        assert len(got.search_times) == searches

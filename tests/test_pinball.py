@@ -414,6 +414,34 @@ def test_kept_inverse_and_directions_follow_the_basis(seed, warm):
     _assert_kept_state(solver)
 
 
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("warm", [False, True])
+def test_a_solve_with_no_step_inverts_once(monkeypatch, seed, warm):
+    """Solving again at the same score takes no step and inverts the basis
+    only as it opens; the solution is the first one to the bit."""
+    rng = np.random.default_rng(seed)
+    p = random_lp(rng)
+    start = _calibration_only(p).export_basis() if warm else None
+    solver = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight, start_basis=start)
+    first = solver.solve_at(p.test_score)
+    factors = []
+    factor = AugmentedQrSolver._factor
+
+    def counting_factor(self):
+        factors.append(self)
+        factor(self)
+
+    monkeypatch.setattr(AugmentedQrSolver, "_factor", counting_factor)
+    again = solver.solve_at(p.test_score)
+    assert again.iterations == 0
+    assert factors == [solver]
+    for name in ("beta", "eta"):
+        assert getattr(again, name).tobytes() == getattr(first, name).tobytes()
+    for name in ("eta_test", "duality_gap", "coupling_residual"):
+        assert _bits(getattr(again, name)) == _bits(getattr(first, name))
+    _assert_kept_state(solver)
+
+
 def test_blands_rule_on_a_degenerate_start(monkeypatch):
     """A start at a vertex where every basic column sits on a bound: 50
     disjoint groups, each with two tied high scores at the lower bound and
