@@ -30,12 +30,15 @@ and at least 2. ``message_from_json`` checks each line on its own and raises
 ProtocolError on a malformed header (a repeated field, a delta that is not
 finite and at least 2, and an n of 2**53 or more, among them), a checksum,
 base64 or length mismatch, a non-finite mean, means out of order within an
-atom, a count of 0, counts that do not sum to n_k, or atoms with a sample
-weight pi_k / (n_k + 1) of 0. ``server_assemble`` checks the round: it raises
-ProtocolError on a repeated client, a family fingerprint or atom length other
-than the round's, a delta other than the first message's, mixture weights
-that do not sum to 1, and a client whose cluster weights (``cluster_weights``)
-do not sum to pi_k n_k / (n_k + 1). It takes delta from the first header and
+atom, a count of 0, counts that do not sum to n_k, atoms with a sample
+weight pi_k / (n_k + 1) of 0, or a cluster of more than one sample that
+holds more than sin(pi/delta) of its atom's samples (the sketch's mass
+bound, within 1e-9 relative; ``_check_mass_bound`` derives it).
+``server_assemble`` checks the round: it raises ProtocolError on a repeated
+client, a family fingerprint or atom length other than the round's, a delta
+other than the first message's, mixture weights that do not sum to 1, and a
+client whose cluster weights (``cluster_weights``) do not sum to
+pi_k n_k / (n_k + 1). It takes delta from the first header and
 the test weight sum_k pi_k / (n_k + 1) from all of them, and merges every
 atom across clients in one more sketch pass at that delta, whose clusters are
 the rows of the coreset used by the quantile regression.
@@ -64,6 +67,7 @@ from .groups import AtomKey, GroupFamily, decode_json, enumerate_atoms
 from .tdigest import Digest, _build_segments, _count_segments
 
 _WEIGHT_TOL = 1e-9
+_MASS_TOL = 1e-9  # relative slack of the mass bound over sin(pi/delta) * L
 _MAX_N = 2**53  # every n below it, and every count, is exact as a float
 _FIELDS = ("client_id", "n", "pi", "delta", "family", "atoms", "counts", "crc32", "data")
 _ATOM_CODE = re.compile("[01]*1[01]*")
@@ -229,6 +233,29 @@ def _is_real(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
+def _check_mass_bound(client_id, sizes: np.ndarray, counts, ends: np.ndarray, delta: float) -> None:
+    """Raise ProtocolError unless every cluster holds at most
+    max(1, sin(pi/delta) * L * (1 + _MASS_TOL)) samples, L its atom's sample count.
+
+    An honest client meets it. The k-th of an atom's L scores sits at
+    quantile k/L, on the scale r(q) = delta/(2 pi) arcsin(2q - 1). A cluster
+    of c > 1 samples after the j-th admits its last one only if
+    r((j + c)/L) - r(j/L) <= ``tdigest._SPAN`` = 1 + 1e-12. Inverting,
+    q(r + 1) - q(r) = sin(pi/delta) cos(2 pi (r + 1/2)/delta): one scale unit
+    spans at most sin(pi/delta) of quantile, at the median. So c/L <=
+    sin(pi/delta) up to _SPAN's 1e-12 and the rounding of arcsin, which
+    _MASS_TOL covers; a cluster of one sample may exceed it on its own.
+    """
+    heads = ends - counts
+    largest = np.maximum.reduceat(sizes, heads).tolist()
+    atom_sizes = np.add.reduceat(sizes, heads).tolist()
+    sin = math.sin(math.pi / delta)
+    if any(c > 1 and c > sin * L * (1.0 + _MASS_TOL) for c, L in zip(largest, atom_sizes)):
+        raise ProtocolError(
+            f"client {client_id}: a cluster holds more than sin(pi/delta) of its atom's samples"
+        )
+
+
 def message_from_json(line: str) -> ClientMessage:
     """Parse one client line and check it on its own; see the module docstring."""
     try:
@@ -293,6 +320,9 @@ def message_from_json(line: str) -> ClientMessage:
         raise ProtocolError(f"client {client_id}: a cluster of 0 samples")
     if size and sum(sizes.tolist()) != n:  # exact: a numpy sum may wrap
         raise ProtocolError(f"client {client_id}: sample counts do not sum to n = {n}")
+    sizes = sizes.astype(np.int64)  # each below 2**53 now that they sum to n
+    if size:
+        _check_mass_bound(client_id, sizes, counts, ends, delta)
     return ClientMessage(
         client_id=client_id,
         n=n,
@@ -302,7 +332,7 @@ def message_from_json(line: str) -> ClientMessage:
         atoms=tuple(tuple(map(int, code)) for code in codes),
         counts=tuple(counts),
         means=means,
-        sizes=sizes.astype(np.int64),
+        sizes=sizes,
     )
 
 

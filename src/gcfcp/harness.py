@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable
@@ -198,6 +197,8 @@ def run_experiment(config: ExperimentConfig) -> CoverageReport:
     if config.serial or config.trials == 1:
         per_trial = [run_trial(config, t, records) for t in trials]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only a pool run pays
+
         with ProcessPoolExecutor() as pool:
             per_trial = list(pool.map(run_trial, repeat(config), trials, repeat(records)))
     return _aggregate(config, per_trial)

@@ -17,7 +17,7 @@ from gcfcp.conformal import EmptySetError
 from gcfcp.datagen import SynthConfig
 from gcfcp.federation import message_from_json
 from gcfcp.groups import Interval, LabelSet, family_from_json
-from gcfcp.harness import ExperimentConfig, _synth_trial_data
+from gcfcp.harness import DEFAULT_FAMILY, ExperimentConfig, _synth_trial_data
 from gcfcp.pinball import SolverError
 
 SMALL_GROUPS = json.dumps(
@@ -111,6 +111,58 @@ def test_predict_prints_interval(dataset_csv, capsys):
     lo, hi = (float(v) for v in re.search(r"interval=\[(\S+), (\S+)\]", out).groups())
     assert threshold > 0.0
     assert (lo, hi) == pytest.approx((2.0 - threshold, 2.0 + threshold), abs=2e-6)
+
+
+def predict_out(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_one_parser_keeps_calls_independent(dataset_csv, capsys):
+    """``main`` parses with one parser per process, and no call leaves a
+    value, an error or a help request behind for the next."""
+    assert cli.build_parser() is cli.build_parser()
+    plain = ["predict", str(dataset_csv), "--x", "2.5", "--delta", "100"]
+    first = predict_out(capsys, plain)
+    options = ["--alpha", "0.2", "--groups", SMALL_GROUPS, "--mixture", "[0.4, 0.2, 0.2, 0.2]"]
+    assert predict_out(capsys, plain + options) != first
+    assert predict_out(capsys, plain) == first
+    for argv, code in ((plain + ["--alpha", "x"], 2), (plain + ["--bogus"], 2), (["predict", "--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        capsys.readouterr()
+        assert predict_out(capsys, plain) == first
+
+
+def test_predict_runs_one_cold_search(dataset_csv, monkeypatch, capsys):
+    """``predict`` makes one threshold search, cold, and no calibration-only
+    solve; its threshold is the coreset calibrator's for the point's pattern."""
+    searches, bases = [], []
+    search, basis = conformal.threshold_search, conformal.calibration_basis
+
+    def spy_search(*args, **kwargs):
+        searches.append(kwargs)
+        return search(*args, **kwargs)
+
+    def spy_basis(*args, **kwargs):
+        bases.append(args)
+        return basis(*args, **kwargs)
+
+    monkeypatch.setattr(conformal, "threshold_search", spy_search)
+    monkeypatch.setattr(conformal, "calibration_basis", spy_basis)
+    predict_out(capsys, ["predict", str(dataset_csv), "--x", "1.5"])
+    assert searches == [{}] and bases == []
+    monkeypatch.undo()
+
+    datasets = cli._read_dataset_csv(dataset_csv, "uniform")
+    calibrator = conformal.calibrate_baseline(
+        "gcfcp_coreset", datasets, ExperimentConfig.alpha, family=DEFAULT_FAMILY, delta=ExperimentConfig.delta
+    )
+    for x in np.linspace(0.0, 5.0, 21).tolist():
+        out = predict_out(capsys, ["predict", str(dataset_csv), "--x", repr(x)])
+        pattern = tuple(map(int, re.search(r"pattern=(\d+)", out)[1]))
+        assert re.search(r"threshold=(\S+)", out)[1] == f"{calibrator.threshold(pattern):.6f}"
 
 
 @pytest.mark.parametrize(

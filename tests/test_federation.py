@@ -257,7 +257,7 @@ class TestWire:
 
     def test_accepts_n_below_2_to_the_53(self):
         n = 2**53 - 1
-        line = crafted([[(1.0, 1), (2.0, n - 1)]], n=n)
+        line = crafted([[(1.0, 1), (2.0, n - 1)]], n=n, delta=2.0)  # delta 2 bounds no cluster's mass
         back = message_from_json(line)
         assert back.sizes.tolist() == [1, n - 1] and message_to_json(back) == line
 
@@ -280,6 +280,32 @@ class TestWire:
             message_from_json(crafted([[(1.0, 0), (2.0, 2)]]))
         # means restart at each atom
         assert message_from_json(crafted([[(2.0, 1)], [(1.0, 1)]]))
+
+    def test_rejects_one_cluster_per_atom(self):
+        # 500 scores over 5 atoms, each atom sent as one cluster, one of 117
+        # samples: the weights are exact, the sketch's resolution is gone
+        line = crafted([[(0.5, 117)], [(0.5, 100)], [(0.5, 100)], [(0.5, 100)], [(0.5, 83)]])
+        with pytest.raises(ProtocolError, match=r"client 1: a cluster holds more than sin\(pi/delta\)"):
+            message_from_json(line)
+
+    @pytest.mark.parametrize(
+        "delta, sizes, ok",
+        [
+            (250.0, [31] * 79 + [18], True),  # 31 <= sin(pi/250) * 2467 = 31.0004
+            (250.0, [32] + [31] * 78 + [17], False),
+            (25.0, [1], True),  # a single sample may hold more than sin(pi/25) of its atom
+            (25.0, [1, 1], True),
+            (25.0, [2], False),
+            (2.0, [7], True),  # sin(pi/2) = 1 bounds nothing
+        ],
+    )
+    def test_mass_bound_edge(self, delta, sizes, ok):
+        line = crafted([[(float(i), c) for i, c in enumerate(sizes)]], delta=delta)
+        if ok:
+            assert message_from_json(line).sizes.tolist() == sizes
+        else:
+            with pytest.raises(ProtocolError, match="sin"):
+                message_from_json(line)
 
     def test_wire_bytes(self):
         rng = np.random.default_rng(3)
@@ -370,8 +396,9 @@ def crafted_clients(draw, scores=False):
 
 
 def crafted_line(fields, **changes):
-    """The wire line of ``crafted_clients`` fields, client 9 at delta 25."""
-    return reference_line(9, delta=25.0, fingerprint=FINGERPRINT, **{**fields, **changes})
+    """The wire line of ``crafted_clients`` fields, client 9 at delta 2,
+    where the mass bound admits any split of an atom's samples."""
+    return reference_line(9, delta=2.0, fingerprint=FINGERPRINT, **{**fields, **changes})
 
 
 class TestWireProperties:
@@ -593,6 +620,23 @@ class TestWireProperties:
         with pytest.raises(ProtocolError, match="mixture"):
             run_round(off, family, delta)
 
+    @given(
+        n=st.integers(1, 3000),
+        decimals=st.sampled_from([0, 1, 2, None]),
+        delta=st.floats(2.0, 1000.0),
+        one_group=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_honest_lines_meet_the_mass_bound(self, n, decimals, delta, one_group, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.exponential(1.0, n)
+        if decimals is not None:  # ties
+            scores = np.round(scores, decimals)
+        ds = ClientDataset(1, rng.uniform(0, 5, n), scores, 1.0)
+        sent = client_build_messages(ds, SINGLE_GROUP if one_group else FOUR_INTERVALS, delta)
+        assert np.array_equal(message_from_json(message_to_json(sent)).sizes, sent.sizes)
+
 
 class TestServer:
     def test_atom_total_is_one_sum_of_its_weights(self):
@@ -600,15 +644,16 @@ class TestServer:
         # few) as a build on them alone does: 0.7333333333333333 here, as
         # math.fsum reads, where adding each client's sum in message order
         # reads 0.7333333333333334
+        # (at delta 2, which admits a cluster of 4 of an atom's 6 samples)
         lines = [
-            crafted([[(0.0, 1), (1.0, 1)]], client_id=1, pi=0.65),
-            crafted([[(0.5, 1), (1.5, 1), (2.5, 4)]], client_id=2, pi=0.35),
+            crafted([[(0.0, 1), (1.0, 1)]], client_id=1, pi=0.65, delta=2.0),
+            crafted([[(0.5, 1), (1.5, 1), (2.5, 4)]], client_id=2, pi=0.35, delta=2.0),
         ]
         messages = [message_from_json(line) for line in lines]
         coreset, _ = server_assemble(messages, FOUR_INTERVALS)
         rows = np.concatenate(cluster_weights(messages))
         assert sum(sum(weights_of(m).tolist()) for m in messages) == 0.7333333333333334
-        alone = build_digest_arrays(np.concatenate([m.means for m in messages]), rows, 25.0)
+        alone = build_digest_arrays(np.concatenate([m.means for m in messages]), rows, 2.0)
         total = coreset.per_atom_digests[(0, 0, 0, 1)].total_weight
         assert total == alone.total_weight == math.fsum(rows.tolist()) == 0.7333333333333333
 
@@ -625,8 +670,9 @@ class TestServer:
     def test_huge_sample_count_needs_no_table(self):
         # a cluster of 2**40 samples weighs its count times pi / (n + 1),
         # rounded once; the server's memory does not grow with the count
+        # (delta 2 admits one cluster of all an atom's samples)
         n = 2**40
-        message = message_from_json(crafted([[(0.5, n)]], n=n))
+        message = message_from_json(crafted([[(0.5, n)]], n=n, delta=2.0))
         coreset, _ = server_assemble([message], FOUR_INTERVALS)
         assert coreset.entries["mean"].tolist() == [0.5]
         assert coreset.entries["weight"].tolist() == [float(Fraction(n) * Fraction(1 / (n + 1)))]
@@ -968,3 +1014,21 @@ def test_readme_wire_format_matches_the_codec():
         assert _count_width(top) == width < _count_width(top + 1)
     assert "`(8 + width) * sum(counts)` bytes long" in text
     assert "a cluster of `L` samples weighs `L * w`" in text and "uniform_table" not in text
+
+
+def test_every_fed_round_pool_line_decodes(monkeypatch):
+    """The benchmark's fed-round federations (seed 1, its whole pool) at
+    delta 25, 250 and 1000: every client line meets the mass bound."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    fed_round = workloads.FedRound(seed=1)
+    lines = 0
+    for p in range(fed_round.pool):
+        datasets = workloads.make_federation(1, fed_round.sizes, p).datasets
+        for delta in (25.0, 250.0, 1000.0):
+            for ds in datasets:
+                sent = client_build_messages(ds, FOUR_INTERVALS, delta)
+                assert np.array_equal(message_from_json(message_to_json(sent)).sizes, sent.sizes)
+                lines += 1
+    assert lines == 16 * 32 * 3
