@@ -15,23 +15,31 @@ with the header fields
                        equal for families that compare equal (groups.py)
     atoms      [str]   the atom codes ("1100": the membership bits), ascending
     counts     [int]   the number of clusters of each atom, in atom order
-    crc32      int     zlib.crc32 of the ASCII text of ``data``
+    bits       int     the bit length of the largest sample count, 0 without
+                       clusters
+    crc32      str     zlib.crc32 of the ASCII text of ``data``, 8 lowercase
+                       hex digits
 
 and one payload field, ``data``: the base64 of all the client's cluster
 means as little-endian float64 (atom after atom, ascending within an atom),
-then each cluster's sample count in the same order, as little-endian unsigned
-integers of the smallest of 1, 2, 4 or 8 bytes that holds n_k. Every score of
-a client weighs w = pi_k / (n_k + 1), so a cluster of L scores weighs L * w,
-rounded once. A client without scores, or with pi_k = 0, sends the header
-with no atoms and empty data. Means survive the wire bit for bit.
+then each cluster's sample count in the same order in ``bits`` bits, count i
+at bit i * bits, least significant bit first, the last byte's unused high
+bits 0: 8 * sum(counts) + ceil(sum(counts) * bits / 8) bytes. A line's
+length depends only on its header and the shape of its sketch, not on the
+bits of its means. Every score of a client weighs w = pi_k / (n_k + 1), so a
+cluster of L scores weighs L * w, rounded once. A client without scores, or
+with pi_k = 0, sends the header with no atoms, bits 0 and empty data. Means
+survive the wire bit for bit.
 
 The client's sketch raises DigestError on a compression that is not finite
 and at least 2. ``message_from_json`` checks each line on its own and raises
 ProtocolError on a malformed header (a repeated field, a delta that is not
-finite and at least 2, and an n of 2**53 or more, among them), a checksum,
-base64 or length mismatch, a non-finite mean, means out of order within an
-atom, a count of 0, counts that do not sum to n_k, atoms with a sample
-weight pi_k / (n_k + 1) of 0, or a cluster of more than one sample that
+finite and at least 2, an n of 2**53 or more, and a bits outside [0, 53] or
+0 exactly when there are clusters, among them), a checksum, base64 or length
+mismatch, padding bits that are not 0, a non-finite mean, means out of order
+within an atom, a count of 0, counts that do not sum to n_k, a largest count
+of fewer bits than ``bits`` (so each message has one line), atoms with a
+sample weight pi_k / (n_k + 1) of 0, or a cluster of more than one sample that
 holds more than sin(pi/delta) of its atom's samples (the sketch's mass
 bound, within 1e-9 relative; ``_check_mass_bound`` derives it).
 ``server_assemble`` checks the round: it raises ProtocolError on a repeated
@@ -69,7 +77,9 @@ from .tdigest import Digest, _build_segments, _count_segments
 _WEIGHT_TOL = 1e-9
 _MASS_TOL = 1e-9  # relative slack of the mass bound over sin(pi/delta) * L
 _MAX_N = 2**53  # every n below it, and every count, is exact as a float
-_FIELDS = ("client_id", "n", "pi", "delta", "family", "atoms", "counts", "crc32", "data")
+_MAX_BITS = 53  # the counts sum to n < 2**53, so each fits in 53 bits
+_POWERS = 1 << np.arange(_MAX_BITS, dtype=np.int64)  # the weight of each bit of a count
+_FIELDS = ("client_id", "n", "pi", "delta", "family", "atoms", "counts", "bits", "crc32", "data")
 _ATOM_CODE = re.compile("[01]*1[01]*")
 
 
@@ -198,17 +208,25 @@ def client_build_messages(
     )
 
 
-def _count_width(n: int) -> int:
-    """Bytes per sample count: the smallest of 1, 2, 4 and 8 that holds n."""
-    return next(width for width in (1, 2, 4, 8) if n < 1 << 8 * width)
+def _pack_counts(sizes: np.ndarray, bits: int) -> bytes:
+    """Each count in ``bits`` bits, count i at bit i * bits, least
+    significant bit first; the last byte's unused high bits are 0."""
+    octets = sizes.astype("<u8").view(np.uint8).reshape(-1, 8)
+    return np.packbits(np.unpackbits(octets, axis=1, count=bits, bitorder="little"), bitorder="little").tobytes()
+
+
+def _unpack_counts(packed: np.ndarray, size: int, bits: int) -> np.ndarray:
+    """The ``size`` counts of ``bits`` bits each that ``_pack_counts`` wrote
+    into the uint8 array ``packed``, as int64."""
+    planes = np.unpackbits(packed, count=size * bits, bitorder="little").reshape(size, bits)
+    return planes @ _POWERS[:bits]
 
 
 def message_to_json(message: ClientMessage) -> str:
     """The message's one wire line; see the module docstring."""
-    data = base64.b64encode(
-        message.means.astype("<f8", copy=False).tobytes()
-        + message.sizes.astype(f"<u{_count_width(message.n)}").tobytes()
-    )
+    sizes = message.sizes
+    bits = int(sizes.max()).bit_length() if sizes.size else 0
+    data = base64.b64encode(message.means.astype("<f8", copy=False).tobytes() + _pack_counts(sizes, bits))
     header = {
         "client_id": message.client_id,
         "n": message.n,
@@ -217,7 +235,8 @@ def message_to_json(message: ClientMessage) -> str:
         "family": message.family,
         "atoms": ["".join(map(str, atom)) for atom in message.atoms],
         "counts": list(message.counts),
-        "crc32": zlib.crc32(data),
+        "bits": bits,
+        "crc32": f"{zlib.crc32(data):08x}",
     }
     # data is the last field and base64 needs no JSON escaping, so this is
     # json.dumps of the whole object without escaping the payload
@@ -290,23 +309,29 @@ def message_from_json(line: str) -> ClientMessage:
         raise ProtocolError(
             f"client {client_id}: invalid cluster counts {counts!r} for {len(codes)} atoms, n = {n}"
         )
-    if not (isinstance(data, str) and _is_int(obj["crc32"])):
-        raise ProtocolError(f"client {client_id}: data must be a string and crc32 an integer")
+    size, bits = sum(counts), obj["bits"]
+    if not (_is_int(bits) and 0 <= bits <= _MAX_BITS and (bits > 0) == (size > 0)):
+        raise ProtocolError(
+            f"client {client_id}: bits {bits!r} must be an integer in [1, {_MAX_BITS}] with clusters, 0 without"
+        )
+    if not (isinstance(data, str) and isinstance(obj["crc32"], str)):
+        raise ProtocolError(f"client {client_id}: data and crc32 must be strings")
     try:
         text = data.encode("ascii")
-        if zlib.crc32(text) != obj["crc32"]:
+        if f"{zlib.crc32(text):08x}" != obj["crc32"]:  # 8 lowercase hex digits
             raise ValueError("checksum mismatch")
         raw = base64.b64decode(text, validate=True)
     except ValueError as exc:
         raise ProtocolError(f"client {client_id}: corrupt payload: {exc}") from exc
-    size, width = sum(counts), _count_width(n)
-    if len(raw) != (8 + width) * size:
-        raise ProtocolError(
-            f"client {client_id}: payload of {len(raw)} bytes, counts need {(8 + width) * size}"
-        )
+    length = 8 * size + (size * bits + 7) // 8
+    if len(raw) != length:
+        raise ProtocolError(f"client {client_id}: payload of {len(raw)} bytes, counts and bits need {length}")
+    packed = np.frombuffer(raw, dtype=np.uint8, offset=8 * size)
+    if size * bits % 8 and packed[-1] >> size * bits % 8:
+        raise ProtocolError(f"client {client_id}: padding bits after the last count are not 0")
 
     means = np.frombuffer(raw, dtype="<f8", count=size)
-    sizes = np.frombuffer(raw, dtype=f"<u{width}", offset=8 * size)
+    sizes = _unpack_counts(packed, size, bits)
     ends = np.cumsum(counts, dtype=np.int64)
     if not np.isfinite(means).all():
         raise ProtocolError(f"client {client_id}: means must be finite")
@@ -318,10 +343,13 @@ def message_from_json(line: str) -> ClientMessage:
         raise ProtocolError(f"client {client_id}: atoms with sample weight pi / (n + 1) = 0")
     if not sizes.all():
         raise ProtocolError(f"client {client_id}: a cluster of 0 samples")
-    if size and sum(sizes.tolist()) != n:  # exact: a numpy sum may wrap
-        raise ProtocolError(f"client {client_id}: sample counts do not sum to n = {n}")
-    sizes = sizes.astype(np.int64)  # each below 2**53 now that they sum to n
     if size:
+        # each count is below 2**bits, so an int64 sum of fewer than 2**(63 - bits) counts cannot wrap
+        total = int(sizes.sum()) if size.bit_length() + bits <= 63 else sum(sizes.tolist())
+        if total != n:
+            raise ProtocolError(f"client {client_id}: sample counts do not sum to n = {n}")
+        if int(sizes.max()).bit_length() != bits:  # one line per message
+            raise ProtocolError(f"client {client_id}: the largest count needs fewer bits than {bits}")
         _check_mass_bound(client_id, sizes, counts, ends, delta)
     return ClientMessage(
         client_id=client_id,

@@ -179,13 +179,13 @@ def reference_merge(digests, delta):
     )
 
 
-def count_width(n):
-    """Bytes per sample count on the wire: the smallest of 1, 2, 4 and 8
-    that holds n."""
-    for width in (1, 2, 4, 8):
-        if n < 256**width:
-            return width
-    raise ValueError(f"n = {n} needs more than 8 bytes")
+def count_bits(sizes):
+    """Bits per sample count on the wire: the fewest that hold every count,
+    0 without counts."""
+    bits = 0
+    while any(c >> bits for c in sizes):
+        bits += 1
+    return bits
 
 
 def reference_fingerprint(family):
@@ -204,18 +204,23 @@ def reference_fingerprint(family):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def reference_line(client_id, n, pi, delta, fingerprint, atoms, clusters, width=None):
+def reference_line(client_id, n, pi, delta, fingerprint, atoms, clusters, bits=None):
     """One client wire line, packed value by value.
 
     ``atoms`` are code strings and ``clusters`` one list of (mean, sample
     count) pairs per atom; any values, valid or not, are packed as given,
-    the counts at ``width`` bytes (by default the width n needs).
+    each count cut to its low ``bits`` bits (by default the ``count_bits``
+    of the counts) and put at bit i * bits of one integer, count i of the
+    line's counts.
     """
-    width = count_width(n) if width is None else width
     means = [m for pairs in clusters for m, _ in pairs]
     sizes = [c for pairs in clusters for _, c in pairs]
+    bits = count_bits(sizes) if bits is None else bits
+    stream = 0
+    for i, c in enumerate(sizes):
+        stream |= (c & (2**bits - 1)) << (i * bits)
     raw = b"".join(struct.pack("<d", v) for v in means)
-    raw += b"".join(c.to_bytes(width, "little") for c in sizes)
+    raw += stream.to_bytes(-(-len(sizes) * bits // 8), "little")
     data = base64.b64encode(raw)
     header = {
         "client_id": client_id,
@@ -225,7 +230,8 @@ def reference_line(client_id, n, pi, delta, fingerprint, atoms, clusters, width=
         "family": fingerprint,
         "atoms": list(atoms),
         "counts": [len(pairs) for pairs in clusters],
-        "crc32": zlib.crc32(data),
+        "bits": bits,
+        "crc32": "%08x" % zlib.crc32(data),
         "data": data.decode("ascii"),
     }
     return json.dumps(header, separators=(",", ":"))
@@ -255,10 +261,10 @@ def reference_round(datasets, family, delta, lines):
 
         obj = json.loads(line)
         raw = base64.b64decode(obj["data"])
-        width = count_width(obj["n"])
-        size = sum(obj["counts"])
+        size, bits = sum(obj["counts"]), obj["bits"]
         means = [struct.unpack_from("<d", raw, 8 * i)[0] for i in range(size)]
-        sizes = [int.from_bytes(raw[8 * size + width * i : 8 * size + width * (i + 1)], "little") for i in range(size)]
+        stream = int.from_bytes(raw[8 * size :], "little")
+        sizes = [stream >> (i * bits) & (2**bits - 1) for i in range(size)]
         packed, start = [], 0
         for ref in refs:
             packed.append(list(zip(means[start : start + len(ref[2])], ref[2])))

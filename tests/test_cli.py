@@ -1,9 +1,11 @@
 import argparse
+import base64
 import contextlib
 import csv
 import io
 import json
 import re
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from gcfcp import cli, conformal
+from gcfcp import cli, conformal, federation
 from gcfcp.cli import main
 from gcfcp.conformal import EmptySetError
 from gcfcp.datagen import SynthConfig
@@ -77,9 +79,61 @@ def test_calibrate_emits_messages(dataset_csv, tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 4  # one line per client
     first = json.loads(lines[0])
-    assert list(first) == ["client_id", "n", "pi", "delta", "family", "atoms", "counts", "crc32", "data"]
+    assert list(first) == ["client_id", "n", "pi", "delta", "family", "atoms", "counts", "bits", "crc32", "data"]
     assert [message_from_json(line).client_id for line in lines] == [1, 2, 3, 4]
     assert capsys.readouterr().err.startswith("4 messages, ")
+
+
+def corrupt_line(line, bad):
+    """The line with one wire fault, or None where the line has no room
+    for it (no padding bits, a checksum of decimal digits only)."""
+    obj = json.loads(line)
+    raw = bytearray(base64.b64decode(obj["data"]))
+    if bad == "bits one too many":  # the counts repacked at one bit more
+        size, sizes = sum(obj["counts"]), message_from_json(line).sizes
+        obj["bits"] += 1
+        raw[8 * size :] = federation._pack_counts(sizes, obj["bits"])
+    elif bad == "padding bit set":
+        if not sum(obj["counts"]) * obj["bits"] % 8:
+            return None
+        raw[-1] |= 0x80
+    elif bad == "payload one byte long":
+        raw.append(0)
+    elif obj["crc32"].upper() == obj["crc32"]:  # an uppercase checksum
+        return None
+    else:
+        obj["crc32"] = obj["crc32"].upper()
+    if raw != base64.b64decode(obj["data"]):
+        obj["data"] = base64.b64encode(raw).decode("ascii")
+        obj["crc32"] = "%08x" % zlib.crc32(obj["data"].encode("ascii"))
+    return json.dumps(obj, separators=(",", ":"))
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ("bits one too many", "the largest count needs fewer bits"),
+        ("padding bit set", "padding bits"),
+        ("payload one byte long", "payload of"),
+        ("uppercase checksum", "checksum mismatch"),
+    ],
+)
+def test_corrupt_wire_line_exits_2(dataset_csv, tmp_path, monkeypatch, capsys, bad, error):
+    # the round decodes every line it sends: a fault in one is a
+    # ProtocolError, which the CLI reports with exit code 2
+    corrupted = []
+
+    def send(message):
+        line = encode(message)
+        corrupted.append(corrupt_line(line, bad))
+        return corrupted[-1] or line
+
+    encode = federation.message_to_json
+    monkeypatch.setattr(federation, "message_to_json", send)
+    assert main(["calibrate", str(dataset_csv), "--delta", "100", "--out", str(tmp_path / "m.jsonl")]) == 2
+    assert any(corrupted)
+    out, err = capsys.readouterr()
+    assert err.startswith("error: client ") and error in err and "Traceback" not in out + err
 
 
 def test_calibrate_prints_the_lines_the_round_sent(dataset_csv, tmp_path, monkeypatch, capsys):

@@ -20,7 +20,6 @@ from gcfcp.federation import (
     _FIELDS,
     ClientDataset,
     ProtocolError,
-    _count_width,
     _family_fingerprint,
     client_build_messages,
     cluster_weights,
@@ -35,7 +34,7 @@ from gcfcp.tdigest import Digest, _build_segments, build_digest_arrays
 from conftest import SUM_TOL, assert_close_to_reference, recorded_cluster_sizes
 from reference import (
     approx_quantile,
-    count_width,
+    count_bits,
     reference_clusters,
     reference_fingerprint,
     reference_line,
@@ -64,8 +63,12 @@ def edited(line, **fields):
     obj = json.loads(line)
     obj.update(fields)
     if isinstance(fields.get("data"), str):
-        obj["crc32"] = zlib.crc32(fields["data"].encode("utf-8"))
+        obj["crc32"] = "%08x" % zlib.crc32(fields["data"].encode("utf-8"))
     return json.dumps(obj, separators=(",", ":"))
+
+
+# the checksum of crafted([[(1.0, 1)]]): it has hex letters
+ONE_CLUSTER_CRC = json.loads(crafted([[(1.0, 1)]]))["crc32"]
 
 
 def weights_of(message):
@@ -172,7 +175,8 @@ class TestWire:
                 "family": FINGERPRINT,
                 "atoms": ["1000"],
                 "counts": [1],
-                "crc32": zlib.crc32(data),
+                "bits": 1,
+                "crc32": "%08x" % zlib.crc32(data),
                 "data": data.decode("ascii"),
             },
             separators=(",", ":"),
@@ -207,7 +211,22 @@ class TestWire:
             edited(crafted([[(1.0, 1)]]), counts=[2], n=2),
             edited(crafted([[(1.0, 1)]]), counts=[1, 1], n=2),
             edited(crafted([[(1.0, 1)]]), counts=1),
-            edited(crafted([[(1.0, 1)]]), crc32=0),
+            edited(crafted([[(1.0, 1)]]), crc32=int(ONE_CLUSTER_CRC, 16)),
+            edited(crafted([[(1.0, 1)]]), crc32=ONE_CLUSTER_CRC.upper()),
+            edited(crafted([[(1.0, 1)]]), crc32="0" + ONE_CLUSTER_CRC),
+            edited(crafted([[(1.0, 1)]]), crc32=ONE_CLUSTER_CRC[1:]),
+            edited(crafted([[(1.0, 1)]]), crc32="00000000"),
+            edited(crafted([[(1.0, 1)]]), crc32=None),
+            crafted([[(1.0, 1)]], bits=54),
+            crafted([[(1.0, 2), (2.0, 5), (3.0, 3)]], delta=2.0, bits=2),  # 5 does not fit
+            crafted([[(1.0, 2), (2.0, 5), (3.0, 3)]], delta=2.0, bits=4),  # not the fewest
+            crafted([[(1.0, 1)]], bits=0),
+            crafted([], n=0, bits=1),
+            edited(crafted([[(1.0, 1)]]), bits=1.0),
+            edited(crafted([[(1.0, 1)]]), bits=True),
+            edited(crafted([[(1.0, 1)]]), bits="1"),
+            edited(crafted([[(1.0, 1)]]), bits=None),
+            edited(crafted([[(1.0, 1)]]), bits=-1),
             edited(crafted([[(1.0, 1)]]), data="AAAA!AAAAAAAAAAAAAAAAAAAAAA="),
             edited(crafted([[(1.0, 1)]]), data="AAAAAAAAAAA="),
             edited(crafted([[(1.0, 1)]]), data="AAAAAAAAAAAAAAAAAAAAAAAAAAé="),
@@ -247,13 +266,25 @@ class TestWire:
         # before, n = 10**400 decoded and server_assemble raised OverflowError
         # at pi * n / (n + 1)
         with pytest.raises(ProtocolError, match=r"2\*\*53"):
-            message_from_json(crafted([[(1.0, 1)]], n=n, width=8))
+            message_from_json(crafted([[(1.0, 1)]], n=n))
 
     def test_rejects_counts_whose_sum_wraps(self):
-        # a 64-bit sum of these counts wraps around to n
+        # 2 049 counts of at most 53 bits whose 64-bit sum wraps around to n
         n = 2**32
+        sizes = [2**53 - 1] * 2048 + [n + 2048]
+        assert sum(sizes) == 2**64 + n and count_bits(sizes) == 53
         with pytest.raises(ProtocolError, match="sum to n"):
-            message_from_json(crafted([[(1.0, 2**64 - 1), (2.0, n + 1)]], n=n))
+            message_from_json(crafted([[(float(i), c) for i, c in enumerate(sizes)]], n=n))
+
+    @pytest.mark.parametrize("sizes, top", [([1], 7), ([1, 1, 3], 7), ([2, 1, 1, 1, 3, 1, 1], 7), ([1, 1, 3], 6)])
+    def test_rejects_a_set_padding_bit(self, sizes, top):
+        line = crafted([[(float(i), c) for i, c in enumerate(sizes)]], delta=2.0)
+        assert message_from_json(line).sizes.tolist() == sizes
+        assert 0 < len(sizes) * count_bits(sizes) % 8 <= top
+        raw = bytearray(base64.b64decode(json.loads(line)["data"]))
+        raw[-1] |= 1 << top  # a bit of the last byte after the last count
+        with pytest.raises(ProtocolError, match="padding"):
+            message_from_json(edited(line, data=base64.b64encode(raw).decode("ascii")))
 
     def test_accepts_n_below_2_to_the_53(self):
         n = 2**53 - 1
@@ -353,8 +384,26 @@ CLIENT_LINES = st.builds(
 )
 
 
-# n on both sides of each count width's upper end: 1, 2, 4 and 8 bytes
+# n on both sides of each upper end of the byte-wide counts of the earlier
+# wire format: 1, 2, 4 and 8 bytes
 WIDTH_EDGES = (255, 256, 65_535, 65_536, 2**32 - 1, 2**32)
+
+
+def old_width(n):
+    """Bytes per sample count in the earlier wire format: the smallest of 1,
+    2, 4 and 8 that holds n."""
+    return 1 if n < 2**8 else 2 if n < 2**16 else 4 if n < 2**32 else 8
+
+
+def assert_packed_payload(line, sizes):
+    """The line's payload holds a float64 mean and count_bits(sizes) bits
+    per cluster, in whole bytes, and is never longer than the earlier
+    format's float64 mean and old_width(n) bytes per cluster."""
+    obj = json.loads(line)
+    bits, length = count_bits(sizes), len(base64.b64decode(obj["data"]))
+    assert obj["bits"] == bits
+    assert length == 8 * len(sizes) + math.ceil(len(sizes) * bits / 8)
+    assert length <= (8 + old_width(obj["n"])) * len(sizes)
 
 
 def positive_parts(draw, total, k):
@@ -413,6 +462,7 @@ class TestWireProperties:
         assert round_.wire_bytes == sum(len(line.encode("utf-8")) for line in lines)
         for line, m, got in zip(lines, sent, round_.messages, strict=True):
             assert message_to_json(message_from_json(line)) == line
+            assert_packed_payload(line, m.sizes.tolist())
             assert (got.atoms, got.counts) == (m.atoms, m.counts)
             assert np.array_equal(got.means, m.means) and np.array_equal(got.sizes, m.sizes)
         assert round_.test_weight == sum(ds.pi / (ds.n + 1) for ds in datasets)
@@ -425,22 +475,47 @@ class TestWireProperties:
         assert message_to_json(back) == line
         sizes = [c for pairs in fields["clusters"] for _, c in pairs]
         assert back.sizes.tolist() == sizes and back.n == fields["n"]
-        width = count_width(fields["n"])
-        assert _count_width(fields["n"]) == width
-        assert len(base64.b64decode(json.loads(line)["data"])) == (8 + width) * len(sizes)
+        assert_packed_payload(line, sizes)
+
+    @given(
+        k=st.sampled_from([1, 3000]) | st.integers(1, 3000),
+        bits=st.sampled_from([1, 53]) | st.integers(1, 53),
+        atoms=st.integers(1, 4),
+        edge=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_packed_counts_round_trip(self, k, bits, atoms, edge, seed):
+        # k positive counts of at most ``bits`` bits, the largest of exactly
+        # ``bits`` (the most that fits with ``edge``), over up to 4 atoms;
+        # n, their sum, stays below 2**53
+        rng = np.random.default_rng(seed)
+        high = min(2**bits - 1, 2**53 - k)
+        top = high if edge else int(rng.integers(2 ** (bits - 1), high + 1))
+        rest = rng.integers(1, min(2**bits - 1, (2**53 - 1 - top) // max(k - 1, 1)) + 1, size=k - 1).tolist()
+        sizes = rest[: (i := int(rng.integers(0, k)))] + [top] + rest[i:]
+        ends = sorted(rng.choice(np.arange(1, k), size=min(atoms, k) - 1, replace=False).tolist()) + [k]
+        clusters = [[(float(i), sizes[i]) for i in range(a, b)] for a, b in zip([0, *ends], ends)]
+        codes = ["0001", "0010", "0100", "1000"][: len(clusters)]
+        line = crafted_line(dict(n=sum(sizes), pi=1.0, atoms=codes, clusters=clusters))
+        back = message_from_json(line)
+        assert back.sizes.dtype == np.int64 and back.sizes.tolist() == sizes
+        assert message_to_json(back) == line
+        assert_packed_payload(line, sizes)
 
     @given(
         fields=crafted_clients(scores=True),
-        bad=st.sampled_from(["zero count", "count sum off by one", "one width short", "one width long",
-                             "wrong width", "zero pi"]),
+        bad=st.sampled_from(["zero count", "count sum off by one", "payload one byte short",
+                             "payload one byte long", "bits one too few", "bits one too many",
+                             "padding bit set", "zero pi"]),
         data=st.data(),
     )
     @settings(max_examples=200, deadline=None)
     def test_malformed_counts_are_rejected(self, fields, bad, data):
-        width = count_width(fields["n"])
         clusters = [list(pairs) for pairs in fields["clusters"]]
         cells = [(a, j) for a, pairs in enumerate(clusters) for j in range(len(pairs))]
         sizes = [clusters[a][j][1] for a, j in cells]
+        bits = count_bits(sizes)
         changes, match = {}, "payload of"
         if bad == "zero count":
             i = data.draw(st.integers(0, len(cells) - 1))
@@ -449,25 +524,37 @@ class TestWireProperties:
                 clusters[a][j] = (clusters[a][j][0], sizes[i - 1] + sizes[i])
             a, j = cells[i]
             clusters[a][j] = (clusters[a][j][0], 0)
-            changes, match = dict(clusters=clusters), "0 samples"
+            # one bit at least, so that a lone cluster's count of 0 is sent
+            changes = dict(clusters=clusters, bits=max(count_bits(c for pairs in clusters for _, c in pairs), 1))
+            match = "0 samples"
         elif bad == "count sum off by one":
             step = data.draw(st.sampled_from([1, -1]))
-            if step == -1 and max(sizes) == 1 or step == 1 and min(sizes) + 1 == 256**width:
-                step = -step
+            if step == -1 and max(sizes) == 1:
+                step = 1
             i = sizes.index(max(sizes)) if step == -1 else sizes.index(min(sizes))
             a, j = cells[i]
             clusters[a][j] = (clusters[a][j][0], sizes[i] + step)
             changes, match = dict(clusters=clusters), "sum to n"
-        elif bad == "wrong width":
-            other = data.draw(st.sampled_from([w for w in (1, 2, 4, 8) if w != width]))
-            assume(max(sizes) < 256**other)
-            changes = dict(width=other)
+        elif bad == "bits one too few":
+            # the largest count no longer fits: cut to bits - 1 bits, some
+            # count falls to 0 or the counts fall short of n
+            cut = [c & (2 ** (bits - 1) - 1) for c in sizes]
+            changes = dict(bits=bits - 1)
+            match = "bits" if bits == 1 else "0 samples" if 0 in cut else "sum to n"
+        elif bad == "bits one too many":
+            changes, match = dict(bits=bits + 1), "bits"
+        elif bad == "padding bit set":
+            assume(len(sizes) * bits % 8)
+            match = "padding"
         elif bad == "zero pi":
             changes, match = dict(pi=0.0), "sample weight"
         line = crafted_line(fields, **changes)
-        if bad.startswith("one width"):
+        if bad.startswith("payload") or bad == "padding bit set":
             raw = base64.b64decode(json.loads(line)["data"])
-            raw = raw[:-width] if bad.endswith("short") else raw + bytes(width)
+            if bad == "padding bit set":
+                raw = raw[:-1] + bytes([raw[-1] | 0x80])
+            else:
+                raw = raw[:-1] if bad.endswith("short") else raw + bytes(1)
             line = edited(line, data=base64.b64encode(raw).decode("ascii"))
         with pytest.raises(ProtocolError, match=match):
             message_from_json(line)
@@ -486,8 +573,7 @@ class TestWireProperties:
         line = message_to_json(msg)
         back = message_from_json(line)
         assert message_to_json(back) == line
-        width = count_width(n)
-        assert len(base64.b64decode(json.loads(line)["data"])) == (8 + width) * len(msg.sizes)
+        assert_packed_payload(line, msg.sizes.tolist())
         if not (n and pi):
             assert back.atoms == () and back.sizes.size == 0
             return
@@ -526,6 +612,17 @@ class TestWireProperties:
         lines = [json.loads(message_to_json(m)) for m in (one, other)]
         assert [line.pop("pi") for line in lines] == pis
         assert lines[0] == lines[1]
+
+    @given(line=CLIENT_LINES, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_line_length_ignores_the_means(self, line, seed):
+        # crc32 is 8 hex digits whatever the payload, so the length of a
+        # line depends on its header and the shape of its sketch alone
+        message = message_from_json(line)
+        means = np.frombuffer(np.random.default_rng(seed).bytes(8 * message.means.size))
+        other = message_to_json(replace(message, means=means))
+        assert len(other) == len(line) and len(json.loads(other)["crc32"]) == 8
+        assert json.loads(other)["data"] != json.loads(line)["data"] or not message.means.size
 
     @given(line=CLIENT_LINES, cut=st.floats(0.0, 1.0, exclude_max=True))
     @settings(max_examples=100, deadline=None)
@@ -592,7 +689,7 @@ class TestWireProperties:
             pairs[j] = (float(bad.split()[0]), count)
         elif bad == "zero count":
             pairs[j] = (mean, 0)
-        else:  # the most the width holds
+        else:  # a count above n
             pairs[j] = (mean, 255)
         with pytest.raises(ProtocolError):
             message_from_json(crafted(clusters, n=n))
@@ -1002,23 +1099,27 @@ def test_default_family_fingerprint():
 
 def test_readme_wire_format_matches_the_codec():
     """README's field table names the wire fields in order, and its payload
-    paragraph states the count width rule, the payload length and a
-    cluster's weight as its sample count times the sample weight."""
+    paragraph states the bit order, the payload length and a cluster's
+    weight as its sample count times the sample weight."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("## Wire format\n")[1].split("\n## ")[0]
     assert tuple(re.findall(r"^\| `(\w+)` \| ", section, flags=re.M)) == _FIELDS
     text = " ".join(section.split("The payload is ")[1].split("\n\n")[0].split())
-    edges = [(int(w), int(n)) for w, n in re.findall(r"(\d) bytes? when `n` <= (\d+)", text)]
-    assert [width for width, _ in edges] == [1, 2, 4] and "and 8 bytes otherwise" in text
-    for width, top in edges:
-        assert _count_width(top) == width < _count_width(top + 1)
-    assert "`(8 + width) * sum(counts)` bytes long" in text
+    assert "count `i` sits at bit `i * bits`, least significant bit first" in text
+    assert "`8 * sum(counts) + ceil(sum(counts) * bits / 8)` bytes long" in text
     assert "a cluster of `L` samples weighs `L * w`" in text and "uniform_table" not in text
+    # 4 counts of 3 bits at bits 0, 3, 6 and 9: 12 bits in 2 bytes, the 1
+    # across the byte boundary, 4 padding bits of 0
+    sizes = [3, 7, 1, 5]
+    line = crafted([[(float(i), c) for i, c in enumerate(sizes)]], delta=2.0)
+    assert base64.b64decode(json.loads(line)["data"])[32:] == bytes([0b01_111_011, 0b0000_101_0])
+    assert message_from_json(line).sizes.tolist() == sizes
 
 
 def test_every_fed_round_pool_line_decodes(monkeypatch):
     """The benchmark's fed-round federations (seed 1, its whole pool) at
-    delta 25, 250 and 1000: every client line meets the mass bound."""
+    delta 5, 25, 250 and 1000: every client line meets the mass bound, and
+    its payload is never longer than in the earlier byte-wide format."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
 
@@ -1026,9 +1127,11 @@ def test_every_fed_round_pool_line_decodes(monkeypatch):
     lines = 0
     for p in range(fed_round.pool):
         datasets = workloads.make_federation(1, fed_round.sizes, p).datasets
-        for delta in (25.0, 250.0, 1000.0):
+        for delta in (5.0, 25.0, 250.0, 1000.0):
             for ds in datasets:
                 sent = client_build_messages(ds, FOUR_INTERVALS, delta)
-                assert np.array_equal(message_from_json(message_to_json(sent)).sizes, sent.sizes)
+                line = message_to_json(sent)
+                assert np.array_equal(message_from_json(line).sizes, sent.sizes)
+                assert_packed_payload(line, sent.sizes.tolist())
                 lines += 1
-    assert lines == 16 * 32 * 3
+    assert lines == 16 * 32 * 4
