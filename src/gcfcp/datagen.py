@@ -13,6 +13,7 @@ per-client and per-trial generation is reproducible regardless of ordering.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass
 from typing import Sequence
@@ -172,6 +173,17 @@ class ScoreRecord:
         return self.label_scores[self.true_label]
 
 
+@contextlib.contextmanager
+def open_text(path, newline: str | None = ""):
+    """``path`` opened as UTF-8 text, with ``open``'s ``newline``;
+    IngestError on bytes that are not UTF-8."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"not UTF-8 text: {exc}") from exc
+
+
 def csv_rows(fh):
     """The rows of the CSV file ``fh``; IngestError on text the csv module
     cannot read, such as a field longer than its field size limit."""
@@ -188,7 +200,7 @@ def ingest_scores(path) -> list[ScoreRecord]:
     Header: client_id,predicted_label,true_label,score_0,...,score_{C-1};
     each score must lie in [0, 1] up to 1e-6 slack.
     """
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv_rows(fh)
         try:
             header = next(reader)

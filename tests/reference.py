@@ -17,7 +17,9 @@ per-atom quantile crash and walks the breakpoints of the test score instead,
 and the tests compare the two within stated tolerances.
 
 Oracles the tests measure the library against: the arcsine scale function,
-a digest's step CDF, quantile and maximum cluster mass, and the pinball loss.
+a digest's step CDF, quantile and maximum cluster mass, the pinball loss,
+and the dataset CSV read one row at a time by the csv module and Python's
+``int`` and ``float``, which the library reads with numpy's C parser.
 """
 
 import base64
@@ -31,6 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from gcfcp.conformal import DegenerateGroupError, EmptySetError
+from gcfcp.datagen import IngestError, csv_rows
+from gcfcp.federation import client_datasets
 from gcfcp.groups import CoveringError, Interval, membership_matrix
 from gcfcp.pinball import AugmentedQrSolver, SimplexBasis
 from gcfcp.tdigest import DigestError
@@ -177,6 +181,31 @@ def reference_merge(digests, delta):
         np.concatenate([d.weights() for d in digests]),
         delta,
     )
+
+
+def reference_read_dataset(path, pi=()):
+    """The client datasets of a dataset CSV, read row by row by the csv
+    module and Python's ``int`` and ``float``; an error names its row's
+    number in the file (header = 1)."""
+    ids, xs, scores = [], [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv_rows(fh)
+        header = next(reader, None)
+        if header != ["client_id", "x", "y", "score"]:
+            raise IngestError(f"bad dataset header {header!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 4:
+                raise IngestError(f"row {lineno}: expected 4 fields")
+            try:
+                cid, x, _, score = int(row[0]), float(row[1]), float(row[2]), float(row[3])
+            except ValueError as exc:
+                raise IngestError(f"row {lineno}: {exc}") from exc
+            ids.append(cid)
+            xs.append(x)
+            scores.append(score)
+    if not ids:
+        raise IngestError("dataset has no rows")
+    return client_datasets(ids, xs, scores, pi)
 
 
 def count_bits(sizes):

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 from gcfcp import cli, conformal, federation
 from gcfcp.cli import main
 from gcfcp.conformal import EmptySetError
-from gcfcp.datagen import SynthConfig
+from gcfcp.datagen import IngestError, SynthConfig
 from gcfcp.federation import message_from_json
 from gcfcp.groups import Interval, LabelSet, family_from_json
 from gcfcp.harness import DEFAULT_FAMILY, ExperimentConfig, _synth_trial_data
 from gcfcp.pinball import SolverError
+from reference import reference_read_dataset
 
 SMALL_GROUPS = json.dumps(
     {
@@ -421,6 +422,261 @@ def test_dataset_row_must_match_the_header(tmp_path, capsys, command, row):
     path.write_text("\n".join(["client_id,x,y,score", "1,2.0,0.0,0.5", row]) + "\n")
     assert main([command[0], str(path), *command[1:]]) == 4
     assert capsys.readouterr().err.startswith("error: ingestion: row 3: ")
+
+
+def dataset_file(tmp_path, lines, eol="\n", final=True):
+    """A dataset CSV of the header and ``lines``, each ended by ``eol`` (the
+    last one only if ``final``), written as UTF-8 bytes."""
+    path = tmp_path / "data.csv"
+    path.write_bytes((eol.join(["client_id,x,y,score", *lines]) + eol * final).encode("utf-8"))
+    return path
+
+
+def read_csv(path):
+    return cli._read_dataset_csv(path, "uniform")
+
+
+def read_outcome(read, path):
+    """What ``read`` makes of ``path``: each dataset's id, covariate and score
+    bits and weight, or the row its IngestError names (its message where it
+    names none)."""
+    try:
+        datasets = read(path)
+    except IngestError as exc:
+        return re.match(r"row \d+(?=: )|.*", str(exc))[0]
+    return [
+        (d.client_id, d.covariates.view(np.uint64).tolist(), d.scores.view(np.uint64).tolist(), d.pi)
+        for d in datasets
+    ]
+
+
+NUMBER_TEXT = st.builds(
+    lambda value, spelling: spelling % value,
+    st.one_of(
+        st.sampled_from([-0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    st.sampled_from(["%r", "%.17g", "%.25e", "%.3f"]),
+)
+JUNK = ("x", "", "1e", "--1", "0x10", "nan(1)", "1.2.3", ".", "1 2", '4"')
+
+
+def quoted(draw, field):
+    return '"' + field.replace('"', '""') + '"' if draw(st.booleans()) else field
+
+
+@st.composite
+def dataset_lines(draw):
+    """1-12 well-formed rows over 1-5 client ids in any order, each field
+    quoted or not."""
+    ids = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=5, unique=True))
+    return [
+        ",".join(quoted(draw, f) for f in [str(draw(st.sampled_from(ids))), *(draw(NUMBER_TEXT) for _ in range(3))])
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+
+
+READER_SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@READER_SETTINGS
+@given(lines=dataset_lines(), eol=st.sampled_from(["\n", "\r\n", "\r"]), final=st.booleans())
+def test_reader_matches_the_row_by_row_reference(tmp_path, lines, eol, final):
+    """numpy's parser reads a well-formed file to the ids, covariate bits and
+    score bits that the csv module and Python's int and float read."""
+    path = dataset_file(tmp_path, lines, eol, final)
+    datasets = read_outcome(read_csv, path)
+    assert isinstance(datasets, list)
+    assert datasets == read_outcome(reference_read_dataset, path)
+
+
+@READER_SETTINGS
+@given(
+    lines=dataset_lines(),
+    eol=st.sampled_from(["\n", "\r\n", "\r"]),
+    final=st.booleans(),
+    defect=st.sampled_from(["blank", "short", "long", "junk"]),
+    data=st.data(),
+)
+def test_reader_names_the_row_the_reference_names(tmp_path, lines, eol, final, defect, data):
+    """A file with one defect, often on its first or last line: both readers
+    name the defect's line in the file, header = 1."""
+    last = len(lines) - (defect != "blank")  # a blank line goes in before a row or after all
+    at = data.draw(st.one_of(st.sampled_from([0, last]), st.integers(0, last)), label="at")
+    if defect == "blank":
+        lines.insert(at, "")
+        final = final or at == last  # a blank last line has its line end
+    else:
+        fields = lines[at].split(",")  # no number holds a comma
+        if defect == "short":
+            del fields[data.draw(st.integers(0, 3), label="field")]
+        elif defect == "long":
+            fields.insert(data.draw(st.integers(0, 4), label="field"), data.draw(NUMBER_TEXT, label="extra"))
+        else:
+            column = data.draw(st.integers(0, 3), label="column")
+            junk = JUNK + ("1.5", "1e3", "nan") * (column == 0)
+            fields[column] = quoted(data.draw, data.draw(st.sampled_from(junk), label="junk"))
+        lines[at] = ",".join(fields)
+    path = dataset_file(tmp_path, lines, eol, final)
+    assert read_outcome(read_csv, path) == read_outcome(reference_read_dataset, path) == f"row {at + 2}"
+
+
+@pytest.mark.parametrize("at", range(8))
+def test_reader_names_the_row_of_a_quote_left_open(tmp_path, at):
+    """A quote left open runs on into the next line, whose text the csv
+    module reads into the field, and the line that opened it names the error.
+    On the last line the quote ends with the file, and both readers read
+    the row."""
+    lines = [f"{1 + i % 2},{i}.0,0.0,0.5" for i in range(8)]
+    lines[at] = lines[at].replace(",0.5", ',"0.5')
+    path = dataset_file(tmp_path, lines)
+    got = read_outcome(read_csv, path)
+    assert got == read_outcome(reference_read_dataset, path)
+    if at < 7:
+        assert got == f"row {at + 2}"
+    else:
+        assert isinstance(got, list)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("client_id,x,y,score", "dataset has no rows"),
+        ("client_id,x,y,score\n", "dataset has no rows"),
+        ("client_id,x,y,score\n\n", "row 2: expected 4 fields"),
+        ("client_id,x,y,score\n\n\n\n", "row 2: expected 4 fields"),
+        ("client_id,x,y,score\r\n\r\n\r\n", "row 2: expected 4 fields"),
+    ],
+    ids=["header-only", "header-and-line-end", "blank-body", "all-blank-lines", "all-blank-lines-crlf"],
+)
+def test_reader_on_files_without_data_rows(tmp_path, text, error):
+    """The reference's error, and no numpy warning that the input held no
+    data (the test settings make a UserWarning an error)."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for read in (read_csv, reference_read_dataset):
+        with pytest.raises(IngestError, match=f"^{error}$"):
+            read(path)
+
+
+def calibrate_lines(tmp_path, row):
+    """``gcfcp calibrate``'s exit code, wire lines and standard error, and
+    the reference's reading, on the two-client dataset whose line 3 is ``row``."""
+    path = dataset_file(tmp_path, ["1,2.0,0.0,0.5", row, "2,3.0,0.0,0.25", "2,4.0,0.0,1.5"])
+    out = tmp_path / "messages.jsonl"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["calibrate", str(path), "--out", str(out)])
+    return code, out.read_text() if code == 0 else None, err.getvalue(), reference_outcome(path)
+
+
+def reference_outcome(path):
+    try:
+        return [(d.client_id, d.covariates.tolist()) for d in reference_read_dataset(path)]
+    except IngestError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("row", ["1_0,2.0,0.0,0.5", "1,0_7,0.0,0.5", "1,2.0,0_0,0.5", "1,2.0,0.0,0_5"])
+def test_a_number_with_underscores_exits_4(tmp_path, row):
+    """Python's int and float read ``0_7`` as 7; numpy's parser does not."""
+    code, _, err, before = calibrate_lines(tmp_path, row)
+    assert isinstance(before, list)
+    assert code == 4 and err.startswith("error: ingestion: row 3: could not convert string ")
+
+
+@pytest.mark.parametrize("client_id", [str(2**63), str(-(2**63) - 1), "99999999999999999999"])
+def test_a_client_id_outside_int64_exits_4(tmp_path, client_id):
+    """Before, such an id was read, and a round sent it on the wire."""
+    code, _, err, before = calibrate_lines(tmp_path, f"{client_id},2.0,0.0,0.5")
+    assert (int(client_id), [2.0]) in before
+    assert code == 4 and err.startswith(f"error: ingestion: row 3: could not convert string '{client_id}' to int64")
+
+
+@pytest.mark.parametrize("digit", ["\u0663", "\uff13"], ids=["arabic-indic", "fullwidth"])
+def test_a_non_ascii_digit_exits_4(tmp_path, digit):
+    """Python's float reads any Unicode decimal digit; numpy's parser reads
+    ASCII digits only."""
+    code, _, err, before = calibrate_lines(tmp_path, f"1,{digit},0.0,0.5")
+    assert (1, [2.0, 3.0]) in before
+    assert code == 4 and err.startswith("error: ingestion: row 3: ")
+
+
+def test_a_quoted_line_break_exits_4(tmp_path):
+    """A quoted field that runs on over a line end: the csv module read the
+    two lines as one row, and Python's float stripped the line break. Now
+    each line is one row, and the first names the error."""
+    code, _, err, before = calibrate_lines(tmp_path, '1,"3.0\n",0.0,0.5')
+    assert (1, [2.0, 3.0]) in before
+    assert code == 4 and err.startswith("error: ingestion: row 3: ")
+
+
+@pytest.mark.parametrize("control", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_a_separator_control_next_to_a_number_reads_as_whitespace(tmp_path, control):
+    """Python's float rejects the information separators U+001C-U+001F around
+    a number; numpy's parser skips them as whitespace."""
+    code, lines, _, before = calibrate_lines(tmp_path, f"1,{control}3.0{control},0.0,0.5")
+    assert before.startswith("row 3: could not convert string to float")
+    assert code == 0 and lines == calibrate_lines(tmp_path, "1,3.0,0.0,0.5")[1]
+
+
+@pytest.mark.parametrize("digit, code", [("0", 0), ("1", 2)])
+def test_a_field_past_the_csv_limit_reads_as_its_number(tmp_path, digit, code):
+    """The csv module rejected the field (exit 4). numpy's parser reads it:
+    131 073 zeros are 0.0, and 131 073 ones are inf, a covariate outside
+    every group (exit 2)."""
+    got, lines, err, before = calibrate_lines(tmp_path, f"1,{digit * (csv.field_size_limit() + 1)},0.0,0.5")
+    assert before.startswith("line 3: field larger than field limit")
+    assert got == code
+    if code == 0:
+        assert lines == calibrate_lines(tmp_path, "1,0.0,0.0,0.5")[1]
+    else:
+        assert err.startswith("error: covariate value inf ")
+
+
+@pytest.mark.parametrize(
+    "lines, eol, code",
+    [
+        (["1,2.0,0.0,0.5", "", "2,3.0,0.0,0.25"], "\n", 4),
+        (['"1","2.0",0.0,"0.5"', '2,"3.0","0.0",0.25'], "\n", 0),
+        (["1,2.0,0.0,0.5", "2,3.0,0.0,0.25"], "\r\n", 0),
+        (["-1,2.0,0.0,0.5", "-2,3.0,0.0,0.25"], "\n", 0),
+    ],
+    ids=["blank-line", "quoted-fields", "crlf", "negative-ids"],
+)
+def test_inputs_whose_outcome_is_unchanged(tmp_path, capsys, lines, eol, code):
+    """Blank lines, quoted fields, CRLF line ends and negative ids read as the
+    csv module and Python's int and float read them."""
+    path = dataset_file(tmp_path, lines, eol)
+    assert read_outcome(read_csv, path) == read_outcome(reference_read_dataset, path)
+    assert main(["calibrate", str(path), "--out", str(tmp_path / "m.jsonl")]) == code
+    assert capsys.readouterr().err.startswith("error: ingestion: row 3: expected 4 fields" if code else "2 messages")
+
+
+def test_a_byte_order_mark_before_the_header_exits_4(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"\xef\xbb\xbfclient_id,x,y,score\n1,2.0,0.0,0.5\n")
+    assert read_outcome(read_csv, path) == read_outcome(reference_read_dataset, path)
+    assert main(["calibrate", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("error: ingestion: bad dataset header ['\\ufeffclient_id'")
+
+
+@pytest.mark.parametrize("command", [["predict", "--x", "1.5"], ["calibrate"]], ids=["predict", "calibrate"])
+@pytest.mark.parametrize("at", ["header", "row"])
+def test_a_dataset_csv_that_is_not_utf8_exits_4(tmp_path, capsys, command, at):
+    """Before, the decoder's UnicodeDecodeError, a ValueError, exited 2."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"client_id,x,y,score\xff\n1,2.0,0.0,0.5\n" if at == "header" else b"client_id,x,y,score\n1,2.0,0.0,0.5\xff\n")
+    assert main([command[0], str(path), *command[1:]]) == 4
+    assert capsys.readouterr().err.startswith("error: ingestion: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_a_score_csv_that_is_not_utf8_exits_4(tmp_path, capsys):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(b"client_id,predicted_label,true_label,score_0\n1,0,0,0.5\xff\n")
+    argv = ["experiment", "--trials", "1", "--ingest", str(path), "--calibrators", "centralized_cp", "--serial"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("error: ingestion: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
 
 
 @pytest.mark.parametrize("rows", [[], ["1,0,0,0.2,0.7"]], ids=["header-only", "one-row"])
