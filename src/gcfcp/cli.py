@@ -12,9 +12,9 @@ back only over several patterns. ``main`` parses with one parser per
 process, built on the first call; every parsed value lives in the returned
 namespace, so calls stay independent.
 
-A dataset CSV is read as UTF-8. The csv module checks its header, and
-numpy's C parser reads the body in one call, each line one row; an error
-names row N, the file's N-th line (header = 1).
+``datagen.read_csv`` reads a dataset CSV as it reads a score CSV
+(``experiment --ingest``): numpy's C parser reads the body in one call, and
+an error names row N, the file's N-th line (header = 1).
 
 exit codes:
   0  success
@@ -34,8 +34,6 @@ import json
 import math
 import re
 import sys
-
-import numpy as np
 
 from . import conformal, datagen
 from .conformal import CALIBRATOR_KINDS, EmptySetError, calibrate_baseline
@@ -62,10 +60,6 @@ EXIT_SEARCH = 5
 EXIT_CODES_HELP = __doc__[__doc__.index("exit codes:"):] if __doc__ else ""
 
 _HEADER = ["client_id", "x", "y", "score"]
-# a spec that loadtxt turns into a dtype per call (microseconds): a structured
-# np.dtype built at import raised the peak memory of fed-round, which reads no CSV
-_ROW = [("client_id", "<i8"), ("x", "<f8"), ("y", "<f8"), ("score", "<f8")]
-_CLOSE = "0,0,0,0"
 
 
 def _parse_family(arg: str | None) -> GroupFamily:
@@ -100,57 +94,16 @@ def _synth_config(args, pi: tuple[float, ...] = ()) -> SynthConfig:
     return SynthConfig(seed=args.seed, n_clients=args.clients, n_per_client=sizes, pi=pi)
 
 
-def _parse_rows(lines: list[str]) -> np.ndarray:
-    """One ``_ROW`` record per line, read by numpy's C parser; ValueError
-    unless every line reads as one row."""
-    if "" in lines:  # numpy would skip a blank line, and warn on no data at all
-        raise ValueError(f"expected {len(_HEADER)} fields")
-    rows = np.loadtxt(lines, dtype=_ROW, delimiter=",", comments=None, quotechar='"', ndmin=1)
-    if len(rows) != len(lines):  # a quoted field ran on into the next line
-        raise ValueError("a quoted field runs on past its line")
-    return rows
-
-
-def _row_error(lines: list[str], error: ValueError) -> IngestError:
-    """The IngestError naming the first line of the body ``lines`` that does
-    not read as one row, given ``error``, the whole body's.
-
-    Bisection: parse the first half of a failing range, descend into it if
-    it fails, else into the second half; O(log n) parses, about 2n lines in
-    all with the whole body's. Each parse ends in ``_CLOSE``, a row that a
-    quote left open at the end of the range swallows, as the next line
-    would."""
-    lo, hi = 0, len(lines)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            _parse_rows([*lines[lo:mid], _CLOSE])
-        except ValueError:
-            hi = mid
-        else:
-            lo = mid
-    try:
-        _parse_rows([lines[lo], _CLOSE])
-    except ValueError as exc:
-        error = exc
-    # numpy's row numbers count from 0 or 1 and skip blank lines: cut them
-    return IngestError(f"row {lo + 2}: {str(error).rsplit(' at row ', 1)[0]}")
+def _dataset_spec(header: list[str] | None) -> list:
+    if header != _HEADER:
+        raise IngestError(f"bad dataset header {header!r}")
+    return [("client_id", "<i8"), ("x", "<f8"), ("y", "<f8"), ("score", "<f8")]
 
 
 def _read_dataset_csv(path, mixture_arg: str) -> list[ClientDataset]:
-    with datagen.open_text(path, newline=None) as fh:  # universal newlines: each line ends in "\n"
-        header = next(datagen.csv_rows(fh), None)
-        if header != _HEADER:
-            raise IngestError(f"bad dataset header {header!r}")
-        lines = fh.read().split("\n")
-    if lines[-1] == "":  # the file's final newline
-        lines.pop()
-    if not lines:
+    rows = datagen.read_csv(path, _dataset_spec)
+    if not rows.size:
         raise IngestError("dataset has no rows")
-    try:
-        rows = _parse_rows(lines)
-    except ValueError as exc:
-        raise _row_error(lines, exc) from exc
     return client_datasets(rows["client_id"], rows["x"], rows["score"], _parse_mixture(mixture_arg))
 
 

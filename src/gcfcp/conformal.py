@@ -9,9 +9,9 @@ then the whole line). After one solve at the low end of the data's bracket,
 one below the lowest calibration score, the optimum is followed up through
 the breakpoints of the test score, a few pivots each
 (``AugmentedQrSolver.raise_test_score``), and the last breakpoint reached is
-solved once more as the verified optimum. A threshold is reported up to the
-bracket's high end, one above the highest calibration score: a larger S*,
-+inf included, reads as that end.
+solved once more as the verified optimum. A finite S* is reported as it is,
+above the highest calibration score too; +inf still reads as the bracket's
+high end, one above the highest calibration score.
 
 A calibrator serves many test patterns from one calibration set, so it
 solves the calibration-only regression (the test entry's box set to [0, 0])
@@ -133,13 +133,13 @@ def threshold_search(
     *,
     start_basis: SimplexBasis | None = None,
 ) -> float:
-    """Largest S up to ``data.default_bracket()[1]`` whose test dual stays
-    below the box bound.
+    """Largest S whose test dual stays below the box bound, S*; when the dual
+    never reaches its bound (S* = +inf), ``data.default_bracket()[1]``.
 
-    Solved at the bracket's low end, walked up to S* (+inf if the dual never
-    reaches its bound) and solved once more, as the verified optimum, at the
-    returned threshold, or at the walk's last breakpoint if that is lower: the
-    optimum there holds for every larger score. ``start_basis`` (from
+    Solved at the bracket's low end, walked up to S* and solved once more, as
+    the verified optimum, at the returned threshold, or at the walk's last
+    breakpoint if that is lower: the optimum there holds for every larger
+    score. ``start_basis`` (from
     ``calibration_basis`` on the same data and alpha) replaces the cold first
     solve with a warm one; the result is the same.
     """
@@ -158,7 +158,9 @@ def threshold_search(
 
     if solver.solve_at(lo).eta_test >= bound:
         raise EmptySetError(f"test dual already at its bound at score {lo}")
-    s_star = min(solver.raise_test_score(bound), hi)
+    s_star = solver.raise_test_score(bound)
+    if s_star == math.inf:  # an unbounded set still reads as the bracket's high end
+        s_star = hi
     solver.solve_at(min(solver.test_score, s_star))
     return s_star
 

@@ -5,7 +5,8 @@ and spread; responses mix a Poisson term driven by sin^2(x), covariate-scaled
 noise, rare large outliers, and client-indexed Gaussian noise. A centralized
 linear model is fit on a separate training draw and scored by absolute
 residual. Classification scores computed elsewhere enter through a CSV
-ingestion path.
+ingestion path as one record array. ``read_csv`` reads both input files,
+the dataset CSV and the score CSV.
 
 All randomness flows through named substreams of a single master seed so
 per-client and per-trial generation is reproducible regardless of ordering.
@@ -13,10 +14,9 @@ per-client and per-trial generation is reproducible regardless of ordering.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ _PURPOSE = {"train": 1, "covariates": 2, "response": 3, "test": 4, "mixture": 5}
 
 
 class IngestError(ValueError):
-    """Malformed score-ingestion file."""
+    """Malformed input file: a dataset CSV or a score CSV."""
 
 
 # the training draw the linear model is fit on
@@ -161,29 +161,6 @@ def make_training_set(config: SynthConfig, trial: int = 0) -> np.ndarray:
     return np.column_stack(draw_points(config, clients, rng))
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
-    client_id: int
-    predicted_label: int
-    true_label: int
-    label_scores: tuple[float, ...]
-
-    @property
-    def true_score(self) -> float:
-        return self.label_scores[self.true_label]
-
-
-@contextlib.contextmanager
-def open_text(path, newline: str | None = ""):
-    """``path`` opened as UTF-8 text, with ``open``'s ``newline``;
-    IngestError on bytes that are not UTF-8."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise IngestError(f"not UTF-8 text: {exc}") from exc
-
-
 def csv_rows(fh):
     """The rows of the CSV file ``fh``; IngestError on text the csv module
     cannot read, such as a field longer than its field size limit."""
@@ -194,41 +171,105 @@ def csv_rows(fh):
         raise IngestError(f"line {reader.line_num}: {exc}") from exc
 
 
-def ingest_scores(path) -> list[ScoreRecord]:
+def _parse_rows(lines: list[str], spec: list, width: int) -> np.ndarray:
+    """One ``spec`` record of ``width`` fields per line, read by numpy's C
+    parser; ValueError unless every line reads as one row."""
+    if "" in lines:  # numpy would skip a blank line, and warn on no data at all
+        raise ValueError(f"expected {width} fields")
+    rows = np.loadtxt(lines, dtype=spec, delimiter=",", comments=None, quotechar='"', ndmin=1)
+    if len(rows) != len(lines):  # a quoted field ran on into the next line
+        raise ValueError("a quoted field runs on past its line")
+    return rows
+
+
+def _row_error(lines: list[str], spec: list, width: int, error: ValueError) -> IngestError:
+    """The IngestError naming the first line of the body ``lines`` that does
+    not read as one row, given ``error``, the whole body's.
+
+    Bisection: parse the first half of a failing range, descend into it if
+    it fails, else into the second half; O(log n) parses, about 2n lines in
+    all with the whole body's. Each parse ends in a row of zeros, which a
+    quote left open at the end of the range swallows, as the next line
+    would."""
+    close = ",".join(["0"] * width)
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _parse_rows([*lines[lo:mid], close], spec, width)
+        except ValueError:
+            hi = mid
+        else:
+            lo = mid
+    try:
+        _parse_rows([lines[lo], close], spec, width)
+    except ValueError as exc:
+        error = exc
+    # numpy's row numbers count from 0 or 1 and skip blank lines: cut them
+    return IngestError(f"row {lo + 2}: {str(error).rsplit(' at row ', 1)[0]}")
+
+
+def read_csv(path, spec_of_header: Callable[[list[str] | None], list]) -> np.ndarray:
+    """The body of the UTF-8 CSV file ``path`` as one record array.
+
+    The csv module reads the header (None for an empty file), which
+    ``spec_of_header`` turns into a dtype spec or rejects with IngestError:
+    a list, made a dtype per call, as a structured np.dtype built at import
+    raised the peak memory of processes that read no CSV. numpy's C parser
+    reads the body in one call, each line one record; an error names row N,
+    the file's N-th line (header = 1). A body without lines has no records.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:  # universal newlines: each line ends in "\n"
+            header = next(csv_rows(fh), None)
+            spec = spec_of_header(header)
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"not UTF-8 text: {exc}") from exc
+    if lines[-1] == "":  # the file's final newline
+        lines.pop()
+    if not lines:
+        return np.zeros(0, dtype=spec)
+    try:
+        return _parse_rows(lines, spec, len(header))
+    except ValueError as exc:
+        raise _row_error(lines, spec, len(header), exc) from exc
+
+
+def _score_spec(header: list[str] | None) -> list:
+    """The score CSV's records: three int64 columns, then its C scores as
+    one float64 field of shape (C,)."""
+    if header is None:
+        raise IngestError("empty file")
+    fixed = ["client_id", "predicted_label", "true_label"]
+    if header[: len(fixed)] != fixed:
+        raise IngestError(f"bad header {header!r}")
+    score_cols = header[len(fixed) :]
+    if score_cols != [f"score_{i}" for i in range(len(score_cols))] or not score_cols:
+        raise IngestError(f"bad score columns {score_cols!r}")
+    return [*((name, "<i8") for name in fixed), ("scores", "<f8", (len(score_cols),))]
+
+
+def ingest_scores(path) -> np.ndarray:
     """Read precomputed per-label conformity scores from CSV.
 
     Header: client_id,predicted_label,true_label,score_0,...,score_{C-1};
-    each score must lie in [0, 1] up to 1e-6 slack.
+    both labels must lie in [0, C) and each score in [0, 1] up to 1e-6
+    slack. Returns one record per row, read by ``read_csv``: int64
+    ``client_id``, ``predicted_label`` and ``true_label``, and float64
+    ``scores`` of shape (C,). A row that does not read as numbers is named
+    first; else an error names the first row out of range, its labels
+    checked before its scores.
     """
-    with open_text(path) as fh:
-        reader = csv_rows(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError("empty file") from None
-        fixed = ["client_id", "predicted_label", "true_label"]
-        if header[: len(fixed)] != fixed:
-            raise IngestError(f"bad header {header!r}")
-        score_cols = header[len(fixed) :]
-        if score_cols != [f"score_{i}" for i in range(len(score_cols))] or not score_cols:
-            raise IngestError(f"bad score columns {score_cols!r}")
-        n_labels = len(score_cols)
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise IngestError(f"row {lineno}: expected {len(header)} fields")
-            try:
-                client_id = int(row[0])
-                predicted = int(row[1])
-                true_label = int(row[2])
-                scores = tuple(float(v) for v in row[3:])
-            except ValueError as exc:
-                raise IngestError(f"row {lineno}: {exc}") from exc
-            if not 0 <= true_label < n_labels or not 0 <= predicted < n_labels:
-                raise IngestError(f"row {lineno}: label out of range")
-            for s in scores:
-                if not -1e-6 <= s <= 1.0 + 1e-6:
-                    raise IngestError(f"row {lineno}: score {s} outside [0, 1]")
-            records.append(ScoreRecord(client_id, predicted, true_label, scores))
+    records = read_csv(path, _score_spec)
+    scores = records["scores"]
+    labels = np.column_stack([records["predicted_label"], records["true_label"]])
+    bad_label = ~np.all((labels >= 0) & (labels < scores.shape[1]), axis=1)
+    bad_score = ~((scores >= -1e-6) & (scores <= 1.0 + 1e-6))  # NaN too
+    bad = bad_label | bad_score.any(axis=1)
+    if bad.any():
+        row = int(bad.argmax())
+        if bad_label[row]:
+            raise IngestError(f"row {row + 2}: label out of range")
+        raise IngestError(f"row {row + 2}: score {float(scores[row][bad_score[row]][0])} outside [0, 1]")
     return records
-

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import datagen
 from .conformal import CALIBRATOR_KINDS, DegenerateGroupError, calibrate_baseline
-from .datagen import IngestError, ScoreRecord, SynthConfig, substream
+from .datagen import IngestError, SynthConfig, substream
 from .federation import ClientDataset, client_datasets, run_round  # run_round unused: perfbench/tracing.py patches harness.run_round
 from .groups import GroupFamily, interval_family, membership_matrix
 
@@ -125,23 +125,22 @@ def _synth_trial_data(config: ExperimentConfig, trial: int) -> _TrialData:
     )
 
 
-def _ingest_trial_data(
-    config: ExperimentConfig, records: list[ScoreRecord], trial: int
-) -> _TrialData:
-    """The first half of the records, shuffled per trial, calibrate; the rest
-    are tested. A label set holds the labels whose score is at most the
-    threshold, so it covers a point iff the point's true-label score is."""
+def _ingest_trial_data(config: ExperimentConfig, records: np.ndarray, trial: int) -> _TrialData:
+    """The first half of the ``ingest_scores`` records, shuffled per trial,
+    calibrate; the rest are tested. A label set holds the labels whose score
+    is at most the threshold, so it covers a point iff the point's
+    true-label score is."""
     order = substream(config.synth.seed, "mixture", trial).permutation(len(records))
     half = len(records) // 2
     if half == 0:
         raise IngestError(
             f"{len(records)} score rows cannot fill both a calibration and a test half"
         )
-    shuffled = [records[i] for i in order]
-    labels = np.array([r.predicted_label for r in shuffled])
-    scores = np.array([r.true_score for r in shuffled])
-    datasets = client_datasets([r.client_id for r in shuffled[:half]], labels[:half], scores[:half])
-    label_scores = np.array([r.label_scores for r in shuffled[half:]])
+    shuffled = records[order]
+    labels = shuffled["predicted_label"]
+    scores = shuffled["scores"][np.arange(len(shuffled)), shuffled["true_label"]]
+    datasets = client_datasets(shuffled["client_id"][:half], labels[:half], scores[:half])
+    label_scores = shuffled["scores"][half:]
     return _TrialData(
         datasets,
         scores[half:],
@@ -151,9 +150,10 @@ def _ingest_trial_data(
 
 
 def run_trial(
-    config: ExperimentConfig, trial: int, records: list[ScoreRecord] | None = None
+    config: ExperimentConfig, trial: int, records: np.ndarray | None = None
 ) -> dict[str, TrialOutcome]:
-    """Every calibrator on one trial: synthetic data, or ingested ``records``.
+    """Every calibrator on one trial: synthetic data, or the ingested score
+    ``records`` of ``datagen.ingest_scores``.
 
     S* depends on a test point only through its membership pattern, so each
     calibrator is asked once per distinct pattern of the trial (``fcp_marginal``

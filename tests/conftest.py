@@ -141,24 +141,24 @@ def breakpoint_minimum(lp: LpInstance) -> float:
     )
 
 
+def score_records(rows):
+    """Score records as ``datagen.ingest_scores`` returns them, one per
+    (client_id, predicted_label, true_label, scores) tuple."""
+    spec = [("client_id", "<i8"), ("predicted_label", "<i8"), ("true_label", "<i8")]
+    return np.array(rows, dtype=[*spec, ("scores", "<f8", (len(rows[0][3]),))])
+
+
 def export_scores(records, path):
-    """Write ScoreRecords as the CSV that ``datagen.ingest_scores`` reads."""
-    n_labels = len(records[0].label_scores)
+    """Write score records, as ``datagen.ingest_scores`` returns them, as the
+    CSV it reads."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["client_id", "predicted_label", "true_label"]
-            + [f"score_{i}" for i in range(n_labels)]
+            + [f"score_{i}" for i in range(records["scores"].shape[1])]
         )
-        for r in records:
-            writer.writerow(
-                [
-                    r.client_id,
-                    r.predicted_label,
-                    r.true_label,
-                    *(repr(float(s)) for s in r.label_scores),
-                ]
-            )
+        for client_id, predicted, true_label, scores in records.tolist():
+            writer.writerow([client_id, predicted, true_label, *map(repr, scores.tolist())])
 
 
 @contextmanager

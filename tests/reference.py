@@ -18,8 +18,9 @@ and the tests compare the two within stated tolerances.
 
 Oracles the tests measure the library against: the arcsine scale function,
 a digest's step CDF, quantile and maximum cluster mass, the pinball loss,
-and the dataset CSV read one row at a time by the csv module and Python's
-``int`` and ``float``, which the library reads with numpy's C parser.
+and the dataset and score CSVs read one row at a time by the csv module and
+Python's ``int`` and ``float``, which the library reads with numpy's C
+parser.
 """
 
 import base64
@@ -208,6 +209,44 @@ def reference_read_dataset(path, pi=()):
     return client_datasets(ids, xs, scores, pi)
 
 
+def reference_ingest_scores(path):
+    """The rows of a score CSV as (client_id, predicted_label, true_label,
+    scores) tuples, read row by row by the csv module and Python's ``int``
+    and ``float``; an error names its row's number in the file (header = 1),
+    and the first rule a row breaks, its labels checked before its scores."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv_rows(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestError("empty file") from None
+        fixed = ["client_id", "predicted_label", "true_label"]
+        if header[: len(fixed)] != fixed:
+            raise IngestError(f"bad header {header!r}")
+        score_cols = header[len(fixed) :]
+        if score_cols != [f"score_{i}" for i in range(len(score_cols))] or not score_cols:
+            raise IngestError(f"bad score columns {score_cols!r}")
+        n_labels = len(score_cols)
+        records = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise IngestError(f"row {lineno}: expected {len(header)} fields")
+            try:
+                client_id = int(row[0])
+                predicted = int(row[1])
+                true_label = int(row[2])
+                scores = tuple(float(v) for v in row[3:])
+            except ValueError as exc:
+                raise IngestError(f"row {lineno}: {exc}") from exc
+            if not 0 <= true_label < n_labels or not 0 <= predicted < n_labels:
+                raise IngestError(f"row {lineno}: label out of range")
+            for s in scores:
+                if not -1e-6 <= s <= 1.0 + 1e-6:
+                    raise IngestError(f"row {lineno}: score {s} outside [0, 1]")
+            records.append((client_id, predicted, true_label, scores))
+    return records
+
+
 def count_bits(sizes):
     """Bits per sample count on the wire: the fewest that hold every count,
     0 without counts."""
@@ -340,10 +379,14 @@ def artificial_basis_at_zero(n_cal, d):
     return SimplexBasis(np.arange(columns - d, columns), np.zeros(columns))
 
 
-def reference_threshold_search(data, test_feature, alpha, tol=1e-6):
-    """Bisection on the test score to ``tol`` over ``data.default_bracket()``
-    from the artificial basis at 0; the bracket's upper end if the test dual
-    stays below its bound there."""
+def reference_threshold_search(data, test_feature, alpha, tol=1e-6, widenings=16):
+    """Bisection on the test score to ``tol`` from the artificial basis at 0.
+
+    The bracket starts as ``data.default_bracket()``; while the test dual
+    stays below its bound at the upper end, the bracket moves up to twice
+    its width from the lower end, at most ``widenings`` times. If the dual
+    never reaches its bound, this reads as S* = +inf: the library's
+    ``default_bracket()[1]``."""
     lo, hi = data.default_bracket()
     column_mass = data.features.T @ data.weights
     dead = tuple(int(g) for g in np.flatnonzero(column_mass <= 0.0))
@@ -362,8 +405,13 @@ def reference_threshold_search(data, test_feature, alpha, tol=1e-6):
     bound = data.test_weight * (1.0 - alpha) - 1e-9
     if solver.solve_at(lo).eta_test >= bound:
         raise EmptySetError(f"test dual already at its bound at score {lo}")
-    if solver.solve_at(hi).eta_test < bound:
-        return hi
+    width = hi - lo
+    for _ in range(widenings):
+        if solver.solve_at(hi).eta_test >= bound:
+            break
+        lo, hi, width = hi, hi + width, 2.0 * width
+    else:
+        return data.default_bracket()[1]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if solver.solve_at(mid).eta_test < bound:

@@ -7,13 +7,14 @@ import json
 import re
 import zlib
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from gcfcp import cli, conformal, federation
+from gcfcp import cli, conformal, datagen, federation
 from gcfcp.cli import main
 from gcfcp.conformal import EmptySetError
 from gcfcp.datagen import IngestError, SynthConfig
@@ -21,7 +22,7 @@ from gcfcp.federation import message_from_json
 from gcfcp.groups import Interval, LabelSet, family_from_json
 from gcfcp.harness import DEFAULT_FAMILY, ExperimentConfig, _synth_trial_data
 from gcfcp.pinball import SolverError
-from reference import reference_read_dataset
+from reference import reference_ingest_scores, reference_read_dataset
 
 SMALL_GROUPS = json.dumps(
     {
@@ -399,15 +400,21 @@ def test_exit_code_ingest_error(tmp_path, capsys):
 
 
 def test_exit_code_ingest_error_on_a_field_too_long(tmp_path, capsys):
-    # the csv module rejects a field longer than its limit with csv.Error
+    """A score past the csv module's field size limit, which the csv module
+    rejected (exit 4), reads as the number it spells: 131 073 ones read inf,
+    a score outside [0, 1] (exit 4 at its row), and 131 073 zeros read 0.0."""
     long = tmp_path / "long.csv"
-    long.write_text("client_id,predicted_label,true_label,score_0\n1,0,0," + "0" * (csv.field_size_limit() + 1) + "\n")
+    long.write_text("client_id,predicted_label,true_label,score_0\n1,0,0," + "1" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(IngestError, match="^line 2: field larger than field limit"):
+        reference_ingest_scores(long)
     code = main(
         ["experiment", "--trials", "1", "--ingest", str(long),
          "--calibrators", "centralized_cp", "--serial"]
     )
     assert code == 4
-    assert capsys.readouterr().err.startswith("error: ingestion: line 2: field larger than field limit")
+    assert capsys.readouterr().err.startswith("error: ingestion: row 2: score inf outside [0, 1]")
+    long.write_text("client_id,predicted_label,true_label,score_0\n1,0,0," + "0" * (csv.field_size_limit() + 1) + "\n")
+    assert datagen.ingest_scores(long)["scores"].tolist() == [[0.0]]
 
 
 @pytest.mark.parametrize(
@@ -424,41 +431,110 @@ def test_dataset_row_must_match_the_header(tmp_path, capsys, command, row):
     assert capsys.readouterr().err.startswith("error: ingestion: row 3: ")
 
 
-def dataset_file(tmp_path, lines, eol="\n", final=True):
-    """A dataset CSV of the header and ``lines``, each ended by ``eol`` (the
-    last one only if ``final``), written as UTF-8 bytes."""
-    path = tmp_path / "data.csv"
-    path.write_bytes((eol.join(["client_id,x,y,score", *lines]) + eol * final).encode("utf-8"))
-    return path
-
-
-def read_csv(path):
-    return cli._read_dataset_csv(path, "uniform")
-
-
-def read_outcome(read, path):
-    """What ``read`` makes of ``path``: each dataset's id, covariate and score
-    bits and weight, or the row its IngestError names (its message where it
-    names none)."""
-    try:
-        datasets = read(path)
-    except IngestError as exc:
-        return re.match(r"row \d+(?=: )|.*", str(exc))[0]
+def dataset_outcome(datasets):
+    """Each dataset's id, covariate and score bits and weight."""
     return [
         (d.client_id, d.covariates.view(np.uint64).tolist(), d.scores.view(np.uint64).tolist(), d.pi)
         for d in datasets
     ]
 
 
-NUMBER_TEXT = st.builds(
-    lambda value, spelling: spelling % value,
+def score_outcome(records):
+    """Each row's id, labels and score bits: the records of
+    ``ingest_scores``, or the tuples of ``reference_ingest_scores``."""
+    rows = records.tolist() if isinstance(records, np.ndarray) else records
+    return [(c, p, t, np.asarray(s, dtype=float).view(np.uint64).tolist()) for c, p, t, s in rows]
+
+
+def spelled(values):
+    return st.builds(lambda value, spelling: spelling % value, values, st.sampled_from(["%r", "%.17g", "%.25e", "%.3f"]))
+
+
+NUMBER_TEXT = spelled(
     st.one_of(
         st.sampled_from([-0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308]),
         st.floats(allow_nan=False, allow_infinity=False),
-    ),
-    st.sampled_from(["%r", "%.17g", "%.25e", "%.3f"]),
+    )
 )
+SCORE_TEXT = spelled(st.one_of(st.sampled_from([-0.0, 5e-324, 1e-310, 1.0]), st.floats(0.0, 1.0)))
+
+
+class CsvKind(NamedTuple):
+    """One input file: its header, the numbers its fields hold (``ints``
+    int64 columns, then ``number`` text) and a row's fields at line 3 of a
+    file between ``context`` rows; the library's reader and the row-by-row
+    reference, each read made comparable by ``outcome``; and the gcfcp
+    command that reads it, which prints ``done`` on success."""
+
+    header: str
+    ints: int
+    number: st.SearchStrategy
+    context: tuple[str, str, str]
+    read: Callable
+    reference: Callable
+    outcome: Callable
+    argv: Callable
+    done: str
+
+    @property
+    def width(self):
+        return self.header.count(",") + 1
+
+    def file(self, tmp_path, lines, eol="\n", final=True):
+        """A file of the header and ``lines``, each ended by ``eol`` (the last
+        one only if ``final``), written as UTF-8 bytes."""
+        path = tmp_path / "data.csv"
+        path.write_bytes((eol.join([self.header, *lines]) + eol * final).encode("utf-8"))
+        return path
+
+
+KINDS = {
+    "dataset": CsvKind(
+        "client_id,x,y,score",
+        1,
+        NUMBER_TEXT,
+        ("1,2.0,0.0,0.5", "2,3.0,0.0,0.25", "2,4.0,0.0,1.5"),
+        lambda path: cli._read_dataset_csv(path, "uniform"),
+        reference_read_dataset,
+        dataset_outcome,
+        lambda path, out: ["calibrate", str(path), "--out", str(out)],
+        "2 messages",
+    ),
+    "scores": CsvKind(
+        "client_id,predicted_label,true_label,score_0,score_1,score_2",
+        3,
+        SCORE_TEXT,
+        ("1,0,1,0.2,0.5,0.9", "2,2,2,0.9,0.8,0.1", "2,1,0,0.4,0.3,0.6"),
+        datagen.ingest_scores,
+        reference_ingest_scores,
+        score_outcome,
+        lambda path, out: ["experiment", "--trials", "1", "--ingest", str(path), "--calibrators",
+                           "centralized_cp", "--serial", "--out", str(out)],
+        "wrote report",
+    ),
+}
+
+
+def read_outcome(kind, read, path):
+    """What ``read``, the kind's reader or its reference, makes of ``path``:
+    its comparable outcome, or the message of its IngestError."""
+    try:
+        return kind.outcome(read(path))
+    except IngestError as exc:
+        return str(exc)
+
+
+def read_outcomes(kind, path):
+    """The library's and the reference's outcomes on ``path``, an error cut
+    to the row it names (the two parsers word their messages apart)."""
+    return [
+        re.match(r"row \d+(?=: )|.*", got)[0] if isinstance(got, str) else got
+        for got in (read_outcome(kind, kind.read, path), read_outcome(kind, kind.reference, path))
+    ]
+
+
 JUNK = ("x", "", "1e", "--1", "0x10", "nan(1)", "1.2.3", ".", "1 2", '4"')
+OUT_OF_RANGE = {"label": ("3", "-1", "7"), "score": ("1.5", "-0.5", "nan", "inf", "-inf", "1.0001")}
 
 
 def quoted(draw, field):
@@ -466,12 +542,13 @@ def quoted(draw, field):
 
 
 @st.composite
-def dataset_lines(draw):
+def csv_lines(draw, kind):
     """1-12 well-formed rows over 1-5 client ids in any order, each field
-    quoted or not."""
+    quoted or not; score-CSV labels in [0, 3) and scores in [0, 1]."""
     ids = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=5, unique=True))
+    fields = [st.integers(0, 2).map(str)] * (kind.ints - 1) + [kind.number] * (kind.width - kind.ints)
     return [
-        ",".join(quoted(draw, f) for f in [str(draw(st.sampled_from(ids))), *(draw(NUMBER_TEXT) for _ in range(3))])
+        ",".join(quoted(draw, f) for f in [str(draw(st.sampled_from(ids))), *(draw(s) for s in fields)])
         for _ in range(draw(st.integers(1, 12)))
     ]
 
@@ -479,28 +556,30 @@ def dataset_lines(draw):
 READER_SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+@pytest.mark.parametrize("kind", KINDS)
 @READER_SETTINGS
-@given(lines=dataset_lines(), eol=st.sampled_from(["\n", "\r\n", "\r"]), final=st.booleans())
-def test_reader_matches_the_row_by_row_reference(tmp_path, lines, eol, final):
-    """numpy's parser reads a well-formed file to the ids, covariate bits and
-    score bits that the csv module and Python's int and float read."""
-    path = dataset_file(tmp_path, lines, eol, final)
-    datasets = read_outcome(read_csv, path)
-    assert isinstance(datasets, list)
-    assert datasets == read_outcome(reference_read_dataset, path)
+@given(eol=st.sampled_from(["\n", "\r\n", "\r"]), final=st.booleans(), data=st.data())
+def test_reader_matches_the_row_by_row_reference(tmp_path, kind, eol, final, data):
+    """numpy's parser reads a well-formed file to the ids, labels, covariate
+    bits and score bits that the csv module and Python's int and float read."""
+    kind = KINDS[kind]
+    path = kind.file(tmp_path, data.draw(csv_lines(kind), label="lines"), eol, final)
+    got, want = read_outcomes(kind, path)
+    assert isinstance(got, list)
+    assert got == want
 
 
+@pytest.mark.parametrize("kind", KINDS)
 @READER_SETTINGS
-@given(
-    lines=dataset_lines(),
-    eol=st.sampled_from(["\n", "\r\n", "\r"]),
-    final=st.booleans(),
-    defect=st.sampled_from(["blank", "short", "long", "junk"]),
-    data=st.data(),
-)
-def test_reader_names_the_row_the_reference_names(tmp_path, lines, eol, final, defect, data):
+@given(eol=st.sampled_from(["\n", "\r\n", "\r"]), final=st.booleans(), data=st.data())
+def test_reader_names_the_row_the_reference_names(tmp_path, kind, eol, final, data):
     """A file with one defect, often on its first or last line: both readers
-    name the defect's line in the file, header = 1."""
+    name the defect's line in the file, header = 1. On the score CSV a
+    defect may also be a label or a score out of range."""
+    kind = KINDS[kind]
+    lines = data.draw(csv_lines(kind), label="lines")
+    defects = ["blank", "short", "long", "junk"] + ["label", "score"] * (kind is KINDS["scores"])
+    defect = data.draw(st.sampled_from(defects), label="defect")
     last = len(lines) - (defect != "blank")  # a blank line goes in before a row or after all
     at = data.draw(st.one_of(st.sampled_from([0, last]), st.integers(0, last)), label="at")
     if defect == "blank":
@@ -509,115 +588,179 @@ def test_reader_names_the_row_the_reference_names(tmp_path, lines, eol, final, d
     else:
         fields = lines[at].split(",")  # no number holds a comma
         if defect == "short":
-            del fields[data.draw(st.integers(0, 3), label="field")]
+            del fields[data.draw(st.integers(0, kind.width - 1), label="field")]
         elif defect == "long":
-            fields.insert(data.draw(st.integers(0, 4), label="field"), data.draw(NUMBER_TEXT, label="extra"))
-        else:
-            column = data.draw(st.integers(0, 3), label="column")
-            junk = JUNK + ("1.5", "1e3", "nan") * (column == 0)
+            fields.insert(data.draw(st.integers(0, kind.width), label="field"), data.draw(kind.number, label="extra"))
+        elif defect == "junk":
+            column = data.draw(st.integers(0, kind.width - 1), label="column")
+            junk = JUNK + ("1.5", "1e3", "nan") * (column < kind.ints)
             fields[column] = quoted(data.draw, data.draw(st.sampled_from(junk), label="junk"))
+        else:
+            column = data.draw(st.integers(1, 2) if defect == "label" else st.integers(3, 5), label="column")
+            fields[column] = quoted(data.draw, data.draw(st.sampled_from(OUT_OF_RANGE[defect]), label=defect))
         lines[at] = ",".join(fields)
-    path = dataset_file(tmp_path, lines, eol, final)
-    assert read_outcome(read_csv, path) == read_outcome(reference_read_dataset, path) == f"row {at + 2}"
+    path = kind.file(tmp_path, lines, eol, final)
+    got, want = read_outcomes(kind, path)
+    assert got == want == f"row {at + 2}"
 
 
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("at", range(8))
-def test_reader_names_the_row_of_a_quote_left_open(tmp_path, at):
+def test_reader_names_the_row_of_a_quote_left_open(tmp_path, kind, at):
     """A quote left open runs on into the next line, whose text the csv
     module reads into the field, and the line that opened it names the error.
     On the last line the quote ends with the file, and both readers read
     the row."""
-    lines = [f"{1 + i % 2},{i}.0,0.0,0.5" for i in range(8)]
-    lines[at] = lines[at].replace(",0.5", ',"0.5')
-    path = dataset_file(tmp_path, lines)
-    got = read_outcome(read_csv, path)
-    assert got == read_outcome(reference_read_dataset, path)
+    kind = KINDS[kind]
+    lines = [f"{1 + i % 2}{kind.context[i % 2][1:]}" for i in range(8)]
+    head, _, last_field = lines[at].rpartition(",")
+    lines[at] = f'{head},"{last_field}'
+    got, want = read_outcomes(kind, kind.file(tmp_path, lines))
+    assert got == want
     if at < 7:
         assert got == f"row {at + 2}"
     else:
         assert isinstance(got, list)
 
 
+@pytest.mark.parametrize("kind, no_rows", [("dataset", "dataset has no rows"), ("scores", [])])
 @pytest.mark.parametrize(
-    "text, error",
-    [
-        ("client_id,x,y,score", "dataset has no rows"),
-        ("client_id,x,y,score\n", "dataset has no rows"),
-        ("client_id,x,y,score\n\n", "row 2: expected 4 fields"),
-        ("client_id,x,y,score\n\n\n\n", "row 2: expected 4 fields"),
-        ("client_id,x,y,score\r\n\r\n\r\n", "row 2: expected 4 fields"),
-    ],
+    "body, blank",
+    [("", False), ("\n", False), ("\n\n", True), ("\n\n\n\n", True), ("\r\n\r\n\r\n", True)],
     ids=["header-only", "header-and-line-end", "blank-body", "all-blank-lines", "all-blank-lines-crlf"],
 )
-def test_reader_on_files_without_data_rows(tmp_path, text, error):
-    """The reference's error, and no numpy warning that the input held no
-    data (the test settings make a UserWarning an error)."""
+def test_reader_on_files_without_data_rows(tmp_path, kind, no_rows, body, blank):
+    """The reference's outcome, message for message: a dataset without rows
+    is an error, a score CSV without rows reads as no records. And no numpy
+    warning that the input held no data (the test settings make a
+    UserWarning an error)."""
+    kind = KINDS[kind]
     path = tmp_path / "data.csv"
-    path.write_bytes(text.encode("utf-8"))
-    for read in (read_csv, reference_read_dataset):
-        with pytest.raises(IngestError, match=f"^{error}$"):
-            read(path)
+    path.write_bytes((kind.header + body).encode("utf-8"))
+    want = f"row 2: expected {kind.width} fields" if blank else no_rows
+    assert read_outcome(kind, kind.read, path) == read_outcome(kind, kind.reference, path) == want
 
 
-def calibrate_lines(tmp_path, row):
-    """``gcfcp calibrate``'s exit code, wire lines and standard error, and
-    the reference's reading, on the two-client dataset whose line 3 is ``row``."""
-    path = dataset_file(tmp_path, ["1,2.0,0.0,0.5", row, "2,3.0,0.0,0.25", "2,4.0,0.0,1.5"])
-    out = tmp_path / "messages.jsonl"
+@pytest.mark.parametrize(
+    "rows, want",
+    [
+        (["1,0,1,0.2,1.5,0.9", "1,0,7,0.2,0.5,0.9"], "row 2: score 1.5 outside [0, 1]"),
+        (["1,0,1,0.2,0.5,0.9", "1,3,1,0.2,-0.5,0.9"], "row 3: label out of range"),
+        (["1,0,1,0.2,0.5,nan", "1,0,1,0.2,0.5,inf"], "row 2: score nan outside [0, 1]"),
+        (["1,0,1,0.2,2.0,-inf"], "row 2: score 2.0 outside [0, 1]"),
+        (["1,0,1,-1e-06,1.000001,0.5", "2,2,2,0.9,0.8,0.1"], None),
+    ],
+    ids=["first-row", "label-before-score", "nan", "first-score-of-a-row", "slack"],
+)
+def test_range_checks_name_what_the_reference_names(tmp_path, rows, want):
+    """The array checks name the first row out of range, its labels before
+    its scores and its first bad score, in the reference's words; a score
+    within 1e-6 of [0, 1] passes."""
+    scores = KINDS["scores"]
+    path = scores.file(tmp_path, rows)
+    got = read_outcome(scores, scores.read, path)
+    assert got == read_outcome(scores, scores.reference, path)
+    assert got == want if want else isinstance(got, list)
+
+
+def test_a_row_that_does_not_parse_is_named_before_an_earlier_range_error(tmp_path):
+    """The range checks run on the parsed records, so a row that does not
+    parse is named first; the reference, row by row, named the earlier row
+    out of range."""
+    scores = KINDS["scores"]
+    path = scores.file(tmp_path, ["1,0,7,0.2,0.5,0.9", "1,0,1,0.2,x,0.9"])
+    assert read_outcome(scores, scores.reference, path) == "row 2: label out of range"
+    assert read_outcome(scores, scores.read, path).startswith("row 3: could not convert string 'x' to float64")
+
+
+def run_row(kind, tmp_path, row):
+    """The exit code, output (None unless 0) and standard error of the
+    kind's gcfcp command, and the reference's outcome, on the kind's file
+    whose line 3 is ``row``."""
+    path = kind.file(tmp_path, [kind.context[0], row, *kind.context[1:]])
+    out = tmp_path / "out"
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(["calibrate", str(path), "--out", str(out)])
-    return code, out.read_text() if code == 0 else None, err.getvalue(), reference_outcome(path)
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(kind.argv(path, out))
+    return code, out.read_text() if code == 0 else None, err.getvalue(), read_outcome(kind, kind.reference, path)
 
 
-def reference_outcome(path):
-    try:
-        return [(d.client_id, d.covariates.tolist()) for d in reference_read_dataset(path)]
-    except IngestError as exc:
-        return str(exc)
-
-
-@pytest.mark.parametrize("row", ["1_0,2.0,0.0,0.5", "1,0_7,0.0,0.5", "1,2.0,0_0,0.5", "1,2.0,0.0,0_5"])
-def test_a_number_with_underscores_exits_4(tmp_path, row):
+@pytest.mark.parametrize(
+    "kind, row",
+    [
+        ("dataset", "1_0,2.0,0.0,0.5"),
+        ("dataset", "1,0_7,0.0,0.5"),
+        ("dataset", "1,2.0,0_0,0.5"),
+        ("dataset", "1,2.0,0.0,0_5"),
+        ("scores", "1_0,0,1,0.2,0.5,0.9"),
+        ("scores", "1,0_1,1,0.2,0.5,0.9"),
+        ("scores", "1,0,0_1,0.2,0.5,0.9"),
+        ("scores", "1,0,1,0.2_5,0.5,0.9"),
+    ],
+)
+def test_a_number_with_underscores_exits_4(tmp_path, kind, row):
     """Python's int and float read ``0_7`` as 7; numpy's parser does not."""
-    code, _, err, before = calibrate_lines(tmp_path, row)
-    assert isinstance(before, list)
+    code, _, err, before = run_row(KINDS[kind], tmp_path, row)
+    assert isinstance(before, list) and before == run_row(KINDS[kind], tmp_path, row.replace("_", ""))[3]
     assert code == 4 and err.startswith("error: ingestion: row 3: could not convert string ")
 
 
+def rows_of(outcome, client_id):
+    return [row[1:] for row in outcome if row[0] == client_id]
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("client_id", [str(2**63), str(-(2**63) - 1), "99999999999999999999"])
-def test_a_client_id_outside_int64_exits_4(tmp_path, client_id):
-    """Before, such an id was read, and a round sent it on the wire."""
-    code, _, err, before = calibrate_lines(tmp_path, f"{client_id},2.0,0.0,0.5")
-    assert (int(client_id), [2.0]) in before
+def test_a_client_id_outside_int64_exits_4(tmp_path, kind, client_id):
+    """Before, such an id was read: a round sent it on the wire, and the
+    score CSV's records carried it."""
+    kind = KINDS[kind]
+    rest = kind.context[0][1:]
+    code, _, err, before = run_row(kind, tmp_path, client_id + rest)
+    assert rows_of(before, int(client_id)) == rows_of(run_row(kind, tmp_path, "3" + rest)[3], 3) != []
     assert code == 4 and err.startswith(f"error: ingestion: row 3: could not convert string '{client_id}' to int64")
 
 
+@pytest.mark.parametrize("label", [str(2**63), str(-(2**63) - 1)])
+@pytest.mark.parametrize("column", [1, 2], ids=["predicted", "true"])
+def test_a_label_outside_int64_names_the_conversion(tmp_path, column, label):
+    """Before, Python's int read such a label, and the range check named its
+    row; now the int64 conversion does, still exit 4."""
+    fields = KINDS["scores"].context[0].split(",")
+    fields[column] = label
+    code, _, err, before = run_row(KINDS["scores"], tmp_path, ",".join(fields))
+    assert before == "row 3: label out of range"
+    assert code == 4 and err.startswith(f"error: ingestion: row 3: could not convert string '{label}' to int64")
+
+
+@pytest.mark.parametrize("kind, row", [("dataset", "1,{},0.0,0.5"), ("scores", "{},0,1,0.2,0.5,0.9")])
 @pytest.mark.parametrize("digit", ["\u0663", "\uff13"], ids=["arabic-indic", "fullwidth"])
-def test_a_non_ascii_digit_exits_4(tmp_path, digit):
-    """Python's float reads any Unicode decimal digit; numpy's parser reads
-    ASCII digits only."""
-    code, _, err, before = calibrate_lines(tmp_path, f"1,{digit},0.0,0.5")
-    assert (1, [2.0, 3.0]) in before
+def test_a_non_ascii_digit_exits_4(tmp_path, kind, row, digit):
+    """Python's int and float read any Unicode decimal digit; numpy's parser
+    reads ASCII digits only."""
+    code, _, err, before = run_row(KINDS[kind], tmp_path, row.format(digit))
+    assert isinstance(before, list) and before == run_row(KINDS[kind], tmp_path, row.format("3"))[3]
     assert code == 4 and err.startswith("error: ingestion: row 3: ")
 
 
-def test_a_quoted_line_break_exits_4(tmp_path):
+@pytest.mark.parametrize("kind, row", [("dataset", '1,"3.0{}",0.0,0.5'), ("scores", '1,0,1,0.2,"0.5{}",0.9')])
+def test_a_quoted_line_break_exits_4(tmp_path, kind, row):
     """A quoted field that runs on over a line end: the csv module read the
     two lines as one row, and Python's float stripped the line break. Now
     each line is one row, and the first names the error."""
-    code, _, err, before = calibrate_lines(tmp_path, '1,"3.0\n",0.0,0.5')
-    assert (1, [2.0, 3.0]) in before
+    code, _, err, before = run_row(KINDS[kind], tmp_path, row.format("\n"))
+    assert isinstance(before, list) and before == run_row(KINDS[kind], tmp_path, row.format(""))[3]
     assert code == 4 and err.startswith("error: ingestion: row 3: ")
 
 
+@pytest.mark.parametrize("kind, row", [("dataset", "1,{0}3.0{0},0.0,0.5"), ("scores", "1,0,1,0.2,{0}0.5{0},0.9")])
 @pytest.mark.parametrize("control", ["\x1c", "\x1d", "\x1e", "\x1f"])
-def test_a_separator_control_next_to_a_number_reads_as_whitespace(tmp_path, control):
+def test_a_separator_control_next_to_a_number_reads_as_whitespace(tmp_path, kind, row, control):
     """Python's float rejects the information separators U+001C-U+001F around
     a number; numpy's parser skips them as whitespace."""
-    code, lines, _, before = calibrate_lines(tmp_path, f"1,{control}3.0{control},0.0,0.5")
+    code, lines, _, before = run_row(KINDS[kind], tmp_path, row.format(control))
     assert before.startswith("row 3: could not convert string to float")
-    assert code == 0 and lines == calibrate_lines(tmp_path, "1,3.0,0.0,0.5")[1]
+    assert code == 0 and lines == run_row(KINDS[kind], tmp_path, row.format(""))[1]
 
 
 @pytest.mark.parametrize("digit, code", [("0", 0), ("1", 2)])
@@ -625,40 +768,51 @@ def test_a_field_past_the_csv_limit_reads_as_its_number(tmp_path, digit, code):
     """The csv module rejected the field (exit 4). numpy's parser reads it:
     131 073 zeros are 0.0, and 131 073 ones are inf, a covariate outside
     every group (exit 2)."""
-    got, lines, err, before = calibrate_lines(tmp_path, f"1,{digit * (csv.field_size_limit() + 1)},0.0,0.5")
+    dataset = KINDS["dataset"]
+    got, lines, err, before = run_row(dataset, tmp_path, f"1,{digit * (csv.field_size_limit() + 1)},0.0,0.5")
     assert before.startswith("line 3: field larger than field limit")
     assert got == code
     if code == 0:
-        assert lines == calibrate_lines(tmp_path, "1,0.0,0.0,0.5")[1]
+        assert lines == run_row(dataset, tmp_path, "1,0.0,0.0,0.5")[1]
     else:
         assert err.startswith("error: covariate value inf ")
 
 
 @pytest.mark.parametrize(
-    "lines, eol, code",
+    "kind, lines, eol, code",
     [
-        (["1,2.0,0.0,0.5", "", "2,3.0,0.0,0.25"], "\n", 4),
-        (['"1","2.0",0.0,"0.5"', '2,"3.0","0.0",0.25'], "\n", 0),
-        (["1,2.0,0.0,0.5", "2,3.0,0.0,0.25"], "\r\n", 0),
-        (["-1,2.0,0.0,0.5", "-2,3.0,0.0,0.25"], "\n", 0),
+        ("dataset", ["1,2.0,0.0,0.5", "", "2,3.0,0.0,0.25"], "\n", 4),
+        ("dataset", ['"1","2.0",0.0,"0.5"', '2,"3.0","0.0",0.25'], "\n", 0),
+        ("dataset", ["1,2.0,0.0,0.5", "2,3.0,0.0,0.25"], "\r\n", 0),
+        ("dataset", ["-1,2.0,0.0,0.5", "-2,3.0,0.0,0.25"], "\n", 0),
+        ("scores", ["1,0,1,0.2,0.5,0.9", "", "2,2,2,0.9,0.8,0.1"], "\n", 4),
+        ("scores", ['"1","0",1,"0.2",0.5,0.9', '2,"2","2",0.9,0.8,"0.1"'], "\n", 0),
+        ("scores", ["1,0,1,0.2,0.5,0.9", "2,2,2,0.9,0.8,0.1"], "\r\n", 0),
+        ("scores", ["-1,0,1,0.2,0.5,0.9", "-2,2,2,0.9,0.8,0.1"], "\n", 0),
     ],
-    ids=["blank-line", "quoted-fields", "crlf", "negative-ids"],
+    ids=[f"{kind}-{case}" for kind in KINDS for case in ["blank-line", "quoted-fields", "crlf", "negative-ids"]],
 )
-def test_inputs_whose_outcome_is_unchanged(tmp_path, capsys, lines, eol, code):
+def test_inputs_whose_outcome_is_unchanged(tmp_path, capsys, kind, lines, eol, code):
     """Blank lines, quoted fields, CRLF line ends and negative ids read as the
     csv module and Python's int and float read them."""
-    path = dataset_file(tmp_path, lines, eol)
-    assert read_outcome(read_csv, path) == read_outcome(reference_read_dataset, path)
-    assert main(["calibrate", str(path), "--out", str(tmp_path / "m.jsonl")]) == code
-    assert capsys.readouterr().err.startswith("error: ingestion: row 3: expected 4 fields" if code else "2 messages")
+    kind = KINDS[kind]
+    path = kind.file(tmp_path, lines, eol)
+    got, want = read_outcomes(kind, path)
+    assert got == want
+    assert main(kind.argv(path, tmp_path / "out")) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ingestion: row 3: expected {kind.width} fields" if code else kind.done)
 
 
-def test_a_byte_order_mark_before_the_header_exits_4(tmp_path, capsys):
-    path = tmp_path / "data.csv"
-    path.write_bytes(b"\xef\xbb\xbfclient_id,x,y,score\n1,2.0,0.0,0.5\n")
-    assert read_outcome(read_csv, path) == read_outcome(reference_read_dataset, path)
-    assert main(["calibrate", str(path)]) == 4
-    assert capsys.readouterr().err.startswith("error: ingestion: bad dataset header ['\\ufeffclient_id'")
+@pytest.mark.parametrize("kind, message", [("dataset", "bad dataset header"), ("scores", "bad header")])
+def test_a_byte_order_mark_before_the_header_exits_4(tmp_path, capsys, kind, message):
+    kind = KINDS[kind]
+    path = kind.file(tmp_path, [kind.context[0], kind.context[1]])
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    got, want = read_outcomes(kind, path)
+    assert got == want
+    assert main(kind.argv(path, tmp_path / "out")) == 4
+    assert capsys.readouterr().err.startswith(f"error: ingestion: {message} ['\\ufeffclient_id'")
 
 
 @pytest.mark.parametrize("command", [["predict", "--x", "1.5"], ["calibrate"]], ids=["predict", "calibrate"])

@@ -259,6 +259,21 @@ class TestBaselines:
         for pattern in [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0)]:
             assert a.threshold(pattern) == pytest.approx(b.threshold(pattern), abs=1e-6)
 
+    @pytest.mark.parametrize("kind", ["condcp_centralized", "gcfcp_centralized", "gcfcp_coreset"])
+    def test_a_finite_threshold_above_the_highest_score_is_exact(self, kind):
+        """At alpha 0.1 these four patterns have a finite S* above the highest
+        score plus 1 (3.9117), the bracket's high end, which the search once
+        reported in S*'s place. The search returns S* itself, as the widened
+        bisection finds it."""
+        cal = calibrate_baseline(kind, self.make_datasets(), 0.1, family=FOUR_INTERVALS, delta=100.0)
+        want = [4.2014, 5.1602, 4.7986, 4.6526] if kind == "condcp_centralized" else [5.1414, 5.1820, 5.3656, 5.4190]
+        hi = cal.data.default_bracket()[1]
+        assert hi == pytest.approx(3.9117, abs=5e-5)
+        for pattern, s_star in zip([(1, 1, 0, 0), (1, 1, 1, 0), (0, 1, 1, 1), (0, 0, 1, 1)], want):
+            got = cal.threshold(pattern)
+            assert got > hi and got == pytest.approx(s_star, abs=5e-5)
+            assert -1e-7 <= got - reference_threshold_search(cal.data, pattern, 0.1) <= 1e-6 + 1e-7
+
     def test_gcfcp_centralized_equal_clients_proportional_weights(self):
         """Equal pi and n give uniform per-point weights, proportional to the
         CondCP weights; only the augmented test mass differs across the two."""

@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from conftest import export_scores
+from conftest import export_scores, score_records
 
 from gcfcp.datagen import (
     IngestError,
     LinearModel,
-    ScoreRecord,
     SynthConfig,
     covariate_law,
     fit_linear,
@@ -166,8 +165,8 @@ class TestIngestion:
         )
         records = ingest_scores(path)
         assert len(records) == 3
-        assert records[0].true_score == 0.5
-        assert records[1].label_scores == (0.9, 0.8, 0.1)
+        assert records["scores"][0, records["true_label"][0]] == 0.5
+        assert records["scores"][1].tolist() == [0.9, 0.8, 0.1]
 
     def test_score_out_of_range(self, tmp_path):
         path = self.write(tmp_path, ["1,0,1,0.2,1.5,0.9"])
@@ -197,18 +196,21 @@ class TestIngestion:
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
-        records = [
-            ScoreRecord(
-                client_id=int(rng.integers(1, 5)),
-                predicted_label=int(rng.integers(0, 4)),
-                true_label=int(rng.integers(0, 4)),
-                label_scores=tuple(float(v) for v in rng.random(4)),
-            )
-            for _ in range(25)
-        ]
+        records = score_records(
+            [
+                (
+                    int(rng.integers(1, 5)),
+                    int(rng.integers(0, 4)),
+                    int(rng.integers(0, 4)),
+                    tuple(float(v) for v in rng.random(4)),
+                )
+                for _ in range(25)
+            ]
+        )
         path = tmp_path / "rt.csv"
         export_scores(records, path)
-        assert ingest_scores(path) == records
+        got = ingest_scores(path)
+        assert got.dtype == records.dtype and got.tobytes() == records.tobytes()
 
 
 def test_substream_independence():

@@ -2,11 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import export_scores
+from conftest import export_scores, score_records
 
 from gcfcp import harness
 from gcfcp.conformal import CALIBRATOR_KINDS, calibrate_baseline
-from gcfcp.datagen import ScoreRecord, SynthConfig, ingest_scores
+from gcfcp.datagen import SynthConfig, ingest_scores
 from gcfcp.groups import GroupFamily, LabelSet, interval_family
 from gcfcp.harness import (
     DegenerateGroupError,
@@ -95,8 +95,15 @@ class TestRunExperiment:
         table = format_report_table(report)
         assert "gcfcp_coreset" in table and "marginal" in table
 
-    def test_serial_parallel_identical(self):
+    @pytest.mark.parametrize("source", ["synth", "ingest"])
+    def test_serial_parallel_identical(self, tmp_path, source):
+        """Serial and pool runs report alike; on the ingest source the score
+        records cross the process pool."""
         config = dataclasses.replace(SMALL, trials=3)
+        if source == "ingest":
+            path = tmp_path / "scores.csv"
+            export_scores(make_records(np.random.default_rng(1)), path)
+            config = dataclasses.replace(config, family=LABEL_FAMILY, ingest_path=str(path))
         serial = run_experiment(dataclasses.replace(config, serial=True))
         parallel = run_experiment(dataclasses.replace(config, serial=False))
         for kind in config.calibrators:
@@ -153,8 +160,8 @@ def make_records(rng, count=160):
         scores = rng.uniform(0.2, 1.0, 6)
         scores[true] = rng.uniform(0.0, 0.6)
         pred = int(np.argmin(scores))
-        records.append(ScoreRecord(int(rng.integers(1, 4)), pred, true, tuple(scores)))
-    return records
+        records.append((int(rng.integers(1, 4)), pred, true, tuple(scores)))
+    return score_records(records)
 
 
 class TestIngestExperiment:
