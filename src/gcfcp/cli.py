@@ -147,7 +147,7 @@ def cmd_predict(args) -> int:
     family = _parse_family(args.groups)
     calibrator = calibrate_baseline("gcfcp_coreset", datasets, args.alpha, family=family, delta=args.delta)
     feature = membership_vector(args.x, family)
-    # one pattern: a cold search beats the calibrator's shared basis plus a warm one;
+    # one pattern: a cold search, which solves its own calibration-only start;
     # read off the module, where perfbench's tracer and the tests patch it
     s_star = conformal.threshold_search(calibrator.data, feature, args.alpha)
     if s_star < 0.0:  # no absolute residual is negative

@@ -5,18 +5,20 @@ still admitted by the KKT condition of the augmented quantile regression:
 the test entry's dual stays strictly below its upper box bound. The dual is
 a nondecreasing step function of the test score, so S* is the breakpoint at
 which it reaches the bound, or +inf when it never does (the prediction set is
-then the whole line). After one solve at the low end of the data's bracket,
-one below the lowest calibration score, the optimum is followed up through
-the breakpoints of the test score, a few pivots each
+then the whole line). The search starts at the calibration fit f0 at the
+test pattern: the optimum of the calibration-only regression (the test
+entry's box set to [0, 0]) is optimal there with the test dual at 0, so
+S* >= f0 and nothing below f0 is solved. From f0 the optimum is followed up
+through the breakpoints of the test score, a few pivots each
 (``AugmentedQrSolver.raise_test_score``), and the last breakpoint reached is
-solved once more as the verified optimum. A finite S* is reported as it is,
+solved once, as the verified optimum. A finite S* is reported as it is,
 above the highest calibration score too; +inf still reads as the bracket's
 high end, one above the highest calibration score.
 
 A calibrator serves many test patterns from one calibration set, so it
-solves the calibration-only regression (the test entry's box set to [0, 0])
-once, on its first fresh search, and starts every pattern's search from that
-optimal basis instead of from scratch.
+solves the calibration-only regression once, on its first fresh search, and
+starts every pattern's search from that optimal basis; a search given no
+basis solves it for itself.
 
 ``calibrate_baseline`` builds every calibrator kind from the same client
 datasets. Besides the coreset path: a single global split-CP order statistic,
@@ -51,8 +53,9 @@ CALIBRATOR_KINDS = (
 
 
 class EmptySetError(RuntimeError):
-    """The prediction set is empty: the test dual is already at its upper
-    bound one below the lowest score, or S* is below every possible score."""
+    """The prediction set is empty: S* is at or below one below the lowest
+    score, or the test dual's bound is at or below 0 (a test weight of at
+    most 1e-9 / (1 - alpha)), or S* is below every possible score."""
 
 
 class DegenerateGroupError(RuntimeError):
@@ -136,15 +139,19 @@ def threshold_search(
     """Largest S whose test dual stays below the box bound, S*; when the dual
     never reaches its bound (S* = +inf), ``data.default_bracket()[1]``.
 
-    Solved at the bracket's low end, walked up to S* and solved once more, as
-    the verified optimum, at the returned threshold, or at the walk's last
+    The walk starts at the calibration fit f0 of ``start_basis`` (from
+    ``calibration_basis`` on the same data and alpha, solved here when none
+    is given), where the test dual is 0, goes up to S* and solves once more,
+    as the verified optimum, at the returned threshold, or at the walk's last
     breakpoint if that is lower: the optimum there holds for every larger
-    score. ``start_basis`` (from
-    ``calibration_basis`` on the same data and alpha) replaces the cold first
-    solve with a warm one; the result is the same.
+    score. EmptySetError means S* is at or below the bracket's low end, or
+    the test dual's bound is at or below 0, its value at f0.
     """
     lo, hi = data.default_bracket()
-    _check_column_mass(data)
+    if start_basis is None:
+        start_basis = calibration_basis(data, alpha)
+    else:
+        _check_column_mass(data)
     solver = AugmentedQrSolver(
         data.features,
         data.scores,
@@ -155,14 +162,14 @@ def threshold_search(
         start_basis=start_basis,
     )
     bound = data.test_weight * (1.0 - alpha) - _ETA_GUARD
-
-    if solver.solve_at(lo).eta_test >= bound:
-        raise EmptySetError(f"test dual already at its bound at score {lo}")
+    if bound <= 0.0:  # the test dual is 0 at f0, the lowest score the walk reaches
+        raise EmptySetError(f"test dual bound {bound!r} is not above its value 0 at the calibration fit")
+    solver.start_walk()
     s_star = solver.raise_test_score(bound)
-    if s_star == math.inf:  # an unbounded set still reads as the bracket's high end
-        s_star = hi
     solver.solve_at(min(solver.test_score, s_star))
-    return s_star
+    if s_star <= lo:
+        raise EmptySetError(f"test dual already at its bound at score {lo}")
+    return hi if s_star == math.inf else s_star  # an unbounded set reads as the bracket's high end
 
 
 def split_cp_threshold(scores: Sequence[float], alpha: float) -> float:

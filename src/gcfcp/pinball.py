@@ -55,13 +55,19 @@ dual never reaches its bound and the walk returns +inf. Koenker & d'Orey
 (AS 229) trace regression quantiles through the breakpoints of the quantile
 level the same way.
 
-The first solve for a new test pattern need not start cold either. Setting
-the test entry's box to [0, 0] (test weight 0) gives the calibration-only
-problem; a zero-width column is never priced, so at its optimum the test
-entry is nonbasic at 0. ``export_basis`` hands out that basis and point, and
-a solver built with ``start_basis`` resumes from it: the calibration part
-does not depend on the test pattern, so it stays primal feasible, and the
-test entry, at 0 inside its new box, goes through the crossover.
+A threshold search starts from the calibration-only problem instead of a
+solve at a low test score. Setting the test entry's box to [0, 0] (test
+weight 0) gives that problem; a zero-width column is never priced, so at its
+optimum the test entry is nonbasic at 0. ``export_basis`` hands out that
+basis and point, and a solver built with ``start_basis`` resumes from it: the
+calibration part does not depend on the test pattern, so it stays primal
+feasible. With y the multipliers of that basis, the test column's reduced
+cost at the calibration fit f0 = y . phi_test is 0, so at score f0 the start
+is optimal for the augmented problem too, with eta_test = 0 inside its new
+box; hence S* >= f0. ``start_walk`` checks the start with one pricing pass,
+sets the test score to f0 and moves the test entry up by one step, and
+``raise_test_score`` walks on from there. A start that ``solve_at`` opens
+instead sends the test entry, at 0 inside its box, through the crossover.
 """
 
 from __future__ import annotations
@@ -133,9 +139,11 @@ class AugmentedQrSolver:
     ``solve_at`` re-solves after changing only the test score, warm-starting
     from the previous optimal basis (primal feasibility is unaffected by the
     objective change, so the simplex resumes directly).
-    ``raise_test_score`` follows the optimum as the test score rises, one
-    breakpoint at a time. Both enter columns the same way: Dantzig pricing,
-    with Bland's rule after a run of degenerate steps.
+    ``start_walk`` opens a walk at the calibration fit of an optimal
+    calibration-only start, and ``raise_test_score`` follows the optimum as
+    the test score rises, one breakpoint at a time. ``solve_at`` and the walk
+    enter columns the same way: Dantzig pricing, with Bland's rule after a
+    run of degenerate steps.
     """
 
     def __init__(
@@ -311,12 +319,17 @@ class AugmentedQrSolver:
         moved = self._step(j, sgn, (self._lo if sgn > 0 else self._up).item(j))
         self._degenerate = self._degenerate + 1 if moved < 1e-13 else 0
 
-    def _crossover(self) -> int:
-        """Move each nonbasic column of the start point that lies strictly
-        inside its box to a bound or into the basis, one ratio test each."""
+    def _open_start(self) -> np.ndarray:
+        """Take the start point, invert its basis and set the basic values from it."""
         x, self._start = self._start, None
         self._factor()
         self._xB = self._Binv @ -(self._A @ x)
+        return x
+
+    def _crossover(self) -> int:
+        """Move each nonbasic column of the start point that lies strictly
+        inside its box to a bound or into the basis, one ratio test each."""
+        x = self._open_start()
         interior = np.flatnonzero((x > self._lo) & (x < self._up) & (self._dir != 0.0))
         for j in interior.tolist():
             y = self._c[self._basis] @ self._Binv
@@ -382,9 +395,40 @@ class AugmentedQrSolver:
             coupling_residual=coupling,
         )
 
+    def start_walk(self) -> None:
+        """Open the walk at the calibration fit f0 = y . phi_test of the start basis.
+
+        The start must be an optimal vertex of the calibration-only problem,
+        such as ``export_basis`` hands out: its nonbasic columns on a bound, its
+        basic values in their boxes and no column that could still gain. One
+        pricing pass checks that and reads f0, and a start that fails raises
+        SolverError. At test score f0 the test column's reduced cost is 0, so
+        the start, with the test entry at 0 inside its box, is optimal for the
+        augmented problem too. The test entry then moves up by one step, the
+        crossing that ``raise_test_score`` makes at any breakpoint.
+        """
+        if self._start is None:
+            raise ValueError("start_walk needs a solver fresh from its start basis")
+        x = self._open_start()
+        test = self._e - 1
+        r0 = self._prices(self._parametric[0])  # at t = 0; only the nonbasic test column moves with t
+        self._dir[test] = 0.0
+        price_tol = 1e-9 * (1.0 + float(np.max(np.abs(self._parametric[0]))))
+        interior = (x > self._lo) & (x < self._up) & (self._dir != 0.0)
+        loB, upB = self._lo[self._basis], self._up[self._basis]
+        if (
+            interior.any()
+            or not np.all((self._xB >= loB - _BOX_TOL) & (self._xB <= upB + _BOX_TOL))
+            or np.max(r0 * self._dir) > price_tol
+        ):
+            raise SolverError("start basis is not optimal for the calibration-only problem")
+        self.test_score = self._s[-1] = -r0.item(test)
+        if self._movable.item(test):
+            self._step(test, 1.0, 0.0)
+
     def raise_test_score(self, eta_bound: float) -> float:
-        """The lowest test score from the last solved one up at which eta_test
-        reaches ``eta_bound``; +inf if none does.
+        """The lowest test score from the last solved or started one up at
+        which eta_test reaches ``eta_bound``; +inf if none does.
 
         Only the test entry's cost moves with the test score t, so every
         reduced cost is r0 + t * r1, with r0 priced at t = 0, and the optimal
@@ -401,7 +445,7 @@ class AugmentedQrSolver:
         last breakpoint reached.
         """
         if self.test_score is None:
-            raise ValueError("raise_test_score needs a preceding solve_at")
+            raise ValueError("raise_test_score needs a preceding solve_at or start_walk")
         t = self.test_score
         self._degenerate = 0
         for _ in range(_MAX_ITER):

@@ -16,6 +16,10 @@ basic, and the bisection on the test score: the library starts from a
 per-atom quantile crash and walks the breakpoints of the test score instead,
 and the tests compare the two within stated tolerances.
 
+The threshold search solved one below the lowest calibration score before
+it walks up the breakpoints: the library starts the walk at the
+calibration-only fit instead, and the tests hold it within a few ulp.
+
 Oracles the tests measure the library against: the arcsine scale function,
 a digest's step CDF, quantile and maximum cluster mass, the pinball loss,
 and the dataset and score CSVs read one row at a time by the csv module and
@@ -379,6 +383,37 @@ def artificial_basis_at_zero(n_cal, d):
     return SimplexBasis(np.arange(columns - d, columns), np.zeros(columns))
 
 
+def _check_column_mass(data):
+    column_mass = data.features.T @ data.weights
+    dead = tuple(int(g) for g in np.flatnonzero(column_mass <= 0.0))
+    if dead:
+        raise DegenerateGroupError(dead)
+
+
+def reference_walk_from_lo(data, test_feature, alpha, start_basis=None):
+    """``threshold_search`` as a solve one below the lowest score, from the
+    crash or from ``start_basis``, then the breakpoint walk up to S* and one
+    verifying solve; +inf reads as ``default_bracket()[1]``. EmptySetError
+    when the test dual is at its bound at that low end."""
+    lo, hi = data.default_bracket()
+    _check_column_mass(data)
+    solver = AugmentedQrSolver(
+        data.features,
+        data.scores,
+        data.weights,
+        alpha,
+        test_feature,
+        data.test_weight,
+        start_basis=start_basis,
+    )
+    bound = data.test_weight * (1.0 - alpha) - 1e-9
+    if solver.solve_at(lo).eta_test >= bound:
+        raise EmptySetError(f"test dual already at its bound at score {lo}")
+    s_star = solver.raise_test_score(bound)
+    solver.solve_at(min(solver.test_score, s_star))
+    return hi if s_star == math.inf else s_star
+
+
 def reference_threshold_search(data, test_feature, alpha, tol=1e-6, widenings=16):
     """Bisection on the test score to ``tol`` from the artificial basis at 0.
 
@@ -388,10 +423,7 @@ def reference_threshold_search(data, test_feature, alpha, tol=1e-6, widenings=16
     never reaches its bound, this reads as S* = +inf: the library's
     ``default_bracket()[1]``."""
     lo, hi = data.default_bracket()
-    column_mass = data.features.T @ data.weights
-    dead = tuple(int(g) for g in np.flatnonzero(column_mass <= 0.0))
-    if dead:
-        raise DegenerateGroupError(dead)
+    _check_column_mass(data)
     n_cal, d = data.features.shape
     solver = AugmentedQrSolver(
         data.features,

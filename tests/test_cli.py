@@ -192,8 +192,9 @@ def test_one_parser_keeps_calls_independent(dataset_csv, capsys):
 
 
 def test_predict_runs_one_cold_search(dataset_csv, monkeypatch, capsys):
-    """``predict`` makes one threshold search, cold, and no calibration-only
-    solve; its threshold is the coreset calibrator's for the point's pattern."""
+    """``predict`` makes one threshold search, cold: the search itself solves
+    the one calibration-only regression it starts from. Its threshold is the
+    coreset calibrator's for the point's pattern."""
     searches, bases = [], []
     search, basis = conformal.threshold_search, conformal.calibration_basis
 
@@ -208,7 +209,7 @@ def test_predict_runs_one_cold_search(dataset_csv, monkeypatch, capsys):
     monkeypatch.setattr(conformal, "threshold_search", spy_search)
     monkeypatch.setattr(conformal, "calibration_basis", spy_basis)
     predict_out(capsys, ["predict", str(dataset_csv), "--x", "1.5"])
-    assert searches == [{}] and bases == []
+    assert searches == [{}] and len(bases) == 1
     monkeypatch.undo()
 
     datasets = cli._read_dataset_csv(dataset_csv, "uniform")

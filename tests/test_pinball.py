@@ -412,6 +412,12 @@ def test_kept_inverse_and_directions_follow_the_basis(seed, warm):
     _assert_kept_state(solver)
     solver.solve_at(solver.test_score)
     _assert_kept_state(solver)
+    if warm:  # the walk from the calibration fit
+        walker = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight, start_basis=start)
+        walker.start_walk()
+        _assert_kept_state(walker)
+        walker.raise_test_score(p.test_weight * (1.0 - p.alpha) - 1e-9)
+        _assert_kept_state(walker)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -446,9 +452,11 @@ def test_blands_rule_on_a_degenerate_start(monkeypatch):
     """A start at a vertex where every basic column sits on a bound: 50
     disjoint groups, each with two tied high scores at the lower bound and
     two tied low ones at the upper bound, equal weights, the artificials
-    basic at 0. Each group's first pivot is degenerate, so the simplex
-    passes 40 degenerate steps in a row and enters by Bland's rule; the
-    threshold still matches the bisection and the crash start."""
+    basic at 0. Each group's first pivot is degenerate, so the
+    calibration-only solve from it passes 40 degenerate steps in a row and
+    enters by Bland's rule; a search started from its optimum matches the
+    cold search and the bisection, and a search started from the degenerate
+    start itself, which is not optimal, raises SolverError."""
     bland_entries = []
     enter = AugmentedQrSolver._enter
 
@@ -468,12 +476,65 @@ def test_blands_rule_on_a_degenerate_start(monkeypatch):
     point[:n] = np.where(high, -weights * alpha, weights * (1.0 - alpha))
     start = SimplexBasis(np.arange(n + 1, n + 1 + d), point)
     data = CalibrationData(features, np.where(high, 10.0, 9.0), weights, 1.0 / (n + 1))
-    pattern = tuple(int(b) for b in features[0])
-    got = threshold_search(data, pattern, alpha, start_basis=start)
+    solver = AugmentedQrSolver(features, data.scores, weights, alpha, (0,) * d, 0.0, start_basis=start)
+    _assert_verified(solver.solve_at(0.0))
     assert any(bland_entries)
+    pattern = tuple(int(b) for b in features[0])
+    got = threshold_search(data, pattern, alpha, start_basis=solver.export_basis())
     assert got == threshold_search(data, pattern, alpha)
     want = reference_threshold_search(data, pattern, alpha)
     assert -1e-7 <= got - want <= 1e-6 + 1e-7
+    with pytest.raises(SolverError, match="not optimal"):
+        threshold_search(data, pattern, alpha, start_basis=start)
+
+
+def test_the_walk_starts_only_from_an_optimal_calibration_basis():
+    """``start_walk`` prices the start once: a basis optimal for other
+    scores (in most draws), a point off its bounds (the cold crash, or one
+    nonbasic entry nudged into its box) and a start that sits outside a basic
+    column's box raise SolverError; a solver already solved or walked raises
+    ValueError."""
+    rng = np.random.default_rng(12)
+    checked = 0
+    for _ in range(40):
+        p = random_lp(rng)
+        data = CalibrationData(*p.calibration[:3], p.test_weight)
+        basis = calibration_basis(data, p.alpha)
+        reversed_scores = replace(data, scores=-data.scores)
+        other = calibration_basis(reversed_scores, p.alpha)
+        fresh = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight, start_basis=other)
+        try:
+            fresh.start_walk()
+        except SolverError as exc:
+            assert "not optimal" in str(exc)
+            checked += 1
+        walked = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight, start_basis=basis)
+        walked.start_walk()
+        with pytest.raises(ValueError):
+            walked.start_walk()
+        solved = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight, start_basis=basis)
+        solved.solve_at(p.test_score)
+        with pytest.raises(ValueError):
+            solved.start_walk()
+        with pytest.raises(SolverError, match="not optimal"):
+            AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight).start_walk()
+        # one nonbasic entry nudged off its bound into its box
+        j = np.setdiff1d(np.arange(len(p.scores)), basis.basic)[0]
+        nudged = basis.point.copy()
+        nudged[j] += 1e-6 if nudged[j] < 0.0 else -1e-6
+        with pytest.raises(SolverError, match="not optimal"):
+            AugmentedQrSolver(
+                *p.calibration, p.test_feature, p.test_weight, start_basis=SimplexBasis(basis.basic, nudged)
+            ).start_walk()
+    assert checked >= 30
+    # scores 1, 2, 3 at weight 1 and alpha 0.5, the lowest entry basic and
+    # the others at their upper bound 0.5: every reduced cost has the right
+    # sign, but the basic eta is -1, below its box [-0.5, 0.5]
+    start = SimplexBasis(np.array([0]), np.array([0.0, 0.5, 0.5, 0.0, 0.0]))
+    features, scores = np.ones((3, 1)), np.array([1.0, 2.0, 3.0])
+    solver = AugmentedQrSolver(features, scores, np.ones(3), 0.5, (1,), 0.1, start_basis=start)
+    with pytest.raises(SolverError, match="not optimal"):
+        solver.start_walk()
 
 
 def _bits(value):
