@@ -7,8 +7,9 @@ Subcommands:
   experiment  Monte Carlo coverage study, report written as CSV
 
 ``predict`` answers its one pattern with one cold threshold search on the
-round's calibration data: a calibrator's shared calibration-only basis pays
-back only over several patterns. ``main`` parses with one parser per
+round's calibration data: the search makes the calibration start itself
+and walks once from it, as a calibrator's shared start pays back only over
+several patterns. ``main`` parses with one parser per
 process, built on the first call; every parsed value lives in the returned
 namespace, so calls stay independent.
 
@@ -147,7 +148,7 @@ def cmd_predict(args) -> int:
     family = _parse_family(args.groups)
     calibrator = calibrate_baseline("gcfcp_coreset", datasets, args.alpha, family=family, delta=args.delta)
     feature = membership_vector(args.x, family)
-    # one pattern: a cold search, which solves its own calibration-only start;
+    # one pattern: a cold search, which makes its own calibration start;
     # read off the module, where perfbench's tracer and the tests patch it
     s_star = conformal.threshold_search(calibrator.data, feature, args.alpha)
     if s_star < 0.0:  # no absolute residual is negative

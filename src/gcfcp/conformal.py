@@ -15,10 +15,16 @@ solved once, as the verified optimum. A finite S* is reported as it is,
 above the highest calibration score too; +inf still reads as the bracket's
 high end, one above the highest calibration score.
 
-A calibrator serves many test patterns from one calibration set, so it
-solves the calibration-only regression once, on its first fresh search, and
-starts every pattern's search from that optimal basis; a search given no
-basis solves it for itself.
+A search splits into work that depends only on the calibration set and
+work that depends on the pattern. ``calibration_start`` does the first once:
+the group-mass check, the bracket, the solver's matrix, bounds and costs,
+the cold solve of the calibration-only regression, and the opening of its
+optimum with the check that it is optimal. Per pattern, ``threshold_search``
+copies that opened state, sets the test column, reads the fit f0, walks and
+verifies. A calibrator serves many test patterns from one calibration set,
+so it makes the start once, on its first fresh search, and shares it; a
+search given no start makes one for itself and runs the same per-pattern
+code.
 
 ``calibrate_baseline`` builds every calibrator kind from the same client
 datasets. Besides the coreset path: a single global split-CP order statistic,
@@ -114,8 +120,11 @@ def _check_column_mass(data: CalibrationData) -> None:
         raise DegenerateGroupError(dead)
 
 
-def calibration_basis(data: CalibrationData, alpha: float) -> SimplexBasis:
-    """Optimal basis of the calibration-only regression, a start for any pattern.
+def _calibration_solver(
+    data: CalibrationData, alpha: float, start_basis: SimplexBasis | None = None
+) -> AugmentedQrSolver:
+    """The calibration-only regression, solved unless ``start_basis`` gives
+    its optimum, after a check that every group column has calibration mass.
 
     A test weight of 0 gives the test entry the box [0, 0], which makes it
     inert whatever its pattern and score.
@@ -123,10 +132,37 @@ def calibration_basis(data: CalibrationData, alpha: float) -> SimplexBasis:
     _check_column_mass(data)
     d = data.features.shape[1]
     solver = AugmentedQrSolver(
-        data.features, data.scores, data.weights, alpha, (0,) * d, 0.0
+        data.features, data.scores, data.weights, alpha, (0,) * d, 0.0, start_basis=start_basis
     )
-    solver.solve_at(0.0)
-    return solver.export_basis()
+    if start_basis is None:
+        solver.solve_at(0.0)
+    return solver
+
+
+def calibration_basis(data: CalibrationData, alpha: float) -> SimplexBasis:
+    """Optimal basis of the calibration-only regression, a start for any pattern."""
+    return _calibration_solver(data, alpha).export_basis()
+
+
+@dataclass(frozen=True)
+class CalibrationStart:
+    """The part of a threshold search that depends on the calibration set
+    alone, made once and shared by every pattern's search."""
+
+    bracket: tuple[float, float]  # ``default_bracket()`` of the data
+    solver: AugmentedQrSolver  # opened at the calibration-only optimum, test column 0
+
+
+def calibration_start(
+    data: CalibrationData, alpha: float, start_basis: SimplexBasis | None = None
+) -> CalibrationStart:
+    """The calibration-only regression's optimum (from ``start_basis``, or
+    solved here), opened for walks at the data's test weight: one build,
+    one solve and one optimality check (``AugmentedQrSolver.open_walk``)
+    per calibration set."""
+    solver = _calibration_solver(data, alpha, start_basis)
+    solver.open_walk(data.test_weight)
+    return CalibrationStart(data.default_bracket(), solver)
 
 
 def threshold_search(
@@ -134,37 +170,27 @@ def threshold_search(
     test_feature: MembershipVector,
     alpha: float,
     *,
-    start_basis: SimplexBasis | None = None,
+    start: CalibrationStart | None = None,
 ) -> float:
     """Largest S whose test dual stays below the box bound, S*; when the dual
     never reaches its bound (S* = +inf), ``data.default_bracket()[1]``.
 
-    The walk starts at the calibration fit f0 of ``start_basis`` (from
-    ``calibration_basis`` on the same data and alpha, solved here when none
-    is given), where the test dual is 0, goes up to S* and solves once more,
-    as the verified optimum, at the returned threshold, or at the walk's last
-    breakpoint if that is lower: the optimum there holds for every larger
-    score. EmptySetError means S* is at or below the bracket's low end, or
-    the test dual's bound is at or below 0, its value at f0.
+    ``start`` comes from ``calibration_start`` on the same data and alpha,
+    and is made here when none is given. The walk starts from a copy of it
+    at the calibration fit f0 of ``test_feature``, where the test dual is 0,
+    goes up to S* and solves once more, as the verified optimum, at the
+    returned threshold, or at the walk's last breakpoint if that is lower:
+    the optimum there holds for every larger score. EmptySetError means S*
+    is at or below the bracket's low end, or the test dual's bound is at or
+    below 0, its value at f0.
     """
-    lo, hi = data.default_bracket()
-    if start_basis is None:
-        start_basis = calibration_basis(data, alpha)
-    else:
-        _check_column_mass(data)
-    solver = AugmentedQrSolver(
-        data.features,
-        data.scores,
-        data.weights,
-        alpha,
-        test_feature,
-        data.test_weight,
-        start_basis=start_basis,
-    )
+    if start is None:
+        start = calibration_start(data, alpha)
+    lo, hi = start.bracket
     bound = data.test_weight * (1.0 - alpha) - _ETA_GUARD
     if bound <= 0.0:  # the test dual is 0 at f0, the lowest score the walk reaches
         raise EmptySetError(f"test dual bound {bound!r} is not above its value 0 at the calibration fit")
-    solver.start_walk()
+    solver = start.solver.start_pattern(test_feature)
     s_star = solver.raise_test_score(bound)
     solver.solve_at(min(solver.test_score, s_star))
     if s_star <= lo:
@@ -202,10 +228,12 @@ class ConditionalCalibrator:
     """Per-pattern thresholds from the augmented quantile regression.
 
     S* depends on the test point only through its membership pattern, so
-    results are cached per pattern. Every pattern's search starts from one
-    shared ``calibration_basis``, solved on the first fresh search.
-    ``search_times`` records the wall-clock of each fresh search for the
-    timing reports; the first one includes the shared solve.
+    results are cached per pattern. The first fresh search makes one
+    ``calibration_start`` (the calibration-only regression built, solved and
+    opened), and every pattern's search walks from a copy of it.
+    ``search_times`` records the wall-clock of each fresh search, one per
+    distinct pattern, for the timing reports; the first one also carries the
+    one-time build and open.
     """
 
     def __init__(self, data: CalibrationData, alpha: float):
@@ -214,15 +242,15 @@ class ConditionalCalibrator:
         self.search_times: list[float] = []
         self.wire_bytes = 0
         self._cache: dict[MembershipVector, float] = {}
-        self._basis: SimplexBasis | None = None
+        self._start: CalibrationStart | None = None
 
     def threshold(self, test_feature: MembershipVector) -> float:
         key = tuple(test_feature)
         if key not in self._cache:
             t0 = time.perf_counter()
-            if self._basis is None:
-                self._basis = calibration_basis(self.data, self.alpha)
-            s_star = threshold_search(self.data, key, self.alpha, start_basis=self._basis)
+            if self._start is None:
+                self._start = calibration_start(self.data, self.alpha)
+            s_star = threshold_search(self.data, key, self.alpha, start=self._start)
             self.search_times.append(time.perf_counter() - t0)
             self._cache[key] = s_star
         return self._cache[key]

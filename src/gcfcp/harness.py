@@ -72,6 +72,8 @@ class CalibratorSummary:
     marginal_se: float
     group_coverage: dict[int, tuple[float, float, int]]  # coverage, se, count
     mean_set_size: float
+    # mean wall-clock of a fresh search, one per distinct pattern; a
+    # calibrator's first search also carries its one-time build and open
     mean_search_time: float
     wire_bytes: float
     n_points: int
@@ -272,7 +274,7 @@ def format_report_table(report: CoverageReport) -> str:
     header = (
         ["method", "marginal"]
         + [f"G{g + 1}" for g in groups]
-        + ["set size", "time/pred (ms)", "bytes"]
+        + ["set size", "time/search (ms)", "bytes"]
     )
     rows = [header]
     for kind, s in report.summaries.items():

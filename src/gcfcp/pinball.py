@@ -25,7 +25,8 @@ reduced cost times that direction is the gain of entering the column, so
 Dantzig pricing is one argmax over that product.
 ``AugmentedQrSolver``, built for one calibration set and one test pattern, is
 the only entry point; the caller (``conformal``) rejects a group column
-without calibration mass first.
+without calibration mass first. A solver opened for walks hands out copies
+of itself for other test patterns.
 
 Work over all N columns (pricing, recomputing the basic values,
 verification) is vectorized. The ratio test of a step, over only the d basis
@@ -58,20 +59,28 @@ level the same way.
 A threshold search starts from the calibration-only problem instead of a
 solve at a low test score. Setting the test entry's box to [0, 0] (test
 weight 0) gives that problem; a zero-width column is never priced, so at its
-optimum the test entry is nonbasic at 0. ``export_basis`` hands out that
-basis and point, and a solver built with ``start_basis`` resumes from it: the
-calibration part does not depend on the test pattern, so it stays primal
-feasible. With y the multipliers of that basis, the test column's reduced
-cost at the calibration fit f0 = y . phi_test is 0, so at score f0 the start
-is optimal for the augmented problem too, with eta_test = 0 inside its new
-box; hence S* >= f0. ``start_walk`` checks the start with one pricing pass,
-sets the test score to f0 and moves the test entry up by one step, and
-``raise_test_score`` walks on from there. A start that ``solve_at`` opens
-instead sends the test entry, at 0 inside its box, through the crossover.
+optimum the test entry is nonbasic at 0. The calibration part does not
+depend on the test pattern, so that optimum stays primal feasible for every
+pattern. With y the multipliers of its basis, the test column's reduced cost
+at the calibration fit f0 = y . phi_test is 0, so at score f0 the start is
+optimal for the augmented problem too, with eta_test = 0 inside its new box;
+hence S* >= f0.
+
+That start splits into work per calibration set and work per pattern.
+``open_walk`` runs once per calibration set, on the solved calibration-only
+problem or on a solver fresh from a ``start_basis``: it gives the test entry
+the box of the real test weight, keeps y and checks with one pricing pass
+that the start is optimal. ``start_pattern`` runs once per pattern: it
+copies the opened state, sets the test column and the test score f0 and
+moves the test entry up by one step; ``raise_test_score`` walks on from
+there. ``start_walk`` does both on one solver. A start that ``solve_at``
+opens instead sends the test entry, at 0 inside its box, through the
+crossover.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -139,9 +148,11 @@ class AugmentedQrSolver:
     ``solve_at`` re-solves after changing only the test score, warm-starting
     from the previous optimal basis (primal feasibility is unaffected by the
     objective change, so the simplex resumes directly).
-    ``start_walk`` opens a walk at the calibration fit of an optimal
-    calibration-only start, and ``raise_test_score`` follows the optimum as
-    the test score rises, one breakpoint at a time. ``solve_at`` and the walk
+    ``open_walk`` opens an optimal calibration-only start once,
+    ``start_pattern`` copies it for one test pattern and starts that copy's
+    walk at the pattern's calibration fit (``start_walk`` does both on the
+    solver itself), and ``raise_test_score`` follows the optimum as the test
+    score rises, one breakpoint at a time. ``solve_at`` and the walk
     enter columns the same way: Dantzig pricing, with Bland's rule after a
     run of degenerate steps.
     """
@@ -214,6 +225,7 @@ class AugmentedQrSolver:
         self._dir *= self._movable
         self._dir[basic] = 0.0
         self._start: np.ndarray | None = x
+        self._y0: np.ndarray | None = None  # the multipliers at test score 0 of an opened start
 
     def _crash(self, features: np.ndarray) -> np.ndarray:
         """A point with every atom (the rows sharing one pattern) at its
@@ -395,25 +407,35 @@ class AugmentedQrSolver:
             coupling_residual=coupling,
         )
 
-    def start_walk(self) -> None:
-        """Open the walk at the calibration fit f0 = y . phi_test of the start basis.
+    def open_walk(self, test_weight: float) -> None:
+        """Open a walk's start, the part that does not depend on the test
+        pattern, with the test entry weighing ``test_weight``.
 
-        The start must be an optimal vertex of the calibration-only problem,
-        such as ``export_basis`` hands out: its nonbasic columns on a bound, its
-        basic values in their boxes and no column that could still gain. One
-        pricing pass checks that and reads f0, and a start that fails raises
-        SolverError. At test score f0 the test column's reduced cost is 0, so
-        the start, with the test entry at 0 inside its box, is optimal for the
-        augmented problem too. The test entry then moves up by one step, the
-        crossing that ``raise_test_score`` makes at any breakpoint.
+        The start is a solved calibration-only problem (test weight 0), whose
+        solve left its basis inverted afresh, or a solver fresh from its start
+        basis, inverted here. It must be an optimal calibration-only vertex,
+        such as ``export_basis`` hands out: nonbasic columns on a bound, basic
+        values in their boxes, no column that could still gain. One pricing
+        pass at score 0 checks that (SolverError if not) and keeps the
+        multipliers y. The test entry stays nonbasic at 0, out of the check
+        and of pricing until the walk moves it.
         """
-        if self._start is None:
-            raise ValueError("start_walk needs a solver fresh from its start basis")
-        x = self._open_start()
         test = self._e - 1
-        r0 = self._prices(self._parametric[0])  # at t = 0; only the nonbasic test column moves with t
+        if self._start is not None:
+            x = self._open_start()
+        elif self._y0 is None and self.test_score is not None and self.test_weight == 0.0:
+            x = self._primal_values()
+        else:
+            raise ValueError("open_walk needs a solver fresh from its start basis or a solved calibration-only problem")
+        self.test_score = None
+        self.test_weight = self._w[test] = float(test_weight)
+        self._lo[test], self._up[test] = self.test_weight * -self.alpha, self.test_weight * (1.0 - self.alpha)
+        self._movable[test] = self._up[test] > self._lo[test]
         self._dir[test] = 0.0
-        price_tol = 1e-9 * (1.0 + float(np.max(np.abs(self._parametric[0]))))
+        costs = self._parametric[0]
+        self._y0 = costs[self._basis] @ self._Binv
+        r0 = costs - self._y0 @ self._A
+        price_tol = 1e-9 * (1.0 + float(np.max(np.abs(costs))))
         interior = (x > self._lo) & (x < self._up) & (self._dir != 0.0)
         loB, upB = self._lo[self._basis], self._up[self._basis]
         if (
@@ -422,9 +444,40 @@ class AugmentedQrSolver:
             or np.max(r0 * self._dir) > price_tol
         ):
             raise SolverError("start basis is not optimal for the calibration-only problem")
-        self.test_score = self._s[-1] = -r0.item(test)
+
+    def _walk_from_fit(self) -> None:
+        """Set the test score to the calibration fit f0 = y . phi_test, where
+        the test column's reduced cost is 0 and the opened start is optimal
+        for the augmented problem, and move the test entry up by one step,
+        the crossing that ``raise_test_score`` makes at any breakpoint."""
+        test = self._e - 1
+        # minus the reduced cost at score 0, as a pricing pass rounds it (-0.0 for a fit of 0)
+        self.test_score = self._s[-1] = -(0.0 - float(self._y0 @ self._A[:, test]))
         if self._movable.item(test):
             self._step(test, 1.0, 0.0)
+
+    def start_walk(self) -> None:
+        """Open the start (``open_walk``) and start the walk at the
+        calibration fit of this solver's own test pattern."""
+        self.open_walk(self.test_weight)
+        self._walk_from_fit()
+
+    def start_pattern(self, test_feature: MembershipVector) -> AugmentedQrSolver:
+        """A copy of this opened start with ``test_feature`` as its test
+        column, its walk started at that pattern's calibration fit. The copy
+        shares the bounds, weights and costs at score 0, which no solve or
+        walk changes, and copies the rest; the start itself does not change."""
+        if self._y0 is None or self.test_score is not None:
+            raise ValueError("start_pattern needs a start opened by open_walk and not walked")
+        if len(test_feature) != self._A.shape[0]:
+            raise ValueError("test feature dimension mismatch")
+        walker = copy.copy(self)
+        for name in ("_A", "_c", "_basis", "_loB", "_upB", "_dir", "_Binv", "_xB"):
+            setattr(walker, name, getattr(self, name).copy())
+        walker._A[:, self._e - 1] = test_feature
+        walker._s = walker._c[: self._e]
+        walker._walk_from_fit()
+        return walker
 
     def raise_test_score(self, eta_bound: float) -> float:
         """The lowest test score from the last solved or started one up at

@@ -192,24 +192,25 @@ def test_one_parser_keeps_calls_independent(dataset_csv, capsys):
 
 
 def test_predict_runs_one_cold_search(dataset_csv, monkeypatch, capsys):
-    """``predict`` makes one threshold search, cold: the search itself solves
-    the one calibration-only regression it starts from. Its threshold is the
-    coreset calibrator's for the point's pattern."""
-    searches, bases = [], []
-    search, basis = conformal.threshold_search, conformal.calibration_basis
+    """``predict`` makes one threshold search, cold: the search itself makes
+    the one calibration start (the calibration-only regression, solved and
+    opened) it walks from. Its threshold is the coreset calibrator's for the
+    point's pattern."""
+    searches, starts = [], []
+    search, start = conformal.threshold_search, conformal.calibration_start
 
     def spy_search(*args, **kwargs):
         searches.append(kwargs)
         return search(*args, **kwargs)
 
-    def spy_basis(*args, **kwargs):
-        bases.append(args)
-        return basis(*args, **kwargs)
+    def spy_start(*args, **kwargs):
+        starts.append(args)
+        return start(*args, **kwargs)
 
     monkeypatch.setattr(conformal, "threshold_search", spy_search)
-    monkeypatch.setattr(conformal, "calibration_basis", spy_basis)
+    monkeypatch.setattr(conformal, "calibration_start", spy_start)
     predict_out(capsys, ["predict", str(dataset_csv), "--x", "1.5"])
-    assert searches == [{}] and len(bases) == 1
+    assert searches == [{}] and len(starts) == 1
     monkeypatch.undo()
 
     datasets = cli._read_dataset_csv(dataset_csv, "uniform")

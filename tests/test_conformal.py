@@ -20,11 +20,12 @@ from gcfcp.conformal import (
     GlobalCalibrator,
     calibrate_baseline,
     calibration_basis,
+    calibration_start,
     split_cp_threshold,
     threshold_search,
 )
-from gcfcp.federation import ClientDataset, ProtocolError
-from gcfcp.groups import SINGLE_GROUP, interval_family
+from gcfcp.federation import ClientDataset, ProtocolError, run_round
+from gcfcp.groups import SINGLE_GROUP, GroupFamily, LabelSet, interval_family, membership_matrix
 from gcfcp.pinball import AugmentedQrSolver, SolverError
 
 FOUR_INTERVALS = interval_family([(0, 2), (1, 3), (2, 4), (3, 5)])
@@ -33,14 +34,19 @@ FOUR_INTERVAL_PATTERNS = [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)
 
 @pytest.fixture
 def lp_log(monkeypatch):
-    """Record every solver the conformal module builds and every solve, on a
-    fake clock that advances one second per solve."""
-    log = SimpleNamespace(solvers=[], solves=0, scores=[], now=0.0)
+    """Record every solver the conformal module builds, every pattern it
+    starts a walk for from an opened start, and every solve, on a fake clock
+    that advances one second per solve."""
+    log = SimpleNamespace(solvers=[], patterns=[], solves=0, scores=[], now=0.0)
 
     class Recording(AugmentedQrSolver):
         def __init__(self, *args, start_basis=None):
             super().__init__(*args, start_basis=start_basis)
             log.solvers.append((start_basis is None, args[5]))
+
+        def start_pattern(self, test_feature):
+            log.patterns.append(tuple(test_feature))
+            return super().start_pattern(test_feature)
 
         def solve_at(self, test_score):
             log.solves += 1
@@ -169,7 +175,7 @@ class TestThresholdSearch:
             with pytest.raises(EmptySetError):
                 search(data, (0, 1), 0.2)
         with pytest.raises(EmptySetError):
-            threshold_search(data, (0, 1), 0.2, start_basis=basis)
+            threshold_search(data, (0, 1), 0.2, start=calibration_start(data, 0.2, basis))
 
     def test_degenerate_group_detected(self):
         feats = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -266,6 +272,12 @@ def ulps(a, b):
     return abs(ordered[0] - ordered[1])
 
 
+def search_from(data, pattern, alpha, basis):
+    """``threshold_search`` from the start opened at ``basis``; cold when it is None."""
+    start = None if basis is None else calibration_start(data, alpha, basis)
+    return threshold_search(data, pattern, alpha, start=start)
+
+
 def test_search_matches_the_walk_from_lo():
     """The walk from the calibration fit against the search it replaced, a
     solve one below the lowest score and a walk up from there, cold and from
@@ -284,9 +296,9 @@ def test_search_matches_the_walk_from_lo():
             want = reference_walk_from_lo(data, pattern, alpha, start)
         except (EmptySetError, DegenerateGroupError) as exc:
             with pytest.raises(type(exc)):
-                threshold_search(data, pattern, alpha, start_basis=start)
+                search_from(data, pattern, alpha, start)
             return
-        got = threshold_search(data, pattern, alpha, start_basis=start)
+        got = search_from(data, pattern, alpha, start)
         hi = data.default_bracket()[1]
         assert (got == hi) == (want == hi)
         distance = ulps(got, want)
@@ -295,6 +307,126 @@ def test_search_matches_the_walk_from_lo():
 
     check()
     print(f"largest distance from the walk from lo: {max(largest, default=0)} ulp over {len(largest)} searches")
+
+
+@settings(max_examples=80, deadline=None)
+@given(intervals=st.booleans(), **SEARCH_DRAWS)
+def test_a_calibrator_answers_as_a_cold_search(intervals, **draws):
+    """A calibrator walks every pattern from one shared calibration start; a
+    cold ``threshold_search`` makes its own. For every pattern of the data,
+    the drawn one and the all-ones pattern, the two give the same threshold
+    as a repr string or raise the same error type. The draws are the
+    bisection test's, with ``intervals`` replacing the features of the draws
+    not ``above`` by the memberships of points uniform on [0, 5] in d random
+    intervals that cover it: [0, 5] cut at d - 1 random points, each piece
+    widened by up to 1 on either side (a dead group still drawn dead)."""
+    data, pattern, alpha = search_case(**draws)
+    if intervals and not draws["above"]:
+        rng = np.random.default_rng(draws["seed"])
+        n, d = data.features.shape
+        edges = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 5.0, d - 1)), [5.0]])
+        family = interval_family(list(zip(edges[:-1] - rng.random(d), edges[1:] + rng.random(d))))
+        feats = membership_matrix(rng.uniform(0.0, 5.0, n), family).astype(float)
+        if draws["dead_group"]:
+            feats[:, int(rng.integers(d))] = 0.0
+        data = replace(data, features=feats)
+        pattern = tuple(int(b) for b in feats[0])
+    d = data.features.shape[1]
+    patterns = {tuple(int(b) for b in row) for row in data.features} | {pattern, (1,) * d}
+    cal = ConditionalCalibrator(data, alpha)
+    for p in sorted(patterns):
+        try:
+            want = threshold_search(data, p, alpha)
+        except (EmptySetError, DegenerateGroupError, SolverError) as exc:
+            with pytest.raises(type(exc)):
+                cal.threshold(p)
+            continue
+        assert repr(cal.threshold(p)) == repr(want)
+
+
+def lossless_round_case(seed, label_sets):
+    """1 to 4 clients of 5 to 80 rows, Dirichlet mixture weights, scores
+    rounded to 0.1 on [0, 4] (ties are common) and alpha in (0.05, 0.5);
+    covariates on [0, 5] for the four intervals, or labels for up to 4
+    label sets that cover every label."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 5))
+    sizes = rng.integers(5, 81, k).tolist()
+    pis = rng.dirichlet(np.ones(k)).tolist()
+    if label_sets:
+        d, labels = int(rng.integers(1, 5)), int(rng.integers(2, 9))
+        groups = [set(rng.choice(labels, int(rng.integers(1, labels + 1)), replace=False).tolist()) for _ in range(d)]
+        groups[0] |= set(range(labels)) - set().union(*groups)
+        family = GroupFamily(tuple(LabelSet(frozenset(g)) for g in groups))
+        covariates = [rng.integers(0, labels, n) for n in sizes]
+    else:
+        family = FOUR_INTERVALS
+        covariates = [rng.uniform(0.0, 5.0, n) for n in sizes]
+    datasets = [
+        ClientDataset(j + 1, x, np.round(rng.random(n) * 40.0) / 10.0, pi)
+        for j, (x, n, pi) in enumerate(zip(covariates, sizes, pis))
+    ]
+    return datasets, family, float(rng.uniform(0.05, 0.5))
+
+
+def test_an_uncompressed_coreset_is_the_calibration_set():
+    """When no two samples share a cluster, the coreset is the calibration
+    set with its rows in (atom, score) order, and the coreset path gives
+    every pattern the centralized path's S*, within 16 ulp: the two solve
+    one LP with its rows in two orders, so a tie can end the walk at another
+    basis, whose breakpoint -r0/r1 rounds differently (6 ulp at most over
+    22 492 patterns of 6 000 draws). The largest distance is printed.
+
+    The compression: a segment's scale r(q) = (delta / 2 pi) arcsin(2q - 1)
+    rises by at least delta / pi per unit of quantile, its least slope (at
+    q = 1/2), and a sample moves its segment's quantile by its weight over
+    the segment's total, at least w_min / W, with w_min the smallest sample
+    weight pi_k / (n_k + 1) and W the total weight of all samples. With
+    delta = 2 pi W / w_min every sample moves the scale by at least 2, more
+    than the span of 1 (plus 1e-12) a cluster may cover, so every cluster
+    holds one sample. That holds on the server, whose samples weigh
+    pi_k / (n_k + 1) >= w_min, and on each client, whose samples weigh 1 in
+    atoms of at most n_k samples, with n_k <= W / w_min.
+    """
+    largest = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), label_sets=st.booleans())
+    def check(seed, label_sets):
+        datasets, family, alpha = lossless_round_case(seed, label_sets)
+        w = [ds.sample_weight for ds in datasets]
+        delta = 2.0 * math.pi * sum(wk * ds.n for wk, ds in zip(w, datasets)) / min(w)
+        round_ = run_round(datasets, family, delta)
+        rows = np.vstack([membership_matrix(ds.covariates, family) for ds in datasets])
+        scores = np.concatenate([ds.scores for ds in datasets])
+        weights = np.concatenate([np.full(ds.n, wk) for ds, wk in zip(datasets, w)])
+        assert rows.any(axis=1).all()  # every row in some group, so in the coreset
+        assert all((m.sizes == 1).all() for m in round_.messages)
+        assert len(round_.coreset) == scores.size  # every cluster a singleton
+        order = np.lexsort((scores, *rows.T[::-1]))
+        entries = round_.coreset.entries
+        np.testing.assert_array_equal(entries["atom"], rows[order])
+        assert entries["mean"].tobytes() == scores[order].tobytes()
+        assert entries["weight"].tobytes() == weights[order].tobytes()
+
+        central, coreset = (
+            calibrate_baseline(kind, datasets, alpha, family=family, delta=delta)
+            for kind in ("gcfcp_centralized", "gcfcp_coreset")
+        )
+        for pattern in sorted({tuple(row) for row in rows.tolist()}):
+            try:
+                want = central.threshold(pattern)
+            except DegenerateGroupError:
+                with pytest.raises(DegenerateGroupError):
+                    coreset.threshold(pattern)
+                return
+            got = coreset.threshold(pattern)
+            distance = ulps(got, want)
+            assert distance <= 16
+            largest.append(distance)
+
+    check()
+    print(f"largest distance, coreset from centralized: {max(largest, default=0)} ulp over {len(largest)} patterns")
 
 
 class TestPredictionSets:
@@ -421,15 +553,51 @@ class TestBaselines:
                 assert cal.threshold(pattern) == threshold_search(cal.data, pattern, 0.1)
 
     def test_one_cold_solve_per_calibrator(self, lp_log):
+        """A calibrator builds one solver, the calibration-only one at test
+        weight 0, solved cold, and starts one walk from it per distinct
+        pattern."""
         datasets = self.make_datasets()
         cal = calibrate_baseline(
             "gcfcp_centralized", datasets, 0.1, family=FOUR_INTERVALS, delta=100.0
         )
         for pattern in FOUR_INTERVAL_PATTERNS * 2:
             cal.threshold(pattern)
-        cold = [test_weight for is_cold, test_weight in lp_log.solvers if is_cold]
-        assert cold == [0.0]
-        assert len(lp_log.solvers) == 1 + len(FOUR_INTERVAL_PATTERNS)
+        assert lp_log.solvers == [(True, 0.0)]
+        assert lp_log.patterns == FOUR_INTERVAL_PATTERNS
+
+    @pytest.mark.parametrize("kind", ["gcfcp_centralized", "gcfcp_coreset", "fcp_marginal"])
+    def test_a_calibrator_opens_one_start(self, monkeypatch, kind):
+        """A calibrator that answers k patterns (each asked twice) runs one
+        crash, one calibration-only solve and one start check in all, and k
+        verifying solves, one per pattern's walk. A pattern's search inverts no
+        basis between the copy of the start and its walk."""
+        events = []
+
+        def record(name, label=None):
+            original = getattr(AugmentedQrSolver, name)
+
+            def recording(solver, *args):
+                events.append(label(solver) if label else name)
+                return original(solver, *args)
+
+            monkeypatch.setattr(AugmentedQrSolver, name, recording)
+
+        for name in ("_crash", "_factor", "open_walk", "start_pattern", "raise_test_score"):
+            record(name)
+        record("solve_at", lambda solver: "calibration solve" if solver.test_weight == 0.0 else "verifying solve")
+        datasets = self.make_datasets(seed=4)
+        cal = calibrate_baseline(kind, datasets, 0.1, family=FOUR_INTERVALS, delta=100.0)
+        patterns = [(1,)] if kind == "fcp_marginal" else FOUR_INTERVAL_PATTERNS
+        for pattern in patterns * 2:
+            cal.threshold(pattern)
+        k = len(patterns)
+        counts = {name: events.count(name) for name in set(events)}
+        assert counts["_crash"] == counts["calibration solve"] == counts["open_walk"] == 1
+        assert counts["start_pattern"] == counts["raise_test_score"] == counts["verifying solve"] == k
+        assert events.index("open_walk") < events.index("start_pattern")
+        for i, event in enumerate(events):
+            if event == "start_pattern":
+                assert events[i + 1] == "raise_test_score"
 
     def test_search_times_include_shared_solve(self, lp_log):
         datasets = self.make_datasets()
@@ -448,17 +616,19 @@ class TestBaselines:
         """A search solves its pattern's problem once, at S*, where it
         verifies the walk's optimum; it does not solve below the data. A cold
         search first solves the calibration-only regression at score 0 for
-        its start, and gives the warm search's S*."""
+        its start, and gives the S* of a search from a shared start, which
+        builds no solver of its own."""
         datasets = self.make_datasets()
         data = CalibrationData.from_datasets(datasets, FOUR_INTERVALS)
-        basis = calibration_basis(data, 0.1)
+        start = calibration_start(data, 0.1)
         for pattern in FOUR_INTERVAL_PATTERNS:
             lp_log.scores.clear()
             s_star = threshold_search(data, pattern, 0.1)
             assert lp_log.scores == [0.0, s_star]
             lp_log.scores.clear()
-            assert threshold_search(data, pattern, 0.1, start_basis=basis) == s_star
-            assert lp_log.scores == [s_star]
+            lp_log.solvers.clear()
+            assert threshold_search(data, pattern, 0.1, start=start) == s_star
+            assert lp_log.scores == [s_star] and lp_log.solvers == []
 
     def test_unbounded_search_solves_at_the_last_breakpoint(self, lp_log):
         """The walk returns +inf past the last breakpoint, 5; the optimum

@@ -94,6 +94,7 @@ class TestRunExperiment:
             assert se == pytest.approx(np.sqrt(cov * (1 - cov) / n))
         table = format_report_table(report)
         assert "gcfcp_coreset" in table and "marginal" in table
+        assert "time/search (ms)" in table  # one search per distinct pattern, not per point
 
     @pytest.mark.parametrize("source", ["synth", "ingest"])
     def test_serial_parallel_identical(self, tmp_path, source):

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from reference import artificial_basis_at_zero, pinball_loss, reference_ratio_test, reference_threshold_search
 
 from gcfcp import harness
-from gcfcp.conformal import CalibrationData, DegenerateGroupError, calibration_basis, threshold_search
+from gcfcp.conformal import (
+    CalibrationData,
+    DegenerateGroupError,
+    calibration_basis,
+    calibration_start,
+    threshold_search,
+)
 from gcfcp.datagen import SynthConfig
 from gcfcp.federation import run_round
 from gcfcp.pinball import (
@@ -412,12 +418,15 @@ def test_kept_inverse_and_directions_follow_the_basis(seed, warm):
     _assert_kept_state(solver)
     solver.solve_at(solver.test_score)
     _assert_kept_state(solver)
-    if warm:  # the walk from the calibration fit
+    if warm:  # the walk from the calibration fit, on the solver and on a copy of an opened start
         walker = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight, start_basis=start)
         walker.start_walk()
-        _assert_kept_state(walker)
-        walker.raise_test_score(p.test_weight * (1.0 - p.alpha) - 1e-9)
-        _assert_kept_state(walker)
+        opened = _calibration_only(p)
+        opened.open_walk(p.test_weight)
+        for walker in (walker, opened.start_pattern(p.test_feature)):
+            _assert_kept_state(walker)
+            walker.raise_test_score(p.test_weight * (1.0 - p.alpha) - 1e-9)
+            _assert_kept_state(walker)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -480,12 +489,51 @@ def test_blands_rule_on_a_degenerate_start(monkeypatch):
     _assert_verified(solver.solve_at(0.0))
     assert any(bland_entries)
     pattern = tuple(int(b) for b in features[0])
-    got = threshold_search(data, pattern, alpha, start_basis=solver.export_basis())
+    got = threshold_search(data, pattern, alpha, start=calibration_start(data, alpha, solver.export_basis()))
     assert got == threshold_search(data, pattern, alpha)
     want = reference_threshold_search(data, pattern, alpha)
     assert -1e-7 <= got - want <= 1e-6 + 1e-7
     with pytest.raises(SolverError, match="not optimal"):
-        threshold_search(data, pattern, alpha, start_basis=start)
+        threshold_search(data, pattern, alpha, start=calibration_start(data, alpha, start))
+
+
+def test_an_opened_start_serves_every_pattern_unchanged():
+    """``start_pattern`` copies an opened start: the start's basis, inverse,
+    basic values, directions, matrix and costs are untouched by the copies'
+    walks and solves, and each copy walks as a solver built for its pattern
+    from the start basis does, to the bit. A start opens once, from a solved
+    calibration-only problem (test weight 0) or a fresh start basis, and a
+    copy needs an opened start that has not walked or solved."""
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        p = random_lp(rng)
+        bound = p.test_weight * (1.0 - p.alpha) - 1e-9
+        opened = _calibration_only(p)
+        basis = opened.export_basis()
+        opened.open_walk(p.test_weight)
+        names = ("_basis", "_Binv", "_xB", "_dir", "_A", "_c", "_lo", "_up", "_w")
+        before = [getattr(opened, name).tobytes() for name in names]
+        for pattern in itertools.product((0, 1), repeat=p.dimension):
+            copy = opened.start_pattern(pattern)
+            walker = AugmentedQrSolver(*p.calibration, pattern, p.test_weight, start_basis=basis)
+            walker.start_walk()
+            assert _bits(copy.test_score) == _bits(walker.test_score)
+            assert _bits(copy.raise_test_score(bound)) == _bits(walker.raise_test_score(bound))
+            got, want = copy.solve_at(copy.test_score), walker.solve_at(walker.test_score)
+            assert got.eta.tobytes() == want.eta.tobytes() and _bits(got.eta_test) == _bits(want.eta_test)
+        assert [getattr(opened, name).tobytes() for name in names] == before
+        with pytest.raises(ValueError):
+            opened.open_walk(p.test_weight)  # already open
+        with pytest.raises(ValueError):
+            opened.start_pattern((1,) * (p.dimension + 1))  # dimension mismatch
+        with pytest.raises(ValueError):
+            copy.start_pattern(p.test_feature)  # a copy that has walked
+        solved = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight)
+        solved.solve_at(p.test_score)
+        with pytest.raises(ValueError):  # solved, but not the calibration-only problem
+            solved.open_walk(p.test_weight)
+        with pytest.raises(ValueError):  # not opened
+            AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight).start_pattern(p.test_feature)
 
 
 def test_the_walk_starts_only_from_an_optimal_calibration_basis():
@@ -614,10 +662,10 @@ def test_searches_with_the_array_ratio_test_are_identical(monkeypatch, seed):
         solves.clear()
         out = []
         for data in _table3_trial0(seed):
-            basis = calibration_basis(data, 0.1)
+            start = calibration_start(data, 0.1)
             for pattern in ((1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)):
                 out.append(repr(threshold_search(data, pattern, 0.1)))
-                out.append(repr(threshold_search(data, pattern, 0.1, start_basis=basis)))
+                out.append(repr(threshold_search(data, pattern, 0.1, start=start)))
         return out, list(solves)
 
     floats = run()
