@@ -17,9 +17,9 @@ high end, one above the highest calibration score.
 
 A search splits into work that depends only on the calibration set and
 work that depends on the pattern. ``calibration_start`` does the first once:
-the group-mass check, the bracket, the solver's matrix, bounds and costs,
-the cold solve of the calibration-only regression, and the opening of its
-optimum with the check that it is optimal. Per pattern, ``threshold_search``
+the group-mass check, the solver's matrix, bounds and costs, the cold
+solve of the calibration-only regression, and the opening of its optimum
+with the check that it is optimal. Per pattern, ``threshold_search``
 copies that opened state, sets the test column, reads the fit f0, walks and
 verifies. A calibrator serves many test patterns from one calibration set,
 so it makes the start once, on its first fresh search, and shares it; a
@@ -45,7 +45,7 @@ import numpy as np
 
 from .federation import ClientDataset, Coreset, check_mixture, run_round, test_term_weight
 from .groups import SINGLE_GROUP, GroupFamily, MembershipVector, membership_matrix
-from .pinball import AugmentedQrSolver, SimplexBasis
+from .pinball import AugmentedQrSolver
 
 _ETA_GUARD = 1e-9
 
@@ -120,49 +120,22 @@ def _check_column_mass(data: CalibrationData) -> None:
         raise DegenerateGroupError(dead)
 
 
-def _calibration_solver(
-    data: CalibrationData, alpha: float, start_basis: SimplexBasis | None = None
-) -> AugmentedQrSolver:
-    """The calibration-only regression, solved unless ``start_basis`` gives
-    its optimum, after a check that every group column has calibration mass.
+def calibration_start(data: CalibrationData, alpha: float) -> AugmentedQrSolver:
+    """The calibration-only regression, built, solved and opened for walks at
+    the data's test weight (``AugmentedQrSolver.open_walk``), after a check
+    that every group column has calibration mass: the part of a threshold
+    search that depends on the calibration set alone.
 
     A test weight of 0 gives the test entry the box [0, 0], which makes it
-    inert whatever its pattern and score.
+    inert whatever its pattern and score until ``open_walk`` gives it the
+    real box.
     """
     _check_column_mass(data)
     d = data.features.shape[1]
-    solver = AugmentedQrSolver(
-        data.features, data.scores, data.weights, alpha, (0,) * d, 0.0, start_basis=start_basis
-    )
-    if start_basis is None:
-        solver.solve_at(0.0)
-    return solver
-
-
-def calibration_basis(data: CalibrationData, alpha: float) -> SimplexBasis:
-    """Optimal basis of the calibration-only regression, a start for any pattern."""
-    return _calibration_solver(data, alpha).export_basis()
-
-
-@dataclass(frozen=True)
-class CalibrationStart:
-    """The part of a threshold search that depends on the calibration set
-    alone, made once and shared by every pattern's search."""
-
-    bracket: tuple[float, float]  # ``default_bracket()`` of the data
-    solver: AugmentedQrSolver  # opened at the calibration-only optimum, test column 0
-
-
-def calibration_start(
-    data: CalibrationData, alpha: float, start_basis: SimplexBasis | None = None
-) -> CalibrationStart:
-    """The calibration-only regression's optimum (from ``start_basis``, or
-    solved here), opened for walks at the data's test weight: one build,
-    one solve and one optimality check (``AugmentedQrSolver.open_walk``)
-    per calibration set."""
-    solver = _calibration_solver(data, alpha, start_basis)
+    solver = AugmentedQrSolver(data.features, data.scores, data.weights, alpha, (0,) * d, 0.0)
+    solver.solve_at(0.0)
     solver.open_walk(data.test_weight)
-    return CalibrationStart(data.default_bracket(), solver)
+    return solver
 
 
 def threshold_search(
@@ -170,7 +143,7 @@ def threshold_search(
     test_feature: MembershipVector,
     alpha: float,
     *,
-    start: CalibrationStart | None = None,
+    start: AugmentedQrSolver | None = None,
 ) -> float:
     """Largest S whose test dual stays below the box bound, S*; when the dual
     never reaches its bound (S* = +inf), ``data.default_bracket()[1]``.
@@ -184,13 +157,13 @@ def threshold_search(
     is at or below the bracket's low end, or the test dual's bound is at or
     below 0, its value at f0.
     """
+    lo, hi = data.default_bracket()
     if start is None:
         start = calibration_start(data, alpha)
-    lo, hi = start.bracket
     bound = data.test_weight * (1.0 - alpha) - _ETA_GUARD
     if bound <= 0.0:  # the test dual is 0 at f0, the lowest score the walk reaches
         raise EmptySetError(f"test dual bound {bound!r} is not above its value 0 at the calibration fit")
-    solver = start.solver.start_pattern(test_feature)
+    solver = start.start_pattern(test_feature)
     s_star = solver.raise_test_score(bound)
     solver.solve_at(min(solver.test_score, s_star))
     if s_star <= lo:
@@ -242,7 +215,7 @@ class ConditionalCalibrator:
         self.search_times: list[float] = []
         self.wire_bytes = 0
         self._cache: dict[MembershipVector, float] = {}
-        self._start: CalibrationStart | None = None
+        self._start: AugmentedQrSolver | None = None
 
     def threshold(self, test_feature: MembershipVector) -> float:
         key = tuple(test_feature)

@@ -20,6 +20,11 @@ The threshold search solved one below the lowest calibration score before
 it walks up the breakpoints: the library starts the walk at the
 calibration-only fit instead, and the tests hold it within a few ulp.
 
+The calibration-only basis, and a threshold search whose start is opened
+from a given basis: the library solves and opens its own start once per
+calibration set, and the tests open other bases too (a degenerate one, one
+optimal for other scores) to check that every opened start is checked.
+
 Oracles the tests measure the library against: the arcsine scale function,
 a digest's step CDF, quantile and maximum cluster mass, the pinball loss,
 and the dataset and score CSVs read one row at a time by the csv module and
@@ -37,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gcfcp.conformal import DegenerateGroupError, EmptySetError
+from gcfcp.conformal import DegenerateGroupError, EmptySetError, threshold_search
 from gcfcp.datagen import IngestError, csv_rows
 from gcfcp.federation import client_datasets
 from gcfcp.groups import CoveringError, Interval, membership_matrix
@@ -388,6 +393,27 @@ def _check_column_mass(data):
     dead = tuple(int(g) for g in np.flatnonzero(column_mass <= 0.0))
     if dead:
         raise DegenerateGroupError(dead)
+
+
+def calibration_basis(data, alpha):
+    """Optimal basis of the calibration-only regression (test weight 0), after
+    the group-mass check: a start basis for any pattern."""
+    _check_column_mass(data)
+    d = data.features.shape[1]
+    solver = AugmentedQrSolver(data.features, data.scores, data.weights, alpha, (0,) * d, 0.0)
+    solver.solve_at(0.0)
+    return solver.export_basis()
+
+
+def search_from(data, test_feature, alpha, basis):
+    """``threshold_search`` from a calibration-only start fresh from
+    ``basis`` and opened at the data's test weight; cold when it is None."""
+    start = None
+    if basis is not None:
+        d = data.features.shape[1]
+        start = AugmentedQrSolver(data.features, data.scores, data.weights, alpha, (0,) * d, 0.0, start_basis=basis)
+        start.open_walk(data.test_weight)
+    return threshold_search(data, test_feature, alpha, start=start)
 
 
 def reference_walk_from_lo(data, test_feature, alpha, start_basis=None):

@@ -8,7 +8,7 @@ import pytest
 from conftest import atom_features
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import reference_threshold_search, reference_walk_from_lo
+from reference import calibration_basis, reference_threshold_search, reference_walk_from_lo, search_from
 
 from gcfcp import conformal
 from gcfcp.conformal import (
@@ -19,7 +19,6 @@ from gcfcp.conformal import (
     EmptySetError,
     GlobalCalibrator,
     calibrate_baseline,
-    calibration_basis,
     calibration_start,
     split_cp_threshold,
     threshold_search,
@@ -175,7 +174,7 @@ class TestThresholdSearch:
             with pytest.raises(EmptySetError):
                 search(data, (0, 1), 0.2)
         with pytest.raises(EmptySetError):
-            threshold_search(data, (0, 1), 0.2, start=calibration_start(data, 0.2, basis))
+            search_from(data, (0, 1), 0.2, basis)
 
     def test_degenerate_group_detected(self):
         feats = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -270,12 +269,6 @@ def ulps(a, b):
         i = struct.unpack("<q", struct.pack("<d", x))[0]
         ordered.append(i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF))
     return abs(ordered[0] - ordered[1])
-
-
-def search_from(data, pattern, alpha, basis):
-    """``threshold_search`` from the start opened at ``basis``; cold when it is None."""
-    start = None if basis is None else calibration_start(data, alpha, basis)
-    return threshold_search(data, pattern, alpha, start=start)
 
 
 def test_search_matches_the_walk_from_lo():
@@ -552,25 +545,15 @@ class TestBaselines:
             for pattern in FOUR_INTERVAL_PATTERNS:
                 assert cal.threshold(pattern) == threshold_search(cal.data, pattern, 0.1)
 
-    def test_one_cold_solve_per_calibrator(self, lp_log):
-        """A calibrator builds one solver, the calibration-only one at test
-        weight 0, solved cold, and starts one walk from it per distinct
-        pattern."""
-        datasets = self.make_datasets()
-        cal = calibrate_baseline(
-            "gcfcp_centralized", datasets, 0.1, family=FOUR_INTERVALS, delta=100.0
-        )
-        for pattern in FOUR_INTERVAL_PATTERNS * 2:
-            cal.threshold(pattern)
-        assert lp_log.solvers == [(True, 0.0)]
-        assert lp_log.patterns == FOUR_INTERVAL_PATTERNS
-
     @pytest.mark.parametrize("kind", ["gcfcp_centralized", "gcfcp_coreset", "fcp_marginal"])
-    def test_a_calibrator_opens_one_start(self, monkeypatch, kind):
-        """A calibrator that answers k patterns (each asked twice) runs one
-        crash, one calibration-only solve and one start check in all, and k
-        verifying solves, one per pattern's walk. A pattern's search inverts no
-        basis between the copy of the start and its walk."""
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_one_cold_solve_per_calibrator(self, lp_log, monkeypatch, kind, seed):
+        """A calibrator that answers k patterns (each asked twice) builds one
+        solver, the calibration-only one at test weight 0, and runs one
+        crash, one calibration-only solve and one start check in all; per
+        distinct pattern it starts one walk from a copy of that start and
+        solves once to verify. A pattern's search inverts no basis between
+        the copy of the start and its walk."""
         events = []
 
         def record(name, label=None):
@@ -585,12 +568,14 @@ class TestBaselines:
         for name in ("_crash", "_factor", "open_walk", "start_pattern", "raise_test_score"):
             record(name)
         record("solve_at", lambda solver: "calibration solve" if solver.test_weight == 0.0 else "verifying solve")
-        datasets = self.make_datasets(seed=4)
+        datasets = self.make_datasets(seed=seed)
         cal = calibrate_baseline(kind, datasets, 0.1, family=FOUR_INTERVALS, delta=100.0)
         patterns = [(1,)] if kind == "fcp_marginal" else FOUR_INTERVAL_PATTERNS
         for pattern in patterns * 2:
             cal.threshold(pattern)
         k = len(patterns)
+        assert lp_log.solvers == [(True, 0.0)]
+        assert lp_log.patterns == patterns
         counts = {name: events.count(name) for name in set(events)}
         assert counts["_crash"] == counts["calibration solve"] == counts["open_walk"] == 1
         assert counts["start_pattern"] == counts["raise_test_score"] == counts["verifying solve"] == k

@@ -8,13 +8,19 @@ import pytest
 from conftest import atom_features, breakpoint_minimum, random_lp, small_lp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import artificial_basis_at_zero, pinball_loss, reference_ratio_test, reference_threshold_search
+from reference import (
+    artificial_basis_at_zero,
+    calibration_basis,
+    pinball_loss,
+    reference_ratio_test,
+    reference_threshold_search,
+    search_from,
+)
 
 from gcfcp import harness
 from gcfcp.conformal import (
     CalibrationData,
     DegenerateGroupError,
-    calibration_basis,
     calibration_start,
     threshold_search,
 )
@@ -489,18 +495,19 @@ def test_blands_rule_on_a_degenerate_start(monkeypatch):
     _assert_verified(solver.solve_at(0.0))
     assert any(bland_entries)
     pattern = tuple(int(b) for b in features[0])
-    got = threshold_search(data, pattern, alpha, start=calibration_start(data, alpha, solver.export_basis()))
+    got = search_from(data, pattern, alpha, solver.export_basis())
     assert got == threshold_search(data, pattern, alpha)
     want = reference_threshold_search(data, pattern, alpha)
     assert -1e-7 <= got - want <= 1e-6 + 1e-7
     with pytest.raises(SolverError, match="not optimal"):
-        threshold_search(data, pattern, alpha, start=calibration_start(data, alpha, start))
+        search_from(data, pattern, alpha, start)
 
 
 def test_an_opened_start_serves_every_pattern_unchanged():
     """``start_pattern`` copies an opened start: the start's basis, inverse,
-    basic values, directions, matrix and costs are untouched by the copies'
-    walks and solves, and each copy walks as a solver built for its pattern
+    basic values, directions, matrix and costs, and the bounds, weights,
+    movable flags, costs at score 0 and multipliers y it shares with every
+    copy, are untouched by the copies' walks and solves, and each copy walks as a solver built for its pattern
     from the start basis does, to the bit. A start opens once, from a solved
     calibration-only problem (test weight 0) or a fresh start basis, and a
     copy needs an opened start that has not walked or solved."""
@@ -511,7 +518,8 @@ def test_an_opened_start_serves_every_pattern_unchanged():
         opened = _calibration_only(p)
         basis = opened.export_basis()
         opened.open_walk(p.test_weight)
-        names = ("_basis", "_Binv", "_xB", "_dir", "_A", "_c", "_lo", "_up", "_w")
+        names = ("_basis", "_Binv", "_xB", "_dir", "_A", "_c")
+        names += ("_lo", "_up", "_w", "_movable", "_parametric", "_y0")  # shared with the copies
         before = [getattr(opened, name).tobytes() for name in names]
         for pattern in itertools.product((0, 1), repeat=p.dimension):
             copy = opened.start_pattern(pattern)
