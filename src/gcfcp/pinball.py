@@ -68,14 +68,13 @@ hence S* >= f0.
 
 That start splits into work per calibration set and work per pattern.
 ``open_walk`` runs once per calibration set, on the solved calibration-only
-problem or on a solver fresh from a ``start_basis``: it gives the test entry
-the box of the real test weight, keeps y and checks with one pricing pass
-that the start is optimal. ``start_pattern`` runs once per pattern: it
-copies the opened state, sets the test column and the test score f0 and
-moves the test entry up by one step; ``raise_test_score`` walks on from
-there. ``start_walk`` does both on one solver. A start that ``solve_at``
-opens instead sends the test entry, at 0 inside its box, through the
-crossover.
+problem: it gives the test entry the box of the real test weight, keeps y
+and checks with one pricing pass that the start is optimal.
+``start_pattern`` runs once per pattern: it copies the opened state, sets
+the test column and the test score f0 and moves the test entry up by one
+step; ``raise_test_score`` walks on from there. A solver built with a
+positive test weight and solved by ``solve_at`` instead sends the test
+entry, at 0 inside its box, through the crossover.
 """
 
 from __future__ import annotations
@@ -108,19 +107,6 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SimplexBasis:
-    """A start for AugmentedQrSolver: the basic columns and a point.
-
-    ``point`` holds a value for every column (the entries, then the
-    artificials); the values of the basic columns are recomputed from the
-    others. ``export_basis`` makes one, and so does the crash.
-    """
-
-    basic: np.ndarray  # column index per basis row
-    point: np.ndarray  # value per column
-
-
-@dataclass(frozen=True)
 class QrSolution:
     beta: np.ndarray
     primal_objective: float
@@ -139,22 +125,20 @@ class AugmentedQrSolver:
     bounded-variable primal simplex (Dantzig, Econometrica 1955): x holds
     eta, one column per entry (the test entry last) in its own box, followed
     by ``d`` artificial columns with box [0, 0]. Zero-width columns are never
-    priced. The first solve starts from ``start_basis`` when one is given,
-    and from the per-atom quantile crash with the artificial basis otherwise.
-    Every nonbasic value of the start that sits on a bound sets that column's
-    direction; every one strictly inside its box is moved to a bound or into
-    the basis by a crossover before the simplex prices anything.
+    priced. The first solve starts from the per-atom quantile crash with the
+    artificial basis. Every value of the crash that sits on a bound sets that
+    column's direction; every one strictly inside its box is moved to a bound
+    or into the basis by a crossover before the simplex prices anything.
 
     ``solve_at`` re-solves after changing only the test score, warm-starting
     from the previous optimal basis (primal feasibility is unaffected by the
     objective change, so the simplex resumes directly).
     ``open_walk`` opens an optimal calibration-only start once,
     ``start_pattern`` copies it for one test pattern and starts that copy's
-    walk at the pattern's calibration fit (``start_walk`` does both on the
-    solver itself), and ``raise_test_score`` follows the optimum as the test
-    score rises, one breakpoint at a time. ``solve_at`` and the walk
-    enter columns the same way: Dantzig pricing, with Bland's rule after a
-    run of degenerate steps.
+    walk at the pattern's calibration fit, and ``raise_test_score`` follows
+    the optimum as the test score rises, one breakpoint at a time.
+    ``solve_at`` and the walk enter columns the same way: Dantzig pricing,
+    with Bland's rule after a run of degenerate steps.
     """
 
     def __init__(
@@ -165,8 +149,6 @@ class AugmentedQrSolver:
         alpha: float,
         test_feature: MembershipVector,
         test_weight: float,
-        *,
-        start_basis: SimplexBasis | None = None,
     ):
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha {alpha!r} outside (0, 1)")
@@ -200,30 +182,14 @@ class AugmentedQrSolver:
         self._s = self._c[:e]  # the entries' scores, the test score last
         self.test_score: float | None = None  # the score of the last solve or walk step
 
-        if start_basis is None:
-            basic, x = np.arange(e, N), self._crash(features)
-        else:
-            basic, x = start_basis.basic, start_basis.point.copy()
-            if x.shape != (N,) or basic.shape != (d,) or not 0 <= basic.min() <= basic.max() < N:
-                raise ValueError("start basis does not fit this problem")
-            in_basis = np.zeros(N, dtype=bool)
-            in_basis[basic] = True
-            x[basic] = 0.0  # inside every box; the basic values are recomputed
-            if (
-                np.count_nonzero(in_basis) != d
-                or in_basis[e - 1]
-                or not np.all((x >= self._lo) & (x <= self._up))
-            ):
-                raise ValueError("start basis does not fit this problem")
-        self._basis = basic.copy()
+        x = self._crash(features)
+        self._basis = np.arange(e, N)  # the artificials, each at 0 in its box [0, 0]
         # the bounds of the basic columns by basis row, for the ratio test
-        self._loB, self._upB = self._lo[basic].tolist(), self._up[basic].tolist()
-        at_upper = x == self._up
+        self._loB, self._upB = [0.0] * d, [0.0] * d
         # the direction each nonbasic column can move in: +1 up from its
         # lower bound, -1 down from its upper one, 0 if basic or zero-width
-        self._dir = np.where(at_upper, -1.0, 1.0)
+        self._dir = np.where(x == self._up, -1.0, 1.0)
         self._dir *= self._movable
-        self._dir[basic] = 0.0
         self._start: np.ndarray | None = x
         self._y0: np.ndarray | None = None  # the multipliers at test score 0 of an opened start
 
@@ -331,17 +297,13 @@ class AugmentedQrSolver:
         moved = self._step(j, sgn, (self._lo if sgn > 0 else self._up).item(j))
         self._degenerate = self._degenerate + 1 if moved < 1e-13 else 0
 
-    def _open_start(self) -> np.ndarray:
-        """Take the start point, invert its basis and set the basic values from it."""
+    def _crossover(self) -> int:
+        """Take the start point, invert its basis, set the basic values from
+        it and move each nonbasic column that lies strictly inside its box to
+        a bound or into the basis, one ratio test each."""
         x, self._start = self._start, None
         self._factor()
         self._xB = self._Binv @ -(self._A @ x)
-        return x
-
-    def _crossover(self) -> int:
-        """Move each nonbasic column of the start point that lies strictly
-        inside its box to a bound or into the basis, one ratio test each."""
-        x = self._open_start()
         interior = np.flatnonzero((x > self._lo) & (x < self._up) & (self._dir != 0.0))
         for j in interior.tolist():
             y = self._c[self._basis] @ self._Binv
@@ -412,21 +374,15 @@ class AugmentedQrSolver:
         pattern, with the test entry weighing ``test_weight``.
 
         The start is a solved calibration-only problem (test weight 0), whose
-        solve left its basis inverted afresh, or a solver fresh from its start
-        basis, inverted here. It must be an optimal calibration-only vertex,
-        such as ``export_basis`` hands out: nonbasic columns on a bound, basic
-        values in their boxes, no column that could still gain. One pricing
-        pass at score 0 checks that (SolverError if not) and keeps the
-        multipliers y. The test entry stays nonbasic at 0, out of the check
-        and of pricing until the walk moves it.
+        solve left its basis inverted afresh and every nonbasic column on a
+        bound. It must be optimal: basic values in their boxes, no column that
+        could still gain. One pricing pass at score 0 checks that (SolverError
+        if not) and keeps the multipliers y. The test entry stays nonbasic at
+        0, out of the check and of pricing until the walk moves it.
         """
         test = self._e - 1
-        if self._start is not None:
-            x = self._open_start()
-        elif self._y0 is None and self.test_score is not None and self.test_weight == 0.0:
-            x = self._primal_values()
-        else:
-            raise ValueError("open_walk needs a solver fresh from its start basis or a solved calibration-only problem")
+        if self._y0 is not None or self.test_score is None or self.test_weight != 0.0:
+            raise ValueError("open_walk needs a solved calibration-only problem")
         self.test_score = None
         self.test_weight = self._w[test] = float(test_weight)
         self._lo[test], self._up[test] = self.test_weight * -self.alpha, self.test_weight * (1.0 - self.alpha)
@@ -436,14 +392,12 @@ class AugmentedQrSolver:
         self._y0 = costs[self._basis] @ self._Binv
         r0 = costs - self._y0 @ self._A
         price_tol = 1e-9 * (1.0 + float(np.max(np.abs(costs))))
-        interior = (x > self._lo) & (x < self._up) & (self._dir != 0.0)
         loB, upB = self._lo[self._basis], self._up[self._basis]
         if (
-            interior.any()
-            or not np.all((self._xB >= loB - _BOX_TOL) & (self._xB <= upB + _BOX_TOL))
+            not np.all((self._xB >= loB - _BOX_TOL) & (self._xB <= upB + _BOX_TOL))
             or np.max(r0 * self._dir) > price_tol
         ):
-            raise SolverError("start basis is not optimal for the calibration-only problem")
+            raise SolverError("the calibration-only basis is not optimal")
 
     def _walk_from_fit(self) -> None:
         """Set the test score to the calibration fit f0 = y . phi_test, where
@@ -456,12 +410,6 @@ class AugmentedQrSolver:
         if self._movable.item(test):
             self._step(test, 1.0, 0.0)
 
-    def start_walk(self) -> None:
-        """Open the start (``open_walk``) and start the walk at the
-        calibration fit of this solver's own test pattern."""
-        self.open_walk(self.test_weight)
-        self._walk_from_fit()
-
     def start_pattern(self, test_feature: MembershipVector) -> AugmentedQrSolver:
         """A copy of this opened start with ``test_feature`` as its test
         column, its walk started at that pattern's calibration fit. The copy
@@ -471,6 +419,8 @@ class AugmentedQrSolver:
             raise ValueError("start_pattern needs a start opened by open_walk and not walked")
         if len(test_feature) != self._A.shape[0]:
             raise ValueError("test feature dimension mismatch")
+        if not any(test_feature) or not set(test_feature) <= {0, 1}:
+            raise ValueError(f"test pattern {tuple(test_feature)!r} is not 0/1 or lies in no group")
         walker = copy.copy(self)
         for name in ("_A", "_c", "_basis", "_loB", "_upB", "_dir", "_Binv", "_xB"):
             setattr(walker, name, getattr(self, name).copy())
@@ -498,7 +448,7 @@ class AugmentedQrSolver:
         last breakpoint reached.
         """
         if self.test_score is None:
-            raise ValueError("raise_test_score needs a preceding solve_at or start_walk")
+            raise ValueError("raise_test_score needs a preceding solve_at or start_pattern")
         t = self.test_score
         self._degenerate = 0
         for _ in range(_MAX_ITER):
@@ -520,16 +470,6 @@ class AugmentedQrSolver:
             else:
                 self._enter(int(crossing[0]))
         raise SolverError("parametric iteration limit exceeded")
-
-    def export_basis(self) -> SimplexBasis:
-        """The optimal basis and point of a solved calibration-only problem.
-
-        Only test weight 0 exports: its test entry is zero-width, so it sits
-        nonbasic at 0, and the point stays feasible for any test pattern.
-        """
-        if self.test_score is None or self.test_weight != 0.0:
-            raise ValueError("only a solved problem with test weight 0 exports its basis")
-        return SimplexBasis(self._basis.copy(), self._primal_values())
 
     def _verify(self, eta, beta, primal, dual) -> tuple[float, float]:
         """Check the box, the coupling and the duality gap; returns the gap and

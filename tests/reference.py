@@ -14,16 +14,12 @@ bit for bit.
 The solver's first start with every column at 0 and the artificial columns
 basic, and the bisection on the test score: the library starts from a
 per-atom quantile crash and walks the breakpoints of the test score instead,
-and the tests compare the two within stated tolerances.
+and the tests compare the two within stated tolerances. ``ArtificialStart``
+replaces the crash by that start, or by any other point a test gives it.
 
 The threshold search solved one below the lowest calibration score before
 it walks up the breakpoints: the library starts the walk at the
 calibration-only fit instead, and the tests hold it within a few ulp.
-
-The calibration-only basis, and a threshold search whose start is opened
-from a given basis: the library solves and opens its own start once per
-calibration set, and the tests open other bases too (a degenerate one, one
-optimal for other scores) to check that every opened start is checked.
 
 Oracles the tests measure the library against: the arcsine scale function,
 a digest's step CDF, quantile and maximum cluster mass, the pinball loss,
@@ -42,11 +38,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from gcfcp.conformal import DegenerateGroupError, EmptySetError, threshold_search
+from gcfcp.conformal import DegenerateGroupError, EmptySetError
 from gcfcp.datagen import IngestError, csv_rows
 from gcfcp.federation import client_datasets
 from gcfcp.groups import CoveringError, Interval, membership_matrix
-from gcfcp.pinball import AugmentedQrSolver, SimplexBasis
+from gcfcp.pinball import AugmentedQrSolver
 from gcfcp.tdigest import DigestError
 
 
@@ -382,10 +378,18 @@ def reference_ratio_test(solver, col, sgn, tmax):
     return leave, tmax
 
 
-def artificial_basis_at_zero(n_cal, d):
-    """The start with the d artificial columns basic and every column at 0."""
-    columns = n_cal + 1 + d
-    return SimplexBasis(np.arange(columns - d, columns), np.zeros(columns))
+class ArtificialStart(AugmentedQrSolver):
+    """``AugmentedQrSolver`` whose first solve starts from ``point`` (every
+    column at 0 when none is given) in place of the per-atom crash, with the
+    artificial columns basic. A value of ``point`` on a bound sets that
+    column's direction; the crossover moves every one inside its box."""
+
+    def __init__(self, *args, point=None):
+        self._point = point
+        super().__init__(*args)
+
+    def _crash(self, features):
+        return np.zeros(len(self._c)) if self._point is None else self._point.copy()
 
 
 def _check_column_mass(data):
@@ -395,43 +399,14 @@ def _check_column_mass(data):
         raise DegenerateGroupError(dead)
 
 
-def calibration_basis(data, alpha):
-    """Optimal basis of the calibration-only regression (test weight 0), after
-    the group-mass check: a start basis for any pattern."""
-    _check_column_mass(data)
-    d = data.features.shape[1]
-    solver = AugmentedQrSolver(data.features, data.scores, data.weights, alpha, (0,) * d, 0.0)
-    solver.solve_at(0.0)
-    return solver.export_basis()
-
-
-def search_from(data, test_feature, alpha, basis):
-    """``threshold_search`` from a calibration-only start fresh from
-    ``basis`` and opened at the data's test weight; cold when it is None."""
-    start = None
-    if basis is not None:
-        d = data.features.shape[1]
-        start = AugmentedQrSolver(data.features, data.scores, data.weights, alpha, (0,) * d, 0.0, start_basis=basis)
-        start.open_walk(data.test_weight)
-    return threshold_search(data, test_feature, alpha, start=start)
-
-
-def reference_walk_from_lo(data, test_feature, alpha, start_basis=None):
+def reference_walk_from_lo(data, test_feature, alpha):
     """``threshold_search`` as a solve one below the lowest score, from the
-    crash or from ``start_basis``, then the breakpoint walk up to S* and one
-    verifying solve; +inf reads as ``default_bracket()[1]``. EmptySetError
-    when the test dual is at its bound at that low end."""
+    crash, then the breakpoint walk up to S* and one verifying solve; +inf
+    reads as ``default_bracket()[1]``. EmptySetError when the test dual is at
+    its bound at that low end."""
     lo, hi = data.default_bracket()
     _check_column_mass(data)
-    solver = AugmentedQrSolver(
-        data.features,
-        data.scores,
-        data.weights,
-        alpha,
-        test_feature,
-        data.test_weight,
-        start_basis=start_basis,
-    )
+    solver = AugmentedQrSolver(data.features, data.scores, data.weights, alpha, test_feature, data.test_weight)
     bound = data.test_weight * (1.0 - alpha) - 1e-9
     if solver.solve_at(lo).eta_test >= bound:
         raise EmptySetError(f"test dual already at its bound at score {lo}")
@@ -441,7 +416,8 @@ def reference_walk_from_lo(data, test_feature, alpha, start_basis=None):
 
 
 def reference_threshold_search(data, test_feature, alpha, tol=1e-6, widenings=16):
-    """Bisection on the test score to ``tol`` from the artificial basis at 0.
+    """Bisection on the test score to ``tol`` from the artificial basis at 0
+    (``ArtificialStart``).
 
     The bracket starts as ``data.default_bracket()``; while the test dual
     stays below its bound at the upper end, the bracket moves up to twice
@@ -450,16 +426,7 @@ def reference_threshold_search(data, test_feature, alpha, tol=1e-6, widenings=16
     ``default_bracket()[1]``."""
     lo, hi = data.default_bracket()
     _check_column_mass(data)
-    n_cal, d = data.features.shape
-    solver = AugmentedQrSolver(
-        data.features,
-        data.scores,
-        data.weights,
-        alpha,
-        test_feature,
-        data.test_weight,
-        start_basis=artificial_basis_at_zero(n_cal, d),
-    )
+    solver = ArtificialStart(data.features, data.scores, data.weights, alpha, test_feature, data.test_weight)
     bound = data.test_weight * (1.0 - alpha) - 1e-9
     if solver.solve_at(lo).eta_test >= bound:
         raise EmptySetError(f"test dual already at its bound at score {lo}")

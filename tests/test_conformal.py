@@ -8,7 +8,7 @@ import pytest
 from conftest import atom_features
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import calibration_basis, reference_threshold_search, reference_walk_from_lo, search_from
+from reference import reference_threshold_search, reference_walk_from_lo
 
 from gcfcp import conformal
 from gcfcp.conformal import (
@@ -33,15 +33,15 @@ FOUR_INTERVAL_PATTERNS = [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)
 
 @pytest.fixture
 def lp_log(monkeypatch):
-    """Record every solver the conformal module builds, every pattern it
-    starts a walk for from an opened start, and every solve, on a fake clock
-    that advances one second per solve."""
+    """Record the test weight of every solver the conformal module builds,
+    every pattern it starts a walk for from an opened start, and every solve,
+    on a fake clock that advances one second per solve."""
     log = SimpleNamespace(solvers=[], patterns=[], solves=0, scores=[], now=0.0)
 
     class Recording(AugmentedQrSolver):
-        def __init__(self, *args, start_basis=None):
-            super().__init__(*args, start_basis=start_basis)
-            log.solvers.append((start_basis is None, args[5]))
+        def __init__(self, *args):
+            super().__init__(*args)
+            log.solvers.append(args[5])
 
         def start_pattern(self, test_feature):
             log.patterns.append(tuple(test_feature))
@@ -165,16 +165,24 @@ class TestThresholdSearch:
         feats = np.array([[1, 0]] * 4 + [[1, 1]] * 4, dtype=float)
         scores = np.array([5.0, 5.5, 6.0, 6.5, 1.0, 1.5, 2.0, 2.5])
         data = CalibrationData(feats, scores, np.full(8, 1 / 9), 0.1)
-        basis = calibration_basis(data, 0.2)
-        solver = AugmentedQrSolver(feats, scores, data.weights, 0.2, (0, 1), 0.1, start_basis=basis)
-        solver.start_walk()
+        solver = calibration_start(data, 0.2).start_pattern((0, 1))
         assert solver.test_score == pytest.approx(-4.0, abs=1e-12)
         assert solver.raise_test_score(0.1 * 0.8 - 1e-9) == pytest.approx(-3.5, abs=1e-12)
         for search in (threshold_search, reference_walk_from_lo, reference_threshold_search):
             with pytest.raises(EmptySetError):
                 search(data, (0, 1), 0.2)
         with pytest.raises(EmptySetError):
-            search_from(data, (0, 1), 0.2, basis)
+            threshold_search(data, (0, 1), 0.2, start=calibration_start(data, 0.2))
+
+    @pytest.mark.parametrize("pattern", [(0, 0), (2, 0)], ids=["in_no_group", "not_binary"])
+    def test_a_pattern_in_no_group_or_not_binary_is_rejected(self, pattern):
+        """A test pattern must be 0/1 and lie in at least one group: the
+        search returned a threshold for both, -0.0 and 5.61 on these rows."""
+        feats = np.array([[1, 0], [0, 1], [1, 1]] * 17, dtype=float)[:50]
+        scores = np.random.default_rng(0).random(50) * 3.0
+        data = CalibrationData(feats, scores, np.full(50, 1 / 51), 1 / 51)
+        with pytest.raises(ValueError, match="no group"):
+            threshold_search(data, pattern, 0.1)
 
     def test_degenerate_group_detected(self):
         feats = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -273,25 +281,22 @@ def ulps(a, b):
 
 def test_search_matches_the_walk_from_lo():
     """The walk from the calibration fit against the search it replaced, a
-    solve one below the lowest score and a walk up from there, cold and from
-    the calibration basis, on the bisection test's draws: S* within 4 ulp,
-    the bracket's high end for both or neither, and the same errors. The
-    largest distance is printed."""
+    solve one below the lowest score and a walk up from there, on the
+    bisection test's draws: S* within 4 ulp, the bracket's high end for both
+    or neither, and the same errors. The largest distance is printed."""
     largest = []
 
     @settings(max_examples=120, deadline=None)
-    @given(warm=st.booleans(), **SEARCH_DRAWS)
-    def check(warm, **draws):
+    @given(**SEARCH_DRAWS)
+    def check(**draws):
         data, pattern, alpha = search_case(**draws)
-        start = None
         try:
-            start = calibration_basis(data, alpha) if warm else None
-            want = reference_walk_from_lo(data, pattern, alpha, start)
+            want = reference_walk_from_lo(data, pattern, alpha)
         except (EmptySetError, DegenerateGroupError) as exc:
             with pytest.raises(type(exc)):
-                search_from(data, pattern, alpha, start)
+                threshold_search(data, pattern, alpha)
             return
-        got = search_from(data, pattern, alpha, start)
+        got = threshold_search(data, pattern, alpha)
         hi = data.default_bracket()[1]
         assert (got == hi) == (want == hi)
         distance = ulps(got, want)
@@ -574,7 +579,7 @@ class TestBaselines:
         for pattern in patterns * 2:
             cal.threshold(pattern)
         k = len(patterns)
-        assert lp_log.solvers == [(True, 0.0)]
+        assert lp_log.solvers == [0.0]
         assert lp_log.patterns == patterns
         counts = {name: events.count(name) for name in set(events)}
         assert counts["_crash"] == counts["calibration solve"] == counts["open_walk"] == 1

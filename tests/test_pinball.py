@@ -9,12 +9,10 @@ from conftest import atom_features, breakpoint_minimum, random_lp, small_lp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import (
-    artificial_basis_at_zero,
-    calibration_basis,
+    ArtificialStart,
     pinball_loss,
     reference_ratio_test,
     reference_threshold_search,
-    search_from,
 )
 
 from gcfcp import harness
@@ -31,7 +29,6 @@ from gcfcp.pinball import (
     _COUPLING_TOL,
     _GAP_TOL,
     AugmentedQrSolver,
-    SimplexBasis,
     SolverError,
 )
 
@@ -193,6 +190,13 @@ def _calibration_only(p):
     return solver
 
 
+def _opened(p):
+    """The calibration-only problem of ``p``, solved and opened at its test weight."""
+    solver = _calibration_only(p)
+    solver.open_walk(p.test_weight)
+    return solver
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_calibration_basis_start_matches_cold(seed):
@@ -200,14 +204,12 @@ def test_calibration_basis_start_matches_cold(seed):
     p = random_lp(rng, max_entries=40)
     # beta is unique only when the calibration features have full column rank
     assume(np.linalg.matrix_rank(p.features) == p.dimension)
-    basis = _calibration_only(p).export_basis()
+    opened = _opened(p)
     for pattern in itertools.product((0, 1), repeat=p.dimension):
         if not any(pattern):
             continue
         for score in rng.normal(scale=2.0, size=3):
-            warm = AugmentedQrSolver(
-                *p.calibration, pattern, p.test_weight, start_basis=basis
-            ).solve_at(float(score))
+            warm = opened.start_pattern(pattern).solve_at(float(score))
             cold = AugmentedQrSolver(*p.calibration, pattern, p.test_weight).solve_at(float(score))
             assert warm.primal_objective == pytest.approx(cold.primal_objective, abs=1e-9)
             assert warm.eta_test == pytest.approx(cold.eta_test, abs=1e-9)
@@ -225,10 +227,10 @@ def test_calibration_basis_leaves_test_columns_nonbasic():
         for pattern, score in inert:
             solver = AugmentedQrSolver(*p.calibration, pattern, 0.0)
             solver.solve_at(score)
-            basis = solver.export_basis()
-            assert test_entry not in basis.basic.tolist()
-            assert basis.point[test_entry] == 0.0
-            resumed = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight, start_basis=basis)
+            assert test_entry not in solver._basis.tolist()
+            assert solver._value(test_entry) == 0.0
+            solver.open_walk(p.test_weight)
+            resumed = solver.start_pattern(p.test_feature)
             cold = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight)
             assert resumed.solve_at(p.test_score).eta_test == pytest.approx(
                 cold.solve_at(p.test_score).eta_test, abs=1e-9
@@ -239,42 +241,17 @@ def test_calibration_basis_is_already_optimal():
     rng = np.random.default_rng(9)
     for _ in range(20):
         p = random_lp(rng)
-        basis = _calibration_only(p).export_basis()
-        again = AugmentedQrSolver(*p.calibration, (0,) * p.dimension, 0.0, start_basis=basis)
-        assert again.solve_at(0.0).iterations == 0
+        assert _calibration_only(p).solve_at(0.0).iterations == 0
         # the zero-width test entry is never priced, whatever its pattern and score
         for score in (5.0, -5.0):
-            inert = AugmentedQrSolver(*p.calibration, p.test_feature, 0.0, start_basis=basis)
+            inert = AugmentedQrSolver(*p.calibration, p.test_feature, 0.0)
+            inert.solve_at(0.0)
             assert inert.solve_at(score).iterations == 0
 
 
-def test_start_basis_must_fit():
-    rng = np.random.default_rng(8)
-    p = random_lp(rng)
-    basis = _calibration_only(p).export_basis()
-    fewer = (p.features[1:], p.scores[1:], p.weights[1:], p.alpha)
-    with pytest.raises(ValueError):
-        AugmentedQrSolver(*fewer, p.test_feature, p.test_weight, start_basis=basis)
-    test_entry = len(p.scores)
-    nonbasic = np.setdiff1d(np.arange(test_entry), basis.basic)[0]
-    outside = basis.point.copy()
-    outside[nonbasic] = 2.0 * p.weights[nonbasic]  # above w (1 - alpha)
-    basic_test = basis.basic.copy()
-    basic_test[0] = test_entry
-    misfits = [
-        SimplexBasis(basis.basic, basis.point[:-1]),  # a point of the wrong length
-        SimplexBasis(basis.basic, outside),  # a nonbasic value outside its box
-        SimplexBasis(basic_test, basis.point),  # a basic test column
-    ]
-    for misfit in misfits:
-        with pytest.raises(ValueError):
-            AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight, start_basis=misfit)
-    solver = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight)
-    with pytest.raises(ValueError):
-        solver.export_basis()  # not solved yet
-    solver.solve_at(p.test_score)
-    with pytest.raises(ValueError):
-        solver.export_basis()  # a positive test weight is not calibration-only
+def _build(p):
+    """A solver for ``p``, built cold at its test pattern and weight."""
+    return AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight)
 
 
 def _assert_verified(sol):
@@ -286,11 +263,10 @@ def test_solutions_record_gap_and_coupling():
     rng = np.random.default_rng(10)
     for _ in range(20):
         p = random_lp(rng)
-        crashed = _calibration_only(p)
+        crashed = AugmentedQrSolver(*p.calibration, (0,) * p.dimension, 0.0)
         _assert_verified(crashed.solve_at(0.0))
-        warm = AugmentedQrSolver(
-            *p.calibration, p.test_feature, p.test_weight, start_basis=crashed.export_basis()
-        )
+        crashed.open_walk(p.test_weight)
+        warm = crashed.start_pattern(p.test_feature)
         _assert_verified(warm.solve_at(-4.0))
         _assert_verified(warm.solve_at(p.test_score))
         bound = p.test_weight * (1.0 - p.alpha) - 1e-9
@@ -367,7 +343,7 @@ def test_crash_start_matches_all_artificial_start(
     test_weight = 0.0 if zero_test_weight else float(rng.uniform(0.01, 0.3))
     inputs = (feats, scores, weights, alpha, pattern, test_weight)
     crash = AugmentedQrSolver(*inputs)
-    old = AugmentedQrSolver(*inputs, start_basis=artificial_basis_at_zero(n, d))
+    old = ArtificialStart(*inputs)
     for score in rng.normal(scale=2.0, size=3):
         new_sol, old_sol = crash.solve_at(float(score)), old.solve_at(float(score))
         _assert_verified(new_sol)
@@ -416,23 +392,19 @@ def _assert_kept_state(solver):
 def test_kept_inverse_and_directions_follow_the_basis(seed, warm):
     rng = np.random.default_rng(seed)
     p = random_lp(rng)
-    start = _calibration_only(p).export_basis() if warm else None
-    solver = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight, start_basis=start)
+    opened = _opened(p) if warm else None
+    solver = opened.start_pattern(p.test_feature) if warm else _build(p)
     solver.solve_at(float(rng.normal(scale=2.0)) - 3.0)
     _assert_kept_state(solver)
     solver.raise_test_score(p.test_weight * (1.0 - p.alpha) - 1e-9)
     _assert_kept_state(solver)
     solver.solve_at(solver.test_score)
     _assert_kept_state(solver)
-    if warm:  # the walk from the calibration fit, on the solver and on a copy of an opened start
-        walker = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight, start_basis=start)
-        walker.start_walk()
-        opened = _calibration_only(p)
-        opened.open_walk(p.test_weight)
-        for walker in (walker, opened.start_pattern(p.test_feature)):
-            _assert_kept_state(walker)
-            walker.raise_test_score(p.test_weight * (1.0 - p.alpha) - 1e-9)
-            _assert_kept_state(walker)
+    if warm:  # the walk from the calibration fit, on a copy of an opened start
+        walker = opened.start_pattern(p.test_feature)
+        _assert_kept_state(walker)
+        walker.raise_test_score(p.test_weight * (1.0 - p.alpha) - 1e-9)
+        _assert_kept_state(walker)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -442,8 +414,7 @@ def test_a_solve_with_no_step_inverts_once(monkeypatch, seed, warm):
     only as it opens; the solution is the first one to the bit."""
     rng = np.random.default_rng(seed)
     p = random_lp(rng)
-    start = _calibration_only(p).export_basis() if warm else None
-    solver = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight, start_basis=start)
+    solver = _opened(p).start_pattern(p.test_feature) if warm else _build(p)
     first = solver.solve_at(p.test_score)
     factors = []
     factor = AugmentedQrSolver._factor
@@ -470,8 +441,7 @@ def test_blands_rule_on_a_degenerate_start(monkeypatch):
     basic at 0. Each group's first pivot is degenerate, so the
     calibration-only solve from it passes 40 degenerate steps in a row and
     enters by Bland's rule; a search started from its optimum matches the
-    cold search and the bisection, and a search started from the degenerate
-    start itself, which is not optimal, raises SolverError."""
+    cold search and the bisection."""
     bland_entries = []
     enter = AugmentedQrSolver._enter
 
@@ -489,42 +459,42 @@ def test_blands_rule_on_a_degenerate_start(monkeypatch):
     alpha = 0.5
     point = np.zeros(n + 1 + d)
     point[:n] = np.where(high, -weights * alpha, weights * (1.0 - alpha))
-    start = SimplexBasis(np.arange(n + 1, n + 1 + d), point)
     data = CalibrationData(features, np.where(high, 10.0, 9.0), weights, 1.0 / (n + 1))
-    solver = AugmentedQrSolver(features, data.scores, weights, alpha, (0,) * d, 0.0, start_basis=start)
+    solver = ArtificialStart(features, data.scores, weights, alpha, (0,) * d, 0.0, point=point)
     _assert_verified(solver.solve_at(0.0))
     assert any(bland_entries)
+    solver.open_walk(data.test_weight)
     pattern = tuple(int(b) for b in features[0])
-    got = search_from(data, pattern, alpha, solver.export_basis())
+    got = threshold_search(data, pattern, alpha, start=solver)
     assert got == threshold_search(data, pattern, alpha)
     want = reference_threshold_search(data, pattern, alpha)
     assert -1e-7 <= got - want <= 1e-6 + 1e-7
-    with pytest.raises(SolverError, match="not optimal"):
-        search_from(data, pattern, alpha, start)
 
 
 def test_an_opened_start_serves_every_pattern_unchanged():
     """``start_pattern`` copies an opened start: the start's basis, inverse,
     basic values, directions, matrix and costs, and the bounds, weights,
     movable flags, costs at score 0 and multipliers y it shares with every
-    copy, are untouched by the copies' walks and solves, and each copy walks as a solver built for its pattern
-    from the start basis does, to the bit. A start opens once, from a solved
-    calibration-only problem (test weight 0) or a fresh start basis, and a
-    copy needs an opened start that has not walked or solved."""
+    copy, are untouched by the copies' walks and solves, and each copy walks
+    as a copy of a second start, built and opened on its own, does, to the
+    bit. A pattern in no group is rejected. A start opens once, from a solved
+    calibration-only problem (test weight 0), and a copy needs an opened
+    start that has not walked or solved."""
     rng = np.random.default_rng(14)
     for _ in range(20):
         p = random_lp(rng)
         bound = p.test_weight * (1.0 - p.alpha) - 1e-9
-        opened = _calibration_only(p)
-        basis = opened.export_basis()
-        opened.open_walk(p.test_weight)
+        opened, second = _opened(p), _opened(p)
         names = ("_basis", "_Binv", "_xB", "_dir", "_A", "_c")
         names += ("_lo", "_up", "_w", "_movable", "_parametric", "_y0")  # shared with the copies
         before = [getattr(opened, name).tobytes() for name in names]
         for pattern in itertools.product((0, 1), repeat=p.dimension):
+            if not any(pattern):
+                with pytest.raises(ValueError):
+                    opened.start_pattern(pattern)
+                continue
             copy = opened.start_pattern(pattern)
-            walker = AugmentedQrSolver(*p.calibration, pattern, p.test_weight, start_basis=basis)
-            walker.start_walk()
+            walker = second.start_pattern(pattern)
             assert _bits(copy.test_score) == _bits(walker.test_score)
             assert _bits(copy.raise_test_score(bound)) == _bits(walker.raise_test_score(bound))
             got, want = copy.solve_at(copy.test_score), walker.solve_at(walker.test_score)
@@ -545,52 +515,32 @@ def test_an_opened_start_serves_every_pattern_unchanged():
 
 
 def test_the_walk_starts_only_from_an_optimal_calibration_basis():
-    """``start_walk`` prices the start once: a basis optimal for other
-    scores (in most draws), a point off its bounds (the cold crash, or one
-    nonbasic entry nudged into its box) and a start that sits outside a basic
-    column's box raise SolverError; a solver already solved or walked raises
-    ValueError."""
+    """``open_walk`` checks the solved calibration-only start once: with its
+    costs at score 0 negated (a basis optimal for the reversed scores), or
+    with one basic value pushed below its box, it raises SolverError; an
+    unsolved solver, one solved at a positive test weight and one already
+    opened raise ValueError."""
     rng = np.random.default_rng(12)
-    checked = 0
     for _ in range(40):
         p = random_lp(rng)
-        data = CalibrationData(*p.calibration[:3], p.test_weight)
-        basis = calibration_basis(data, p.alpha)
-        reversed_scores = replace(data, scores=-data.scores)
-        other = calibration_basis(reversed_scores, p.alpha)
-        fresh = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight, start_basis=other)
-        try:
-            fresh.start_walk()
-        except SolverError as exc:
-            assert "not optimal" in str(exc)
-            checked += 1
-        walked = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight, start_basis=basis)
-        walked.start_walk()
+        reversed_costs = _calibration_only(p)
+        reversed_costs._parametric[0] *= -1.0
+        with pytest.raises(SolverError, match="not optimal"):
+            reversed_costs.open_walk(p.test_weight)
+        below = _calibration_only(p)
+        i = int(rng.integers(p.dimension))
+        below._xB[i] = below._loB[i] - 1e-6
+        with pytest.raises(SolverError, match="not optimal"):
+            below.open_walk(p.test_weight)
         with pytest.raises(ValueError):
-            walked.start_walk()
-        solved = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight, start_basis=basis)
+            _build(p).open_walk(p.test_weight)  # not solved
+        solved = _build(p)
         solved.solve_at(p.test_score)
         with pytest.raises(ValueError):
-            solved.start_walk()
-        with pytest.raises(SolverError, match="not optimal"):
-            AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight).start_walk()
-        # one nonbasic entry nudged off its bound into its box
-        j = np.setdiff1d(np.arange(len(p.scores)), basis.basic)[0]
-        nudged = basis.point.copy()
-        nudged[j] += 1e-6 if nudged[j] < 0.0 else -1e-6
-        with pytest.raises(SolverError, match="not optimal"):
-            AugmentedQrSolver(
-                *p.calibration, p.test_feature, p.test_weight, start_basis=SimplexBasis(basis.basic, nudged)
-            ).start_walk()
-    assert checked >= 30
-    # scores 1, 2, 3 at weight 1 and alpha 0.5, the lowest entry basic and
-    # the others at their upper bound 0.5: every reduced cost has the right
-    # sign, but the basic eta is -1, below its box [-0.5, 0.5]
-    start = SimplexBasis(np.array([0]), np.array([0.0, 0.5, 0.5, 0.0, 0.0]))
-    features, scores = np.ones((3, 1)), np.array([1.0, 2.0, 3.0])
-    solver = AugmentedQrSolver(features, scores, np.ones(3), 0.5, (1,), 0.1, start_basis=start)
-    with pytest.raises(SolverError, match="not optimal"):
-        solver.start_walk()
+            solved.open_walk(p.test_weight)  # solved at a positive test weight
+        opened = _opened(p)
+        with pytest.raises(ValueError):
+            opened.open_walk(p.test_weight)  # already opened
 
 
 def _bits(value):
@@ -612,8 +562,7 @@ def test_ratio_test_matches_the_array_reference(seed, warm, sgn, offset):
     1e-11 of 0, and the bound-flip length lies within 1e-13 of a ratio."""
     rng = np.random.default_rng(seed)
     p = random_lp(rng)
-    start = _calibration_only(p).export_basis() if warm else None
-    solver = AugmentedQrSolver(*p.calibration, p.test_feature, p.test_weight, start_basis=start)
+    solver = _opened(p).start_pattern(p.test_feature) if warm else _build(p)
     solver.solve_at(p.test_score)
     d = p.dimension
     lo, up = solver._lo[solver._basis], solver._up[solver._basis]
