@@ -31,7 +31,8 @@ datasets. Besides the coreset path: a single global split-CP order statistic,
 the marginal reduction of the coreset path to one all-covering group, and
 raw-score variants of the same augmented regression (uniform weights, or
 per-client mixture weights). ``CalibrationData.from_coreset`` reads the
-coreset's structured array field by field.
+coreset's structured array field by field, in its row order, which is the
+calibration layout; ``from_datasets`` lays the pooled rows out once.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .federation import ClientDataset, Coreset, check_mixture, run_round, test_term_weight
-from .groups import SINGLE_GROUP, GroupFamily, MembershipVector, membership_matrix
+from .groups import SINGLE_GROUP, GroupFamily, MembershipVector, membership_matrix, sort_atoms
 from .pinball import AugmentedQrSolver
 
 _ETA_GUARD = 1e-9
@@ -80,16 +81,31 @@ class DegenerateGroupError(RuntimeError):
 
 @dataclass(frozen=True)
 class CalibrationData:
-    """QR inputs: one row per calibration entry plus the aggregated test weight."""
+    """QR inputs: one row per calibration entry plus the aggregated test weight.
+
+    The rows come in the calibration layout: atoms in lexicographic bit
+    order, scores ascending within an atom, tied scores in input order. The
+    solver's cold crash takes each run of equal feature rows as an atom;
+    rows in another order give the same S*, from a slower start. ValueError
+    unless the features are 0/1 with one score and one weight per row.
+    """
 
     features: np.ndarray  # (n, |groups|) binary
     scores: np.ndarray
     weights: np.ndarray
     test_weight: float
 
+    def __post_init__(self):
+        n = len(self.features)
+        if len(self.scores) != n or len(self.weights) != n:
+            raise ValueError(f"{len(self.scores)} scores and {len(self.weights)} weights for {n} feature rows")
+        if not np.all((self.features == 0) | (self.features == 1)):
+            raise ValueError("calibration features must be 0/1")
+
     @classmethod
     def from_coreset(cls, coreset: Coreset, test_weight: float) -> "CalibrationData":
-        """The coreset's fields: its atoms as float features, means as scores."""
+        """The coreset's fields: its atoms as float features, means as scores,
+        in its row order, which is the calibration layout."""
         entries = coreset.entries
         return cls(entries["atom"].astype(float), entries["mean"], entries["weight"], test_weight)
 
@@ -97,15 +113,18 @@ class CalibrationData:
     def from_datasets(
         cls, datasets: Sequence[ClientDataset], family: GroupFamily
     ) -> "CalibrationData":
+        """The clients' rows pooled and laid out once."""
         feats, scores, weights = [], [], []
         for ds in datasets:
             feats.append(membership_matrix(ds.covariates, family))
             scores.append(np.asarray(ds.scores, dtype=float))
             weights.append(np.full(ds.n, ds.sample_weight))
+        feats, scores = np.vstack(feats), np.concatenate(scores)
+        order, _ = sort_atoms(feats.T == 1, np.argsort(scores, kind="stable"))
         return cls(
-            np.vstack(feats).astype(float),
-            np.concatenate(scores),
-            np.concatenate(weights),
+            feats[order].astype(float),
+            scores[order],
+            np.concatenate(weights)[order],
             test_term_weight(datasets),
         )
 
@@ -151,9 +170,9 @@ def threshold_search(
     ``start`` comes from ``calibration_start`` on the same data and alpha,
     and is made here when none is given. The walk starts from a copy of it
     at the calibration fit f0 of ``test_feature``, where the test dual is 0,
-    goes up to S* and solves once more, as the verified optimum, at the
-    returned threshold, or at the walk's last breakpoint if that is lower:
-    the optimum there holds for every larger score. EmptySetError means S*
+    goes up to S* and solves once more, as the verified optimum, where the
+    walk stopped: at S*, or, when S* = +inf, at the last breakpoint, whose
+    optimum holds for every larger score. EmptySetError means S*
     is at or below the bracket's low end, or the test dual's bound is at or
     below 0, its value at f0.
     """
@@ -165,7 +184,7 @@ def threshold_search(
         raise EmptySetError(f"test dual bound {bound!r} is not above its value 0 at the calibration fit")
     solver = start.start_pattern(test_feature)
     s_star = solver.raise_test_score(bound)
-    solver.solve_at(min(solver.test_score, s_star))
+    solver.solve_at(solver.test_score)
     if s_star <= lo:
         raise EmptySetError(f"test dual already at its bound at score {lo}")
     return hi if s_star == math.inf else s_star  # an unbounded set reads as the bracket's high end

@@ -9,14 +9,17 @@ unique rows of that matrix. ``membership_matrix`` is the one membership
 routine; ``membership_vector`` is its single-point case.
 
 ``sort_atoms`` is the one home of the atom key, for the client sketch
-(``enumerate_atoms``) and the cold crash of ``pinball.AugmentedQrSolver``. It
-packs each row's membership bits from the boolean group columns: group g goes
-to bit 7 - g % 8 of byte g // 8, so that the bytes sort in the lexicographic
-bit order for any family size. From the caller's starting row order it sorts
-stably by each membership byte, last byte first, and the atoms are the runs of
-equal keys. ``enumerate_atoms`` starts from the rows in input order and then
-sorts each atom's scores by value: the client sketch weighs all its scores
-alike, so it needs their values in order, not their rows.
+(``enumerate_atoms``) and the calibration layout of the pooled rows
+(``conformal.CalibrationData.from_datasets``). It packs each row's membership
+bits from the boolean group columns: group g goes to bit 7 - g % 8 of byte
+g // 8, so that the bytes sort in the lexicographic bit order for any family
+size. From the caller's starting row order it sorts stably by each membership
+byte, last byte first, and the atoms are the runs of equal keys.
+``enumerate_atoms`` starts from the rows in input order and then sorts each
+atom's scores by value: the client sketch weighs all its scores alike, so it
+needs their values in order, not their rows. ``from_datasets`` keeps each
+row's weight with its score, so it starts from the stable argsort of the
+scores.
 """
 
 from __future__ import annotations

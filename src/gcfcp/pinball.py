@@ -42,8 +42,11 @@ membership pattern) share one column of the coupling, so starting each atom
 at its own weighted (1 - alpha)-quantile split keeps the coupling at 0 and
 lands within a few dozen entries of the optimum; a crossover moves the one
 interior entry per atom to a bound or into the basis, and the simplex
-finishes from there. The crash finds the atoms with ``groups.sort_atoms``,
-from a stable sort by descending score. The features are 0/1.
+finishes from there. The crash sorts nothing: it reads the rows in the
+layout of ``conformal.CalibrationData`` (each atom's rows in one run, scores
+ascending), takes each run of equal feature rows as an atom and ranks it from
+its last row up. Each run sums to 0 in any row order, so rows out of the
+layout only start the simplex further from the optimum.
 
 Only the test entry's cost depends on the test score t, so every reduced
 cost is affine in t, r0 + t * r1 with r0 priced at t = 0, and an optimal
@@ -85,7 +88,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import MembershipVector, sort_atoms
+from .groups import MembershipVector
 
 _BOX_TOL = 1e-9
 _COUPLING_TOL = 1e-8
@@ -125,10 +128,11 @@ class AugmentedQrSolver:
     bounded-variable primal simplex (Dantzig, Econometrica 1955): x holds
     eta, one column per entry (the test entry last) in its own box, followed
     by ``d`` artificial columns with box [0, 0]. Zero-width columns are never
-    priced. The first solve starts from the per-atom quantile crash with the
-    artificial basis. Every value of the crash that sits on a bound sets that
-    column's direction; every one strictly inside its box is moved to a bound
-    or into the basis by a crossover before the simplex prices anything.
+    priced. The first solve starts from the per-atom quantile crash, over the
+    runs of equal feature rows, with the artificial basis. Every value of the
+    crash that sits on a bound sets that column's direction; every one
+    strictly inside its box is moved to a bound or into the basis by a
+    crossover before the simplex prices anything.
 
     ``solve_at`` re-solves after changing only the test score, warm-starting
     from the previous optimal basis (primal feasibility is unaffected by the
@@ -194,19 +198,24 @@ class AugmentedQrSolver:
         self._y0: np.ndarray | None = None  # the multipliers at test score 0 of an opened start
 
     def _crash(self, features: np.ndarray) -> np.ndarray:
-        """A point with every atom (the rows sharing one pattern) at its
+        """A point with every atom, a run of equal feature rows, at its
         weighted (1 - alpha)-quantile split.
 
-        Ranked by score, the top alpha of an atom's weight sits at
+        Ranked from the run's last row up, by descending score in the
+        calibration layout, the top alpha of an atom's weight sits at
         eta = w (1 - alpha), the rest at -w alpha, and the one entry that
         straddles the split takes the interior value that makes the atom's
         eta sum to 0: each row's share of the split, clipped into its box.
         Every atom sums to 0, so sum_e eta_e phi_e = 0 holds and the
         artificial basis stays feasible; the test entry starts at 0.
         """
-        order, starts = sort_atoms(features.T != 0.0, np.argsort(-self._s[:-1], kind="stable"))
+        n = len(features)
+        new = np.ones(n, dtype=bool)
+        new[1:] = (features[1:] != features[:-1]).any(axis=1)
+        starts = np.flatnonzero(new)
+        sizes = np.diff(starts, append=n)
+        order = np.repeat(2 * starts + sizes - 1, sizes) - np.arange(n)  # each run from its last row up
         w = self._w[order]
-        sizes = np.diff(np.append(starts, len(order)))
         cum = np.cumsum(w)
         through = cum - np.repeat((cum - w)[starts], sizes)  # atom weight ranked at or above each entry
         target = self.alpha * np.repeat(through[starts + sizes - 1], sizes)

@@ -50,6 +50,13 @@ def atom_features(rng, d, n, label_sets):
     return pool[rng.integers(0, len(pool), n)]
 
 
+def laid_out(features, scores, weights):
+    """The rows in the calibration layout: by atom in lexicographic bit order,
+    scores ascending within an atom, tied scores in input order."""
+    order = np.lexsort((scores, *features.T[::-1]))
+    return features[order], scores[order], weights[order]
+
+
 @dataclass(frozen=True)
 class LpInstance:
     """One augmented pinball LP: calibration rows plus one test entry."""

@@ -17,6 +17,10 @@ per-atom quantile crash and walks the breakpoints of the test score instead,
 and the tests compare the two within stated tolerances. ``ArtificialStart``
 replaces the crash by that start, or by any other point a test gives it.
 
+The crash that sorted the rows itself, by atom from a stable sort by
+descending score: the library's crash reads the rows in the calibration
+layout instead, and the tests compare the two bit for bit on laid-out rows.
+
 The threshold search solved one below the lowest calibration score before
 it walks up the breakpoints: the library starts the walk at the
 calibration-only fit instead, and the tests hold it within a few ulp.
@@ -41,7 +45,7 @@ import numpy as np
 from gcfcp.conformal import DegenerateGroupError, EmptySetError
 from gcfcp.datagen import IngestError, csv_rows
 from gcfcp.federation import client_datasets
-from gcfcp.groups import CoveringError, Interval, membership_matrix
+from gcfcp.groups import CoveringError, Interval, membership_matrix, sort_atoms
 from gcfcp.pinball import AugmentedQrSolver
 from gcfcp.tdigest import DigestError
 
@@ -390,6 +394,21 @@ class ArtificialStart(AugmentedQrSolver):
 
     def _crash(self, features):
         return np.zeros(len(self._c)) if self._point is None else self._point.copy()
+
+
+def reference_crash(solver, features):
+    """``AugmentedQrSolver._crash`` for rows in any order: the atoms found by
+    ``sort_atoms`` from a stable sort by descending score, each at its
+    weighted (1 - alpha)-quantile split."""
+    order, starts = sort_atoms(features.T != 0.0, np.argsort(-solver._s[:-1], kind="stable"))
+    w = solver._w[order]
+    sizes = np.diff(np.append(starts, len(order)))
+    cum = np.cumsum(w)
+    through = cum - np.repeat((cum - w)[starts], sizes)
+    target = solver.alpha * np.repeat(through[starts + sizes - 1], sizes)
+    x = np.zeros(len(solver._c))
+    x[order] = np.clip(target - (through - w) - solver.alpha * w, solver._lo[order], solver._up[order])
+    return x
 
 
 def _check_column_mass(data):

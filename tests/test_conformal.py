@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import atom_features
+from conftest import atom_features, laid_out
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import reference_threshold_search, reference_walk_from_lo
@@ -96,6 +96,76 @@ class TestSplitCp:
     def test_alpha_domain(self, alpha):
         with pytest.raises(ValueError, match="outside"):
             split_cp_threshold(np.arange(1.0, 11.0), alpha)
+
+
+class TestCalibrationData:
+    def test_features_must_be_binary(self):
+        """Features of 0.5 were searched as if they were 0/1: the search for
+        (1, 0) on these rows returned 5.61, where the 0/1 features give 2.67."""
+        feats = np.array([[1, 0], [0, 1], [1, 1]] * 17, dtype=float)[:50]
+        scores = np.random.default_rng(0).random(50) * 3.0
+        with pytest.raises(ValueError, match="0/1"):
+            CalibrationData(0.5 * feats, scores, np.full(50, 1 / 51), 1 / 51)
+
+    @pytest.mark.parametrize("field", ["scores", "weights"])
+    def test_one_score_and_one_weight_per_row(self, field):
+        rows = dict(features=np.ones((3, 1)), scores=np.arange(3.0), weights=np.full(3, 0.25), test_weight=0.25)
+        rows[field] = rows[field][:2]
+        with pytest.raises(ValueError, match="for 3 feature rows"):
+            CalibrationData(**rows)
+
+    def test_from_datasets_lays_out_the_pooled_rows(self):
+        """The pooled rows, client by client, come back as the same
+        (features, score, weight) rows in the layout: by atom in
+        lexicographic bit order, scores ascending within an atom and tied
+        scores (half the rows) in input order, as ``np.lexsort`` orders them."""
+        rng = np.random.default_rng(7)
+        datasets = [
+            ClientDataset(k + 1, rng.uniform(0, 5, n), np.round(rng.random(n) * 6.0) / 2.0, pi)
+            for k, (n, pi) in enumerate(zip((30, 20, 25), (0.5, 0.3, 0.2)))
+        ]
+        data = CalibrationData.from_datasets(datasets, FOUR_INTERVALS)
+        feats = np.vstack([membership_matrix(ds.covariates, FOUR_INTERVALS) for ds in datasets]).astype(float)
+        scores = np.concatenate([ds.scores for ds in datasets])
+        weights = np.concatenate([np.full(ds.n, ds.sample_weight) for ds in datasets])
+
+        def rows(f, s, w):
+            return sorted(zip(map(tuple, f.tolist()), s.tolist(), w.tolist()))
+
+        assert rows(data.features, data.scores, data.weights) == rows(feats, scores, weights)
+        atoms = list(map(tuple, data.features.tolist()))
+        assert atoms == sorted(atoms)
+        same_atom = (data.features[1:] == data.features[:-1]).all(axis=1)
+        assert np.all(np.diff(data.scores)[same_atom] >= 0.0)
+        for got, want in zip((data.features, data.scores, data.weights), laid_out(feats, scores, weights)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_tied_scores_keep_their_input_order(self):
+        """Tied scores of one atom, -0.0 and 0.0 among them, keep the
+        clients' order, each client's rows in its own order."""
+        datasets = [
+            ClientDataset(1, np.full(3, 0.5), np.array([2.0, 0.0, 1.0]), 0.25),
+            ClientDataset(2, np.full(2, 0.5), np.array([-0.0, 2.0]), 0.75),
+        ]
+        data = CalibrationData.from_datasets(datasets, FOUR_INTERVALS)
+        assert data.scores.tolist() == [0.0, 0.0, 1.0, 2.0, 2.0]
+        assert np.signbit(data.scores).tolist() == [False, True, False, False, False]
+        assert data.weights.tolist() == [0.0625, 0.25, 0.0625, 0.0625, 0.25]
+
+    def test_from_coreset_keeps_the_entry_order(self):
+        """The server writes the coreset in the layout, and ``from_coreset``
+        keeps its rows as they are."""
+        rng = np.random.default_rng(8)
+        datasets = [ClientDataset(k + 1, rng.uniform(0, 5, 200), rng.random(200), 0.5) for k in range(2)]
+        round_ = run_round(datasets, FOUR_INTERVALS, 25.0)
+        entries = round_.coreset.entries
+        data = CalibrationData.from_coreset(round_.coreset, round_.test_weight)
+        np.testing.assert_array_equal(data.features, entries["atom"])
+        assert data.scores.tobytes() == entries["mean"].tobytes()
+        assert data.weights.tobytes() == entries["weight"].tobytes()
+        arrays = (data.features, data.scores, data.weights)
+        for got, want in zip(arrays, laid_out(*arrays)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestThresholdSearch:
@@ -307,6 +377,36 @@ def test_search_matches_the_walk_from_lo():
     print(f"largest distance from the walk from lo: {max(largest, default=0)} ulp over {len(largest)} searches")
 
 
+def test_a_row_permutation_keeps_s_star():
+    """The crash is feasible for rows in any order, so the order of the rows
+    can only slow the start: on the bisection test's draws, in the layout
+    and shuffled, S* lies within 1e-9 and the same errors are raised. The
+    largest gap is printed."""
+    largest = []
+
+    @settings(max_examples=120, deadline=None)
+    @given(**SEARCH_DRAWS)
+    def check(**draws):
+        data, pattern, alpha = search_case(**draws)
+        feats, scores, weights = laid_out(data.features, data.scores, data.weights)
+        perm = np.random.default_rng(draws["seed"]).permutation(len(scores))
+        laid = replace(data, features=feats, scores=scores, weights=weights)
+        shuffled = replace(data, features=feats[perm], scores=scores[perm], weights=weights[perm])
+        try:
+            want = threshold_search(laid, pattern, alpha)
+        except (EmptySetError, DegenerateGroupError) as exc:
+            with pytest.raises(type(exc)) as err:
+                threshold_search(shuffled, pattern, alpha)
+            assert getattr(err.value, "groups", None) == getattr(exc, "groups", None)
+            return
+        gap = abs(threshold_search(shuffled, pattern, alpha) - want)
+        assert gap <= 1e-9
+        largest.append(gap)
+
+    check()
+    print(f"largest S* gap under a row permutation: {max(largest, default=0.0):.1e} over {len(largest)} searches")
+
+
 @settings(max_examples=80, deadline=None)
 @given(intervals=st.booleans(), **SEARCH_DRAWS)
 def test_a_calibrator_answers_as_a_cold_search(intervals, **draws):
@@ -370,10 +470,10 @@ def lossless_round_case(seed, label_sets):
 def test_an_uncompressed_coreset_is_the_calibration_set():
     """When no two samples share a cluster, the coreset is the calibration
     set with its rows in (atom, score) order, and the coreset path gives
-    every pattern the centralized path's S*, within 16 ulp: the two solve
-    one LP with its rows in two orders, so a tie can end the walk at another
-    basis, whose breakpoint -r0/r1 rounds differently (6 ulp at most over
-    22 492 patterns of 6 000 draws). The largest distance is printed.
+    every pattern the centralized path's S* as a repr string: both paths
+    hold their rows in the calibration layout, so the two solve one LP
+    (11 118 patterns of 3 000 draws equal). The number of patterns is
+    printed.
 
     The compression: a segment's scale r(q) = (delta / 2 pi) arcsin(2q - 1)
     rises by at least delta / pi per unit of quantile, its least slope (at
@@ -386,7 +486,7 @@ def test_an_uncompressed_coreset_is_the_calibration_set():
     pi_k / (n_k + 1) >= w_min, and on each client, whose samples weigh 1 in
     atoms of at most n_k samples, with n_k <= W / w_min.
     """
-    largest = []
+    compared = []
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), label_sets=st.booleans())
@@ -418,13 +518,11 @@ def test_an_uncompressed_coreset_is_the_calibration_set():
                 with pytest.raises(DegenerateGroupError):
                     coreset.threshold(pattern)
                 return
-            got = coreset.threshold(pattern)
-            distance = ulps(got, want)
-            assert distance <= 16
-            largest.append(distance)
+            assert repr(coreset.threshold(pattern)) == repr(want)
+            compared.append(pattern)
 
     check()
-    print(f"largest distance, coreset from centralized: {max(largest, default=0)} ulp over {len(largest)} patterns")
+    print(f"coreset equal to centralized on {len(compared)} patterns")
 
 
 class TestPredictionSets:

@@ -252,11 +252,11 @@ class TestAtoms:
 )
 def test_sort_atoms_is_lexsort_order(seed, d, label_sets, duplicates):
     """``sort_atoms`` from the starting orders of both callers, the client's
-    rows in input order and the crash's stable argsort of the negated
-    scores, sorts by pattern and keeps the starting order within a pattern:
-    ``np.lexsort``'s order, with tied scores (0.0 and -0.0 among them) and
-    duplicate rows; 9 and 20 groups pack into two and three bytes. The runs
-    start where the pattern row changes."""
+    rows in input order and ``CalibrationData.from_datasets``' stable argsort
+    of the scores, sorts by pattern and keeps the starting order within a
+    pattern: ``np.lexsort``'s order, with tied scores (0.0 and -0.0 among
+    them) and duplicate rows; 9 and 20 groups pack into two and three bytes.
+    The runs start where the pattern row changes."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 80))
     features = atom_features(rng, d, n, label_sets)
@@ -267,7 +267,7 @@ def test_sort_atoms_is_lexsort_order(seed, d, label_sets, duplicates):
         scores = np.append(scores, scores[rows])
     patterns = tuple(features.T[::-1])
     in_order = np.arange(len(scores))
-    for start, key in ((in_order, in_order), (np.argsort(-scores, kind="stable"), -scores)):
+    for start, key in ((in_order, in_order), (np.argsort(scores, kind="stable"), scores)):
         order, starts = sort_atoms(features.T != 0.0, start)
         rank = np.empty(len(start), dtype=int)
         rank[start] = np.arange(len(start))
@@ -277,8 +277,8 @@ def test_sort_atoms_is_lexsort_order(seed, d, label_sets, duplicates):
         new = np.ones(len(order), dtype=bool)
         new[1:] = np.any(f[1:] != f[:-1], axis=1)
         np.testing.assert_array_equal(starts, np.flatnonzero(new))
-    # the crash's start is stable, so its order is lexsort's on the scores
-    np.testing.assert_array_equal(order, np.lexsort((-scores,) + patterns))
+    # from_datasets' start is stable, so its order is lexsort's on the scores
+    np.testing.assert_array_equal(order, np.lexsort((scores,) + patterns))
 
 
 class TestAtomsMatchReference:

@@ -5,12 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import atom_features, breakpoint_minimum, random_lp, small_lp
+from conftest import atom_features, breakpoint_minimum, laid_out, random_lp, small_lp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import (
     ArtificialStart,
     pinball_loss,
+    reference_crash,
     reference_ratio_test,
     reference_threshold_search,
 )
@@ -352,6 +353,39 @@ def test_crash_start_matches_all_artificial_start(
         np.testing.assert_allclose(new_sol.beta, old_sol.beta, rtol=0, atol=1e-9)
         fixed = np.abs(scores - feats @ old_sol.beta) > 1e-7 if ties else slice(None)
         np.testing.assert_allclose(new_sol.eta[fixed], old_sol.eta[fixed], rtol=0, atol=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), ties=st.booleans(), label_sets=st.booleans())
+def test_crash_reads_the_layout_as_the_sorting_crash(seed, d, ties, label_sets):
+    """On rows in the calibration layout, the crash, which sorts nothing,
+    starts from the point of the crash that sorted the rows itself
+    (``reference_crash``): to the bit when the scores are distinct. Scores
+    tied within an atom are ranked in reverse input order by the one and in
+    input order by the other, so the points may differ on those rows; there
+    only the rows whose score is not tied within their atom are compared,
+    within 1e-12. On the rows in a random order the crash's point still
+    lies in its box and couples to 0, within 1e-12."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    feats = atom_features(rng, d, n, label_sets)
+    scores = np.round(rng.normal(size=n) * 2.0) / 2.0 if ties else rng.normal(size=n)
+    feats, scores, weights = laid_out(feats, scores, rng.uniform(0.1, 2.0, n))
+    alpha = float(rng.uniform(0.05, 0.4))
+    pattern = tuple(int(b) for b in feats[int(rng.integers(n))])
+    solver = AugmentedQrSolver(feats, scores, weights, alpha, pattern, 0.1)
+    start, want = solver._start, reference_crash(solver, feats)
+    if ties:
+        keys = [(*f, s) for f, s in zip(feats.tolist(), scores.tolist())]
+        untied = np.append([keys.count(k) == 1 for k in keys], False)
+        np.testing.assert_allclose(start[:-d][untied], want[:-d][untied], rtol=0, atol=1e-12)
+    else:
+        assert start.tobytes() == want.tobytes()
+    perm = rng.permutation(n)
+    shuffled = AugmentedQrSolver(feats[perm], scores[perm], weights[perm], alpha, pattern, 0.1)
+    x = shuffled._start
+    assert np.all((x >= shuffled._lo) & (x <= shuffled._up))
+    assert np.max(np.abs(shuffled._A @ x)) <= 1e-12
 
 
 def test_cold_solve_iterations_on_criterion_09_data():
